@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import json
 
@@ -310,12 +309,10 @@ GRID_COLUMNS = ["family", "gamma_hat", "eta_hat", "lambda_hat",
                 "wall_ms", "status"]
 
 
-def run_grid(instance, config, out_dir=None, threads=None):
+def run_grid(instance, config, out_dir=None):
     """Run every (family, gamma_hat, eta_hat, lambda_hat) combination and
     return the result rows in deterministic sorted order.  ``out_dir`` gets
     grid.csv plus one residual curve per run."""
-    if threads is None:
-        threads = int(os.environ.get("GRAPHSPLIT_THREADS", "1"))
     problem = to_problem(instance)
     cells = sorted(
         (fam, g, e, l)
@@ -326,14 +323,7 @@ def run_grid(instance, config, out_dir=None, threads=None):
     )
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "curves"), exist_ok=True)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda c: _run_cell(instance, problem, c, config, out_dir),
-                cells))
-    else:
-        rows = [_run_cell(instance, problem, c, config, out_dir)
-                for c in cells]
+    rows = [_run_cell(instance, problem, c, config, out_dir) for c in cells]
     if out_dir is not None:
         with open(os.path.join(out_dir, "grid.csv"), "w") as fh:
             fh.write(",".join(GRID_COLUMNS) + "\n")

@@ -5,7 +5,7 @@ fused-lasso benchmark."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 

@@ -1,6 +1,6 @@
 """Coefficient schemes: the matrices M, N, D, E, H, K, P, Q, R together with
-gamma and theta that parameterize one algorithm instance, plus the validators
-and step-size calculus built on top of them.
+the step size gamma that parameterize one algorithm instance, plus the
+validators and step-size calculus built on top of them.
 
 A scheme acts on n primal copies of R^d, m auxiliary z-blocks, r dual blocks
 and p single-valued operator slots.
@@ -14,7 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .linalg import LinearMap, is_psd, min_eigenvalue_sym, pinv, spectral_norm
+from .linalg import LinearMap, is_psd, pinv
 
 __all__ = [
     "CoefficientScheme",
@@ -70,7 +70,6 @@ class CoefficientScheme:
     Q: np.ndarray
     R: np.ndarray
     gamma: float
-    theta: float = 1.0
     family: str = ""
 
     def __post_init__(self):
@@ -96,8 +95,6 @@ class CoefficientScheme:
             raise ValueError("E must be a strictly positive diagonal")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
 
     @property
     def D(self):
@@ -112,7 +109,7 @@ class CoefficientScheme:
             n=self.n, m=self.m, r=self.r, p=self.p, M=self.M, N=self.N,
             D_diag=self.D_diag, E_diag=self.E_diag, H=self.H, K=self.K,
             P=self.P, Q=self.Q, R=self.R, gamma=self.gamma,
-            theta=self.theta, family=self.family,
+            family=self.family,
         )
         fields.update(kw)
         return CoefficientScheme(**fields)
@@ -415,7 +412,7 @@ def dumps_json(obj):
 def scheme_to_dict(s):
     return {
         "n": s.n, "m": s.m, "r": s.r, "p": s.p,
-        "gamma": s.gamma, "theta": s.theta,
+        "gamma": s.gamma,
         "M": s.M, "N": s.N,
         "D_diag": s.D_diag, "E_diag": s.E_diag,
         "H": s.H, "K": s.K, "P": s.P, "Q": s.Q, "R": s.R,
@@ -424,8 +421,15 @@ def scheme_to_dict(s):
 
 
 def scheme_from_dict(data):
+    """Scheme from its dict form.  Files written while schemes carried a
+    residual scale ``theta`` load when it is 1; any other value would change
+    when a run stops, so it is rejected."""
     try:
         n, m, r, p = (int(data[k]) for k in ("n", "m", "r", "p"))
+        theta = float(data.get("theta", 1.0))
+        if theta != 1.0:
+            raise ValueError(
+                f"theta = {theta} is not supported; only theta = 1 loads")
         return CoefficientScheme(
             n=n, m=m, r=r, p=p,
             M=np.asarray(data["M"], dtype=float).reshape(n, m),
@@ -438,7 +442,6 @@ def scheme_from_dict(data):
             Q=np.asarray(data["Q"], dtype=float).reshape(n, p),
             R=np.asarray(data["R"], dtype=float).reshape(p, n),
             gamma=float(data["gamma"]),
-            theta=float(data.get("theta", 1.0)),
             family=str(data.get("family", "")),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -5,8 +5,8 @@ certification."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -99,109 +99,87 @@ def eval_S(scheme, problem, z, w, check=True, collect=False):
     """Evaluate the solution operator: forward substitution for the primal
     blocks x_1..x_n followed by the dual resolvents for y.
 
-    Row i solves
-        x_i = J_{(gamma/delta_i) A_i}( (1/delta_i) [ (Mz)_i + (Nx)_i
-              - gamma (Phi x)_i - gamma (H L^*(E L K x - w))_i ] )
-    where Phi = (P - Q) C(Rx) + Q C(P^T x); triangularity guarantees every
-    quantity on the right is available when row i is reached.
+    Row i solves x_i = J_{(gamma/delta_i) A_i}(u_i) with
+        u_i = (1/delta_i) [ (Mz)_i + (Nx)_i - gamma (Phi x)_i
+              - gamma (H L^*(E L K x - w))_i ]
+    where Phi = (P - Q) C(Rx) + Q C(P^T x).
 
-    With ``collect`` the resolvent arguments u_i and the L K x images are
-    returned as well (used by certification).
+    The primal blocks are the rows of one (n, d) array X.  Rows i..n-1 are
+    still zero when row i is reached, and triangularity keeps them out of
+    every sum, so each sum over the x blocks is one matrix product over the
+    rows filled so far.  Each C_j and L_k image is evaluated once, at the
+    first row with a nonzero coefficient on it; the row sums over these
+    images skip the zero coefficients, which are most of them.
+
+    With ``collect`` the (n, d) array U of resolvent arguments u_i and the
+    lists of images L_k (K x)_k and L_k (H^T x)_k are returned as well.
     """
     if check:
         _require_explicit(scheme)
     s, pb = scheme, problem
     gamma = s.gamma
+    PQ = s.P - s.Q
     Mz = kron_apply(s.M, z)
-    x = [None] * s.n
+    X = np.zeros((s.n, pb.d))
+    U = np.empty((s.n, pb.d))
     CR = [None] * s.p    # C_j evaluated at (R x)_j
     CP = [None] * s.p    # C_j evaluated at (P^T x)_j
     LL = [None] * s.r    # L_k^*( eta_k L_k (K x)_k - w_k )
     LKx = [None] * s.r   # L_k (K x)_k
-    u = [None] * s.n if collect else None
-
-    def get_CR(j):
-        if CR[j] is None:
-            arg = np.zeros(pb.d)
-            for i in np.nonzero(s.R[j, :])[0]:
-                arg += s.R[j, i] * x[i]
-            CR[j] = pb.C_list[j](arg)
-        return CR[j]
-
-    def get_CP(j):
-        if CP[j] is None:
-            arg = np.zeros(pb.d)
-            for i in np.nonzero(s.P[:, j])[0]:
-                arg += s.P[i, j] * x[i]
-            CP[j] = pb.C_list[j](arg)
-        return CP[j]
-
-    def get_LL(k):
-        if LL[k] is None:
-            kx = np.zeros(pb.d)
-            for i in np.nonzero(s.K[k, :])[0]:
-                kx += s.K[k, i] * x[i]
-            L = pb.BL_list[k].L
-            LKx[k] = L(kx)
-            LL[k] = L.adjoint(s.E_diag[k] * LKx[k] - w[k])
-        return LL[k]
 
     for i in range(s.n):
-        v = Mz[i].copy()
-        for j in np.nonzero(s.N[i, :])[0]:
-            v += s.N[i, j] * x[j]
-        for j in range(s.p):
-            c = s.P[i, j] - s.Q[i, j]
+        Xi = X[:i]
+        v = Mz[i] + s.N[i, :i] @ Xi
+        for j, C in enumerate(pb.C_list):
+            c, q = PQ[i, j], s.Q[i, j]
             if c != 0.0:
-                v -= gamma * c * get_CR(j)
-            if s.Q[i, j] != 0.0:
-                v -= gamma * s.Q[i, j] * get_CP(j)
-        for k in np.nonzero(s.H[i, :])[0]:
-            v -= gamma * s.H[i, k] * get_LL(k)
-        arg = v / s.D_diag[i]
-        if collect:
-            u[i] = arg
-        x[i] = pb.A_list[i](gamma / s.D_diag[i], arg)
+                if CR[j] is None:
+                    CR[j] = C(s.R[j, :i] @ Xi)
+                v -= gamma * c * CR[j]
+            if q != 0.0:
+                if CP[j] is None:
+                    CP[j] = C(s.P[:i, j] @ Xi)
+                v -= gamma * q * CP[j]
+        for k, blk in enumerate(pb.BL_list):
+            h = s.H[i, k]
+            if h != 0.0:
+                if LL[k] is None:
+                    LKx[k] = blk.L(s.K[k, :i] @ Xi)
+                    LL[k] = blk.L.adjoint(s.E_diag[k] * LKx[k] - w[k])
+                v -= gamma * h * LL[k]
+        U[i] = v / s.D_diag[i]
+        X[i] = pb.A_list[i](gamma / s.D_diag[i], U[i])
 
-    y = []
-    for k in range(s.r):
-        get_LL(k)   # ensures LKx[k] is available
-        L = pb.BL_list[k].L
-        hx = np.zeros(pb.d)
-        for i in np.nonzero(s.H[:, k])[0]:
-            hx += s.H[i, k] * x[i]
-        arg = LKx[k] - w[k] / s.E_diag[k] + L(hx)
-        y.append(pb.BL_list[k].B(1.0 / s.E_diag[k], arg))
+    y, LHx = [], []
+    for k, blk in enumerate(pb.BL_list):
+        if LKx[k] is None:   # column k of H is zero, so no row needed it
+            LKx[k] = blk.L(s.K[k] @ X)
+        LHx.append(blk.L(s.H[:, k] @ X))
+        arg = LKx[k] - w[k] / s.E_diag[k] + LHx[k]
+        y.append(blk.B(1.0 / s.E_diag[k], arg))
 
-    xv, yv = BlockVector(x), BlockVector(y)
+    xv, yv = BlockVector(X), BlockVector(y)
     if collect:
-        return xv, yv, BlockVector(u), LKx
+        return xv, yv, U, LKx, LHx
     return xv, yv
 
 
 def eval_Gamma(scheme, problem, z, w, check=True):
     """The displacement map: gz = M^T x and gw_k = eta_k (L_k (H^T x)_k - y_k),
-    so that T(z, w) = (z, w) - theta (gz, gw)."""
-    x, y = eval_S(scheme, problem, z, w, check=check)
+    so that T(z, w) = (z, w) - (gz, gw)."""
+    x, y, _, _, LHx = eval_S(scheme, problem, z, w, check=check, collect=True)
     gz = kron_apply(scheme.M.T, x)
-    gw = []
-    for k in range(scheme.r):
-        L = problem.BL_list[k].L
-        hx = np.zeros(problem.d)
-        for i in np.nonzero(scheme.H[:, k])[0]:
-            hx += scheme.H[i, k] * x[i]
-        gw.append(scheme.E_diag[k] * (L(hx) - y[k]))
-    return gz, BlockVector(gw), x, y
+    gw = BlockVector([eta * (lhx - yk) for eta, lhx, yk
+                      in zip(scheme.E_diag, LHx, y.blocks)])
+    return gz, gw, x, y
 
 
 def residual_star(scheme, gz, gw, lambda_t):
-    """(1/lambda) ||(Id - T)(z, w)||_star^2 with (Id - T) = theta * Gamma."""
+    """(1/lambda) ||(Id - T)(z, w)||_star^2 with (Id - T) = Gamma."""
     if lambda_t <= 0:
         raise ValueError("lambda_t must be positive")
-    acc = gz.norm() ** 2
-    for k, eta in enumerate(scheme.E_diag):
-        acc += scheme.gamma / eta * float(gw[k] @ gw[k])
-    return scheme.theta ** 2 / lambda_t * acc
+    ctx = StarNormContext(gamma=scheme.gamma, E_diag=scheme.E_diag)
+    return ctx.inner(gz, gw, gz, gw) / lambda_t
 
 
 def step(scheme, problem, state, lambda_t, lambda_max=None, check=True):
@@ -236,12 +214,12 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     opts = opts or SolveOptions()
     s = scheme
     has_B, has_C = problem.r > 0, problem.p > 0
-    rep = validate_standing(s, has_B, has_C)
+    regime = default_regime(s, problem)
+    rep = validate_standing(s, has_B, has_C, check_q=(regime == "lipschitz"))
     if not rep.all_pass:
         raise ValueError(f"scheme fails structural validation: {rep.as_dict()}")
     _require_explicit(s)
 
-    regime = default_regime(s, problem)
     uw = compute_UW(s, need_W=(regime == "lipschitz"))
     tau = compute_tau(uw, problem.lipschitz_constants, regime)
     norms = [blk.L.norm() for blk in problem.BL_list]
@@ -289,14 +267,9 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
 
     s_bar = None
     if x is not None and s.r > 0:
-        s_cert = []
-        for k in range(s.r):
-            L = problem.BL_list[k].L
-            kx = np.zeros(problem.d)
-            for i in np.nonzero(s.K[k, :])[0]:
-                kx += s.K[k, i] * x[i]
-            s_cert.append(s.E_diag[k] * L(kx) - w[k])
-        s_bar = BlockVector(s_cert)
+        Kx = kron_apply(s.K, x)
+        s_bar = BlockVector([s.E_diag[k] * blk.L(Kx[k]) - w[k]
+                             for k, blk in enumerate(problem.BL_list)])
 
     return SolveReport(
         iters_run=t, converged=converged,
@@ -319,15 +292,13 @@ def certify_solution(scheme, problem, state, tol=1e-5):
     (b) the membership residuals ||L_k xbar - J_{B_k}(L_k xbar + s_k)||,
     and (c) the norm of a_total + sum L_k^* s_k + sum C_j xbar."""
     s = scheme
-    x, y, u, LKx = eval_S(s, problem, state.z, state.w, collect=True)
+    x, y, U, LKx, _ = eval_S(s, problem, state.z, state.w, collect=True)
     xbar = sum(x.blocks) / s.n
     gap = consensus_gap(x)
 
     # a_i = (delta_i / gamma)(u_i - x_i) lies in A_i x_i by the resolvent
     # definition; the Phi and dual terms are already inside u_i.
-    total = np.zeros(problem.d)
-    for i in range(s.n):
-        total += s.D_diag[i] / s.gamma * (u[i] - x[i])
+    total = (s.D_diag / s.gamma) @ (U - np.stack(x.blocks))
 
     memberships = []
     for k in range(s.r):

@@ -199,16 +199,6 @@ class TestRunGrid:
         cb = (tmp_path / "b" / "curves" / "sequential_0.5_0.1_0.9.csv").read_bytes()
         assert ca == cb
 
-    def test_threaded_matches_serial(self, tiny, monkeypatch):
-        config = ExperimentConfig(
-            gamma_hats=[0.3, 0.6], eta_hats=[0.1], lambda_hats=[0.9],
-            scheme_families=["sequential"], max_iters=20000, tol=1e-8)
-        serial = run_grid(tiny, config, threads=1)
-        threaded = run_grid(tiny, config, threads=2)
-        for a, b in zip(serial, threaded):
-            assert a["iters_to_tol"] == b["iters_to_tol"]
-            assert a["final_residual"] == b["final_residual"]
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(gamma_hats=[1.5])

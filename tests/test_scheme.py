@@ -34,8 +34,10 @@ class TestConstruction:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             scheme_sequential(3, gamma=0.0)
-        with pytest.raises(ValueError):
-            scheme_sequential(3).replace(theta=-1.0)
+        data = scheme_to_dict(scheme_sequential(3))
+        data["theta"] = 1.5
+        with pytest.raises(ValueError, match="theta"):
+            scheme_from_dict(data)
         with pytest.raises(ValueError):
             scheme_sequential(3).replace(D_diag=np.array([1.0, -1.0, 1.0]))
         with pytest.raises(ValueError):
@@ -286,7 +288,7 @@ class TestSerialization:
             dumps_json(object())
 
     def test_round_trip(self, tmp_path):
-        s = scheme_complete(4, gamma=0.3, eta=0.8).replace(theta=1.5)
+        s = scheme_complete(4, gamma=0.3, eta=0.8)
         path = tmp_path / "scheme.json"
         save_scheme(s, path)
         s2 = load_scheme(path)
@@ -294,7 +296,11 @@ class TestSerialization:
             np.testing.assert_allclose(getattr(s2, name), getattr(s, name))
         np.testing.assert_allclose(s2.D_diag, s.D_diag)
         np.testing.assert_allclose(s2.E_diag, s.E_diag)
-        assert (s2.gamma, s2.theta, s2.family) == (0.3, 1.5, "complete")
+        assert (s2.gamma, s2.family) == (0.3, "complete")
+        # scheme files written with a residual scale carry theta = 1
+        data = scheme_to_dict(s)
+        data["theta"] = 1.0
+        assert scheme_from_dict(data).gamma == 0.3
 
     def test_dict_round_trip_and_malformed(self):
         s = scheme_ring(3)

@@ -3,6 +3,7 @@ relaxed iteration."""
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,14 +14,17 @@ from graphsplit import (BlockVector, ComposedBlock, IterateState, LinearMap,
                         eval_S, l1_resolvent, prox_l1, residual_star,
                         scheme_sequential, scheme_star, solve, step,
                         zero_resolvent)
-from graphsplit.fusedlasso import build_family_scheme, gen_instance, to_problem
-from graphsplit.graphs import scheme_ring
+from graphsplit.fusedlasso import (build_family_scheme, difference_matrix,
+                                   gen_instance, to_problem)
+from graphsplit.graphs import scheme_complete, scheme_ring
 from graphsplit.operators import SingleValuedOp, least_squares_gradient
-from graphsplit.scheme import CoefficientScheme
+from graphsplit.scheme import (CoefficientScheme, compute_tau, compute_UW,
+                               step_bounds)
 from graphsplit.solver import (consensus_gap, default_regime,
                                export_report_csv, export_state_json)
 
 from conftest import random_problem_for
+import solver_oracle
 
 
 def two_node_scheme(gamma=1.0):
@@ -79,17 +83,17 @@ class TestEvalS:
         pb = random_problem_for(rng, s, 4, gdim=2)
         z = BlockVector([rng.standard_normal(4) for _ in range(2)])
         w = BlockVector([rng.standard_normal(2) for _ in range(2)])
-        x, y, u, LKx = eval_S(s, pb, z, w, collect=True)
+        x, y, u, LKx, LHx = eval_S(s, pb, z, w, collect=True)
         # x_i is the resolvent of A_i at u_i with step gamma / delta_i
         for i in range(3):
             ref = pb.A_list[i](s.gamma / s.D_diag[i], u[i])
             np.testing.assert_allclose(x[i], ref, atol=1e-12)
-        assert len(LKx) == 2
+        assert len(LKx) == len(LHx) == 2
 
 
 class TestResidual:
     def test_matches_displacement_definition(self, rng):
-        s = scheme_sequential(3, gamma=0.6, eta=0.9).replace(theta=1.3)
+        s = scheme_sequential(3, gamma=0.6, eta=0.9)
         pb = random_problem_for(rng, s, 4, gdim=3)
         z = BlockVector([rng.standard_normal(4) for _ in range(2)])
         w = BlockVector([rng.standard_normal(3) for _ in range(2)])
@@ -98,18 +102,8 @@ class TestResidual:
         res = residual_star(s, gz, gw, lam)
         # brute force: || (z,w) - T(z,w) ||_star^2 / lambda
         ctx = StarNormContext(gamma=s.gamma, E_diag=s.E_diag)
-        ref = ctx.norm(s.theta * gz, s.theta * gw) ** 2 / lam
+        ref = ctx.norm(gz, gw) ** 2 / lam
         assert abs(res - ref) <= 1e-10 * (1.0 + ref)
-
-    def test_quadratic_in_theta(self, rng):
-        s = scheme_sequential(3, gamma=0.6)
-        pb = random_problem_for(rng, s, 3, gdim=2)
-        z = BlockVector([rng.standard_normal(3) for _ in range(2)])
-        w = BlockVector([rng.standard_normal(2) for _ in range(2)])
-        gz, gw, _, _ = eval_Gamma(s, pb, z, w)
-        r1 = residual_star(s, gz, gw, 1.0)
-        r2 = residual_star(s.replace(theta=2.0), gz, gw, 1.0)
-        assert abs(r2 - 4.0 * r1) <= 1e-10 * (1.0 + r1)
 
     def test_positive_lambda_required(self):
         s = two_node_scheme()
@@ -220,6 +214,40 @@ class TestSolve:
         with pytest.raises(RuntimeError):
             solve(s, pb, z0=z0, opts=SolveOptions(max_iters=2000))
 
+    def test_lipschitz_regime_checks_q_rows(self, rng):
+        ring = scheme_ring(4, regime="lipschitz")
+        pb = random_problem_for(rng, ring, 3, gdim=2)
+        with pytest.raises(ValueError, match="'q_rows': False"):
+            solve(ring.replace(Q=2.0 * ring.Q), pb)
+
+    def test_lipschitz_ring_converges_and_certifies(self):
+        # C is 0.5 I plus a skew circulant: monotone and Lipschitz but not
+        # cocoercive, so solve runs in the lipschitz regime
+        d = 10
+        q = np.random.default_rng(0).standard_normal(d)
+        C = SingleValuedOp(
+            dim=d, apply=lambda x: 0.5 * x + np.roll(x, -1) - np.roll(x, 1) + q,
+            lipschitz=math.sqrt(4.25), cocoercive=False)
+        L = difference_matrix(d)
+        pb = ProblemInstance(
+            d=d,
+            A_list=[zero_resolvent(d)] + [l1_resolvent(0.1, d)] * 3,
+            BL_list=[ComposedBlock(B=l1_resolvent(0.1, d - 1), L=L)],
+            C_list=[C])
+        base = scheme_ring(4, regime="lipschitz")
+        tau = compute_tau(compute_UW(base, need_W=True), [C.lipschitz],
+                          "lipschitz")
+        bounds = step_bounds(tau, [L.norm()], "lipschitz")
+        gamma = 0.5 * bounds.gamma_max
+        s = scheme_ring(4, gamma=gamma, eta=0.5 * bounds.eta_max(gamma),
+                        regime="lipschitz")
+        assert default_regime(s, pb) == "lipschitz"
+        report = solve(s, pb, opts=SolveOptions(max_iters=20_000,
+                                                residual_tol=1e-20))
+        assert report.converged
+        cert = certify_solution(s, pb, report.final, tol=1e-8)
+        assert cert["ok"], cert
+
     def test_lambda_schedule_callable(self):
         s = two_node_scheme()
         ident = affine_resolvent(np.eye(2), np.zeros(2))
@@ -228,6 +256,67 @@ class TestSolve:
                        opts=SolveOptions(max_iters=30, residual_tol=1e-20,
                                          lambda_schedule=lambda t: 0.5))
         assert report.lambda_used == 0.5
+
+
+def _perturbed(s, rng):
+    """The scheme with every nonzero coefficient scaled by a random factor,
+    so that the sums see unequal weights.  The sparsity pattern, and so
+    explicitness, is kept; the structural assumptions need not hold."""
+    def scale(a):
+        return a * rng.uniform(0.5, 1.5, size=a.shape)
+    return s.replace(M=scale(s.M), N=scale(s.N), H=scale(s.H), K=scale(s.K),
+                     P=scale(s.P), Q=scale(s.Q), R=scale(s.R),
+                     D_diag=scale(s.D_diag), E_diag=scale(s.E_diag))
+
+
+def _rel(a, b):
+    a, b = np.concatenate(a), np.concatenate(b)
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+DIFF_FAMILIES = {
+    "sequential": lambda n, g, e: scheme_sequential(n, gamma=g, eta=e),
+    "star": lambda n, g, e: scheme_star(n, gamma=g, eta=e),
+    "complete": lambda n, g, e: scheme_complete(n, gamma=g, eta=e),
+    "ring_cocoercive": lambda n, g, e: scheme_ring(n, gamma=g, eta=e),
+    "ring_lipschitz": lambda n, g, e: scheme_ring(n, gamma=g, eta=e,
+                                                  regime="lipschitz"),
+}
+
+
+class TestAgainstLoopEvaluator:
+    """The stacked forward pass against the per-row loop evaluator in
+    solver_oracle, on random schemes, problems and points."""
+
+    DRAWS = 40   # per family, 200 in all
+
+    @pytest.mark.parametrize("family", sorted(DIFF_FAMILIES))
+    def test_gamma_and_certificate_agree(self, family):
+        rng = np.random.default_rng(sorted(DIFF_FAMILIES).index(family))
+        tol = 1e-13
+        for draw in range(self.DRAWS):
+            n, d = int(rng.integers(3, 7)), int(rng.integers(2, 7))
+            s = DIFF_FAMILIES[family](n, rng.uniform(0.2, 1.5),
+                                      rng.uniform(0.2, 1.5))
+            if draw % 2:
+                s = _perturbed(s, rng)
+            pb = random_problem_for(rng, s, d)
+            z = BlockVector([rng.standard_normal(d) for _ in range(s.m)])
+            w = BlockVector([rng.standard_normal(blk.L.out_dim)
+                             for blk in pb.BL_list])
+            new = eval_Gamma(s, pb, z, w)
+            old = solver_oracle.eval_Gamma(s, pb, z, w)
+            for name, a, b in zip(("gz", "gw", "x", "y"), new, old):
+                if len(b):
+                    assert _rel(a.blocks, b.blocks) <= tol, (draw, name)
+            state = IterateState(z=z, w=w)
+            c_new = certify_solution(s, pb, state)
+            c_old = solver_oracle.certify_solution(s, pb, state)
+            for key in ("consensus_gap", "inclusion_residual"):
+                assert abs(c_new[key] - c_old[key]) <= tol * c_old[key], \
+                    (draw, key)
+            np.testing.assert_allclose(c_new["memberships"],
+                                       c_old["memberships"], rtol=tol)
 
 
 class TestCertification:
