@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .linalg import LinearMap, spectral_norm
+from .linalg import spectral_norm
 from .operators import (ComposedBlock, ProblemInstance, l1_resolvent,
                         least_squares_gradient, prox_l1, zero_resolvent)
 from .scheme import compute_UW, compute_tau, dumps_json, step_bounds
@@ -44,18 +44,14 @@ FAMILY_GENERATORS = {
 }
 
 
-class DifferenceMap(LinearMap):
-    """First-difference operator (Lx)_i = x_{i+1} - x_i with fast apply."""
+class DifferenceMap:
+    """First-difference operator (Lx)_i = x_{i+1} - x_i from R^d to
+    R^(d-1), applied matrix-free."""
 
     def __init__(self, d):
         if d < 2:
             raise ValueError("need d >= 2")
-        mat = np.zeros((d - 1, d))
-        idx = np.arange(d - 1)
-        mat[idx, idx] = -1.0
-        mat[idx, idx + 1] = 1.0
-        super().__init__(mat)
-        self._norm = difference_norm(d)
+        self.in_dim, self.out_dim = d, d - 1
 
     def apply(self, x):
         return np.diff(x)
@@ -68,9 +64,11 @@ class DifferenceMap(LinearMap):
         out[1:] += y
         return out
 
+    def norm(self):
+        return difference_norm(self.in_dim)
 
-def difference_matrix(d):
-    return DifferenceMap(d)
+
+difference_matrix = DifferenceMap
 
 
 def difference_norm(d):
@@ -96,8 +94,9 @@ class FusedLassoInstance:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("need d >= 2")
-        if len(self.A_blocks) != self.n_agents:
-            raise ValueError("one A block per agent required")
+        for name in ("A_blocks", "b_blocks", "mu", "nu"):
+            if len(getattr(self, name)) != self.n_agents:
+                raise ValueError(f"{name} needs one entry per agent")
         for A, b in zip(self.A_blocks, self.b_blocks):
             if A.shape[0] != b.size or A.shape[1] != self.d or A.shape[0] < 1:
                 raise ValueError("inconsistent block shapes")

@@ -116,8 +116,9 @@ def kron_apply(M, z):
 
 
 class LinearMap:
-    """Dense linear operator between real spaces, with a cached spectral
-    norm and adjoint application through the transpose."""
+    """Linear map backed by a dense matrix.  Any object with in_dim, out_dim,
+    a call (apply), adjoint and norm() is a linear map to the package; this
+    one applies the matrix and finds its norm by power iteration, cached."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -141,30 +142,29 @@ class LinearMap:
     def adjoint(self, y):
         return self.matrix.T @ y
 
-    def norm(self, tol=POWER_ITER_TOL):
+    def norm(self):
         if self._norm is None:
-            self._norm = spectral_norm(self, tol=tol)
+            self._norm = spectral_norm(self)
         return self._norm
 
 
 def spectral_norm(L, tol=POWER_ITER_TOL, max_iter=POWER_ITER_MAX,
                   seed=POWER_ITER_SEED):
-    """Largest singular value via power iteration on L^T L.
+    """Largest singular value of a map or matrix, by power iteration on L^*L.
 
     Deterministic: the start vector comes from a fixed-seed generator.
     The zero map returns 0.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    A = L.matrix if isinstance(L, LinearMap) else np.asarray(L, dtype=float)
-    if A.size == 0 or not np.any(A):
-        return 0.0
+    if not callable(L):
+        L = LinearMap(L)
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.shape[1])
+    v = rng.standard_normal(L.in_dim)
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(max_iter):
-        u = A.T @ (A @ v)
+        u = L.adjoint(L(v))
         nu = np.linalg.norm(u)
         if nu == 0.0:
             return 0.0

@@ -14,7 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .linalg import LinearMap, is_psd, pinv
+from .linalg import is_psd, pinv
 
 __all__ = [
     "CoefficientScheme",
@@ -333,10 +333,10 @@ def assemble_omega(s, L_list, d, cap=OMEGA_CAP):
     omega = np.kron(base, np.eye(d))
     HK = s.H - s.K.T
     for k in range(s.r):
-        A = L_list[k].matrix if isinstance(L_list[k], LinearMap) else \
-            np.asarray(L_list[k], dtype=float)
-        if A.shape[1] != d:
-            raise ValueError(f"L_{k} acts on dim {A.shape[1]}, expected {d}")
+        L = L_list[k]
+        if L.in_dim != d:
+            raise ValueError(f"L_{k} acts on dim {L.in_dim}, expected {d}")
+        A = np.column_stack([L(e) for e in np.eye(d)])
         h = HK[:, k]
         omega -= s.gamma * s.E_diag[k] * np.kron(np.outer(h, h), A.T @ A)
     return omega

@@ -254,8 +254,8 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
             if objective is not None:
                 objective_history.append((t, float(objective(x[0]))))
             time_history.append((t, 1e3 * (time.perf_counter() - t0)))
-            if res <= opts.residual_tol:
-                converged = True
+            converged = bool(res <= opts.residual_tol)
+            if converged or t == opts.max_iters:
                 break
         z = z - lam * gz
         w = w - lam * gw

@@ -1,13 +1,19 @@
 """Fused-lasso benchmark: instance generation, reference solver, grid
 harness, and artifact IO."""
 
+import json
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphsplit import (difference_matrix, difference_norm, gen_instance,
-                        objective, reference_solve, run_grid, to_problem)
+from graphsplit import (LinearMap, difference_matrix, difference_norm,
+                        gen_instance, objective, reference_solve, run_grid,
+                        to_problem)
 from graphsplit.fusedlasso import (ExperimentConfig, build_family_scheme,
                                    desk_instance, load_instance,
                                    save_instance)
@@ -20,7 +26,8 @@ class TestDifferenceOperator:
         L = difference_matrix(7)
         x = rng.standard_normal(7)
         np.testing.assert_allclose(L(x), np.diff(x), atol=1e-14)
-        np.testing.assert_allclose(L.matrix @ x, np.diff(x), atol=1e-14)
+        dense = np.diff(np.eye(7), axis=0)
+        np.testing.assert_allclose(dense @ x, L(x), atol=1e-14)
 
     def test_adjoint_consistency(self, rng):
         L = difference_matrix(6)
@@ -33,14 +40,52 @@ class TestDifferenceOperator:
         assert abs(difference_norm(4) - np.sqrt(2.0 + np.sqrt(2.0))) <= 1e-14
         for d in (3, 10, 57):
             L = difference_matrix(d)
-            assert abs(L.norm() - np.linalg.norm(L.matrix, 2)) <= 1e-12
-            assert abs(spectral_norm(L.matrix) - L.norm()) <= 1e-6
+            dense = np.diff(np.eye(d), axis=0)
+            assert abs(L.norm() - np.linalg.norm(dense, 2)) <= 1e-12
+            assert abs(spectral_norm(L) - L.norm()) <= 1e-6
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             difference_matrix(1)
         with pytest.raises(ValueError):
             difference_norm(1)
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None)
+    @given(d=st.integers(2, 300))
+    def test_matrix_free_matches_dense(self, d):
+        L = difference_matrix(d)
+        dense = LinearMap(np.diff(np.eye(d), axis=0))
+        rng = np.random.default_rng(d)
+        x, y = rng.standard_normal(d), rng.standard_normal(d - 1)
+        assert np.array_equal(L(x), dense(x))
+        assert np.array_equal(L.adjoint(y), dense.adjoint(y))
+        assert spectral_norm(L) == spectral_norm(dense)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(d=st.integers(2, 300))
+    def test_power_iteration_against_closed_form(self, d):
+        # The power iteration stops once sigma moves by less than 1e-10
+        # relative.  The top two singular values of the difference operator
+        # close in like 1/d^2, so it stops short of the closed form: by
+        # 5.7e-5 relative at d = 194, the worst d in [2, 300].  It never
+        # overshoots.
+        est, exact = spectral_norm(difference_matrix(d)), difference_norm(d)
+        assert exact * (1.0 - 1e-4) <= est <= exact * (1.0 + 1e-12)
+
+    def test_million_dimensions_stay_matrix_free(self):
+        d = 10**6
+        tracemalloc.start()
+        try:
+            pb = to_problem(gen_instance(0, n=1, m=1, d=d, k_nonzero=1))
+            L = pb.BL_list[0].L
+            assert L.adjoint(L(np.ones(d))).shape == (d,)
+            assert L.norm() == difference_norm(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestGenInstance:
@@ -79,6 +124,12 @@ class TestGenInstance:
             gen_instance(0, n=5, m=3, d=10)
         with pytest.raises(ValueError):
             gen_instance(0, n=2, m=10, d=4, k_nonzero=9)
+
+    @pytest.mark.parametrize("name", ["A_blocks", "b_blocks", "mu", "nu"])
+    def test_short_per_agent_list_rejected(self, name):
+        inst = gen_instance(1, n=3, m=12, d=6, k_nonzero=2)
+        with pytest.raises(ValueError, match=name):
+            replace(inst, **{name: getattr(inst, name)[:-1]})
 
     def test_desk_instance_shape(self):
         inst = desk_instance(0)
@@ -217,6 +268,16 @@ class TestInstanceIO:
         for A, B in zip(inst.A_blocks, back.A_blocks):
             np.testing.assert_array_equal(A, B)
         np.testing.assert_array_equal(back.x_true, inst.x_true)
+
+    def test_short_mu_in_meta_rejected_on_load(self, tmp_path):
+        inst = gen_instance(3, n=3, m=14, d=9, k_nonzero=2)
+        save_instance(inst, str(tmp_path))
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["mu"] = meta["mu"][:-1]
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="mu"):
+            load_instance(str(tmp_path))
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(OSError):

@@ -2,9 +2,34 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsplit import (BlockVector, LinearMap, is_psd, kron_apply,
                         min_eigenvalue_sym, pinv, spectral_norm)
+
+
+def dense_power_iteration(A, tol=1e-10, max_iter=10_000, seed=42):
+    """The power iteration on the matrix A^T A, as spectral_norm ran it
+    before it took matrix-free linear maps."""
+    A = np.asarray(A, dtype=float)
+    if A.size == 0 or not np.any(A):
+        return 0.0
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(A.shape[1])
+    v /= np.linalg.norm(v)
+    sigma = 0.0
+    for _ in range(max_iter):
+        u = A.T @ (A @ v)
+        nu = np.linalg.norm(u)
+        if nu == 0.0:
+            return 0.0
+        v = u / nu
+        sigma_new = np.sqrt(nu)
+        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
+            return float(sigma_new)
+        sigma = sigma_new
+    return float(sigma)
 
 
 class TestBlockVector:
@@ -101,6 +126,22 @@ class TestSpectralNorm:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             spectral_norm(np.eye(2), tol=0.0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(rows=st.integers(0, 12), cols=st.integers(0, 12),
+           rank=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    def test_matrix_and_map_match_dense_iteration(self, rows, cols, rank,
+                                                  seed):
+        # rank 0 gives the zero matrix, and rank < min(rows, cols) a
+        # rank-deficient one
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((rows, rank)) @ rng.standard_normal(
+            (rank, cols))
+        ref = dense_power_iteration(A)
+        assert spectral_norm(A) == ref
+        assert spectral_norm(LinearMap(A)) == ref
+        assert LinearMap(A).norm() == ref
 
 
 class TestPsd:

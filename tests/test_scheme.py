@@ -3,13 +3,15 @@ assembly."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsplit import (CoefficientScheme, LinearMap, assemble_omega,
                         assemble_upsilons, check_explicit, compute_UW,
-                        compute_tau, load_scheme, save_scheme,
-                        scheme_complete, scheme_ring, scheme_sequential,
-                        scheme_star, step_bounds, validate_psd,
-                        validate_standing)
+                        compute_tau, difference_matrix, load_scheme,
+                        save_scheme, scheme_complete, scheme_ring,
+                        scheme_sequential, scheme_star, step_bounds,
+                        validate_psd, validate_standing)
 from graphsplit.scheme import dumps_json, scheme_from_dict, scheme_to_dict
 
 
@@ -194,6 +196,28 @@ class TestOmegaUpsilon:
             ref -= s.gamma * s.E_diag[k] * np.kron(
                 np.outer(HK[:, k], HK[:, k]), A.T @ A)
         np.testing.assert_allclose(omega, ref, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(family=st.sampled_from([scheme_sequential, scheme_star,
+                                   scheme_complete]),
+           n=st.integers(2, 5), d=st.integers(2, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_difference_map_matches_dense_matrix(self, family, n, d, seed):
+        rng = np.random.default_rng(seed)
+        s = family(n, gamma=float(rng.uniform(0.05, 2.0)),
+                   eta=float(rng.uniform(0.05, 2.0)))
+        ell = rng.uniform(0.1, 2.0, size=s.p)
+        free = [difference_matrix(d)] * s.r
+        dense = [LinearMap(np.diff(np.eye(d), axis=0))] * s.r
+        np.testing.assert_array_equal(assemble_omega(s, free, d),
+                                      assemble_omega(s, dense, d))
+        assert validate_psd(s, free, ell, d) == validate_psd(s, dense, ell, d)
+
+    def test_wrong_input_dimension_named(self):
+        s = scheme_sequential(3)
+        with pytest.raises(ValueError, match="L_0 acts on dim 4"):
+            assemble_omega(s, [difference_matrix(4)] * s.r, 3)
 
     def test_cap_enforced(self):
         s = scheme_sequential(3)

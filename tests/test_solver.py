@@ -14,8 +14,9 @@ from graphsplit import (BlockVector, ComposedBlock, IterateState, LinearMap,
                         eval_S, l1_resolvent, prox_l1, residual_star,
                         scheme_sequential, scheme_star, solve, step,
                         zero_resolvent)
-from graphsplit.fusedlasso import (build_family_scheme, difference_matrix,
-                                   gen_instance, to_problem)
+from graphsplit.fusedlasso import (build_family_scheme, desk_instance,
+                                   difference_matrix, gen_instance,
+                                   to_problem)
 from graphsplit.graphs import scheme_complete, scheme_ring
 from graphsplit.operators import SingleValuedOp, least_squares_gradient
 from graphsplit.scheme import (CoefficientScheme, compute_tau, compute_UW,
@@ -188,6 +189,20 @@ class TestSolve:
                                          record_every=7, lambda_schedule=1.0))
         iters = [t for t, _ in report.residual_history]
         assert iters == [0, 7, 14, 21, 28, 35, 40]
+
+    def test_max_iters_exit_reports_consistent_state(self):
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        scheme, _, lam_max = build_family_scheme("sequential", inst, 0.5, 0.1)
+        report = solve(scheme, pb,
+                       opts=SolveOptions(max_iters=3, residual_tol=1e-13,
+                                         lambda_schedule=0.9 * lam_max))
+        assert not report.converged and report.iters_run == 3
+        final = report.final
+        x, y = eval_S(scheme, pb, final.z, final.w)
+        for got, want in ((x, final.x), (y, final.y)):
+            np.testing.assert_allclose(got.concat(), want.concat(),
+                                       rtol=0, atol=1e-12)
 
     def test_lambda_out_of_range_rejected(self):
         s = two_node_scheme()
