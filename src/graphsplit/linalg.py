@@ -51,9 +51,6 @@ class BlockVector:
     def __getitem__(self, i):
         return self.blocks[i]
 
-    def copy(self):
-        return BlockVector([b.copy() for b in self.blocks])
-
     def _check_conforming(self, other):
         if self.dims != other.dims:
             raise ValueError(

@@ -1,6 +1,7 @@
 """Relaxed fixed-point solver: the solution operator S, the displacement
 map Gamma, residual tracking in the scaled product norm, and solution
-certification."""
+certification.  The public functions take and return BlockVectors; inside,
+primal blocks are the rows of one array and dual blocks a list of arrays."""
 
 from __future__ import annotations
 
@@ -10,25 +11,22 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .linalg import BlockVector, kron_apply
+from .linalg import BlockVector, kron_apply  # noqa: F401  (re-exported)
 from .scheme import check_explicit, compute_UW, compute_tau, step_bounds, \
     validate_standing, dumps_json
 
 __all__ = [
-    "IterateState",
-    "StarNormContext",
-    "SolveOptions",
-    "SolveReport",
-    "eval_S",
-    "eval_Gamma",
-    "step",
-    "solve",
-    "residual_star",
-    "certify_solution",
-    "default_regime",
-    "export_report_csv",
-    "export_state_json",
+    "IterateState", "StarNormContext", "SolveOptions", "SolveReport",
+    "DivergenceError", "EvalPlan", "eval_S", "eval_Gamma", "step", "solve",
+    "residual_star", "certify_solution", "default_regime",
+    "export_report_csv", "export_state_json",
 ]
+
+
+def _stacked(z):
+    """The primal blocks of z as the rows of one 2-D array."""
+    return (np.stack(z.blocks) if isinstance(z, BlockVector)
+            else np.asarray(z, dtype=float))
 
 
 @dataclass
@@ -43,13 +41,14 @@ class IterateState:
 
 @dataclass
 class StarNormContext:
-    """The scaled product norm ||(z, w)||^2 = ||z||^2 + gamma <E^{-1}w, w>."""
+    """The scaled product norm ||(z, w)||^2 = ||z||^2 + gamma <E^{-1}w, w>.
+    z is a BlockVector or a stacked array, w a BlockVector or a list."""
 
     gamma: float
     E_diag: np.ndarray
 
     def inner(self, z1, w1, z2, w2):
-        acc = z1.dot(z2)
+        acc = float(np.vdot(_stacked(z1), _stacked(z2)))
         for k, eta in enumerate(self.E_diag):
             acc += self.gamma / eta * float(w1[k] @ w2[k])
         return acc
@@ -84,94 +83,127 @@ class SolveReport:
     final: IterateState
     dual_certificate: Optional[BlockVector]
     lambda_used: float
+    stop_reason: str   # "converged", "max_iters" or "diverged"
+
+
+class DivergenceError(RuntimeError):
+    """A non-finite iterate; ``report`` ends at the last finite one."""
+
+    def __init__(self, message, report):
+        super().__init__(message)
+        self.report = report
 
 
 def _require_explicit(scheme):
-    explicit, _ = check_explicit(scheme)
-    if not explicit:
-        raise ValueError(
-            "scheme is implicit (not strictly lower triangular); "
-            "the forward-substitution evaluation does not apply"
-        )
+    if not check_explicit(scheme)[0]:
+        raise ValueError("scheme is implicit (not strictly lower triangular); "
+                         "the forward-substitution evaluation does not apply")
 
 
-def eval_S(scheme, problem, z, w, check=True, collect=False):
+def _span(row, scale=1.0):
+    """The first to last nonzero of a row (empty if none), times scale."""
+    nz = np.flatnonzero(row)
+    cols = slice(int(nz[0]), int(nz[-1]) + 1) if nz.size else slice(0, 0)
+    return cols, scale * row[cols]
+
+
+class EvalPlan:
+    """The forward substitution of one scheme, compiled from the scheme
+    alone.  Row i lists the C_j and L_k images first needed there, with the
+    coefficients of their arguments; its sums over the x blocks (N[i, :i])
+    and over the C(Rx), C(P^T x) and L^*(E L K x - w) images (-gamma times
+    row i of P - Q, Q and H); and delta_i, gamma / delta_i.  Each sum reads
+    the span of its nonzeros in a zero-initialised stack of blocks/images."""
+
+    def __init__(self, scheme):
+        s, gamma = scheme, scheme.gamma
+        PQ = s.P - s.Q
+
+        def first_rows(a):   # first row with a nonzero, per column; n if none
+            nz = a != 0.0
+            return np.where(nz.any(axis=0), nz.argmax(axis=0), s.n)
+
+        f_R, f_P, f_H = first_rows(PQ), first_rows(s.Q), first_rows(s.H)
+        self.rows = []
+        for i in range(s.n):
+            new_C = [(kind, int(j), *_span(arg[j, :i]))
+                     for kind, f, arg in ((1, f_R, s.R), (2, f_P, s.P.T))
+                     for j in np.flatnonzero(f == i)]
+            new_L = [(int(k), *_span(s.K[k, :i]), float(s.E_diag[k]))
+                     for k in np.flatnonzero(f_H == i)]
+            sums = [(kind, *_span(row, scale)) for kind, row, scale in (
+                (0, s.N[i, :i], 1.0), (1, PQ[i], -gamma),
+                (2, s.Q[i], -gamma), (3, s.H[i], -gamma)) if np.any(row)]
+            self.rows.append((new_C, new_L, sums, float(s.D_diag[i]),
+                              gamma / s.D_diag[i]))
+        # per dual block: K[k] when no row needed L_k (K x)_k, and H[:, k]
+        self.duals = [(k, _span(s.K[k]) if f_H[k] == s.n else None,
+                       _span(s.H[:, k]), float(s.E_diag[k]))
+                      for k in range(s.r)]
+        self.stacks = [(s.p, (f_R < s.n).any()), (s.p, (f_P < s.n).any()),
+                       (s.r, (f_H < s.n).any())]
+
+
+def eval_S(scheme, problem, z, w, check=True, collect=False, plan=None):
     """Evaluate the solution operator: forward substitution for the primal
-    blocks x_1..x_n followed by the dual resolvents for y.
-
-    Row i solves x_i = J_{(gamma/delta_i) A_i}(u_i) with
+    blocks x_1..x_n followed by the dual resolvents for y.  Row i solves
+    x_i = J_{(gamma/delta_i) A_i}(u_i) with
         u_i = (1/delta_i) [ (Mz)_i + (Nx)_i - gamma (Phi x)_i
               - gamma (H L^*(E L K x - w))_i ]
-    where Phi = (P - Q) C(Rx) + Q C(P^T x).
-
-    The primal blocks are the rows of one (n, d) array X.  Rows i..n-1 are
-    still zero when row i is reached, and triangularity keeps them out of
-    every sum, so each sum over the x blocks is one matrix product over the
-    rows filled so far.  Each C_j and L_k image is evaluated once, at the
-    first row with a nonzero coefficient on it; the row sums over these
-    images skip the zero coefficients, which are most of them.
-
-    With ``collect`` the (n, d) array U of resolvent arguments u_i and the
-    lists of images L_k (K x)_k and L_k (H^T x)_k are returned as well.
+    where Phi = (P - Q) C(Rx) + Q C(P^T x).  The x_i are the rows of one
+    (n, d) array, and ``plan`` (compiled when omitted) gives each row's
+    images and sums.  A BlockVector z gives BlockVectors x and y, a stacked
+    z an array and a list.  ``collect`` adds the (n, d) array U of the u_i
+    and the lists of L_k (K x)_k and L_k (H^T x)_k.
     """
     if check:
         _require_explicit(scheme)
-    s, pb = scheme, problem
-    gamma = s.gamma
-    PQ = s.P - s.Q
-    Mz = kron_apply(s.M, z)
-    X = np.zeros((s.n, pb.d))
-    U = np.empty((s.n, pb.d))
-    CR = [None] * s.p    # C_j evaluated at (R x)_j
-    CP = [None] * s.p    # C_j evaluated at (P^T x)_j
-    LL = [None] * s.r    # L_k^*( eta_k L_k (K x)_k - w_k )
-    LKx = [None] * s.r   # L_k (K x)_k
+    plan = plan or EvalPlan(scheme)
+    A, C, BL = problem.A_list, problem.C_list, problem.BL_list
+    dot = np.dot   # on one-row products much cheaper than @
+    n, d = len(plan.rows), problem.d
+    Mz = scheme.M @ _stacked(z)
+    X, U = np.zeros((n, d)), np.empty((n, d))
+    stacks = [X] + [np.zeros((size, d)) if used else None
+                    for size, used in plan.stacks]   # C(Rx), C(P^T x), L^*
+    LKx = [None] * len(plan.duals)
 
-    for i in range(s.n):
-        Xi = X[:i]
-        v = Mz[i] + s.N[i, :i] @ Xi
-        for j, C in enumerate(pb.C_list):
-            c, q = PQ[i, j], s.Q[i, j]
-            if c != 0.0:
-                if CR[j] is None:
-                    CR[j] = C(s.R[j, :i] @ Xi)
-                v -= gamma * c * CR[j]
-            if q != 0.0:
-                if CP[j] is None:
-                    CP[j] = C(s.P[:i, j] @ Xi)
-                v -= gamma * q * CP[j]
-        for k, blk in enumerate(pb.BL_list):
-            h = s.H[i, k]
-            if h != 0.0:
-                if LL[k] is None:
-                    LKx[k] = blk.L(s.K[k, :i] @ Xi)
-                    LL[k] = blk.L.adjoint(s.E_diag[k] * LKx[k] - w[k])
-                v -= gamma * h * LL[k]
-        U[i] = v / s.D_diag[i]
-        X[i] = pb.A_list[i](gamma / s.D_diag[i], U[i])
+    for i, (new_C, new_L, sums, delta, step_i) in enumerate(plan.rows):
+        for kind, j, cols, coef in new_C:
+            stacks[kind][j] = C[j](dot(coef, X[cols]))
+        for k, cols, coef, eta in new_L:
+            L = BL[k].L
+            LKx[k] = L(dot(coef, X[cols]))
+            stacks[3][k] = L.adjoint(eta * LKx[k] - w[k])
+        v = Mz[i]   # a view: Mz is a temporary, so the sums add into it
+        for kind, cols, coef in sums:
+            v += dot(coef, stacks[kind][cols])
+        U[i] = v / delta
+        X[i] = A[i](step_i, U[i])
 
     y, LHx = [], []
-    for k, blk in enumerate(pb.BL_list):
-        if LKx[k] is None:   # column k of H is zero, so no row needed it
-            LKx[k] = blk.L(s.K[k] @ X)
-        LHx.append(blk.L(s.H[:, k] @ X))
-        arg = LKx[k] - w[k] / s.E_diag[k] + LHx[k]
-        y.append(blk.B(1.0 / s.E_diag[k], arg))
+    for (k, K_span, (cols, coef), eta), blk in zip(plan.duals, BL):
+        if K_span is not None:   # column k of H is zero, so no row needed it
+            LKx[k] = blk.L(dot(K_span[1], X[K_span[0]]))
+        LHx.append(blk.L(dot(coef, X[cols])))
+        y.append(blk.B(1.0 / eta, LKx[k] - w[k] / eta + LHx[k]))
 
-    xv, yv = BlockVector(X), BlockVector(y)
-    if collect:
-        return xv, yv, U, LKx, LHx
-    return xv, yv
+    if isinstance(z, BlockVector):
+        X, y = BlockVector(X), BlockVector(y)
+    return (X, y, U, LKx, LHx) if collect else (X, y)
 
 
-def eval_Gamma(scheme, problem, z, w, check=True):
+def eval_Gamma(scheme, problem, z, w, check=True, plan=None):
     """The displacement map: gz = M^T x and gw_k = eta_k (L_k (H^T x)_k - y_k),
-    so that T(z, w) = (z, w) - (gz, gw)."""
-    x, y, _, _, LHx = eval_S(scheme, problem, z, w, check=check, collect=True)
-    gz = kron_apply(scheme.M.T, x)
-    gw = BlockVector([eta * (lhx - yk) for eta, lhx, yk
-                      in zip(scheme.E_diag, LHx, y.blocks)])
-    return gz, gw, x, y
+    so that T(z, w) = (z, w) - (gz, gw).  BlockVectors in give BlockVectors
+    out; a stacked z gives a stacked gz and x and lists gw and y."""
+    X, y, _, _, LHx = eval_S(scheme, problem, _stacked(z), w, check=check,
+                             collect=True, plan=plan)
+    gz = scheme.M.T @ X
+    gw = [eta * (lhx - yk) for eta, lhx, yk in zip(scheme.E_diag, LHx, y)]
+    if isinstance(z, BlockVector):
+        return BlockVector(gz), BlockVector(gw), BlockVector(X), BlockVector(y)
+    return gz, gw, X, y
 
 
 def residual_star(scheme, gz, gw, lambda_t):
@@ -201,17 +233,24 @@ def default_regime(scheme, problem):
 
 
 def consensus_gap(x):
-    gap = 0.0
-    for i in range(len(x)):
-        for j in range(i + 1, len(x)):
-            gap = max(gap, float(np.linalg.norm(x[i] - x[j])))
-    return gap
+    """Largest distance between two primal blocks, from the Gram matrix of
+    their offsets from the first block: none is longer than the gap, so none
+    cancels.  Adding and removing 2^-900 keeps offsets above 1e-254 exact and
+    zeroes subnormal ones, which would make the product many times slower."""
+    X = _stacked(x)
+    Y = X - X[0] + 2.0 ** -900 - 2.0 ** -900
+    G = Y @ Y.T
+    sq = np.diag(G)
+    return float(np.sqrt(max(np.max(sq[:, None] + sq - 2.0 * G), 0.0)))
 
 
 def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     """Run the relaxed fixed-point iteration from (z0, w0) until the scaled
-    residual drops below tolerance or the iteration budget runs out."""
+    residual drops below tolerance or the iteration budget runs out.  A
+    non-finite iterate raises DivergenceError carrying the report so far."""
     opts = opts or SolveOptions()
+    if opts.max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
     s = scheme
     has_B, has_C = problem.r > 0, problem.p > 0
     regime = default_regime(s, problem)
@@ -228,22 +267,23 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     lam_max = bounds.lambda_max(s.gamma)
     lam_default = 0.9 * lam_max
 
-    z = z0.copy() if z0 is not None else BlockVector.zeros([problem.d] * s.m)
-    w = (w0.copy() if w0 is not None
-         else BlockVector.zeros([blk.L.out_dim for blk in problem.BL_list]))
+    plan = EvalPlan(s)
+    z = (np.array(_stacked(z0), dtype=float) if z0 is not None
+         else np.zeros((s.m, problem.d)))
+    if z.shape != (s.m, problem.d):
+        raise ValueError(f"z0 must hold {s.m} blocks of dimension {problem.d}")
+    w = ([np.array(b, dtype=float) for b in w0] if w0 is not None
+         else [np.zeros(blk.L.out_dim) for blk in problem.BL_list])
 
     residual_history, consensus_history = [], []
     objective_history, time_history = [], []
-    x = y = None
-    lam = lam_default
-    converged = False
-    t = 0
+    stop = "max_iters"
     t0 = time.perf_counter()
     for t in range(opts.max_iters + 1):
         lam = opts.lam(t, lam_default)
         if not 0 < lam <= lam_max + 1e-12:
             raise ValueError(f"lambda = {lam} outside (0, {lam_max}]")
-        gz, gw, x, y = eval_Gamma(s, problem, z, w, check=False)
+        gz, gw, x, y = eval_Gamma(s, problem, z, w, check=False, plan=plan)
         res = residual_star(s, gz, gw, lam)
         # the stopping rule rides on the recording cadence: history entries
         # and the convergence test happen every record_every iterations
@@ -254,33 +294,35 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
             if objective is not None:
                 objective_history.append((t, float(objective(x[0]))))
             time_history.append((t, 1e3 * (time.perf_counter() - t0)))
-            converged = bool(res <= opts.residual_tol)
-            if converged or t == opts.max_iters:
+            if res <= opts.residual_tol:
+                stop = "converged"
+            if stop == "converged" or t == opts.max_iters:
                 break
-        z = z - lam * gz
-        w = w - lam * gw
-        if not (z.isfinite() and w.isfinite()):
-            raise RuntimeError(
-                f"non-finite iterate at iteration {t + 1}; "
-                "check step-size configuration"
-            )
+        z_next = z - lam * gz
+        w_next = [wk - lam * gk for wk, gk in zip(w, gw)]
+        if not (np.isfinite(z_next).all()
+                and all(np.isfinite(wk).all() for wk in w_next)):
+            stop = "diverged"
+            break
+        z, w = z_next, w_next
 
     s_bar = None
-    if x is not None and s.r > 0:
-        Kx = kron_apply(s.K, x)
+    if s.r > 0:
+        Kx = s.K @ x
         s_bar = BlockVector([s.E_diag[k] * blk.L(Kx[k]) - w[k]
                              for k, blk in enumerate(problem.BL_list)])
-
-    return SolveReport(
-        iters_run=t, converged=converged,
+    report = SolveReport(
+        iters_run=t, converged=stop == "converged",
         residual_history=residual_history,
         consensus_history=consensus_history,
         objective_history=objective_history,
         time_history=time_history,
-        final=IterateState(z=z, w=w, x=x, y=y),
-        dual_certificate=s_bar,
-        lambda_used=lam,
-    )
+        final=IterateState(*(BlockVector(a) for a in (z, w, x, y))),
+        dual_certificate=s_bar, lambda_used=lam, stop_reason=stop)
+    if stop == "diverged":
+        raise DivergenceError(f"non-finite iterate at iteration {t + 1}; "
+                              "check step-size configuration", report)
+    return report
 
 
 def certify_solution(scheme, problem, state, tol=1e-5):
@@ -292,36 +334,27 @@ def certify_solution(scheme, problem, state, tol=1e-5):
     (b) the membership residuals ||L_k xbar - J_{B_k}(L_k xbar + s_k)||,
     and (c) the norm of a_total + sum L_k^* s_k + sum C_j xbar."""
     s = scheme
-    x, y, U, LKx, _ = eval_S(s, problem, state.z, state.w, collect=True)
-    xbar = sum(x.blocks) / s.n
-    gap = consensus_gap(x)
+    X, y, U, LKx, _ = eval_S(s, problem, _stacked(state.z), state.w,
+                             collect=True)
+    xbar = X.sum(axis=0) / s.n
+    gap = consensus_gap(X)
 
     # a_i = (delta_i / gamma)(u_i - x_i) lies in A_i x_i by the resolvent
     # definition; the Phi and dual terms are already inside u_i.
-    total = (s.D_diag / s.gamma) @ (U - np.stack(x.blocks))
+    total = (s.D_diag / s.gamma) @ (U - X)
 
     memberships = []
-    for k in range(s.r):
-        L = problem.BL_list[k].L
+    for k, blk in enumerate(problem.BL_list):
         s_k = s.E_diag[k] * LKx[k] - np.asarray(state.w[k])
-        total += L.adjoint(s_k)
-        lx = L(xbar)
-        memberships.append(
-            float(np.linalg.norm(lx - problem.BL_list[k].B(1.0, lx + s_k)))
-        )
+        total += blk.L.adjoint(s_k)
+        lx = blk.L(xbar)
+        memberships.append(float(np.linalg.norm(lx - blk.B(1.0, lx + s_k))))
     for C in problem.C_list:
         total += C(xbar)
     inclusion = float(np.linalg.norm(total))
-    return {
-        "consensus_gap": gap,
-        "memberships": memberships,
-        "inclusion_residual": inclusion,
-        "ok": bool(
-            gap <= tol
-            and all(v <= tol for v in memberships)
-            and inclusion <= tol
-        ),
-    }
+    ok = gap <= tol and inclusion <= tol and all(v <= tol for v in memberships)
+    return {"consensus_gap": gap, "memberships": memberships,
+            "inclusion_residual": inclusion, "ok": bool(ok)}
 
 
 def export_report_csv(report, path, objective_fallback=""):

@@ -7,20 +7,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphsplit import (BlockVector, ComposedBlock, IterateState, LinearMap,
-                        ProblemInstance, SolveOptions, StarNormContext,
-                        affine_resolvent, certify_solution, eval_Gamma,
-                        eval_S, l1_resolvent, prox_l1, residual_star,
-                        scheme_sequential, scheme_star, solve, step,
-                        zero_resolvent)
+from graphsplit import (BlockVector, ComposedBlock, DivergenceError,
+                        IterateState, LinearMap, ProblemInstance,
+                        SolveOptions, StarNormContext, affine_resolvent,
+                        certify_solution, eval_Gamma, eval_S, l1_resolvent,
+                        prox_l1, residual_star, scheme_sequential,
+                        scheme_star, solve, step, zero_resolvent)
 from graphsplit.fusedlasso import (build_family_scheme, desk_instance,
                                    difference_matrix, gen_instance,
                                    to_problem)
-from graphsplit.graphs import scheme_complete, scheme_ring
+from graphsplit.graphs import (GraphSpec, scheme_complete, scheme_from_graph,
+                               scheme_ring)
 from graphsplit.operators import SingleValuedOp, least_squares_gradient
-from graphsplit.scheme import (CoefficientScheme, compute_tau, compute_UW,
-                               step_bounds)
+from graphsplit.scheme import (CoefficientScheme, check_explicit, compute_tau,
+                               compute_UW, step_bounds)
 from graphsplit.solver import (consensus_gap, default_regime,
                                export_report_csv, export_state_json)
 
@@ -155,6 +158,53 @@ class TestRegime:
         x = BlockVector([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
         assert abs(consensus_gap(x) - 5.0) <= 1e-14
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 25), d=st.integers(1, 40),
+           offset=st.sampled_from([0.0, 1.0, -3e3, 1e6]),
+           spread=st.sampled_from([1.0, 1e-3, 1e-6, 1e-9]),
+           subnormal=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_gram_form_matches_pairwise_norms(self, n, d, offset, spread,
+                                              subnormal, seed):
+        # near consensus the blocks share a large offset and differ by a
+        # small spread; the gap must stay accurate relative to the spread
+        rng = np.random.default_rng(seed)
+        X = offset + spread * rng.standard_normal((n, d))
+        if subnormal:   # zeros, and a first block decayed to subnormals
+            X[:, ::2] = 0.0
+            X[0, ::2] = 5e-320
+        ref = max((float(np.linalg.norm(X[i] - X[j]))
+                   for i in range(n) for j in range(i + 1, n)), default=0.0)
+        for x in (X, BlockVector(list(X))):
+            got = consensus_gap(x)
+            assert isinstance(got, float)
+            assert abs(got - ref) <= 1e-10 * ref, (got, ref)
+        if n == 1:
+            assert consensus_gap(X) == 0.0
+
+
+def _lipschitz_ring_instance(d):
+    """A ring-lipschitz problem: C is 0.5 I plus a skew circulant, monotone
+    and Lipschitz but not cocoercive, so solve runs in the lipschitz
+    regime; gamma and eta sit at half their bounds."""
+    q = np.random.default_rng(0).standard_normal(d)
+    C = SingleValuedOp(
+        dim=d, apply=lambda x: 0.5 * x + np.roll(x, -1) - np.roll(x, 1) + q,
+        lipschitz=math.sqrt(4.25), cocoercive=False)
+    L = difference_matrix(d)
+    pb = ProblemInstance(
+        d=d,
+        A_list=[zero_resolvent(d)] + [l1_resolvent(0.1, d)] * 3,
+        BL_list=[ComposedBlock(B=l1_resolvent(0.1, d - 1), L=L)],
+        C_list=[C])
+    base = scheme_ring(4, regime="lipschitz")
+    tau = compute_tau(compute_UW(base, need_W=True), [C.lipschitz],
+                      "lipschitz")
+    bounds = step_bounds(tau, [L.norm()], "lipschitz")
+    gamma = 0.5 * bounds.gamma_max
+    s = scheme_ring(4, gamma=gamma, eta=0.5 * bounds.eta_max(gamma),
+                    regime="lipschitz")
+    return s, pb, bounds.lambda_max(gamma)
+
 
 class TestSolve:
     def test_geometric_decay_on_identity_instance(self):
@@ -236,32 +286,92 @@ class TestSolve:
             solve(ring.replace(Q=2.0 * ring.Q), pb)
 
     def test_lipschitz_ring_converges_and_certifies(self):
-        # C is 0.5 I plus a skew circulant: monotone and Lipschitz but not
-        # cocoercive, so solve runs in the lipschitz regime
-        d = 10
-        q = np.random.default_rng(0).standard_normal(d)
-        C = SingleValuedOp(
-            dim=d, apply=lambda x: 0.5 * x + np.roll(x, -1) - np.roll(x, 1) + q,
-            lipschitz=math.sqrt(4.25), cocoercive=False)
-        L = difference_matrix(d)
-        pb = ProblemInstance(
-            d=d,
-            A_list=[zero_resolvent(d)] + [l1_resolvent(0.1, d)] * 3,
-            BL_list=[ComposedBlock(B=l1_resolvent(0.1, d - 1), L=L)],
-            C_list=[C])
-        base = scheme_ring(4, regime="lipschitz")
-        tau = compute_tau(compute_UW(base, need_W=True), [C.lipschitz],
-                          "lipschitz")
-        bounds = step_bounds(tau, [L.norm()], "lipschitz")
-        gamma = 0.5 * bounds.gamma_max
-        s = scheme_ring(4, gamma=gamma, eta=0.5 * bounds.eta_max(gamma),
-                        regime="lipschitz")
+        s, pb, _ = _lipschitz_ring_instance(d=10)
         assert default_regime(s, pb) == "lipschitz"
         report = solve(s, pb, opts=SolveOptions(max_iters=20_000,
                                                 residual_tol=1e-20))
         assert report.converged
         cert = certify_solution(s, pb, report.final, tol=1e-8)
         assert cert["ok"], cert
+
+    @pytest.mark.parametrize("family", ["sequential", "complete",
+                                        "ring_lipschitz"])
+    def test_matches_public_steps(self, family):
+        # the array hot loop of solve against K public step() calls on
+        # BlockVectors from the same start
+        K = 25
+        if family == "ring_lipschitz":
+            s, pb, lam_max = _lipschitz_ring_instance(d=8)
+        else:
+            inst = gen_instance(4, n=3, m=12, d=9, k_nonzero=3, mu=0.4,
+                                nu=0.2)
+            pb = to_problem(inst)
+            s, _, lam_max = build_family_scheme(family, inst, 0.5, 0.1)
+        lam = 0.9 * lam_max
+        report = solve(s, pb, opts=SolveOptions(max_iters=K, residual_tol=0.0,
+                                                lambda_schedule=lam))
+        assert report.iters_run == K and report.stop_reason == "max_iters"
+        state = IterateState(
+            z=BlockVector.zeros([pb.d] * s.m),
+            w=BlockVector.zeros([blk.L.out_dim for blk in pb.BL_list]))
+        for _ in range(K):
+            state = step(s, pb, state, lam)
+        gz, gw, x, _ = eval_Gamma(s, pb, state.z, state.w)
+        final = report.final
+        for got, want in ((final.z, state.z), (final.w, state.w),
+                          (final.x, x)):
+            assert _rel(got.blocks, want.blocks) <= 1e-12
+        t, res = report.residual_history[-1]
+        assert t == K
+        ref = residual_star(s, gz, gw, lam)
+        assert abs(res - ref) <= 1e-12 * ref
+
+    def test_stop_reason_converged(self):
+        s = two_node_scheme(gamma=1.0)
+        ident = affine_resolvent(np.eye(2), np.zeros(2))
+        pb = ProblemInstance(d=2, A_list=[ident, ident])
+        report = solve(s, pb, z0=BlockVector([np.ones(2)]),
+                       opts=SolveOptions(max_iters=100, residual_tol=1e-12,
+                                         lambda_schedule=1.0))
+        assert report.converged and report.stop_reason == "converged"
+        assert report.iters_run < 100
+
+    def test_stop_reason_max_iters(self):
+        s = two_node_scheme(gamma=1.0)
+        ident = affine_resolvent(np.eye(2), np.zeros(2))
+        pb = ProblemInstance(d=2, A_list=[ident, ident])
+        report = solve(s, pb, z0=BlockVector([np.ones(2)]),
+                       opts=SolveOptions(max_iters=5, residual_tol=1e-30,
+                                         lambda_schedule=1.0))
+        assert not report.converged and report.stop_reason == "max_iters"
+        assert report.iters_run == 5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_carries_partial_report(self):
+        s = scheme_sequential(2, gamma=1.0, eta=1e-3)
+        d = 2
+        steep = SingleValuedOp(dim=d, apply=lambda x: 1e6 * x,
+                               lipschitz=1e-6, cocoercive=True)
+        pb = ProblemInstance(
+            d=d, A_list=[zero_resolvent(d), zero_resolvent(d)],
+            BL_list=[ComposedBlock(B=zero_resolvent(d),
+                                   L=LinearMap(np.eye(d)))],
+            C_list=[steep],
+        )
+        with pytest.raises(DivergenceError) as info:
+            solve(s, pb, z0=BlockVector([np.ones(d)]),
+                  opts=SolveOptions(max_iters=2000))
+        assert isinstance(info.value, RuntimeError)
+        report = info.value.report
+        assert report.stop_reason == "diverged" and not report.converged
+        # every iteration up to the last finite iterate was recorded
+        assert [t for t, _ in report.residual_history] == \
+            list(range(report.iters_run + 1))
+        final = report.final
+        assert final.z.isfinite() and final.w.isfinite()
+        x, y = eval_S(s, pb, final.z, final.w)
+        np.testing.assert_array_equal(x.concat(), final.x.concat())
+        np.testing.assert_array_equal(y.concat(), final.y.concat())
 
     def test_lambda_schedule_callable(self):
         s = two_node_scheme()
@@ -289,13 +399,71 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
+def _sparse(rng, shape, density=0.5):
+    return rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape) \
+        * (rng.random(shape) < density)
+
+
+def random_explicit_scheme(rng, n, gamma, eta):
+    """Random strictly lower-triangular masks on N, P - Q, Q and H, with R
+    and K supported ahead of the first row that uses each of their rows.
+    Some columns of P - Q, Q and H are all zero (images no row uses), and
+    the nonzeros of a row are scattered, so its spans hold zeros."""
+    m = int(rng.integers(1, n + 1))
+    p, r = (int(rng.integers(0, n + 1)) for _ in range(2))
+    N = _sparse(rng, (n, n)) * np.tri(n, n, -1)
+    P, Q = np.zeros((n, p)), np.zeros((n, p))
+    for j in range(p):
+        f = int(rng.integers(1, n + 1))   # P[:, j] is zero from row f on
+        P[:f, j] = _sparse(rng, f, 0.4)
+        Q[f:, j] = _sparse(rng, n - f)
+    H = _sparse(rng, (n, r)) * (rng.random(r) < 0.7)
+    R, K = _sparse(rng, (p, n)), _sparse(rng, (r, n))
+
+    def first_row(col):
+        nz = np.flatnonzero(col)
+        return nz[0] if nz.size else n
+
+    for j in range(p):
+        R[j, first_row(P[:, j] - Q[:, j]):] = 0.0
+    for k in range(r):
+        K[k, first_row(H[:, k]):] = 0.0
+    s = CoefficientScheme(
+        n=n, m=m, r=r, p=p, M=rng.standard_normal((n, m)), N=N,
+        D_diag=rng.uniform(0.5, 2.0, n), E_diag=eta * rng.uniform(0.5, 2.0, r),
+        H=H, K=K, P=P, Q=Q, R=R, gamma=gamma)
+    assert check_explicit(s)[0]
+    return s
+
+
+def random_tree_scheme(rng, n, gamma, eta):
+    """scheme_from_graph on a random spanning tree with random weights,
+    inside a graph with random extra edges.  Vertices are labelled in a
+    random order, so a vertex can have several lower-index tree neighbours
+    and a row of H = P several scattered nonzeros."""
+    order = rng.permutation(n) + 1
+    tree = {}
+    for t in range(1, n):
+        u, v = sorted((int(order[t]), int(order[rng.integers(t)])))
+        tree[(u, v)] = float(rng.uniform(0.5, 2.0))
+    full = {(i, j): float(rng.uniform(0.5, 2.0)) for i in range(1, n + 1)
+            for j in range(i + 1, n + 1) if rng.random() < 0.4}
+    for e, wt in tree.items():
+        full[e] = wt * float(rng.uniform(1.0, 2.0))
+    g = GraphSpec(n=n, edges=[(i, j, wt) for (i, j), wt in full.items()],
+                  subgraph_edges=[(i, j, wt) for (i, j), wt in tree.items()])
+    return scheme_from_graph(g, gamma=gamma, eta=eta)
+
+
 DIFF_FAMILIES = {
-    "sequential": lambda n, g, e: scheme_sequential(n, gamma=g, eta=e),
-    "star": lambda n, g, e: scheme_star(n, gamma=g, eta=e),
-    "complete": lambda n, g, e: scheme_complete(n, gamma=g, eta=e),
-    "ring_cocoercive": lambda n, g, e: scheme_ring(n, gamma=g, eta=e),
-    "ring_lipschitz": lambda n, g, e: scheme_ring(n, gamma=g, eta=e,
-                                                  regime="lipschitz"),
+    "sequential": lambda rng, n, g, e: scheme_sequential(n, gamma=g, eta=e),
+    "star": lambda rng, n, g, e: scheme_star(n, gamma=g, eta=e),
+    "complete": lambda rng, n, g, e: scheme_complete(n, gamma=g, eta=e),
+    "ring_cocoercive": lambda rng, n, g, e: scheme_ring(n, gamma=g, eta=e),
+    "ring_lipschitz": lambda rng, n, g, e: scheme_ring(n, gamma=g, eta=e,
+                                                       regime="lipschitz"),
+    "random_explicit": random_explicit_scheme,
+    "random_tree": random_tree_scheme,
 }
 
 
@@ -303,7 +471,7 @@ class TestAgainstLoopEvaluator:
     """The stacked forward pass against the per-row loop evaluator in
     solver_oracle, on random schemes, problems and points."""
 
-    DRAWS = 40   # per family, 200 in all
+    DRAWS = 40   # per family, 280 in all
 
     @pytest.mark.parametrize("family", sorted(DIFF_FAMILIES))
     def test_gamma_and_certificate_agree(self, family):
@@ -311,7 +479,7 @@ class TestAgainstLoopEvaluator:
         tol = 1e-13
         for draw in range(self.DRAWS):
             n, d = int(rng.integers(3, 7)), int(rng.integers(2, 7))
-            s = DIFF_FAMILIES[family](n, rng.uniform(0.2, 1.5),
+            s = DIFF_FAMILIES[family](rng, n, rng.uniform(0.2, 1.5),
                                       rng.uniform(0.2, 1.5))
             if draw % 2:
                 s = _perturbed(s, rng)
