@@ -7,6 +7,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List
 
 import json
@@ -54,14 +55,14 @@ class DifferenceMap:
         self.in_dim, self.out_dim = d, d - 1
 
     def apply(self, x):
-        return np.diff(x)
+        return x[1:] - x[:-1]
 
     __call__ = apply
 
     def adjoint(self, y):
-        out = np.zeros(y.size + 1)
-        out[:-1] -= y
-        out[1:] += y
+        out = np.empty(y.size + 1)
+        np.subtract(y[:-1], y[1:], out=out[1:-1])
+        out[0], out[-1] = -y[0], y[-1]
         return out
 
     def norm(self):
@@ -108,6 +109,12 @@ class FusedLassoInstance:
     @property
     def partition(self):
         return [A.shape[0] for A in self.A_blocks]
+
+    @cached_property
+    def lipschitz_constants(self):
+        """||A_i||^2 per agent, the Lipschitz constants of the gradients,
+        found by power iteration on first use."""
+        return [spectral_norm(A) ** 2 for A in self.A_blocks]
 
 
 @dataclass
@@ -246,9 +253,8 @@ def build_family_scheme(family, instance, gamma_hat, eta_hat):
     gen = FAMILY_GENERATORS[family]
     n_scheme = instance.n_agents + 1
     base = gen(n_scheme, gamma=1.0, eta=1.0)
-    ell = [spectral_norm(Ai) ** 2 for Ai in instance.A_blocks]
     uw = compute_UW(base)
-    tau = compute_tau(uw, ell, "cocoercive")
+    tau = compute_tau(uw, instance.lipschitz_constants, "cocoercive")
     gamma = gamma_hat * 2.0 / tau
     lnorm2 = difference_norm(instance.d) ** 2
     eta = eta_hat / (gamma * lnorm2)

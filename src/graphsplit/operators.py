@@ -118,7 +118,9 @@ def prox_l1(v, t):
     if t < 0:
         raise ValueError("t must be nonnegative")
     v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    out = np.minimum(v, t)   # v - clip(v, -t, t)
+    np.maximum(out, -t, out=out)
+    return np.subtract(v, out, out=out)
 
 
 def l1_resolvent(weight, dim, label=""):

@@ -1,7 +1,8 @@
 """Relaxed fixed-point solver: the solution operator S, the displacement
 map Gamma, residual tracking in the scaled product norm, and solution
 certification.  The public functions take and return BlockVectors; inside,
-primal blocks are the rows of one array and dual blocks a list of arrays."""
+primal blocks are the rows of one array, and dual blocks the rows of another,
+each zero-padded to the longest."""
 
 from __future__ import annotations
 
@@ -42,16 +43,18 @@ class IterateState:
 @dataclass
 class StarNormContext:
     """The scaled product norm ||(z, w)||^2 = ||z||^2 + gamma <E^{-1}w, w>.
-    z is a BlockVector or a stacked array, w a BlockVector or a list."""
+    z is a BlockVector or a stacked array; w a BlockVector, a list of blocks
+    or their padded rows (see ``_dual_rows``)."""
 
     gamma: float
     E_diag: np.ndarray
 
     def inner(self, z1, w1, z2, w2):
-        acc = float(np.vdot(_stacked(z1), _stacked(z2)))
-        for k, eta in enumerate(self.E_diag):
-            acc += self.gamma / eta * float(w1[k] @ w2[k])
-        return acc
+        # a batch of one row product per dual block, then weighted by 1/eta
+        rows = _dual_rows(w1)[:, None] @ _dual_rows(w2)[:, :, None]
+        inv_eta = 1.0 / np.asarray(self.E_diag, dtype=float)
+        return (float(np.vdot(_stacked(z1), _stacked(z2)))
+                + self.gamma * float(rows.ravel() @ inv_eta))
 
     def norm(self, z, w):
         return float(np.sqrt(max(self.inner(z, w, z, w), 0.0)))
@@ -100,48 +103,84 @@ def _require_explicit(scheme):
                          "the forward-substitution evaluation does not apply")
 
 
-def _span(row, scale=1.0):
-    """The first to last nonzero of a row (empty if none), times scale."""
+def _span(row):
+    """The first to last nonzero of a row (empty if none) and its entries."""
     nz = np.flatnonzero(row)
     cols = slice(int(nz[0]), int(nz[-1]) + 1) if nz.size else slice(0, 0)
-    return cols, scale * row[cols]
+    return cols, row[cols]
+
+
+def _arg(row):
+    """The span of a row's nonzeros, or only its index i when the row picks
+    x_i with coefficient exactly 1, so that x_i is passed as it is."""
+    cols, coef = _span(row)
+    return (cols.start, None) if coef.tolist() == [1.0] else (cols, coef)
+
+
+def _dual_rows(w, dims=None, name="w"):
+    """The dual blocks of w as the rows of one 2-D array, zero-padded to the
+    longest; such an array passes through.  Blocks must have sizes ``dims``
+    when given."""
+    if isinstance(w, np.ndarray) and w.ndim == 2:
+        return w
+    sizes = [np.size(b) for b in w]
+    if dims is not None and sizes != dims:
+        raise ValueError(f"{name} must hold {len(dims)} blocks of dimensions "
+                         f"{dims}")
+    W = np.zeros((len(sizes), max(sizes, default=0)))
+    for row, b, g in zip(W, w, sizes):
+        row[:g] = np.ravel(b)
+    return W
 
 
 class EvalPlan:
-    """The forward substitution of one scheme, compiled from the scheme
-    alone.  Row i lists the C_j and L_k images first needed there, with the
-    coefficients of their arguments; its sums over the x blocks (N[i, :i])
-    and over the C(Rx), C(P^T x) and L^*(E L K x - w) images (-gamma times
-    row i of P - Q, Q and H); and delta_i, gamma / delta_i.  Each sum reads
-    the span of its nonzeros in a zero-initialised stack of blocks/images."""
+    """The forward substitution of one scheme on one problem, compiled once.
+    The C(Rx), C(P^T x) and L^*(E L K x - w) images share one stack, in the
+    order the rows first need them.  Row i lists the images first needed
+    there, with their arguments, and at most two spans of nonzeros, N[i, :i]
+    over the x blocks and -gamma times row i of P - Q, Q and H over the
+    images, both divided by delta_i (as is M, in ``Md``)."""
 
-    def __init__(self, scheme):
+    def __init__(self, scheme, problem):
         s, gamma = scheme, scheme.gamma
-        PQ = s.P - s.Q
+        coefs = (s.P - s.Q, s.Q, s.H)   # per image kind, one column per image
 
         def first_rows(a):   # first row with a nonzero, per column; n if none
             nz = a != 0.0
             return np.where(nz.any(axis=0), nz.argmax(axis=0), s.n)
 
-        f_R, f_P, f_H = first_rows(PQ), first_rows(s.Q), first_rows(s.H)
+        images = sorted((int(f), kind, j) for kind, a in enumerate(coefs)
+                        for j, f in enumerate(first_rows(a)) if f < s.n)
+        G = np.zeros((s.n, len(images)))
+        for t, (_, kind, j) in enumerate(images):
+            G[:, t] = -gamma * coefs[kind][:, j] / s.D_diag
+        self.n_images = len(images)
+        self.Md = s.M / s.D_diag[:, None]
+        self.dims = [blk.L.out_dim for blk in problem.BL_list]
+        self.slices = [(k, slice(0, g)) for k, g in enumerate(self.dims)]
+        self.eta = np.repeat(s.E_diag[:, None], max(self.dims, default=0), 1)
+        self.inv_eta = 1.0 / self.eta   # per element: faster than broadcast
         self.rows = []
         for i in range(s.n):
-            new_C = [(kind, int(j), *_span(arg[j, :i]))
-                     for kind, f, arg in ((1, f_R, s.R), (2, f_P, s.P.T))
-                     for j in np.flatnonzero(f == i)]
-            new_L = [(int(k), *_span(s.K[k, :i]), float(s.E_diag[k]))
-                     for k in np.flatnonzero(f_H == i)]
-            sums = [(kind, *_span(row, scale)) for kind, row, scale in (
-                (0, s.N[i, :i], 1.0), (1, PQ[i], -gamma),
-                (2, s.Q[i], -gamma), (3, s.H[i], -gamma)) if np.any(row)]
-            self.rows.append((new_C, new_L, sums, float(s.D_diag[i]),
-                              gamma / s.D_diag[i]))
+            new = [(t, kind, j) for t, (f, kind, j) in enumerate(images)
+                   if f == i]
+            new_C = [(t, j, _arg(s.R[j, :i] if kind == 0 else s.P[:i, j]))
+                     for t, kind, j in new if kind < 2]
+            new_L = [(t, j, self.slices[j], _arg(s.K[j, :i]),
+                      float(s.E_diag[j])) for t, kind, j in new if kind == 2]
+            sums = [(a, *_span(row)) for a, row in (
+                (0, s.N[i, :i] / s.D_diag[i]), (1, G[i])) if np.any(row)]
+            self.rows.append((new_C, new_L, sums, gamma / s.D_diag[i]))
         # per dual block: K[k] when no row needed L_k (K x)_k, and H[:, k]
-        self.duals = [(k, _span(s.K[k]) if f_H[k] == s.n else None,
-                       _span(s.H[:, k]), float(s.E_diag[k]))
+        f_H = first_rows(s.H)
+        self.duals = [(k, self.slices[k],
+                       _arg(s.K[k]) if f_H[k] == s.n else None,
+                       _arg(s.H[:, k]), 1.0 / float(s.E_diag[k]))
                       for k in range(s.r)]
-        self.stacks = [(s.p, (f_R < s.n).any()), (s.p, (f_P < s.n).any()),
-                       (s.r, (f_H < s.n).any())]
+
+    def split(self, v):
+        """The blocks of padded dual rows, as views."""
+        return [v[sl] for sl in self.slices]
 
 
 def eval_S(scheme, problem, z, w, check=True, collect=False, plan=None):
@@ -152,57 +191,70 @@ def eval_S(scheme, problem, z, w, check=True, collect=False, plan=None):
               - gamma (H L^*(E L K x - w))_i ]
     where Phi = (P - Q) C(Rx) + Q C(P^T x).  The x_i are the rows of one
     (n, d) array, and ``plan`` (compiled when omitted) gives each row's
-    images and sums.  A BlockVector z gives BlockVectors x and y, a stacked
-    z an array and a list.  ``collect`` adds the (n, d) array U of the u_i
-    and the lists of L_k (K x)_k and L_k (H^T x)_k.
+    images and sums.  A BlockVector z gives BlockVectors x and y; a stacked
+    z gives the (n, d) array x, and y as one row per dual block, zero-padded
+    (w may come either way).  ``collect`` adds the (n, d) array U of the u_i
+    and L_k (K x)_k and L_k (H^T x)_k, like y or as lists of blocks.
     """
     if check:
         _require_explicit(scheme)
-    plan = plan or EvalPlan(scheme)
+    plan = plan or EvalPlan(scheme, problem)
     A, C, BL = problem.A_list, problem.C_list, problem.BL_list
     dot = np.dot   # on one-row products much cheaper than @
-    n, d = len(plan.rows), problem.d
-    Mz = scheme.M @ _stacked(z)
-    X, U = np.zeros((n, d)), np.empty((n, d))
-    stacks = [X] + [np.zeros((size, d)) if used else None
-                    for size, used in plan.stacks]   # C(Rx), C(P^T x), L^*
-    LKx = [None] * len(plan.duals)
+    w = _dual_rows(w, plan.dims)
+    U = plan.Md @ _stacked(z)   # row i is (D^{-1} M z)_i; the sums add in
+    # every product below reads only rows and images already written
+    d = problem.d
+    X, S = np.empty((len(plan.rows), d)), np.empty((plan.n_images, d))
+    LKx, LHx = np.zeros(w.shape), np.zeros(w.shape)   # zero padded
+    stacks = (X, S)
 
-    for i, (new_C, new_L, sums, delta, step_i) in enumerate(plan.rows):
-        for kind, j, cols, coef in new_C:
-            stacks[kind][j] = C[j](dot(coef, X[cols]))
-        for k, cols, coef, eta in new_L:
+    def arg(c, coef):
+        return X[c] if coef is None else dot(coef, X[c])
+
+    for i, (new_C, new_L, sums, step_i) in enumerate(plan.rows):
+        for t, j, spec in new_C:
+            S[t] = C[j](arg(*spec))
+        for t, k, sl, spec, eta in new_L:
             L = BL[k].L
-            LKx[k] = L(dot(coef, X[cols]))
-            stacks[3][k] = L.adjoint(eta * LKx[k] - w[k])
-        v = Mz[i]   # a view: Mz is a temporary, so the sums add into it
-        for kind, cols, coef in sums:
-            v += dot(coef, stacks[kind][cols])
-        U[i] = v / delta
-        X[i] = A[i](step_i, U[i])
+            lkx = LKx[sl] = L(arg(*spec))
+            S[t] = L.adjoint(eta * lkx - w[sl])
+        u = U[i]
+        for a, cols, coef in sums:
+            u += dot(coef, stacks[a][cols])
+        X[i] = A[i](step_i, u)
 
-    y, LHx = [], []
-    for (k, K_span, (cols, coef), eta), blk in zip(plan.duals, BL):
-        if K_span is not None:   # column k of H is zero, so no row needed it
-            LKx[k] = blk.L(dot(K_span[1], X[K_span[0]]))
-        LHx.append(blk.L(dot(coef, X[cols])))
-        y.append(blk.B(1.0 / eta, LKx[k] - w[k] / eta + LHx[k]))
+    for k, sl, K_arg, H_arg, _ in plan.duals:
+        L = BL[k].L
+        if K_arg is not None:   # column k of H is zero, so no row needed it
+            LKx[sl] = L(arg(*K_arg))
+        LHx[sl] = L(arg(*H_arg))
+    # y holds the B arguments LKx - w / eta + LHx, then their resolvents
+    y = np.multiply(w, plan.inv_eta)
+    np.subtract(LKx, y, out=y)
+    y += LHx
+    for k, sl, _, _, inv_eta in plan.duals:
+        y[sl] = BL[k].B(inv_eta, y[sl])
 
     if isinstance(z, BlockVector):
-        X, y = BlockVector(X), BlockVector(y)
+        X, y = BlockVector(X), BlockVector(plan.split(y))
+        LKx, LHx = plan.split(LKx), plan.split(LHx)
     return (X, y, U, LKx, LHx) if collect else (X, y)
 
 
 def eval_Gamma(scheme, problem, z, w, check=True, plan=None):
     """The displacement map: gz = M^T x and gw_k = eta_k (L_k (H^T x)_k - y_k),
     so that T(z, w) = (z, w) - (gz, gw).  BlockVectors in give BlockVectors
-    out; a stacked z gives a stacked gz and x and lists gw and y."""
+    out; a stacked z gives stacked gz and x and, as in eval_S, gw and y as
+    padded rows."""
+    plan = plan or EvalPlan(scheme, problem)
     X, y, _, _, LHx = eval_S(scheme, problem, _stacked(z), w, check=check,
                              collect=True, plan=plan)
     gz = scheme.M.T @ X
-    gw = [eta * (lhx - yk) for eta, lhx, yk in zip(scheme.E_diag, LHx, y)]
+    gw = np.subtract(LHx, y, out=LHx)
+    gw *= plan.eta
     if isinstance(z, BlockVector):
-        return BlockVector(gz), BlockVector(gw), BlockVector(X), BlockVector(y)
+        return tuple(map(BlockVector, (gz, plan.split(gw), X, plan.split(y))))
     return gz, gw, X, y
 
 
@@ -267,13 +319,13 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     lam_max = bounds.lambda_max(s.gamma)
     lam_default = 0.9 * lam_max
 
-    plan = EvalPlan(s)
+    plan = EvalPlan(s, problem)
     z = (np.array(_stacked(z0), dtype=float) if z0 is not None
          else np.zeros((s.m, problem.d)))
     if z.shape != (s.m, problem.d):
         raise ValueError(f"z0 must hold {s.m} blocks of dimension {problem.d}")
-    w = ([np.array(b, dtype=float) for b in w0] if w0 is not None
-         else [np.zeros(blk.L.out_dim) for blk in problem.BL_list])
+    w = (_dual_rows(list(w0), plan.dims, "w0") if w0 is not None
+         else np.zeros(plan.eta.shape))
 
     residual_history, consensus_history = [], []
     objective_history, time_history = [], []
@@ -298,10 +350,11 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
                 stop = "converged"
             if stop == "converged" or t == opts.max_iters:
                 break
-        z_next = z - lam * gz
-        w_next = [wk - lam * gk for wk, gk in zip(w, gw)]
-        if not (np.isfinite(z_next).all()
-                and all(np.isfinite(wk).all() for wk in w_next)):
+        z_next = np.multiply(gz, -lam, out=gz)   # z - lam * gz, in gz
+        z_next += z
+        w_next = np.multiply(gw, -lam, out=gw)
+        w_next += w
+        if not (np.isfinite(z_next).all() and np.isfinite(w_next).all()):
             stop = "diverged"
             break
         z, w = z_next, w_next
@@ -309,15 +362,16 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     s_bar = None
     if s.r > 0:
         Kx = s.K @ x
-        s_bar = BlockVector([s.E_diag[k] * blk.L(Kx[k]) - w[k]
-                             for k, blk in enumerate(problem.BL_list)])
+        s_bar = BlockVector([eta * blk.L(kx) - wk for eta, blk, kx, wk in zip(
+            s.E_diag, problem.BL_list, Kx, plan.split(w))])
     report = SolveReport(
         iters_run=t, converged=stop == "converged",
         residual_history=residual_history,
         consensus_history=consensus_history,
         objective_history=objective_history,
         time_history=time_history,
-        final=IterateState(*(BlockVector(a) for a in (z, w, x, y))),
+        final=IterateState(BlockVector(z), BlockVector(plan.split(w)),
+                           BlockVector(x), BlockVector(plan.split(y))),
         dual_certificate=s_bar, lambda_used=lam, stop_reason=stop)
     if stop == "diverged":
         raise DivergenceError(f"non-finite iterate at iteration {t + 1}; "
@@ -345,7 +399,7 @@ def certify_solution(scheme, problem, state, tol=1e-5):
 
     memberships = []
     for k, blk in enumerate(problem.BL_list):
-        s_k = s.E_diag[k] * LKx[k] - np.asarray(state.w[k])
+        s_k = s.E_diag[k] * LKx[k, :blk.L.out_dim] - np.asarray(state.w[k])
         total += blk.L.adjoint(s_k)
         lx = blk.L(xbar)
         memberships.append(float(np.linalg.norm(lx - blk.B(1.0, lx + s_k))))

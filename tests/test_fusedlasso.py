@@ -11,14 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsplit import (LinearMap, difference_matrix, difference_norm,
-                        gen_instance, objective, reference_solve, run_grid,
-                        to_problem)
+from graphsplit import (LinearMap, SolveOptions, difference_matrix,
+                        difference_norm, gen_instance, objective,
+                        reference_solve, run_grid, solve, to_problem)
+from graphsplit import fusedlasso
 from graphsplit.fusedlasso import (ExperimentConfig, build_family_scheme,
                                    desk_instance, load_instance,
                                    save_instance)
 from graphsplit.linalg import spectral_norm
 from graphsplit.scheme import validate_standing
+
+
+def accumulated_adjoint(y):
+    """The first-difference adjoint as DifferenceMap computed it before the
+    one-subtract form."""
+    out = np.zeros(y.size + 1)
+    out[:-1] -= y
+    out[1:] += y
+    return out
 
 
 class TestDifferenceOperator:
@@ -61,6 +71,18 @@ class TestDifferenceOperator:
         assert np.array_equal(L(x), dense(x))
         assert np.array_equal(L.adjoint(y), dense.adjoint(y))
         assert spectral_norm(L) == spectral_norm(dense)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(d=st.integers(2, 300))
+    def test_kernels_match_reference_formulas(self, d):
+        # d = 2 gives a one-element y; zeros exercise the signed zeros
+        L = difference_matrix(d)
+        rng = np.random.default_rng(d)
+        x, y = rng.standard_normal(d), rng.standard_normal(d - 1)
+        x[::3], y[::4] = 0.0, 0.0
+        assert np.array_equal(L(x), np.diff(x))
+        assert np.array_equal(L.adjoint(y), accumulated_adjoint(y))
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
@@ -206,6 +228,42 @@ class TestBuildFamilyScheme:
                 np.testing.assert_allclose(scheme.E_diag, eta_expected)
             assert 0.0 < lam_max <= 1.0
             assert validate_standing(scheme, has_B=True, has_C=True).all_pass
+
+    def test_block_norms_computed_once_per_instance(self, monkeypatch):
+        inst = gen_instance(2, n=3, m=20, d=12, k_nonzero=3, mu=1.0, nu=0.5)
+        calls = []
+
+        def counted(A):
+            calls.append(A)
+            return spectral_norm(A)
+
+        monkeypatch.setattr(fusedlasso, "spectral_norm", counted)
+        for fam in ("sequential", "star", "complete", "sequential"):
+            build_family_scheme(fam, inst, 0.5, 0.1)
+        assert len(calls) == inst.n_agents
+        # the same values least_squares_gradient stores as C.lipschitz
+        assert inst.lipschitz_constants == [
+            C.lipschitz for C in to_problem(inst).C_list]
+
+
+class TestGoldenIterations:
+    """solve on the desk instance as the benchmark's grid runs it.  The
+    counts and objectives were read before the flat dual buffer and the
+    single image stack; a rewrite whose round-off moves an iteration count
+    fails here."""
+
+    @pytest.mark.parametrize("family, iters, obj", [
+        ("sequential", 1021, 38.1096196514386),
+        ("star", 1021, 38.1096141375033),
+        ("complete", 726, 38.1096106290419)])
+    def test_iterations_and_objective(self, family, iters, obj):
+        inst = desk_instance(0)
+        scheme, _, lam_max = build_family_scheme(family, inst, 0.5, 0.1)
+        report = solve(scheme, to_problem(inst),
+                       opts=SolveOptions(max_iters=20_000, residual_tol=1e-10,
+                                         lambda_schedule=0.9 * lam_max))
+        assert report.converged and report.iters_run == iters
+        assert abs(objective(inst, report.final.x[0]) - obj) <= 1e-12 * obj
 
 
 @pytest.fixture(scope="module")

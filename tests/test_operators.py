@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from graphsplit import (ComposedBlock, LinearMap, ProblemInstance,
                         affine_resolvent, l1_resolvent,
@@ -11,7 +14,24 @@ from graphsplit.operators import (ResolventOp, check_firm_nonexpansive,
                                   check_single_valued)
 
 
+def sign_formula_prox_l1(v, t):
+    """Soft-thresholding as prox_l1 computed it before the clip form."""
+    with np.errstate(invalid="ignore"):
+        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
 class TestProxL1:
+    @settings(max_examples=400, deadline=None)
+    @given(v=arrays(float, st.integers(0, 30), elements=st.floats()),
+           t=st.one_of(st.just(0.0), st.just(np.inf),
+                       st.floats(0.0, 1e300)))
+    def test_matches_sign_formula(self, v, t):
+        # the same value under ==, so -0.0 and 0.0 agree, with nan and
+        # +-inf in the same places; finite entries dominate the draws
+        with np.errstate(invalid="ignore"):
+            got = prox_l1(v, t)
+        np.testing.assert_array_equal(got, sign_formula_prox_l1(v, t))
+
     def test_grid_search_oracle(self):
         grid = np.arange(-3.0, 3.0, 1e-4)
         for v, t in [(1.3, 0.5), (-0.2, 0.5), (0.4, 0.4), (-2.1, 1.0)]:

@@ -206,6 +206,21 @@ def _lipschitz_ring_instance(d):
     return s, pb, bounds.lambda_max(gamma)
 
 
+def _mixed_out_dims_instance(d):
+    """A random problem whose dual blocks have different dimensions, on a
+    sequential scheme with gamma and eta at half their bounds."""
+    rng = np.random.default_rng(3)
+    base = scheme_sequential(4)
+    pb = random_problem_for(rng, base, d)
+    assert len({blk.L.out_dim for blk in pb.BL_list}) > 1
+    tau = compute_tau(compute_UW(base), pb.lipschitz_constants, "cocoercive")
+    bounds = step_bounds(tau, [blk.L.norm() for blk in pb.BL_list],
+                         "cocoercive")
+    gamma = 0.5 * bounds.gamma_max
+    s = scheme_sequential(4, gamma=gamma, eta=0.5 * bounds.eta_max(gamma))
+    return s, pb, bounds.lambda_max(gamma)
+
+
 class TestSolve:
     def test_geometric_decay_on_identity_instance(self):
         s = two_node_scheme(gamma=1.0)
@@ -295,13 +310,15 @@ class TestSolve:
         assert cert["ok"], cert
 
     @pytest.mark.parametrize("family", ["sequential", "complete",
-                                        "ring_lipschitz"])
+                                        "ring_lipschitz", "mixed_out_dims"])
     def test_matches_public_steps(self, family):
         # the array hot loop of solve against K public step() calls on
         # BlockVectors from the same start
         K = 25
         if family == "ring_lipschitz":
             s, pb, lam_max = _lipschitz_ring_instance(d=8)
+        elif family == "mixed_out_dims":
+            s, pb, lam_max = _mixed_out_dims_instance(d=6)
         else:
             inst = gen_instance(4, n=3, m=12, d=9, k_nonzero=3, mu=0.4,
                                 nu=0.2)
@@ -325,6 +342,21 @@ class TestSolve:
         assert t == K
         ref = residual_star(s, gz, gw, lam)
         assert abs(res - ref) <= 1e-12 * ref
+        assert final.w.dims == [blk.L.out_dim for blk in pb.BL_list]
+
+    @pytest.mark.parametrize("case", ["size_one_blocks", "extra_block",
+                                      "short"])
+    def test_w0_must_match_dual_blocks(self, case):
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        s, _, lam_max = build_family_scheme("sequential", inst, 0.5, 0.1)
+        good = [np.zeros(blk.L.out_dim) for blk in pb.BL_list]
+        w0 = {"size_one_blocks": [np.zeros(1)] * len(good),
+              "extra_block": good + [np.zeros(pb.d - 1)],
+              "short": good[:-1]}[case]
+        with pytest.raises(ValueError, match="w0"):
+            solve(s, pb, w0=w0, opts=SolveOptions(
+                max_iters=50, lambda_schedule=0.9 * lam_max))
 
     def test_stop_reason_converged(self):
         s = two_node_scheme(gamma=1.0)
