@@ -15,8 +15,9 @@ import json
 import numpy as np
 
 from .linalg import spectral_norm
-from .operators import (ComposedBlock, ProblemInstance, l1_resolvent,
-                        least_squares_gradient, prox_l1, zero_resolvent)
+from .operators import (ComposedBlock, ProblemInstance,
+                        _least_squares_gradient, l1_resolvent, prox_l1,
+                        zero_resolvent)
 from .scheme import compute_UW, compute_tau, dumps_json, step_bounds
 from .solver import SolveOptions, solve
 from .graphs import scheme_complete, scheme_sequential, scheme_star
@@ -101,6 +102,8 @@ class FusedLassoInstance:
         for A, b in zip(self.A_blocks, self.b_blocks):
             if A.shape[0] != b.size or A.shape[1] != self.d or A.shape[0] < 1:
                 raise ValueError("inconsistent block shapes")
+            if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+                raise ValueError("A_blocks and b_blocks must be finite")
 
     @property
     def m(self):
@@ -112,8 +115,9 @@ class FusedLassoInstance:
 
     @cached_property
     def lipschitz_constants(self):
-        """||A_i||^2 per agent, the Lipschitz constants of the gradients,
-        found by power iteration on first use."""
+        """||A_i||^2 per agent, the Lipschitz constants of the gradients:
+        exact (spectral_norm of each block), found once on first use.
+        to_problem and build_family_scheme both read these values."""
         return [spectral_norm(A) ** 2 for A in self.A_blocks]
 
 
@@ -174,7 +178,8 @@ def desk_instance(seed=0):
 def to_problem(instance):
     """Operator bundle for the unscaled sum: one artificial zero resolvent
     (so the n-agent problem fits the (n+1)-node schemes), n l1 resolvents,
-    n composed difference blocks, and n least-squares gradients."""
+    n composed difference blocks, and n least-squares gradients whose
+    Lipschitz constants are the instance's lipschitz_constants."""
     d = instance.d
     L = difference_matrix(d)
     A_list = [zero_resolvent(d)] + [
@@ -186,8 +191,9 @@ def to_problem(instance):
         for nu_k in instance.nu
     ]
     C_list = [
-        least_squares_gradient(A, b)
-        for A, b in zip(instance.A_blocks, instance.b_blocks)
+        _least_squares_gradient(A, b, ell)
+        for A, b, ell in zip(instance.A_blocks, instance.b_blocks,
+                             instance.lipschitz_constants)
     ]
     return ProblemInstance(d=d, A_list=A_list, BL_list=BL_list, C_list=C_list)
 

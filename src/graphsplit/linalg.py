@@ -115,7 +115,8 @@ def kron_apply(M, z):
 class LinearMap:
     """Linear map backed by a dense matrix.  Any object with in_dim, out_dim,
     a call (apply), adjoint and norm() is a linear map to the package; this
-    one applies the matrix and finds its norm by power iteration, cached."""
+    one applies the matrix, and its norm() is the exact spectral norm of the
+    matrix (see spectral_norm), cached."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -141,21 +142,26 @@ class LinearMap:
 
     def norm(self):
         if self._norm is None:
-            self._norm = spectral_norm(self)
+            self._norm = spectral_norm(self.matrix)
         return self._norm
 
 
 def spectral_norm(L, tol=POWER_ITER_TOL, max_iter=POWER_ITER_MAX,
                   seed=POWER_ITER_SEED):
-    """Largest singular value of a map or matrix, by power iteration on L^*L.
+    """Largest singular value of a matrix or of a linear map.
 
-    Deterministic: the start vector comes from a fixed-seed generator.
-    The zero map returns 0.
+    An array is exact: the square root of the largest eigenvalue of its
+    Gram matrix on the smaller side (A A^T or A^T A, never larger than A).
+    A map (anything callable) runs power iteration on L^*L from a fixed-seed
+    start, until sigma moves by at most ``tol`` relative; it can stop low.
+    Zero and empty maps return 0.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not callable(L):
-        L = LinearMap(L)
+        A = LinearMap(L).matrix
+        G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+        return float(np.sqrt(np.max(np.linalg.eigvalsh(G), initial=0.0)))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(L.in_dim)
     v /= np.linalg.norm(v)

@@ -22,8 +22,6 @@ __all__ = [
     "affine_resolvent",
     "resolvent_of_inverse",
     "least_squares_gradient",
-    "check_firm_nonexpansive",
-    "check_single_valued",
 ]
 
 
@@ -167,45 +165,24 @@ def resolvent_of_inverse(B, eta, u):
 
 def least_squares_gradient(A, b):
     """Gradient of x -> 0.5*||Ax - b||^2 as a cocoercive SingleValuedOp
-    with Lipschitz constant ||A||_2^2."""
+    with Lipschitz constant ||A||_2^2, exact (spectral_norm of the array).
+    A and b must be finite."""
+    return _least_squares_gradient(A, b, None)
+
+
+def _least_squares_gradient(A, b, ell):
+    """least_squares_gradient with ||A||_2^2 passed in as ``ell``, or found
+    when ``ell`` is None."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     if A.ndim != 2 or A.shape[0] != b.size:
         raise ValueError("A and b dimensions do not conform")
-    ell = spectral_norm(A) ** 2
+    for name, arr in (("A", A), ("b", b)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
     return SingleValuedOp(
         dim=A.shape[1],
         apply=lambda x: A.T @ (A @ x - b),
-        lipschitz=ell,
+        lipschitz=spectral_norm(A) ** 2 if ell is None else ell,
         cocoercive=True,
     )
-
-
-def check_firm_nonexpansive(op, n_samples=1000, step=1.0, seed=0, tol=1e-9):
-    """Sampled firm-nonexpansiveness witness for a ResolventOp:
-    ||Ju - Jv||^2 <= <Ju - Jv, u - v> + tol on random pairs."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        u = rng.standard_normal(op.dim)
-        v = rng.standard_normal(op.dim)
-        du = op(step, u) - op(step, v)
-        if du @ du > du @ (u - v) + tol:
-            return False
-    return True
-
-
-def check_single_valued(op, n_samples=1000, seed=0, tol=1e-9):
-    """Sampled Lipschitz (and cocoercivity, when flagged) inequalities for
-    a SingleValuedOp."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        u = rng.standard_normal(op.dim)
-        v = rng.standard_normal(op.dim)
-        dc = op(u) - op(v)
-        dn = float(np.linalg.norm(dc))
-        if dn > op.lipschitz * np.linalg.norm(u - v) + tol:
-            return False
-        if op.cocoercive and op.lipschitz > 0:
-            if dc @ (u - v) < dn ** 2 / op.lipschitz - tol:
-                return False
-    return True

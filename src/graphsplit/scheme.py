@@ -298,6 +298,8 @@ def compute_tau(uw, ell, regime):
     ||diag(sqrt(ell)) W||_2^2.
     """
     ell = np.asarray(ell, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(ell)):
+        raise ValueError("Lipschitz constants must be finite")
     if np.any(ell < 0):
         raise ValueError("Lipschitz constants must be nonnegative")
     if uw.U.shape[0] != ell.size:

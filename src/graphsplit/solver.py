@@ -23,6 +23,9 @@ __all__ = [
     "export_report_csv", "export_state_json",
 ]
 
+# step and solve both accept lambda up to lambda_max + LAMBDA_SLACK
+LAMBDA_SLACK = 1e-12
+
 
 def _stacked(z):
     """The primal blocks of z as the rows of one 2-D array."""
@@ -270,7 +273,7 @@ def step(scheme, problem, state, lambda_t, lambda_max=None, check=True):
     """One relaxed iteration (z, w) <- (z, w) - lambda_t * Gamma(z, w)."""
     if lambda_t <= 0:
         raise ValueError("lambda_t must be positive")
-    if lambda_max is not None and lambda_t > lambda_max + 1e-15:
+    if lambda_max is not None and lambda_t > lambda_max + LAMBDA_SLACK:
         raise ValueError(f"lambda_t = {lambda_t} exceeds bound {lambda_max}")
     gz, gw, x, y = eval_Gamma(scheme, problem, state.z, state.w, check=check)
     return IterateState(z=state.z - lambda_t * gz,
@@ -333,7 +336,7 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     t0 = time.perf_counter()
     for t in range(opts.max_iters + 1):
         lam = opts.lam(t, lam_default)
-        if not 0 < lam <= lam_max + 1e-12:
+        if not 0 < lam <= lam_max + LAMBDA_SLACK:
             raise ValueError(f"lambda = {lam} outside (0, {lam_max}]")
         gz, gw, x, y = eval_Gamma(s, problem, z, w, check=False, plan=plan)
         res = residual_star(s, gz, gw, lam)

@@ -19,7 +19,7 @@ from graphsplit.fusedlasso import (ExperimentConfig, build_family_scheme,
                                    desk_instance, load_instance,
                                    save_instance)
 from graphsplit.linalg import spectral_norm
-from graphsplit.scheme import validate_standing
+from graphsplit.scheme import compute_UW, compute_tau, validate_standing
 
 
 def accumulated_adjoint(y):
@@ -153,6 +153,14 @@ class TestGenInstance:
         with pytest.raises(ValueError, match=name):
             replace(inst, **{name: getattr(inst, name)[:-1]})
 
+    @pytest.mark.parametrize("name", ["A_blocks", "b_blocks"])
+    def test_non_finite_data_rejected(self, name):
+        inst = gen_instance(1, n=3, m=12, d=6, k_nonzero=2)
+        blocks = [x.copy() for x in getattr(inst, name)]
+        blocks[1].flat[0] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            replace(inst, **{name: blocks})
+
     def test_desk_instance_shape(self):
         inst = desk_instance(0)
         assert (inst.n_agents, inst.m, inst.d) == (5, 50, 200)
@@ -228,6 +236,24 @@ class TestBuildFamilyScheme:
                 np.testing.assert_allclose(scheme.E_diag, eta_expected)
             assert 0.0 < lam_max <= 1.0
             assert validate_standing(scheme, has_B=True, has_C=True).all_pass
+
+    @pytest.mark.parametrize("shape", [
+        dict(n=5, m=50, d=200, mu=5.0, nu=2.0),
+        dict(n=20, m=400, d=100)], ids=["desk", "agents20"])
+    def test_lipschitz_constants_match_svd(self, shape):
+        inst = gen_instance(1, **shape)
+        assert len(inst.lipschitz_constants) == inst.n_agents
+        for A, ell in zip(inst.A_blocks, inst.lipschitz_constants):
+            ref = np.linalg.svd(A, compute_uv=False)[0] ** 2
+            assert abs(ell - ref) <= 1e-13 * ref
+
+    def test_tau_reads_the_solver_constants(self):
+        inst = desk_instance(0)
+        ell = to_problem(inst).lipschitz_constants
+        for family, gen in fusedlasso.FAMILY_GENERATORS.items():
+            _, tau, _ = build_family_scheme(family, inst, 0.5, 0.1)
+            base = gen(inst.n_agents + 1, gamma=1.0, eta=1.0)
+            assert tau == compute_tau(compute_UW(base), ell, "cocoercive")
 
     def test_block_norms_computed_once_per_instance(self, monkeypatch):
         inst = gen_instance(2, n=3, m=20, d=12, k_nonzero=3, mu=1.0, nu=0.5)

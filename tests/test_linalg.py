@@ -32,6 +32,19 @@ def dense_power_iteration(A, tol=1e-10, max_iter=10_000, seed=42):
     return float(sigma)
 
 
+class MatrixFreeMap:
+    """A dense matrix seen only through its call and adjoint."""
+
+    def __init__(self, A):
+        self.A, self.in_dim = A, A.shape[1]
+
+    def __call__(self, x):
+        return self.A @ x
+
+    def adjoint(self, y):
+        return self.A.T @ y
+
+
 class TestBlockVector:
     def test_zeros_and_dims(self):
         v = BlockVector.zeros([3, 5, 2])
@@ -131,17 +144,18 @@ class TestSpectralNorm:
               database=None)
     @given(rows=st.integers(0, 12), cols=st.integers(0, 12),
            rank=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
-    def test_matrix_and_map_match_dense_iteration(self, rows, cols, rank,
-                                                  seed):
-        # rank 0 gives the zero matrix, and rank < min(rows, cols) a
-        # rank-deficient one
+    def test_matrix_exact_and_map_matches_dense_iteration(self, rows, cols,
+                                                          rank, seed):
+        # rank 0 gives the zero matrix, rank < min(rows, cols) a
+        # rank-deficient one, and rows or cols 0 an empty one
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((rows, rank)) @ rng.standard_normal(
             (rank, cols))
-        ref = dense_power_iteration(A)
-        assert spectral_norm(A) == ref
-        assert spectral_norm(LinearMap(A)) == ref
-        assert LinearMap(A).norm() == ref
+        sv = np.linalg.svd(A, compute_uv=False) if A.size else [0.0]
+        for got in (spectral_norm(A), LinearMap(A).norm()):
+            assert abs(got - sv[0]) <= 1e-12 * sv[0]
+        # a map that is only callable keeps the power iteration
+        assert spectral_norm(MatrixFreeMap(A)) == dense_power_iteration(A)
 
 
 class TestPsd:

@@ -10,8 +10,37 @@ from graphsplit import (ComposedBlock, LinearMap, ProblemInstance,
                         affine_resolvent, l1_resolvent,
                         least_squares_gradient, prox_l1, resolvent_of_inverse,
                         zero_resolvent)
-from graphsplit.operators import (ResolventOp, check_firm_nonexpansive,
-                                  check_single_valued)
+from graphsplit.operators import ResolventOp, SingleValuedOp
+
+
+def check_firm_nonexpansive(op, n_samples=1000, step=1.0, seed=0, tol=1e-9):
+    """Sampled firm-nonexpansiveness witness for a ResolventOp:
+    ||Ju - Jv||^2 <= <Ju - Jv, u - v> + tol on random pairs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_samples):
+        u = rng.standard_normal(op.dim)
+        v = rng.standard_normal(op.dim)
+        du = op(step, u) - op(step, v)
+        if du @ du > du @ (u - v) + tol:
+            return False
+    return True
+
+
+def check_single_valued(op, n_samples=1000, seed=0, tol=1e-9):
+    """Sampled Lipschitz (and cocoercivity, when flagged) inequalities for
+    a SingleValuedOp."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_samples):
+        u = rng.standard_normal(op.dim)
+        v = rng.standard_normal(op.dim)
+        dc = op(u) - op(v)
+        dn = float(np.linalg.norm(dc))
+        if dn > op.lipschitz * np.linalg.norm(u - v) + tol:
+            return False
+        if op.cocoercive and op.lipschitz > 0:
+            if dc @ (u - v) < dn ** 2 / op.lipschitz - tol:
+                return False
+    return True
 
 
 def sign_formula_prox_l1(v, t):
@@ -127,6 +156,18 @@ class TestLeastSquaresGradient:
         with pytest.raises(ValueError):
             least_squares_gradient(np.eye(3), np.zeros(2))
 
+    def test_nan_in_A_named(self):
+        A = np.ones((3, 4))
+        A[1, 2] = np.nan
+        with pytest.raises(ValueError, match="A must be finite"):
+            least_squares_gradient(A, np.zeros(3))
+
+    def test_inf_in_b_named(self):
+        b = np.zeros(3)
+        b[0] = np.inf
+        with pytest.raises(ValueError, match="b must be finite"):
+            least_squares_gradient(np.ones((3, 4)), b)
+
 
 class TestSampledValidators:
     def test_prox_is_firmly_nonexpansive(self):
@@ -147,7 +188,6 @@ class TestSampledValidators:
         assert check_single_valued(op, n_samples=300)
 
     def test_wrong_lipschitz_claim_detected(self):
-        from graphsplit.operators import SingleValuedOp
         op = SingleValuedOp(dim=2, apply=lambda x: 10.0 * x, lipschitz=1.0)
         assert not check_single_valued(op, n_samples=50)
 

@@ -171,6 +171,12 @@ class TestTau:
         with pytest.raises(ValueError):
             compute_tau(uw, [1.0, -1.0], "cocoercive")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_ell_rejected(self, bad):
+        uw = compute_UW(scheme_sequential(3))
+        with pytest.raises(ValueError, match="must be finite"):
+            compute_tau(uw, [1.0, bad], "cocoercive")
+
 
 class TestOmegaUpsilon:
     def test_no_dual_blocks_reduces_to_base_kronecker(self):

@@ -269,6 +269,24 @@ class TestSolve:
             np.testing.assert_allclose(got.concat(), want.concat(),
                                        rtol=0, atol=1e-12)
 
+    def test_step_accepts_what_solve_accepts(self):
+        # solve's own lambda bound, computed as solve computes it
+        s, pb, _ = _mixed_out_dims_instance(3)
+        tau = compute_tau(compute_UW(s), pb.lipschitz_constants, "cocoercive")
+        lam_max = step_bounds(tau, [blk.L.norm() for blk in pb.BL_list],
+                              "cocoercive").lambda_max(s.gamma)
+        lam = lam_max + 5e-13
+        report = solve(s, pb, opts=SolveOptions(max_iters=2,
+                                                lambda_schedule=lam))
+        state = IterateState(z=report.final.z, w=report.final.w)
+        step(s, pb, state, lam, lambda_max=lam_max)
+        too_long = lam_max + 2e-12
+        with pytest.raises(ValueError):
+            step(s, pb, state, too_long, lambda_max=lam_max)
+        with pytest.raises(ValueError):
+            solve(s, pb, opts=SolveOptions(max_iters=2,
+                                           lambda_schedule=too_long))
+
     def test_lambda_out_of_range_rejected(self):
         s = two_node_scheme()
         ident = affine_resolvent(np.eye(2), np.zeros(2))
