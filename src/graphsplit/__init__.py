@@ -11,8 +11,7 @@ from .scheme import (CoefficientScheme, StepBounds, UWPair, assemble_omega,
                      assemble_upsilons, check_explicit, compute_UW,
                      compute_tau, load_scheme, save_scheme, step_bounds,
                      validate_psd, validate_standing)
-from .graphs import (GraphSpec, complete_graph, laplacian,
-                     lift_with_artificial_zero, load_graph,
+from .graphs import (GraphSpec, complete_graph, laplacian, load_graph,
                      onto_decomposition, path_graph, save_graph,
                      scheme_complete, scheme_from_graph, scheme_ring,
                      scheme_sequential, scheme_star, star_graph)

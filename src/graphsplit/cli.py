@@ -150,11 +150,12 @@ def solve_cmd(instance_dir, family, gamma_hat, eta_hat, lambda_hat, tol,
                         record_every=10)
     report = solve(scheme, problem, opts=opts,
                    objective=lambda x: fusedlasso.objective(inst, x))
+    _, res, _, obj, _ = report.records[-1]
     summary = {
         "converged": report.converged,
         "iters": report.iters_run,
-        "final_residual": report.residual_history[-1][1],
-        "final_objective": report.objective_history[-1][1],
+        "final_residual": res,
+        "final_objective": obj,
         "tau": tau,
     }
     click.echo(dumps_json(summary))

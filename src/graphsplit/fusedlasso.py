@@ -18,7 +18,8 @@ from .linalg import spectral_norm
 from .operators import (ComposedBlock, ProblemInstance,
                         _least_squares_gradient, l1_resolvent, prox_l1,
                         zero_resolvent)
-from .scheme import compute_UW, compute_tau, dumps_json, step_bounds
+from .scheme import (compute_UW, compute_tau, dumps_json, step_bounds,
+                     write_csv)
 from .solver import SolveOptions, solve
 from .graphs import scheme_complete, scheme_sequential, scheme_star
 
@@ -291,22 +292,18 @@ def _run_cell(instance, problem, cell, config, out_dir):
         )
         report = solve(scheme, problem, opts=opts,
                        objective=lambda x: objective(instance, x))
+        _, res, _, obj, _ = report.records[-1]
         row.update(
             iters_to_tol=report.iters_run,
-            final_residual=report.residual_history[-1][1],
-            final_objective=report.objective_history[-1][1],
+            final_residual=res,
+            final_objective=obj,
             wall_ms=1e3 * (time.perf_counter() - t0),
             status="ok" if report.converged else "maxiter",
         )
         if out_dir is not None:
-            path = os.path.join(
-                out_dir, "curves", _curve_name(*cell))
-            obj = dict(report.objective_history)
-            with open(path, "w") as fh:
-                fh.write("iter,residual,objective\n")
-                for t, res in report.residual_history:
-                    fh.write("%d,%.17g,%.17g\n" % (t, res, obj[t]))
-        row["_report"] = report
+            write_csv(os.path.join(out_dir, "curves", _curve_name(*cell)),
+                      ((t, res, obj) for t, res, _, obj, _ in report.records),
+                      ("iter", "residual", "objective"))
     except Exception as exc:   # failures become rows, the grid continues
         row.update(iters_to_tol=-1, final_residual=float("nan"),
                    final_objective=float("nan"),
@@ -336,17 +333,9 @@ def run_grid(instance, config, out_dir=None):
         os.makedirs(os.path.join(out_dir, "curves"), exist_ok=True)
     rows = [_run_cell(instance, problem, c, config, out_dir) for c in cells]
     if out_dir is not None:
-        with open(os.path.join(out_dir, "grid.csv"), "w") as fh:
-            fh.write(",".join(GRID_COLUMNS) + "\n")
-            for row in rows:
-                vals = []
-                for col in GRID_COLUMNS:
-                    v = row[col]
-                    if isinstance(v, float):
-                        vals.append("%.17g" % v)
-                    else:
-                        vals.append(str(v))
-                fh.write(",".join(vals) + "\n")
+        write_csv(os.path.join(out_dir, "grid.csv"),
+                  ([row[c] for c in GRID_COLUMNS] for row in rows),
+                  GRID_COLUMNS)
     return rows
 
 
@@ -361,18 +350,11 @@ def save_instance(instance, dirpath):
     with open(os.path.join(dirpath, "meta.json"), "w") as fh:
         fh.write(dumps_json(meta))
         fh.write("\n")
-    A = np.vstack(instance.A_blocks)
-    b = np.concatenate(instance.b_blocks)
-
-    def write_csv(name, arr):
-        arr = np.atleast_2d(arr)
-        with open(os.path.join(dirpath, name), "w") as fh:
-            for row in arr:
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
-
-    write_csv("A.csv", A)
-    write_csv("b.csv", b.reshape(-1, 1))
-    write_csv("x_true.csv", instance.x_true.reshape(-1, 1))
+    files = {"A.csv": np.vstack(instance.A_blocks),
+             "b.csv": np.concatenate(instance.b_blocks).reshape(-1, 1),
+             "x_true.csv": instance.x_true.reshape(-1, 1)}
+    for name, rows in files.items():
+        write_csv(os.path.join(dirpath, name), rows)
 
 
 def load_instance(dirpath):

@@ -10,7 +10,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .operators import ProblemInstance, zero_resolvent
 from .scheme import CoefficientScheme, dumps_json
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "scheme_complete",
     "scheme_ring",
     "scheme_from_graph",
-    "lift_with_artificial_zero",
     "path_graph",
     "star_graph",
     "complete_graph",
@@ -321,19 +319,6 @@ def scheme_from_graph(g, gamma=1.0, eta=1.0, kappa=None):
         E_diag=np.full(r, float(eta)), H=HP, K=KR, P=HP.copy(),
         Q=np.zeros((n, p)), R=KR.copy(), gamma=gamma, family="graph",
     )
-
-
-def lift_with_artificial_zero(problem, position="first"):
-    """Add a zero operator slot so an n-operator problem fits the schemes
-    that need one more resolvent than composed/smooth block."""
-    if position not in ("first", "last"):
-        raise ValueError("position must be 'first' or 'last'")
-    zero = zero_resolvent(problem.d)
-    A_list = ([zero] + list(problem.A_list) if position == "first"
-              else list(problem.A_list) + [zero])
-    return ProblemInstance(d=problem.d, A_list=A_list,
-                           BL_list=list(problem.BL_list),
-                           C_list=list(problem.C_list))
 
 
 def path_graph(n, weight=1.0):

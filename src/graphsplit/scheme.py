@@ -8,6 +8,7 @@ and p single-valued operator slots.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -30,6 +31,7 @@ __all__ = [
     "validate_psd",
     "step_bounds",
     "dumps_json",
+    "write_csv",
     "scheme_to_dict",
     "scheme_from_dict",
     "save_scheme",
@@ -105,14 +107,7 @@ class CoefficientScheme:
         return np.diag(self.E_diag)
 
     def replace(self, **kw):
-        fields = dict(
-            n=self.n, m=self.m, r=self.r, p=self.p, M=self.M, N=self.N,
-            D_diag=self.D_diag, E_diag=self.E_diag, H=self.H, K=self.K,
-            P=self.P, Q=self.Q, R=self.R, gamma=self.gamma,
-            family=self.family,
-        )
-        fields.update(kw)
-        return CoefficientScheme(**fields)
+        return dataclasses.replace(self, **kw)
 
 
 @dataclass
@@ -381,7 +376,7 @@ def step_bounds(tau, L_norms, regime):
                       L_norms=[float(v) for v in L_norms])
 
 
-# --- JSON serialization -----------------------------------------------------
+# --- JSON and CSV serialization ---------------------------------------------
 
 def dumps_json(obj):
     """Serialize with sorted keys and floats at full %.17g precision, so
@@ -409,6 +404,23 @@ def dumps_json(obj):
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _csv_field(v):
+    if v is None:
+        return ""
+    return "%.17g" % v if isinstance(v, float) else str(v)
+
+
+def write_csv(path, rows, header=None):
+    """Write rows as comma-separated lines, after an optional header: floats
+    at full %.17g precision (as in dumps_json), None as an empty field, and
+    anything else through str."""
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_field, row)) + "\n")
 
 
 def scheme_to_dict(s):

@@ -14,10 +14,11 @@ import numpy as np
 
 from .linalg import BlockVector, kron_apply  # noqa: F401  (re-exported)
 from .scheme import check_explicit, compute_UW, compute_tau, step_bounds, \
-    validate_standing, dumps_json
+    validate_standing, dumps_json, write_csv
 
 __all__ = [
     "IterateState", "StarNormContext", "SolveOptions", "SolveReport",
+    "RECORD_COLUMNS",
     "DivergenceError", "EvalPlan", "eval_S", "eval_Gamma", "step", "solve",
     "residual_star", "certify_solution", "default_regime",
     "export_report_csv", "export_state_json",
@@ -78,18 +79,33 @@ class SolveOptions:
         return float(self.lambda_schedule)
 
 
+# one record per recorded iteration; the objective is None when solve was
+# given no objective, and time_ms is cumulative wall time
+RECORD_COLUMNS = ("iter", "residual", "consensus_gap", "objective", "time_ms")
+
+
 @dataclass
 class SolveReport:
     iters_run: int
     converged: bool
-    residual_history: List[Tuple[int, float]]
-    consensus_history: List[Tuple[int, float]]
-    objective_history: List[Tuple[int, float]]
-    time_history: List[Tuple[int, float]]   # cumulative milliseconds
+    records: List[Tuple[int, float, float, Optional[float], float]]
     final: IterateState
     dual_certificate: Optional[BlockVector]
     lambda_used: float
     stop_reason: str   # "converged", "max_iters" or "diverged"
+
+    @property
+    def residual_history(self):
+        return [(r[0], r[1]) for r in self.records]
+
+    @property
+    def objective_history(self):
+        """(iter, objective) of the records that have an objective."""
+        return [(r[0], r[3]) for r in self.records if r[3] is not None]
+
+    @property
+    def time_history(self):
+        return [(r[0], r[4]) for r in self.records]
 
 
 class DivergenceError(RuntimeError):
@@ -330,8 +346,7 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     w = (_dual_rows(list(w0), plan.dims, "w0") if w0 is not None
          else np.zeros(plan.eta.shape))
 
-    residual_history, consensus_history = [], []
-    objective_history, time_history = [], []
+    records = []
     stop = "max_iters"
     t0 = time.perf_counter()
     for t in range(opts.max_iters + 1):
@@ -340,15 +355,14 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
             raise ValueError(f"lambda = {lam} outside (0, {lam_max}]")
         gz, gw, x, y = eval_Gamma(s, problem, z, w, check=False, plan=plan)
         res = residual_star(s, gz, gw, lam)
-        # the stopping rule rides on the recording cadence: history entries
-        # and the convergence test happen every record_every iterations
+        # the stopping rule rides on the recording cadence: records and the
+        # convergence test happen every record_every iterations
         record = (t % opts.record_every == 0) or t == opts.max_iters
         if record:
-            residual_history.append((t, res))
-            consensus_history.append((t, consensus_gap(x)))
-            if objective is not None:
-                objective_history.append((t, float(objective(x[0]))))
-            time_history.append((t, 1e3 * (time.perf_counter() - t0)))
+            records.append((
+                t, res, consensus_gap(x),
+                None if objective is None else float(objective(x[0])),
+                1e3 * (time.perf_counter() - t0)))
             if res <= opts.residual_tol:
                 stop = "converged"
             if stop == "converged" or t == opts.max_iters:
@@ -369,10 +383,7 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
             s.E_diag, problem.BL_list, Kx, plan.split(w))])
     report = SolveReport(
         iters_run=t, converged=stop == "converged",
-        residual_history=residual_history,
-        consensus_history=consensus_history,
-        objective_history=objective_history,
-        time_history=time_history,
+        records=records,
         final=IterateState(BlockVector(z), BlockVector(plan.split(w)),
                            BlockVector(x), BlockVector(plan.split(y))),
         dual_certificate=s_bar, lambda_used=lam, stop_reason=stop)
@@ -414,19 +425,9 @@ def certify_solution(scheme, problem, state, tol=1e-5):
             "inclusion_residual": inclusion, "ok": bool(ok)}
 
 
-def export_report_csv(report, path, objective_fallback=""):
-    """Write the recorded history as `iter,residual,consensus_gap,objective,
-    time_ms` rows."""
-    obj = dict(report.objective_history)
-    cons = dict(report.consensus_history)
-    times = dict(report.time_history)
-    with open(path, "w") as fh:
-        fh.write("iter,residual,consensus_gap,objective,time_ms\n")
-        for t, res in report.residual_history:
-            o = obj.get(t, objective_fallback)
-            o_str = "%.17g" % o if o != "" else ""
-            fh.write("%d,%.17g,%.17g,%s,%.17g\n"
-                     % (t, res, cons.get(t, 0.0), o_str, times.get(t, 0.0)))
+def export_report_csv(report, path):
+    """Write the records under a RECORD_COLUMNS header."""
+    write_csv(path, report.records, RECORD_COLUMNS)
 
 
 def export_state_json(report, path):

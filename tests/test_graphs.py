@@ -5,11 +5,24 @@ import numpy as np
 import pytest
 
 from graphsplit import (GraphSpec, LinearMap, ProblemInstance, complete_graph,
-                        laplacian, lift_with_artificial_zero, load_graph,
-                        onto_decomposition, path_graph, save_graph,
-                        scheme_complete, scheme_from_graph, scheme_ring,
-                        scheme_sequential, scheme_star, star_graph,
-                        validate_psd, validate_standing, zero_resolvent)
+                        laplacian, load_graph, onto_decomposition, path_graph,
+                        save_graph, scheme_complete, scheme_from_graph,
+                        scheme_ring, scheme_sequential, scheme_star,
+                        star_graph, validate_psd, validate_standing,
+                        zero_resolvent)
+
+
+def lift_with_artificial_zero(problem, position="first"):
+    """Add a zero operator slot so an n-operator problem fits the schemes
+    that need one more resolvent than composed/smooth block."""
+    if position not in ("first", "last"):
+        raise ValueError("position must be 'first' or 'last'")
+    zero = zero_resolvent(problem.d)
+    A_list = ([zero] + list(problem.A_list) if position == "first"
+              else list(problem.A_list) + [zero])
+    return ProblemInstance(d=problem.d, A_list=A_list,
+                           BL_list=list(problem.BL_list),
+                           C_list=list(problem.C_list))
 
 
 def random_tree_graph(rng, n, extra_edges=0):

@@ -1,6 +1,8 @@
 """Coefficient scheme validation, the tau/step-size calculus, and the PSD
 assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,13 @@ from graphsplit import (CoefficientScheme, LinearMap, assemble_omega,
                         scheme_sequential, scheme_star, step_bounds,
                         validate_psd, validate_standing)
 from graphsplit.scheme import dumps_json, scheme_from_dict, scheme_to_dict
+
+
+@dataclasses.dataclass
+class NotedScheme(CoefficientScheme):
+    """A scheme with one field more, as a later version might add."""
+
+    note: str = ""
 
 
 def identity_m_scheme(n=3):
@@ -51,6 +60,16 @@ class TestConstruction:
         assert s2.gamma == 0.7
         assert s2.family == "star"
         np.testing.assert_allclose(s2.M, s.M)
+
+    def test_replace_without_arguments_keeps_every_field(self):
+        ring = scheme_ring(4, gamma=0.3, eta=0.2, regime="lipschitz")
+        s = NotedScheme(**{f.name: getattr(ring, f.name)
+                           for f in dataclasses.fields(ring)}, note="kept")
+        s2 = s.replace()
+        assert type(s2) is NotedScheme and s2 is not s
+        for f in dataclasses.fields(s):
+            np.testing.assert_array_equal(getattr(s2, f.name),
+                                          getattr(s, f.name), err_msg=f.name)
 
 
 class TestStanding:
