@@ -11,20 +11,14 @@ import click
 import numpy as np
 
 from . import fusedlasso
-from .graphs import (load_graph, scheme_complete, scheme_from_graph,
-                     scheme_ring, scheme_sequential, scheme_star)
+from .graphs import load_graph, scheme_from_graph, scheme_ring
 from .linalg import LinearMap
 from .scheme import (compute_UW, compute_tau, dumps_json, load_scheme,
                      save_scheme, step_bounds, validate_psd,
                      validate_standing)
 from .solver import SolveOptions, export_report_csv, export_state_json, solve
 
-FAMILIES = {
-    "sequential": scheme_sequential,
-    "star": scheme_star,
-    "complete": scheme_complete,
-    "ring": scheme_ring,
-}
+FAMILIES = {**fusedlasso.FAMILY_GENERATORS, "ring": scheme_ring}
 
 
 @click.group()
@@ -125,9 +119,8 @@ def gen_scheme(graph_path, family, n_nodes, gamma, eta, out_path):
 
 @main.command("solve")
 @click.argument("instance_dir", type=click.Path())
-@click.option("--family", type=click.Choice(["sequential", "star",
-                                             "complete"]),
-              default="sequential")
+@click.option("--family", default="sequential",
+              type=click.Choice(list(fusedlasso.FAMILY_GENERATORS)))
 @click.option("--gamma-hat", default=0.5)
 @click.option("--eta-hat", default=0.1)
 @click.option("--lambda-hat", default=0.9)
@@ -177,7 +170,8 @@ def solve_cmd(instance_dir, family, gamma_hat, eta_hat, lambda_hat, tol,
               help="Comma list of gamma scaling factors.")
 @click.option("--eta-hat", default="0.1")
 @click.option("--lambda-hat", default="0.9")
-@click.option("--families", default="sequential,star,complete")
+@click.option("--families",
+              default=",".join(fusedlasso.FAMILY_GENERATORS))
 @click.option("--tol", default=1e-10)
 @click.option("--max-iters", default=20_000)
 @click.option("--out", "out_dir", type=click.Path(), required=True)

@@ -18,8 +18,8 @@ from .linalg import spectral_norm
 from .operators import (ComposedBlock, ProblemInstance,
                         _least_squares_gradient, l1_resolvent, prox_l1,
                         zero_resolvent)
-from .scheme import (compute_UW, compute_tau, dumps_json, step_bounds,
-                     write_csv)
+from .scheme import (compute_UW, compute_tau, step_bounds, write_csv,
+                     write_json)
 from .solver import SolveOptions, solve
 from .graphs import scheme_complete, scheme_sequential, scheme_star
 
@@ -128,7 +128,7 @@ class ExperimentConfig:
     eta_hats: List[float] = field(default_factory=lambda: [0.1])
     lambda_hats: List[float] = field(default_factory=lambda: [0.9])
     scheme_families: List[str] = field(
-        default_factory=lambda: ["sequential", "star", "complete"])
+        default_factory=lambda: list(FAMILY_GENERATORS))
     max_iters: int = 20_000
     tol: float = 1e-10
     record_every: int = 10
@@ -226,12 +226,11 @@ def reference_solve(instance, tol=1e-10, max_iters=500_000):
     nu_bar = float(sum(instance.nu))
     d = instance.d
     L = difference_matrix(d)
-    Lf = max(float(np.linalg.norm(A.T @ A, 2)), 1e-12)
+    AtA = A.T @ A
+    Lf = max(float(np.linalg.norm(AtA, 2)), 1e-12)
     Lnorm2 = difference_norm(d) ** 2
     rho = Lf / (2.0 * Lnorm2)
     sigma = 0.99 / Lf
-
-    AtA = A.T @ A
     Atb = A.T @ b
     x = np.zeros(d)
     u = np.zeros(d - 1)
@@ -256,16 +255,15 @@ def reference_solve(instance, tol=1e-10, max_iters=500_000):
 def build_family_scheme(family, instance, gamma_hat, eta_hat):
     """Scheme for one grid cell: compute tau from the structural matrices,
     set gamma = gamma_hat * (2/tau), then eta = eta_hat / (gamma * max
-    ||L_k||^2), and rebuild the scheme with those values."""
-    gen = FAMILY_GENERATORS[family]
-    n_scheme = instance.n_agents + 1
-    base = gen(n_scheme, gamma=1.0, eta=1.0)
+    ||L_k||^2), and scale the generated E by eta (every family's E is
+    linear in eta)."""
+    base = FAMILY_GENERATORS[family](instance.n_agents + 1)
     uw = compute_UW(base)
     tau = compute_tau(uw, instance.lipschitz_constants, "cocoercive")
     gamma = gamma_hat * 2.0 / tau
     lnorm2 = difference_norm(instance.d) ** 2
     eta = eta_hat / (gamma * lnorm2)
-    scheme = gen(n_scheme, gamma=gamma, eta=eta)
+    scheme = base.replace(gamma=gamma, E_diag=eta * base.E_diag)
     bounds = step_bounds(tau, [difference_norm(instance.d)], "cocoercive")
     lam_max = bounds.lambda_max(gamma)
     return scheme, tau, lam_max
@@ -347,9 +345,7 @@ def save_instance(instance, dirpath):
         "mu": instance.mu, "nu": instance.nu,
         "partition": instance.partition,
     }
-    with open(os.path.join(dirpath, "meta.json"), "w") as fh:
-        fh.write(dumps_json(meta))
-        fh.write("\n")
+    write_json(os.path.join(dirpath, "meta.json"), meta)
     files = {"A.csv": np.vstack(instance.A_blocks),
              "b.csv": np.concatenate(instance.b_blocks).reshape(-1, 1),
              "x_true.csv": instance.x_true.reshape(-1, 1)}

@@ -10,7 +10,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .scheme import CoefficientScheme, dumps_json
+from .scheme import CoefficientScheme, write_json
 
 __all__ = [
     "GraphSpec",
@@ -130,6 +130,15 @@ def _complete_coeffs(n):
     return a, t
 
 
+def _complete_factor(n):
+    """The closed-form factor of the unit-weight complete graph's Laplacian:
+    a_j on the diagonal of column j and t_j below it."""
+    a, t = _complete_coeffs(n)
+    M = np.where(np.tri(n, n - 1, -1, dtype=bool), t, 0.0)
+    np.fill_diagonal(M, a)
+    return M
+
+
 def onto_decomposition(g):
     """Factor the subgraph Laplacian as M M^T with M of size n-by-(n-1).
 
@@ -146,12 +155,8 @@ def onto_decomposition(g):
             M[j - 1, e] = -s
         return OntoDecomposition(M=M, source="incidence")
     if g.subgraph_is_complete_unit:
-        a, t = _complete_coeffs(n)
-        M = np.zeros((n, n - 1))
-        for j in range(n - 1):
-            M[j, j] = a[j]
-            M[j + 1:, j] = t[j]
-        return OntoDecomposition(M=M, source="closed_form_complete")
+        return OntoDecomposition(M=_complete_factor(n),
+                                 source="closed_form_complete")
     lam, V = np.linalg.eigh(laplacian(g, use_subgraph_weights=True))
     # ascending eigenvalues; drop the zero mode, order columns by
     # descending eigenvalue, make the first nonzero entry positive
@@ -165,83 +170,37 @@ def onto_decomposition(g):
     return OntoDecomposition(M=np.column_stack(cols), source="eigen_factor")
 
 
-def _check_rp(n, r, p):
-    if r != n - 1 or p != n - 1:
-        raise ValueError(
-            f"this family needs r = p = n - 1 = {n - 1}, got r = {r}, p = {p}"
-        )
+def scheme_sequential(n, gamma=1.0, eta=1.0):
+    """Path-graph scheme: information flows through nodes 1 -> n in order.
+    It is scheme_from_graph on the unit path with kappa = 1."""
+    s = scheme_from_graph(path_graph(n), gamma, eta, kappa=1.0)
+    s.family = "sequential"
+    return s
 
 
-def scheme_sequential(n, r=None, p=None, gamma=1.0, eta=1.0):
-    """Path-graph scheme: information flows through nodes 1 -> n in order."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    r = n - 1 if r is None else r
-    p = n - 1 if p is None else p
-    _check_rp(n, r, p)
-    M = np.zeros((n, n - 1))
-    N = np.zeros((n, n))
-    for i in range(n - 1):
-        M[i, i] = 1.0
-        M[i + 1, i] = -1.0
-        N[i + 1, i] = 2.0
-    D = np.full(n, 2.0)
-    D[0] = D[-1] = 1.0
-    HP = np.vstack([np.zeros((1, n - 1)), np.eye(n - 1)])
-    KR = np.hstack([np.eye(n - 1), np.zeros((n - 1, 1))])
-    return CoefficientScheme(
-        n=n, m=n - 1, r=r, p=p, M=M, N=N, D_diag=D,
-        E_diag=np.full(r, float(eta)), H=HP, K=KR, P=HP.copy(), Q=np.zeros((n, p)),
-        R=KR.copy(), gamma=gamma, family="sequential",
-    )
+def scheme_star(n, gamma=1.0, eta=1.0):
+    """Star-graph scheme: node 1 is the hub and averages the z blocks.
+    It is scheme_from_graph on the unit star with kappa = 1."""
+    s = scheme_from_graph(star_graph(n), gamma, eta, kappa=1.0)
+    s.family = "star"
+    return s
 
 
-def scheme_star(n, r=None, p=None, gamma=1.0, eta=1.0):
-    """Star-graph scheme: node 1 is the hub and averages the z blocks."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    r = n - 1 if r is None else r
-    p = n - 1 if p is None else p
-    _check_rp(n, r, p)
-    M = np.zeros((n, n - 1))
-    N = np.zeros((n, n))
-    for j in range(n - 1):
-        M[0, j] = 1.0
-        M[j + 1, j] = -1.0
-        N[j + 1, 0] = 2.0
-    D = np.ones(n)
-    D[0] = n - 1.0
-    HP = np.vstack([np.zeros((1, n - 1)), np.eye(n - 1)])
-    KR = np.hstack([np.ones((n - 1, 1)), np.zeros((n - 1, n - 1))])
-    return CoefficientScheme(
-        n=n, m=n - 1, r=r, p=p, M=M, N=N, D_diag=D,
-        E_diag=np.full(r, float(eta)), H=HP, K=KR, P=HP.copy(), Q=np.zeros((n, p)),
-        R=KR.copy(), gamma=gamma, family="star",
-    )
-
-
-def scheme_complete(n, r=None, p=None, gamma=1.0, eta=1.0):
+def scheme_complete(n, gamma=1.0, eta=1.0):
     """Complete-graph scheme with the non-uniform diagonal E = eta*diag(a_i^2)
     and averaging weights 1/(n-j) below the diagonal of H = P."""
     if n < 2:
         raise ValueError("need n >= 2")
-    r = n - 1 if r is None else r
-    p = n - 1 if p is None else p
-    _check_rp(n, r, p)
-    a, t = _complete_coeffs(n)
-    M = np.zeros((n, n - 1))
-    for j in range(n - 1):
-        M[j, j] = a[j]
-        M[j + 1:, j] = t[j]
-    N = 2.0 * np.tri(n, n, -1)
+    M = _complete_factor(n)
     HP = np.zeros((n, n - 1))
     for j in range(n - 1):
         HP[j + 1:, j] = 1.0 / (n - (j + 1))
     KR = np.hstack([np.eye(n - 1), np.zeros((n - 1, 1))])
     return CoefficientScheme(
-        n=n, m=n - 1, r=r, p=p, M=M, N=N, D_diag=np.full(n, n - 1.0),
-        E_diag=float(eta) * a ** 2, H=HP, K=KR, P=HP.copy(),
-        Q=np.zeros((n, p)), R=KR.copy(), gamma=gamma, family="complete",
+        n=n, m=n - 1, r=n - 1, p=n - 1, M=M, N=2.0 * np.tri(n, n, -1),
+        D_diag=np.full(n, n - 1.0), E_diag=float(eta) * M.diagonal() ** 2,
+        H=HP, K=KR, P=HP.copy(), Q=np.zeros((n, n - 1)), R=KR.copy(),
+        gamma=gamma, family="complete",
     )
 
 
@@ -294,16 +253,15 @@ def scheme_from_graph(g, gamma=1.0, eta=1.0, kappa=None):
     kappa."""
     if not g.subgraph_is_tree:
         raise ValueError("subgraph must be a spanning tree")
+    edges = g.edges
     if kappa is not None:
         if kappa <= 0:
             raise ValueError("kappa must be positive")
         edges = [(i, j, (kappa + 1.0) * w) for i, j, w in g.subgraph_edges]
-        g = GraphSpec(n=g.n, edges=edges,
-                      subgraph_edges=list(g.subgraph_edges))
     n = g.n
     N = np.zeros((n, n))
     deg = np.zeros(n)
-    for i, j, w in g.edges:
+    for i, j, w in edges:
         N[j - 1, i - 1] += w
         deg[i - 1] += w
         deg[j - 1] += w
@@ -343,9 +301,7 @@ def save_graph(g, path):
         "edges": [[i, j, w] for i, j, w in g.edges],
         "subgraph_edges": [[i, j, w] for i, j, w in g.subgraph_edges],
     }
-    with open(path, "w") as fh:
-        fh.write(dumps_json(data))
-        fh.write("\n")
+    write_json(path, data)
 
 
 def load_graph(path):

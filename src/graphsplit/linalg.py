@@ -21,9 +21,6 @@ __all__ = [
 ]
 
 # Defaults shared across the package.
-POWER_ITER_MAX = 10_000
-POWER_ITER_TOL = 1e-10
-POWER_ITER_SEED = 42
 PSD_TOL = 1e-10
 PINV_CUTOFF = 1e-12
 
@@ -146,37 +143,16 @@ class LinearMap:
         return self._norm
 
 
-def spectral_norm(L, tol=POWER_ITER_TOL, max_iter=POWER_ITER_MAX,
-                  seed=POWER_ITER_SEED):
-    """Largest singular value of a matrix or of a linear map.
-
-    An array is exact: the square root of the largest eigenvalue of its
-    Gram matrix on the smaller side (A A^T or A^T A, never larger than A).
-    A map (anything callable) runs power iteration on L^*L from a fixed-seed
-    start, until sigma moves by at most ``tol`` relative; it can stop low.
-    Zero and empty maps return 0.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not callable(L):
-        A = LinearMap(L).matrix
-        G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
-        return float(np.sqrt(np.max(np.linalg.eigvalsh(G), initial=0.0)))
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(L.in_dim)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        u = L.adjoint(L(v))
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return 0.0
-        v = u / nu
-        sigma_new = np.sqrt(nu)
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
-            return float(sigma_new)
-        sigma = sigma_new
-    return float(sigma)
+def spectral_norm(L):
+    """Largest singular value of an array, exact: the square root of the
+    largest eigenvalue of its Gram matrix on the smaller side (A A^T or
+    A^T A, never larger than A); zero and empty arrays give 0.  A linear map
+    (anything callable) gives its own norm()."""
+    if callable(L):
+        return L.norm()
+    A = LinearMap(L).matrix
+    G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+    return float(np.sqrt(np.max(np.linalg.eigvalsh(G), initial=0.0)))
 
 
 def min_eigenvalue_sym(S):

@@ -32,6 +32,7 @@ __all__ = [
     "step_bounds",
     "dumps_json",
     "write_csv",
+    "write_json",
     "scheme_to_dict",
     "scheme_from_dict",
     "save_scheme",
@@ -423,6 +424,12 @@ def write_csv(path, rows, header=None):
             fh.write(",".join(map(_csv_field, row)) + "\n")
 
 
+def write_json(path, obj):
+    """Write obj as one dumps_json line."""
+    with open(path, "w") as fh:
+        fh.write(dumps_json(obj) + "\n")
+
+
 def scheme_to_dict(s):
     return {
         "n": s.n, "m": s.m, "r": s.r, "p": s.p,
@@ -463,9 +470,7 @@ def scheme_from_dict(data):
 
 
 def save_scheme(s, path):
-    with open(path, "w") as fh:
-        fh.write(dumps_json(scheme_to_dict(s)))
-        fh.write("\n")
+    write_json(path, scheme_to_dict(s))
 
 
 def load_scheme(path):

@@ -6,6 +6,7 @@ each zero-padded to the longest."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -14,7 +15,7 @@ import numpy as np
 
 from .linalg import BlockVector, kron_apply  # noqa: F401  (re-exported)
 from .scheme import check_explicit, compute_UW, compute_tau, step_bounds, \
-    validate_standing, dumps_json, write_csv
+    validate_standing, write_csv, write_json
 
 __all__ = [
     "IterateState", "StarNormContext", "SolveOptions", "SolveReport",
@@ -109,7 +110,8 @@ class SolveReport:
 
 
 class DivergenceError(RuntimeError):
-    """A non-finite iterate; ``report`` ends at the last finite one."""
+    """A non-finite residual or iterate; ``report`` ends at the last finite
+    iterate."""
 
     def __init__(self, message, report):
         super().__init__(message)
@@ -318,7 +320,8 @@ def consensus_gap(x):
 def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     """Run the relaxed fixed-point iteration from (z0, w0) until the scaled
     residual drops below tolerance or the iteration budget runs out.  A
-    non-finite iterate raises DivergenceError carrying the report so far."""
+    non-finite residual, or iterate, raises DivergenceError carrying the
+    report so far; the iteration with the non-finite residual is recorded."""
     opts = opts or SolveOptions()
     if opts.max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
@@ -356,16 +359,19 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
         gz, gw, x, y = eval_Gamma(s, problem, z, w, check=False, plan=plan)
         res = residual_star(s, gz, gw, lam)
         # the stopping rule rides on the recording cadence: records and the
-        # convergence test happen every record_every iterations
-        record = (t % opts.record_every == 0) or t == opts.max_iters
-        if record:
+        # convergence test happen every record_every iterations, but the
+        # last iteration and a non-finite residual are always recorded
+        if not math.isfinite(res):
+            stop = "diverged"
+        if (t % opts.record_every == 0 or t == opts.max_iters
+                or stop == "diverged"):
             records.append((
                 t, res, consensus_gap(x),
                 None if objective is None else float(objective(x[0])),
                 1e3 * (time.perf_counter() - t0)))
             if res <= opts.residual_tol:
                 stop = "converged"
-            if stop == "converged" or t == opts.max_iters:
+            if stop != "max_iters" or t == opts.max_iters:
                 break
         z_next = np.multiply(gz, -lam, out=gz)   # z - lam * gz, in gz
         z_next += z
@@ -388,8 +394,10 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
                            BlockVector(x), BlockVector(plan.split(y))),
         dual_certificate=s_bar, lambda_used=lam, stop_reason=stop)
     if stop == "diverged":
-        raise DivergenceError(f"non-finite iterate at iteration {t + 1}; "
-                              "check step-size configuration", report)
+        where = (f"residual at iteration {t}" if not math.isfinite(res)
+                 else f"iterate at iteration {t + 1}")
+        raise DivergenceError(f"non-finite {where}; check step-size "
+                              "configuration", report)
     return report
 
 
@@ -435,6 +443,4 @@ def export_state_json(report, path):
     x = report.final.x[0] if report.final.x is not None else []
     s = ([list(b) for b in report.dual_certificate.blocks]
          if report.dual_certificate is not None else [])
-    with open(path, "w") as fh:
-        fh.write(dumps_json({"x": list(np.asarray(x)), "s": s}))
-        fh.write("\n")
+    write_json(path, {"x": list(np.asarray(x)), "s": s})

@@ -52,7 +52,7 @@ class TestDifferenceOperator:
             L = difference_matrix(d)
             dense = np.diff(np.eye(d), axis=0)
             assert abs(L.norm() - np.linalg.norm(dense, 2)) <= 1e-12
-            assert abs(spectral_norm(L) - L.norm()) <= 1e-6
+            assert spectral_norm(L) == difference_norm(d)
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
@@ -70,7 +70,8 @@ class TestDifferenceOperator:
         x, y = rng.standard_normal(d), rng.standard_normal(d - 1)
         assert np.array_equal(L(x), dense(x))
         assert np.array_equal(L.adjoint(y), dense.adjoint(y))
-        assert spectral_norm(L) == spectral_norm(dense)
+        exact = spectral_norm(dense)   # from the dense Gram matrix
+        assert abs(spectral_norm(L) - exact) <= 1e-15 * exact
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
@@ -87,14 +88,8 @@ class TestDifferenceOperator:
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
     @given(d=st.integers(2, 300))
-    def test_power_iteration_against_closed_form(self, d):
-        # The power iteration stops once sigma moves by less than 1e-10
-        # relative.  The top two singular values of the difference operator
-        # close in like 1/d^2, so it stops short of the closed form: by
-        # 5.7e-5 relative at d = 194, the worst d in [2, 300].  It never
-        # overshoots.
-        est, exact = spectral_norm(difference_matrix(d)), difference_norm(d)
-        assert exact * (1.0 - 1e-4) <= est <= exact * (1.0 + 1e-12)
+    def test_spectral_norm_matches_closed_form(self, d):
+        assert spectral_norm(difference_matrix(d)) == difference_norm(d)
 
     def test_million_dimensions_stay_matrix_free(self):
         d = 10**6

@@ -10,6 +10,7 @@ from graphsplit import (GraphSpec, LinearMap, ProblemInstance, complete_graph,
                         scheme_ring, scheme_sequential, scheme_star,
                         star_graph, validate_psd, validate_standing,
                         zero_resolvent)
+from graphsplit.fusedlasso import FAMILY_GENERATORS
 
 
 def lift_with_artificial_zero(problem, position="first"):
@@ -126,7 +127,54 @@ class TestOntoDecomposition:
             np.testing.assert_array_equal(dec.M.T @ np.ones(n), np.zeros(n - 1))
 
 
+def hand_built_family(family, n, gamma, eta):
+    """The sequential, star and complete schemes as their generators built
+    them entry by entry, before sequential and star came from
+    scheme_from_graph; the reference the generators must match bit for
+    bit.  Returns (M, N, D_diag, E_diag, H, K, P, Q, R)."""
+    M, N = np.zeros((n, n - 1)), np.zeros((n, n))
+    HP = np.vstack([np.zeros((1, n - 1)), np.eye(n - 1)])
+    KR = np.hstack([np.eye(n - 1), np.zeros((n - 1, 1))])
+    E = np.full(n - 1, float(eta))
+    if family == "sequential":
+        for i in range(n - 1):
+            M[i, i], M[i + 1, i], N[i + 1, i] = 1.0, -1.0, 2.0
+        D = np.full(n, 2.0)
+        D[0] = D[-1] = 1.0
+    elif family == "star":
+        for j in range(n - 1):
+            M[0, j], M[j + 1, j], N[j + 1, 0] = 1.0, -1.0, 2.0
+        D = np.ones(n)
+        D[0] = n - 1.0
+        KR = np.hstack([np.ones((n - 1, 1)), np.zeros((n - 1, n - 1))])
+    else:
+        idx = np.arange(1, n)
+        a = np.sqrt((n - idx) * n / (n - idx + 1.0))
+        t = -np.sqrt(n / ((n - idx) * (n - idx + 1.0)))
+        HP = np.zeros((n, n - 1))
+        for j in range(n - 1):
+            M[j, j] = a[j]
+            M[j + 1:, j] = t[j]
+            HP[j + 1:, j] = 1.0 / (n - (j + 1))
+        N = 2.0 * np.tri(n, n, -1)
+        D = np.full(n, n - 1.0)
+        E = float(eta) * a ** 2
+    return M, N, D, E, HP, KR, HP.copy(), np.zeros((n, n - 1)), KR.copy()
+
+
 class TestNamedFamilies:
+    @pytest.mark.parametrize("family", sorted(FAMILY_GENERATORS))
+    def test_generators_match_hand_built_reference(self, family):
+        for n in range(2, 11):
+            for gamma, eta in ((1.0, 1.0), (0.37, 2.5e-3)):
+                s = FAMILY_GENERATORS[family](n, gamma=gamma, eta=eta)
+                got = (s.M, s.N, s.D_diag, s.E_diag, s.H, s.K, s.P, s.Q, s.R)
+                for a, b in zip(got, hand_built_family(family, n, gamma,
+                                                       eta)):
+                    assert np.array_equal(a, b)
+                assert (s.n, s.m, s.r, s.p) == (n, n - 1, n - 1, n - 1)
+                assert s.gamma == gamma and s.family == family
+
     def test_star_matrices(self):
         s = scheme_star(3)
         np.testing.assert_allclose(s.M, [[1, 1], [-1, 0], [0, -1]])
@@ -161,12 +209,9 @@ class TestNamedFamilies:
             scheme_ring(2, regime="lipschitz")
 
     def test_family_size_constraints(self):
-        with pytest.raises(ValueError):
-            scheme_sequential(1)
-        with pytest.raises(ValueError):
-            scheme_sequential(4, r=2)
-        with pytest.raises(ValueError):
-            scheme_star(4, p=1)
+        for gen in FAMILY_GENERATORS.values():
+            with pytest.raises(ValueError):
+                gen(1)
 
 
 class TestSchemeFromGraph:

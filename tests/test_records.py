@@ -1,6 +1,7 @@
-"""The record table of SolveReport and the one CSV writer.  Every file the
-package writes must keep the bytes of the format expressions its writers
-used before they shared write_csv; those expressions are kept here."""
+"""The record table of SolveReport and the one CSV and one JSON writer.
+Every file the package writes must keep the bytes of the format expressions
+its writers used before they shared write_csv and write_json; those
+expressions, or the bytes themselves, are kept here."""
 
 import math
 
@@ -8,15 +9,17 @@ import numpy as np
 import pytest
 
 from graphsplit import (BlockVector, ComposedBlock, DivergenceError,
-                        LinearMap, ProblemInstance, SingleValuedOp,
-                        SolveOptions, eval_Gamma, residual_star,
-                        scheme_sequential, solve, zero_resolvent)
+                        GraphSpec, LinearMap, ProblemInstance, SingleValuedOp,
+                        SolveOptions, eval_Gamma, residual_star, save_graph,
+                        save_scheme, scheme_sequential, solve,
+                        zero_resolvent)
 from graphsplit import fusedlasso
 from graphsplit.fusedlasso import (ExperimentConfig, build_family_scheme,
                                    gen_instance, objective, run_grid,
                                    save_instance, to_problem)
-from graphsplit.scheme import write_csv
-from graphsplit.solver import RECORD_COLUMNS, export_report_csv
+from graphsplit.scheme import dumps_json, write_csv
+from graphsplit.solver import (RECORD_COLUMNS, export_report_csv,
+                               export_state_json)
 
 # the row formats of export_report_csv and of run_grid's curve writer
 HISTORY_ROW = "%d,%.17g,%.17g,%s,%.17g"
@@ -126,6 +129,33 @@ def test_write_csv_field_rules(tmp_path):
         "True\n")
     write_csv(tmp_path / "b.csv", [(1.5,)])
     assert (tmp_path / "b.csv").read_text() == "1.5\n"
+
+
+def test_json_files_keep_their_bytes(tiny, tmp_path):
+    save_scheme(scheme_sequential(2, gamma=0.5, eta=0.25), tmp_path / "s.json")
+    assert (tmp_path / "s.json").read_text() == (
+        '{"D_diag": [1, 1], "E_diag": [0.25], "H": [[0], [1]], "K": [[1, 0]]'
+        ', "M": [[1], [-1]], "N": [[0, 0], [2, 0]], "P": [[0], [1]], '
+        '"Q": [[0], [0]], "R": [[1, 0]], "family": "sequential", '
+        '"gamma": 0.5, "m": 1, "n": 2, "p": 1, "r": 1}\n')
+    save_graph(GraphSpec(n=3, edges=[(1, 2, 2.0), (2, 3, 0.1), (1, 3, 1.0)],
+                         subgraph_edges=[(1, 2, 1.0), (2, 3, 0.1)]),
+               tmp_path / "g.json")
+    assert (tmp_path / "g.json").read_text() == (
+        '{"edges": [[1, 2, 2], [1, 3, 1], [2, 3, 0.10000000000000001]], '
+        '"n": 3, "subgraph_edges": [[1, 2, 1], [2, 3, 0.10000000000000001]]}'
+        '\n')
+    save_instance(tiny, str(tmp_path))
+    assert (tmp_path / "meta.json").read_text() == (
+        '{"d": 8, "m": 10, "mu": [0.40000000000000002, 0.40000000000000002], '
+        '"n": 2, "noise_var": 0.001, "nu": [0.20000000000000001, '
+        '0.20000000000000001], "partition": [8, 2], "seed": 4}\n')
+    # the state file as export_state_json formatted it before write_json
+    report = tiny_solve(tiny)
+    export_state_json(report, tmp_path / "state.json")
+    assert (tmp_path / "state.json").read_text() == dumps_json({
+        "x": list(np.asarray(report.final.x[0])),
+        "s": [list(b) for b in report.dual_certificate.blocks]}) + "\n"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -417,11 +417,23 @@ class TestSolve:
         # every iteration up to the last finite iterate was recorded
         assert [t for t, _ in report.residual_history] == \
             list(range(report.iters_run + 1))
+        # the residual first overflows at iteration 25, and solve stops there
+        # rather than when the iterate itself overflows (iteration 51)
+        assert report.iters_run == 25
+        assert "non-finite residual at iteration 25" in str(info.value)
+        assert all(math.isfinite(res) and math.isfinite(gap)
+                   for _, res, gap, _, _ in report.records[:-1])
+        assert not math.isfinite(report.records[-1][1])
         final = report.final
         assert final.z.isfinite() and final.w.isfinite()
         x, y = eval_S(s, pb, final.z, final.w)
         np.testing.assert_array_equal(x.concat(), final.x.concat())
         np.testing.assert_array_equal(y.concat(), final.y.concat())
+        # that iteration is recorded between the record_every records too
+        with pytest.raises(DivergenceError) as info:
+            solve(s, pb, z0=BlockVector([np.ones(d)]),
+                  opts=SolveOptions(max_iters=2000, record_every=10))
+        assert [r[0] for r in info.value.report.records] == [0, 10, 20, 25]
 
     def test_lambda_schedule_callable(self):
         s = two_node_scheme()
