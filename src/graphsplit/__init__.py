@@ -7,7 +7,7 @@ from .operators import (ComposedBlock, ProblemInstance, ResolventOp,
                         SingleValuedOp, affine_resolvent, l1_resolvent,
                         least_squares_gradient, prox_l1,
                         resolvent_of_inverse, zero_resolvent)
-from .scheme import (CoefficientScheme, StepBounds, UWPair, assemble_omega,
+from .scheme import (CoefficientScheme, StepBounds, assemble_omega,
                      assemble_upsilons, check_explicit, compute_UW,
                      compute_tau, load_scheme, save_scheme, step_bounds,
                      validate_psd, validate_standing)

@@ -140,7 +140,7 @@ def solve_cmd(instance_dir, family, gamma_hat, eta_hat, lambda_hat, tol,
         family, inst, gamma_hat, eta_hat)
     opts = SolveOptions(max_iters=max_iters, residual_tol=tol,
                         lambda_schedule=lambda_hat * lam_max,
-                        record_every=10)
+                        record_every=fusedlasso.RECORD_EVERY)
     report = solve(scheme, problem, opts=opts,
                    objective=lambda x: fusedlasso.objective(inst, x))
     _, res, _, obj, _ = report.records[-1]

@@ -46,6 +46,9 @@ FAMILY_GENERATORS = {
     "complete": scheme_complete,
 }
 
+# the solves of the grid and of the CLI record every RECORD_EVERY iterations
+RECORD_EVERY = 10
+
 
 class DifferenceMap:
     """First-difference operator (Lx)_i = x_{i+1} - x_i from R^d to
@@ -131,7 +134,6 @@ class ExperimentConfig:
         default_factory=lambda: list(FAMILY_GENERATORS))
     max_iters: int = 20_000
     tol: float = 1e-10
-    record_every: int = 10
 
     def __post_init__(self):
         for vals in (self.gamma_hats, self.eta_hats, self.lambda_hats):
@@ -286,7 +288,7 @@ def _run_cell(instance, problem, cell, config, out_dir):
         opts = SolveOptions(
             max_iters=config.max_iters, residual_tol=config.tol,
             lambda_schedule=lambda_hat * lam_max,
-            record_every=config.record_every,
+            record_every=RECORD_EVERY,
         )
         report = solve(scheme, problem, opts=opts,
                        objective=lambda x: objective(instance, x))

@@ -4,6 +4,7 @@ complete / ring families."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import List, Tuple
@@ -296,12 +297,7 @@ def complete_graph(n, weight=1.0):
 
 
 def save_graph(g, path):
-    data = {
-        "n": g.n,
-        "edges": [[i, j, w] for i, j, w in g.edges],
-        "subgraph_edges": [[i, j, w] for i, j, w in g.subgraph_edges],
-    }
-    write_json(path, data)
+    write_json(path, dataclasses.asdict(g))
 
 
 def load_graph(path):

@@ -165,19 +165,15 @@ def min_eigenvalue_sym(S):
     return float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
 
 
-def is_psd(S, tol=None):
-    """Positive semidefiniteness up to a scale-aware tolerance."""
+def is_psd(S):
+    """Positive semidefiniteness up to the scale-aware tolerance
+    PSD_TOL * (1 + max |S_ij|)."""
     S = np.asarray(S, dtype=float)
-    if tol is None:
-        scale = float(np.max(np.abs(S))) if S.size else 0.0
-        tol = PSD_TOL * (1.0 + scale)
-    return min_eigenvalue_sym(S) >= -tol
+    scale = float(np.max(np.abs(S))) if S.size else 0.0
+    return min_eigenvalue_sym(S) >= -PSD_TOL * (1.0 + scale)
 
 
-def pinv(M, cutoff=PINV_CUTOFF):
+def pinv(M):
     """Moore-Penrose pseudo-inverse with singular values below
-    ``cutoff * sigma_max`` treated as zero."""
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    M = np.asarray(M, dtype=float)
-    return np.linalg.pinv(M, rcond=cutoff)
+    ``PINV_CUTOFF * sigma_max`` treated as zero."""
+    return np.linalg.pinv(np.asarray(M, dtype=float), rcond=PINV_CUTOFF)

@@ -19,7 +19,6 @@ from .linalg import is_psd, pinv
 
 __all__ = [
     "CoefficientScheme",
-    "UWPair",
     "StepBounds",
     "StandingReport",
     "validate_standing",
@@ -112,14 +111,6 @@ class CoefficientScheme:
 
 
 @dataclass
-class UWPair:
-    """Minimal-norm solutions of U M^T = P^T - R and W M^T = P^T - Q^T."""
-
-    U: np.ndarray
-    W: Optional[np.ndarray] = None
-
-
-@dataclass
 class StepBounds:
     """Admissible parameter ranges derived from tau and the ||L_k|| norms.
 
@@ -181,28 +172,24 @@ class StandingReport:
         return base and (self.q_rows is not False)
 
     def as_dict(self):
-        out = {
-            "kernel": self.kernel,
-            "trace": self.trace,
-            "pr_rows": self.pr_rows,
-            "h_rows": self.h_rows,
-            "all_pass": self.all_pass,
-        }
-        if self.q_rows is not None:
-            out["q_rows"] = self.q_rows
+        """The verdicts and all_pass; q_rows only when it was checked."""
+        out = dataclasses.asdict(self)
+        if self.q_rows is None:
+            del out["q_rows"]
+        out["all_pass"] = self.all_pass
         return out
 
 
-def validate_standing(s, has_B, has_C, tol=STANDING_TOL, check_q=False):
+def validate_standing(s, has_B, has_C, check_q=False):
     """Check the structural assumptions on a scheme.
 
     Items: (i) ones spans ker M^T and rank M = n - 1; (ii) the total N mass
     equals the D trace; (iii) the P/R row sums are all ones when C operators
     are present, otherwise P = R = 0; (iv) likewise for H (and K) with the
     B operators.  ``check_q`` adds the Q row-sum condition needed by the
-    lipschitz regime.
+    lipschitz regime.  Each holds up to STANDING_TOL.
     """
-    n = s.n
+    n, tol = s.n, STANDING_TOL
     ones = np.ones(n)
     kernel = bool(
         np.max(np.abs(s.M.T @ ones), initial=0.0) <= tol
@@ -237,14 +224,11 @@ def validate_standing(s, has_B, has_C, tol=STANDING_TOL, check_q=False):
     return StandingReport(kernel, trace, pr_rows, h_rows, q_rows)
 
 
-def check_explicit(s, tol=0.0):
-    """Triangularity flags for the forward-substitution evaluation.
-
-    ``explicit`` holds when N is strictly lower triangular and the products
-    (P - Q) R, Q P^T and H K have no mass on or above the diagonal, so each
-    x_i depends only on previously computed blocks.  ``first_rows_zero``
-    additionally requires the first rows of N, P, Q, H to vanish.
-    """
+def check_explicit(s):
+    """Whether the forward-substitution evaluation applies: N is strictly
+    lower triangular and the products (P - Q) R, Q P^T and H K have no mass
+    on or above the diagonal, so each x_i depends only on previously
+    computed blocks."""
     upper = np.triu(np.ones((s.n, s.n)))
     prods = (
         np.abs(s.N),
@@ -252,21 +236,16 @@ def check_explicit(s, tol=0.0):
         np.abs(s.Q) @ np.abs(s.P).T,
         np.abs(s.H) @ np.abs(s.K),
     )
-    explicit = all(np.max(upper * t, initial=0.0) <= tol for t in prods)
-    first_rows_zero = all(
-        np.max(np.abs(a[0, :]), initial=0.0) <= tol
-        for a in (s.N, s.P, s.Q, s.H)
-    )
-    return bool(explicit), bool(first_rows_zero)
+    return not any(np.any(upper * t) for t in prods)
 
 
 def compute_UW(s, need_W=False):
-    """Minimal-norm U (and optionally W) with U M^T = P^T - R and
-    W M^T = P^T - Q^T, via the pseudo-inverse of M^T."""
+    """Minimal-norm U and W with U M^T = P^T - R and W M^T = P^T - Q^T, via
+    the pseudo-inverse of M^T, as the pair (U, W); W is None unless
+    ``need_W``."""
     rhs_U = s.P.T - s.R
     if s.p == 0:
-        return UWPair(U=np.zeros((0, s.m)),
-                      W=np.zeros((0, s.m)) if need_W else None)
+        return np.zeros((0, s.m)), np.zeros((0, s.m)) if need_W else None
     Mt_pinv = pinv(s.M.T)
     U = rhs_U @ Mt_pinv
     res = np.max(np.abs(U @ s.M.T - rhs_U), initial=0.0)
@@ -284,47 +263,49 @@ def compute_UW(s, need_W=False):
             raise ValueError(
                 f"W M^T = P^T - Q^T is inconsistent (residual {res_w:.3e})"
             )
-    return UWPair(U=U, W=W)
+    return U, W
 
 
 def compute_tau(uw, ell, regime):
-    """The interaction constant tau entering the gamma and lambda bounds.
+    """The interaction constant tau entering the gamma and lambda bounds,
+    from the pair (U, W) of compute_UW.
 
     Cocoercive: ||diag(sqrt(ell)) U||_2^2.  Lipschitz: the same plus
     ||diag(sqrt(ell)) W||_2^2.
     """
+    U, W = uw
     ell = np.asarray(ell, dtype=float).reshape(-1)
     if not np.all(np.isfinite(ell)):
         raise ValueError("Lipschitz constants must be finite")
     if np.any(ell < 0):
         raise ValueError("Lipschitz constants must be nonnegative")
-    if uw.U.shape[0] != ell.size:
+    if U.shape[0] != ell.size:
         raise ValueError("ell must have one entry per single-valued operator")
     if ell.size == 0:
         return 0.0
     root = np.sqrt(ell)
     # exact SVD here: these matrices are tiny and the gamma/lambda bounds
     # deserve full precision
-    tau = np.linalg.norm(root[:, None] * uw.U, 2) ** 2
+    tau = np.linalg.norm(root[:, None] * U, 2) ** 2
     if regime == "lipschitz":
-        if uw.W is None:
+        if W is None:
             raise ValueError("lipschitz regime needs W; recompute with need_W")
-        tau += np.linalg.norm(root[:, None] * uw.W, 2) ** 2
+        tau += np.linalg.norm(root[:, None] * W, 2) ** 2
     elif regime != "cocoercive":
         raise ValueError(f"unknown regime {regime!r}")
     return float(tau)
 
 
-def assemble_omega(s, L_list, d, cap=OMEGA_CAP):
+def assemble_omega(s, L_list, d):
     """Materialize the (n*d)-by-(n*d) matrix
 
         Omega = (2D - N - N^T - M M^T) (x) I_d
                 - gamma * sum_k eta_k (h_k h_k^T) (x) (L_k^T L_k)
 
-    with h_k the k-th column of H - K^T."""
-    if s.n * d > cap:
+    with h_k the k-th column of H - K^T; n*d may not exceed OMEGA_CAP."""
+    if s.n * d > OMEGA_CAP:
         raise ValueError(
-            f"n*d = {s.n * d} exceeds the materialization cap {cap}; "
+            f"n*d = {s.n * d} exceeds the materialization cap {OMEGA_CAP}; "
             "use the scalar sufficient conditions for the named families"
         )
     base = 2.0 * s.D - s.N - s.N.T - s.M @ s.M.T
@@ -358,11 +339,11 @@ def assemble_upsilons(s, ell):
     return ups1, ups2
 
 
-def validate_psd(s, L_list, ell, d, cap=OMEGA_CAP):
+def validate_psd(s, L_list, ell, d):
     """Verdicts of the three positive-semidefiniteness conditions:
     Omega >= 0, Omega - gamma*Upsilon_1 >= 0, Omega - (gamma/2)*Upsilon_2 >= 0
     (the Upsilon terms lifted by (x) I_d)."""
-    omega = assemble_omega(s, L_list, d, cap=cap)
+    omega = assemble_omega(s, L_list, d)
     ups1, ups2 = assemble_upsilons(s, ell)
     eye = np.eye(d)
     return {
@@ -431,14 +412,12 @@ def write_json(path, obj):
 
 
 def scheme_to_dict(s):
-    return {
-        "n": s.n, "m": s.m, "r": s.r, "p": s.p,
-        "gamma": s.gamma,
-        "M": s.M, "N": s.N,
-        "D_diag": s.D_diag, "E_diag": s.E_diag,
-        "H": s.H, "K": s.K, "P": s.P, "Q": s.Q, "R": s.R,
-        "family": s.family,
-    }
+    return {f.name: getattr(s, f.name) for f in dataclasses.fields(s)}
+
+
+# field annotation -> conversion of the loaded value; the matrices pass as
+# loaded, and CoefficientScheme converts, reshapes and checks them
+_FROM_JSON = {"int": int, "float": float, "str": str}
 
 
 def scheme_from_dict(data):
@@ -446,25 +425,14 @@ def scheme_from_dict(data):
     residual scale ``theta`` load when it is 1; any other value would change
     when a run stops, so it is rejected."""
     try:
-        n, m, r, p = (int(data[k]) for k in ("n", "m", "r", "p"))
         theta = float(data.get("theta", 1.0))
         if theta != 1.0:
             raise ValueError(
                 f"theta = {theta} is not supported; only theta = 1 loads")
-        return CoefficientScheme(
-            n=n, m=m, r=r, p=p,
-            M=np.asarray(data["M"], dtype=float).reshape(n, m),
-            N=np.asarray(data["N"], dtype=float).reshape(n, n),
-            D_diag=np.asarray(data["D_diag"], dtype=float),
-            E_diag=np.asarray(data["E_diag"], dtype=float),
-            H=np.asarray(data["H"], dtype=float).reshape(n, r),
-            K=np.asarray(data["K"], dtype=float).reshape(r, n),
-            P=np.asarray(data["P"], dtype=float).reshape(n, p),
-            Q=np.asarray(data["Q"], dtype=float).reshape(n, p),
-            R=np.asarray(data["R"], dtype=float).reshape(p, n),
-            gamma=float(data["gamma"]),
-            family=str(data.get("family", "")),
-        )
+        return CoefficientScheme(**{
+            f.name: _FROM_JSON.get(f.type, np.asarray)(data[f.name])
+            for f in dataclasses.fields(CoefficientScheme)
+            if f.name in data or f.default is dataclasses.MISSING})
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed scheme data: {exc}") from exc
 

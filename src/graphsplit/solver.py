@@ -88,12 +88,15 @@ RECORD_COLUMNS = ("iter", "residual", "consensus_gap", "objective", "time_ms")
 @dataclass
 class SolveReport:
     iters_run: int
-    converged: bool
     records: List[Tuple[int, float, float, Optional[float], float]]
     final: IterateState
     dual_certificate: Optional[BlockVector]
     lambda_used: float
     stop_reason: str   # "converged", "max_iters" or "diverged"
+
+    @property
+    def converged(self):
+        return self.stop_reason == "converged"
 
     @property
     def residual_history(self):
@@ -119,7 +122,7 @@ class DivergenceError(RuntimeError):
 
 
 def _require_explicit(scheme):
-    if not check_explicit(scheme)[0]:
+    if not check_explicit(scheme):
         raise ValueError("scheme is implicit (not strictly lower triangular); "
                          "the forward-substitution evaluation does not apply")
 
@@ -325,6 +328,8 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     opts = opts or SolveOptions()
     if opts.max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
+    if opts.record_every < 1:
+        raise ValueError("record_every must be positive")
     s = scheme
     has_B, has_C = problem.r > 0, problem.p > 0
     regime = default_regime(s, problem)
@@ -349,6 +354,11 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     w = (_dual_rows(list(w0), plan.dims, "w0") if w0 is not None
          else np.zeros(plan.eta.shape))
 
+    def record():
+        return (t, res, consensus_gap(x),
+                None if objective is None else float(objective(x[0])),
+                1e3 * (time.perf_counter() - t0))
+
     records = []
     stop = "max_iters"
     t0 = time.perf_counter()
@@ -363,15 +373,16 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
         # last iteration and a non-finite residual are always recorded
         if not math.isfinite(res):
             stop = "diverged"
-        if (t % opts.record_every == 0 or t == opts.max_iters
-                or stop == "diverged"):
-            records.append((
-                t, res, consensus_gap(x),
-                None if objective is None else float(objective(x[0])),
-                1e3 * (time.perf_counter() - t0)))
+            # the gap and objective of so large an x overflow; the record
+            # keeps what they give, without warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                records.append(record())
+            break
+        if t % opts.record_every == 0 or t == opts.max_iters:
+            records.append(record())
             if res <= opts.residual_tol:
                 stop = "converged"
-            if stop != "max_iters" or t == opts.max_iters:
+            if stop == "converged" or t == opts.max_iters:
                 break
         z_next = np.multiply(gz, -lam, out=gz)   # z - lam * gz, in gz
         z_next += z
@@ -388,8 +399,7 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
         s_bar = BlockVector([eta * blk.L(kx) - wk for eta, blk, kx, wk in zip(
             s.E_diag, problem.BL_list, Kx, plan.split(w))])
     report = SolveReport(
-        iters_run=t, converged=stop == "converged",
-        records=records,
+        iters_run=t, records=records,
         final=IterateState(BlockVector(z), BlockVector(plan.split(w)),
                            BlockVector(x), BlockVector(plan.split(y))),
         dual_certificate=s_bar, lambda_used=lam, stop_reason=stop)

@@ -10,8 +10,7 @@ from graphsplit.solver import consensus_gap
 
 
 def _require_explicit(scheme):
-    explicit, _ = check_explicit(scheme)
-    if not explicit:
+    if not check_explicit(scheme):
         raise ValueError(
             "scheme is implicit (not strictly lower triangular); "
             "the forward-substitution evaluation does not apply"

@@ -9,8 +9,9 @@ from click.testing import CliRunner
 
 from graphsplit.cli import main
 from graphsplit.fusedlasso import gen_instance, save_instance
-from graphsplit.graphs import path_graph, save_graph
-from graphsplit.scheme import load_scheme
+from graphsplit.graphs import (path_graph, save_graph, scheme_complete,
+                               scheme_ring, scheme_sequential)
+from graphsplit.scheme import load_scheme, save_scheme
 
 
 @pytest.fixture
@@ -46,6 +47,54 @@ class TestGenScheme:
                                    str(tmp_path / "nope.json"),
                                    "--out", str(tmp_path / "x.json")])
         assert res.exit_code == 2
+
+
+# scheme -> (exit codes at PSD levels 0, 1, 2; stdout at level 0, and at
+# levels 1 and 2, which print the same): the keys, their order and the float
+# formatting are all pinned
+VALIDATE_STDOUT = {
+    "sequential4": (lambda: scheme_sequential(4), (0, 0, 1), (
+        '{"eta_max": 1, "gamma_max": 1.9999999999999991, "lambda_max": '
+        '0.49999999999999978, "regime": "cocoercive", "standing": '
+        '{"all_pass": true, "h_rows": true, "kernel": true, "pr_rows": true, '
+        '"trace": true}, "tau": 1.0000000000000004}',
+        '{"eta_max": 1, "gamma_max": 1.9999999999999991, "lambda_max": '
+        '0.49999999999999978, "psd": {"A320": true, "A321": false, "A322": '
+        'false}, "regime": "cocoercive", "standing": {"all_pass": true, '
+        '"h_rows": true, "kernel": true, "pr_rows": true, "trace": true}, '
+        '"tau": 1.0000000000000004}')),
+    "complete5": (lambda: scheme_complete(5), (0, 0, 1), (
+        '{"eta_max": 1, "gamma_max": 4.9999999999999982, "lambda_max": '
+        '0.79999999999999993, "regime": "cocoercive", "standing": '
+        '{"all_pass": true, "h_rows": true, "kernel": true, "pr_rows": true, '
+        '"trace": true}, "tau": 0.40000000000000013}',
+        '{"eta_max": 1, "gamma_max": 4.9999999999999982, "lambda_max": '
+        '0.79999999999999993, "psd": {"A320": true, "A321": false, "A322": '
+        'false}, "regime": "cocoercive", "standing": {"all_pass": true, '
+        '"h_rows": true, "kernel": true, "pr_rows": true, "trace": true}, '
+        '"tau": 0.40000000000000013}')),
+    "ring4": (lambda: scheme_ring(4), (1, 1, 1), (
+        '{"gamma_in_range": false, "gamma_max": 0.66666666666666674, '
+        '"regime": "cocoercive", "standing": {"all_pass": true, "h_rows": '
+        'true, "kernel": true, "pr_rows": true, "trace": true}, "tau": '
+        '2.9999999999999996}',
+        '{"gamma_in_range": false, "gamma_max": 0.66666666666666674, "psd": '
+        '{"A320": true, "A321": false, "A322": false}, "regime": '
+        '"cocoercive", "standing": {"all_pass": true, "h_rows": true, '
+        '"kernel": true, "pr_rows": true, "trace": true}, "tau": '
+        '2.9999999999999996}')),
+    "ring_lipschitz4": (lambda: scheme_ring(4, regime="lipschitz"),
+                        (1, 1, 1), (
+        '{"gamma_in_range": false, "gamma_max": 0.33333333333333326, '
+        '"regime": "lipschitz", "standing": {"all_pass": true, "h_rows": '
+        'true, "kernel": true, "pr_rows": true, "q_rows": true, "trace": '
+        'true}, "tau": 3.0000000000000009}',
+        '{"gamma_in_range": false, "gamma_max": 0.33333333333333326, "psd": '
+        '{"A320": true, "A321": false, "A322": false}, "regime": '
+        '"lipschitz", "standing": {"all_pass": true, "h_rows": true, '
+        '"kernel": true, "pr_rows": true, "q_rows": true, "trace": true}, '
+        '"tau": 3.0000000000000009}')),
+}
 
 
 class TestValidate:
@@ -89,6 +138,17 @@ class TestValidate:
         path = self._scheme_file(runner, tmp_path)
         res = runner.invoke(main, ["validate", str(path), "--ell", "1.0"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("name", sorted(VALIDATE_STDOUT))
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_stdout_pinned(self, runner, tmp_path, name, level):
+        make, codes, lines = VALIDATE_STDOUT[name]
+        path = tmp_path / "scheme.json"
+        save_scheme(make(), path)
+        res = runner.invoke(main, ["validate", str(path),
+                                   "--psd-level", str(level)])
+        assert res.exit_code == codes[level]
+        assert res.output == lines[min(level, 1)] + "\n"
 
 
 class TestSolve:

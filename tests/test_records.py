@@ -158,7 +158,6 @@ def test_json_files_keep_their_bytes(tiny, tmp_path):
         "s": [list(b) for b in report.dual_certificate.blocks]}) + "\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_records_end_at_last_finite_iterate():
     s = scheme_sequential(2, gamma=1.0, eta=1e-3)
     d = 2

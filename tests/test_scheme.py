@@ -118,43 +118,40 @@ class TestExplicit:
     def test_named_families_are_explicit(self):
         for s in (scheme_sequential(4), scheme_star(4), scheme_complete(4),
                   scheme_ring(4), scheme_ring(4, regime="lipschitz")):
-            explicit, first_rows = check_explicit(s)
-            assert explicit
-            assert first_rows
+            assert check_explicit(s) is True
 
     def test_upper_triangular_mass_detected(self):
         s = scheme_sequential(3)
         N = s.N.copy()
         N[0, 2] = 1.0
-        explicit, _ = check_explicit(s.replace(N=N))
-        assert not explicit
+        assert check_explicit(s.replace(N=N)) is False
 
 
 class TestUW:
     def test_sequential_U_is_negative_identity(self):
         s = scheme_sequential(5)
-        uw = compute_UW(s)
-        np.testing.assert_allclose(uw.U, -np.eye(4), atol=1e-12)
+        U, _ = compute_UW(s)
+        np.testing.assert_allclose(U, -np.eye(4), atol=1e-12)
 
     def test_ring_case1_U_all_minus_ones(self):
         s = scheme_ring(5, p=2)
-        uw = compute_UW(s)
-        np.testing.assert_allclose(uw.U, -np.ones((2, 4)), atol=1e-12)
+        U, _ = compute_UW(s)
+        np.testing.assert_allclose(U, -np.ones((2, 4)), atol=1e-12)
 
     def test_ring_case2_U_and_W(self):
         n, p = 5, 2
         s = scheme_ring(n, regime="lipschitz", p=p)
-        uw = compute_UW(s, need_W=True)
+        U, W = compute_UW(s, need_W=True)
         U_ref = np.hstack([-np.ones((p, n - 2)), np.zeros((p, 1))])
         W_ref = np.hstack([np.zeros((p, n - 2)), np.ones((p, 1))])
-        np.testing.assert_allclose(uw.U, U_ref, atol=1e-12)
-        np.testing.assert_allclose(uw.W, W_ref, atol=1e-12)
+        np.testing.assert_allclose(U, U_ref, atol=1e-12)
+        np.testing.assert_allclose(W, W_ref, atol=1e-12)
 
     def test_empty_p_gives_empty_factors(self):
         s = scheme_ring(3, p=0)
-        uw = compute_UW(s, need_W=True)
-        assert uw.U.shape == (0, 2)
-        assert uw.W.shape == (0, 2)
+        U, W = compute_UW(s, need_W=True)
+        assert U.shape == (0, 2)
+        assert W.shape == (0, 2)
 
     def test_inconsistent_system_raises(self):
         s = scheme_sequential(3)
@@ -357,3 +354,9 @@ class TestSerialization:
         np.testing.assert_allclose(s2.N, s.N)
         with pytest.raises(ValueError):
             scheme_from_dict({"n": 2})
+
+    def test_wrong_matrix_size_is_malformed(self):
+        data = scheme_to_dict(scheme_ring(3))
+        data["M"] = data["M"].ravel()[:-1]
+        with pytest.raises(ValueError, match="malformed scheme data"):
+            scheme_from_dict(data)

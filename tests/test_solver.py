@@ -287,6 +287,14 @@ class TestSolve:
             solve(s, pb, opts=SolveOptions(max_iters=2,
                                            lambda_schedule=too_long))
 
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_record_every_must_be_positive(self, every):
+        s = two_node_scheme()
+        ident = affine_resolvent(np.eye(2), np.zeros(2))
+        pb = ProblemInstance(d=2, A_list=[ident, ident])
+        with pytest.raises(ValueError, match="record_every"):
+            solve(s, pb, opts=SolveOptions(max_iters=5, record_every=every))
+
     def test_lambda_out_of_range_rejected(self):
         s = two_node_scheme()
         ident = affine_resolvent(np.eye(2), np.zeros(2))
@@ -294,7 +302,6 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(s, pb, opts=SolveOptions(lambda_schedule=1.5))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard(self):
         # lie about the Lipschitz constant so the admissible step is far
         # too long for the actual operator
@@ -396,7 +403,6 @@ class TestSolve:
         assert not report.converged and report.stop_reason == "max_iters"
         assert report.iters_run == 5
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_carries_partial_report(self):
         s = scheme_sequential(2, gamma=1.0, eta=1e-3)
         d = 2
@@ -494,7 +500,7 @@ def random_explicit_scheme(rng, n, gamma, eta):
         n=n, m=m, r=r, p=p, M=rng.standard_normal((n, m)), N=N,
         D_diag=rng.uniform(0.5, 2.0, n), E_diag=eta * rng.uniform(0.5, 2.0, r),
         H=H, K=K, P=P, Q=Q, R=R, gamma=gamma)
-    assert check_explicit(s)[0]
+    assert check_explicit(s)
     return s
 
 
