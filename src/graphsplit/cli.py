@@ -30,6 +30,15 @@ def _parse_floats(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _config(**kw):
+    """The ExperimentConfig of the options; a bad value exits with code 2."""
+    try:
+        return fusedlasso.ExperimentConfig(**kw)
+    except ValueError as exc:
+        click.echo(f"bad configuration: {exc}", err=True)
+        sys.exit(2)
+
+
 @main.command()
 @click.argument("scheme_path", type=click.Path())
 @click.option("--psd-level", type=click.IntRange(0, 2), default=1,
@@ -39,9 +48,7 @@ def _parse_floats(text):
                                         "(default: all ones).")
 @click.option("--l-norm", default=1.0, help="Norm of each L_k for the "
                                             "scalar PSD model.")
-@click.option("--d", "dim", default=1, help="Primal dimension for the PSD "
-                                            "assembly.")
-def validate(scheme_path, psd_level, ell, l_norm, dim):
+def validate(scheme_path, psd_level, ell, l_norm):
     """Check the structural and PSD conditions of a scheme file."""
     try:
         s = load_scheme(scheme_path)
@@ -74,9 +81,9 @@ def validate(scheme_path, psd_level, ell, l_norm, dim):
         out["bounds_error"] = str(exc)
         ok = False
     if psd_level > 0:
-        L_list = [LinearMap(l_norm * np.eye(dim)) for _ in range(s.r)]
+        L_list = [LinearMap(l_norm * np.eye(1)) for _ in range(s.r)]
         try:
-            psd = validate_psd(s, L_list, ells, dim)
+            psd = validate_psd(s, L_list, ells, 1)
         except ValueError as exc:
             click.echo(f"PSD assembly failed: {exc}", err=True)
             sys.exit(2)
@@ -130,6 +137,9 @@ def gen_scheme(graph_path, family, n_nodes, gamma, eta, out_path):
 def solve_cmd(instance_dir, family, gamma_hat, eta_hat, lambda_hat, tol,
               max_iters, out_dir):
     """Solve a stored fused-lasso instance with one scheme family."""
+    _config(gamma_hats=[gamma_hat], eta_hats=[eta_hat],
+            lambda_hats=[lambda_hat], scheme_families=[family],
+            max_iters=max_iters, tol=tol)
     try:
         inst = fusedlasso.load_instance(instance_dir)
     except (OSError, ValueError, KeyError) as exc:
@@ -178,19 +188,17 @@ def solve_cmd(instance_dir, family, gamma_hat, eta_hat, lambda_hat, tol,
 def benchmark(seed, n_agents, m_rows, dim, mu, nu, gamma_hat, eta_hat,
               lambda_hat, families, tol, max_iters, out_dir):
     """Run the fused-lasso parameter grid and check solution parity."""
+    config = _config(gamma_hats=_parse_floats(gamma_hat),
+                     eta_hats=_parse_floats(eta_hat),
+                     lambda_hats=_parse_floats(lambda_hat),
+                     scheme_families=[f for f in families.split(",") if f],
+                     max_iters=max_iters, tol=tol)
     try:
-        config = fusedlasso.ExperimentConfig(
-            gamma_hats=_parse_floats(gamma_hat),
-            eta_hats=_parse_floats(eta_hat),
-            lambda_hats=_parse_floats(lambda_hat),
-            scheme_families=[f for f in families.split(",") if f],
-            max_iters=max_iters, tol=tol,
-        )
+        inst = fusedlasso.gen_instance(seed, n=n_agents, m=m_rows, d=dim,
+                                       mu=mu, nu=nu)
     except ValueError as exc:
-        click.echo(f"bad configuration: {exc}", err=True)
+        click.echo(f"bad instance sizes: {exc}", err=True)
         sys.exit(2)
-    inst = fusedlasso.gen_instance(seed, n=n_agents, m=m_rows, d=dim,
-                                   mu=mu, nu=nu)
     rows = fusedlasso.run_grid(inst, config, out_dir=out_dir)
     for row in rows:
         click.echo("%-10s g=%.2g e=%.2g l=%.2g iters=%-6d obj=%.8g %s"

@@ -139,6 +139,8 @@ class ExperimentConfig:
         for vals in (self.gamma_hats, self.eta_hats, self.lambda_hats):
             if any(not 0.0 < v < 1.0 for v in vals):
                 raise ValueError("scaling factors must lie in (0, 1)")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
         for fam in self.scheme_families:
             if fam not in FAMILY_GENERATORS:
                 raise ValueError(f"unknown family {fam!r}")
@@ -185,10 +187,8 @@ def to_problem(instance):
     Lipschitz constants are the instance's lipschitz_constants."""
     d = instance.d
     L = difference_matrix(d)
-    A_list = [zero_resolvent(d)] + [
-        l1_resolvent(mu_i, d, label=f"l1_agent{i}")
-        for i, mu_i in enumerate(instance.mu)
-    ]
+    A_list = [zero_resolvent(d)] + [l1_resolvent(mu_i, d)
+                                    for mu_i in instance.mu]
     BL_list = [
         ComposedBlock(B=l1_resolvent(nu_k, d - 1), L=L)
         for nu_k in instance.nu

@@ -198,10 +198,9 @@ def scheme_complete(n, gamma=1.0, eta=1.0):
         HP[j + 1:, j] = 1.0 / (n - (j + 1))
     KR = np.hstack([np.eye(n - 1), np.zeros((n - 1, 1))])
     return CoefficientScheme(
-        n=n, m=n - 1, r=n - 1, p=n - 1, M=M, N=2.0 * np.tri(n, n, -1),
-        D_diag=np.full(n, n - 1.0), E_diag=float(eta) * M.diagonal() ** 2,
-        H=HP, K=KR, P=HP.copy(), Q=np.zeros((n, n - 1)), R=KR.copy(),
-        gamma=gamma, family="complete",
+        M=M, N=2.0 * np.tri(n, n, -1), D_diag=np.full(n, n - 1.0),
+        E_diag=float(eta) * M.diagonal() ** 2, H=HP, K=KR, P=HP.copy(),
+        Q=np.zeros((n, n - 1)), R=KR.copy(), gamma=gamma, family="complete",
     )
 
 
@@ -237,9 +236,8 @@ def scheme_ring(n, gamma=1.0, eta=1.0, regime="cocoercive", r=1, p=1):
             P[n - 2, :] = 1.0
             Q[n - 1, :] = 1.0
     return CoefficientScheme(
-        n=n, m=n - 1, r=r, p=p, M=M, N=N, D_diag=np.ones(n),
-        E_diag=np.full(r, float(eta)), H=H, K=K, P=P, Q=Q, R=R,
-        gamma=gamma, family=f"ring_{regime}",
+        M=M, N=N, D_diag=np.ones(n), E_diag=np.full(r, float(eta)),
+        H=H, K=K, P=P, Q=Q, R=R, gamma=gamma, family=f"ring_{regime}",
     )
 
 
@@ -267,16 +265,15 @@ def scheme_from_graph(g, gamma=1.0, eta=1.0, kappa=None):
         deg[i - 1] += w
         deg[j - 1] += w
     M = onto_decomposition(g).M
-    r = p = n - 1
-    HP = np.zeros((n, r))
-    KR = np.zeros((r, n))
+    HP = np.zeros((n, n - 1))
+    KR = np.zeros((n - 1, n))
     for e, (i, j, _) in enumerate(g.subgraph_edges):
         HP[j - 1, e] = 1.0   # edge enters its higher-index endpoint
         KR[e, i - 1] = 1.0   # and leaves the lower-index one
     return CoefficientScheme(
-        n=n, m=n - 1, r=r, p=p, M=M, N=N, D_diag=deg / 2.0,
-        E_diag=np.full(r, float(eta)), H=HP, K=KR, P=HP.copy(),
-        Q=np.zeros((n, p)), R=KR.copy(), gamma=gamma, family="graph",
+        M=M, N=N, D_diag=deg / 2.0, E_diag=np.full(n - 1, float(eta)),
+        H=HP, K=KR, P=HP.copy(), Q=np.zeros((n, n - 1)), R=KR.copy(),
+        gamma=gamma, family="graph",
     )
 
 

@@ -32,7 +32,6 @@ class ResolventOp:
 
     dim: int
     resolvent: Callable[[float, np.ndarray], np.ndarray]
-    label: str = ""
 
     def __call__(self, step, v):
         return self.resolvent(step, np.asarray(v, dtype=float))
@@ -121,15 +120,12 @@ def prox_l1(v, t):
     return np.subtract(v, out, out=out)
 
 
-def l1_resolvent(weight, dim, label=""):
+def l1_resolvent(weight, dim):
     """Resolvent of the subdifferential of ``weight * ||.||_1``."""
     if weight < 0:
         raise ValueError("weight must be nonnegative")
-    return ResolventOp(
-        dim=dim,
-        resolvent=lambda step, v: prox_l1(v, step * weight),
-        label=label or f"l1({weight})",
-    )
+    return ResolventOp(dim=dim,
+                       resolvent=lambda step, v: prox_l1(v, step * weight))
 
 
 def zero_resolvent(dim):
@@ -137,10 +133,10 @@ def zero_resolvent(dim):
     every step size."""
     if dim < 1:
         raise ValueError("dim must be positive")
-    return ResolventOp(dim=dim, resolvent=lambda step, v: v, label="zero")
+    return ResolventOp(dim=dim, resolvent=lambda step, v: v)
 
 
-def affine_resolvent(S, q, label=""):
+def affine_resolvent(S, q):
     """Resolvent of the affine monotone operator x -> Sx + q (S PSD):
     J_{tA}(v) = (I + tS)^{-1}(v - t q).  Mainly used in tests."""
     S = np.asarray(S, dtype=float)
@@ -151,7 +147,7 @@ def affine_resolvent(S, q, label=""):
     def res(step, v):
         return np.linalg.solve(eye + step * S, v - step * q)
 
-    return ResolventOp(dim=dim, resolvent=res, label=label or "affine")
+    return ResolventOp(dim=dim, resolvent=res)
 
 
 def resolvent_of_inverse(B, eta, u):

@@ -43,25 +43,20 @@ UW_RESIDUAL_TOL = 1e-8
 OMEGA_CAP = 2000
 
 
-def _mat(a, shape):
-    out = np.asarray(a, dtype=float)
-    if out.shape != shape:
-        out = out.reshape(shape)
-    return out
-
-
 @dataclass
 class CoefficientScheme:
     """Matrix bundle for one algorithm instance.
 
     Shapes: M n-by-m, N n-by-n, H n-by-r, K r-by-n, P and Q n-by-p,
     R p-by-n; D_diag and E_diag hold the positive diagonals of D and E.
+    The sizes are read from M, E_diag and P, and every other matrix must
+    have the shape they give.
     """
 
-    n: int
-    m: int
-    r: int
-    p: int
+    n: int = field(init=False)
+    m: int = field(init=False)
+    r: int = field(init=False)
+    p: int = field(init=False)
     M: np.ndarray
     N: np.ndarray
     D_diag: np.ndarray
@@ -75,28 +70,31 @@ class CoefficientScheme:
     family: str = ""
 
     def __post_init__(self):
-        n, m, r, p = self.n, self.m, self.r, self.p
-        if n < 1 or m < 1 or r < 0 or p < 0:
-            raise ValueError("need n >= 1, m >= 1, r, p >= 0")
-        self.M = _mat(self.M, (n, m))
-        self.N = _mat(self.N, (n, n))
-        self.H = _mat(self.H, (n, r))
-        self.K = _mat(self.K, (r, n))
-        self.P = _mat(self.P, (n, p))
-        self.Q = _mat(self.Q, (n, p))
-        self.R = _mat(self.R, (p, n))
-        self.D_diag = np.asarray(self.D_diag, dtype=float).reshape(-1)
-        self.E_diag = np.asarray(self.E_diag, dtype=float).reshape(-1)
-        if self.D_diag.size != n:
-            raise ValueError("D_diag must have n entries")
-        if self.E_diag.size != r:
-            raise ValueError("E_diag must have r entries")
+        dims = np.ndim(self.M), np.ndim(self.P), np.ndim(self.E_diag)
+        if dims != (2, 2, 1):
+            raise ValueError("M and P must be 2-D and E_diag 1-D")
+        (n, m), r, p = np.shape(self.M), len(self.E_diag), np.shape(self.P)[1]
+        if n < 1 or m < 1:
+            raise ValueError("need n >= 1 and m >= 1")
+        self.n, self.m, self.r, self.p = n, m, r, p
+        shapes = {"M": (n, m), "N": (n, n), "D_diag": (n,), "E_diag": (r,),
+                  "H": (n, r), "K": (r, n), "P": (n, p), "Q": (n, p),
+                  "R": (p, n)}
+        for name, shape in shapes.items():
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.size == 0 and 0 in shape:   # JSON stores it as a bare []
+                a = a.reshape(shape)
+            if a.shape != shape:
+                raise ValueError(
+                    f"{name} has shape {a.shape}, but n, m, r, p = {n}, {m}, "
+                    f"{r}, {p} from M, E_diag and P need {shape}")
+            setattr(self, name, a)
         if np.any(self.D_diag <= 0):
             raise ValueError("D must be a strictly positive diagonal")
-        if r > 0 and np.any(self.E_diag <= 0):
+        if np.any(self.E_diag <= 0):
             raise ValueError("E must be a strictly positive diagonal")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma = {self.gamma} must lie in (0, inf)")
 
     @property
     def D(self):
@@ -416,12 +414,13 @@ def scheme_to_dict(s):
 
 
 # field annotation -> conversion of the loaded value; the matrices pass as
-# loaded, and CoefficientScheme converts, reshapes and checks them
-_FROM_JSON = {"int": int, "float": float, "str": str}
+# loaded, and CoefficientScheme converts and checks them
+_FROM_JSON = {"float": float, "str": str}
 
 
 def scheme_from_dict(data):
-    """Scheme from its dict form.  Files written while schemes carried a
+    """Scheme from its dict form.  The sizes n, m, r and p are read from the
+    matrices; stored ones must agree.  Files written while schemes carried a
     residual scale ``theta`` load when it is 1; any other value would change
     when a run stops, so it is rejected."""
     try:
@@ -429,10 +428,17 @@ def scheme_from_dict(data):
         if theta != 1.0:
             raise ValueError(
                 f"theta = {theta} is not supported; only theta = 1 loads")
-        return CoefficientScheme(**{
+        fields = dataclasses.fields(CoefficientScheme)
+        s = CoefficientScheme(**{
             f.name: _FROM_JSON.get(f.type, np.asarray)(data[f.name])
-            for f in dataclasses.fields(CoefficientScheme)
-            if f.name in data or f.default is dataclasses.MISSING})
+            for f in fields if f.init
+            and (f.name in data or f.default is dataclasses.MISSING)})
+        for name in (f.name for f in fields if not f.init):
+            size = getattr(s, name)
+            if data.get(name, size) != size:
+                raise ValueError(
+                    f"{name} = {data[name]!r} but the matrices give {size}")
+        return s
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed scheme data: {exc}") from exc
 

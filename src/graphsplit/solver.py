@@ -163,10 +163,16 @@ class EvalPlan:
     order the rows first need them.  Row i lists the images first needed
     there, with their arguments, and at most two spans of nonzeros, N[i, :i]
     over the x blocks and -gamma times row i of P - Q, Q and H over the
-    images, both divided by delta_i (as is M, in ``Md``)."""
+    images, both divided by delta_i (as is M, in ``Md``).  The scheme's n, r
+    and p must be the problem's numbers of A_i, L_k and C_j."""
 
     def __init__(self, scheme, problem):
         s, gamma = scheme, scheme.gamma
+        for name, ops in (("n", "A_i"), ("r", "L_k"), ("p", "C_j")):
+            have, want = getattr(s, name), getattr(problem, name)
+            if have != want:
+                raise ValueError(f"the scheme has {name} = {have} but the "
+                                 f"problem has {want} operators {ops}")
         coefs = (s.P - s.Q, s.Q, s.H)   # per image kind, one column per image
 
         def first_rows(a):   # first row with a nonzero, per column; n if none
@@ -331,6 +337,7 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     if opts.record_every < 1:
         raise ValueError("record_every must be positive")
     s = scheme
+    plan = EvalPlan(s, problem)
     has_B, has_C = problem.r > 0, problem.p > 0
     regime = default_regime(s, problem)
     rep = validate_standing(s, has_B, has_C, check_q=(regime == "lipschitz"))
@@ -346,7 +353,6 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     lam_max = bounds.lambda_max(s.gamma)
     lam_default = 0.9 * lam_max
 
-    plan = EvalPlan(s, problem)
     z = (np.array(_stacked(z0), dtype=float) if z0 is not None
          else np.zeros((s.m, problem.d)))
     if z.shape != (s.m, problem.d):

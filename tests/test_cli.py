@@ -19,6 +19,14 @@ def runner():
     return CliRunner()
 
 
+@pytest.fixture
+def instance_dir(tmp_path):
+    inst = gen_instance(2, n=2, m=14, d=16, k_nonzero=3, mu=0.5, nu=0.3)
+    d = tmp_path / "inst"
+    save_instance(inst, str(d))
+    return d
+
+
 class TestGenScheme:
     def test_family_generation(self, runner, tmp_path):
         out = tmp_path / "seq.json"
@@ -152,13 +160,6 @@ class TestValidate:
 
 
 class TestSolve:
-    @pytest.fixture
-    def instance_dir(self, tmp_path):
-        inst = gen_instance(2, n=2, m=14, d=16, k_nonzero=3, mu=0.5, nu=0.3)
-        d = tmp_path / "inst"
-        save_instance(inst, str(d))
-        return d
-
     def test_solve_converges_and_writes(self, runner, instance_dir, tmp_path):
         out = tmp_path / "run"
         res = runner.invoke(main, ["solve", str(instance_dir),
@@ -199,3 +200,20 @@ class TestBenchmark:
             "benchmark", "--gamma-hat", "1.5",
             "--out", str(tmp_path / "b")])
         assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("args,message", [
+    (["solve", "{inst}", "--gamma-hat", "1.5"], "scaling factors"),
+    (["solve", "{inst}", "--lambda-hat", "2"], "scaling factors"),
+    (["solve", "{inst}", "--eta-hat", "0"], "scaling factors"),
+    (["solve", "{inst}", "--max-iters", "-1"], "max_iters"),
+    (["benchmark", "--n", "9", "--m", "6", "--out", "{out}"],
+     "infeasible sizes"),
+    (["benchmark", "--max-iters", "-1", "--out", "{out}"], "max_iters"),
+], ids=["solve_gamma_hat", "solve_lambda_hat", "solve_eta_hat",
+        "solve_max_iters", "benchmark_sizes", "benchmark_max_iters"])
+def test_input_errors_exit_2(runner, instance_dir, tmp_path, args, message):
+    args = [a.format(inst=instance_dir, out=tmp_path / "b") for a in args]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert message in res.stderr

@@ -168,7 +168,8 @@ class TestProblemMapping:
         inst = gen_instance(1, n=3, m=15, d=10, k_nonzero=2)
         pb = to_problem(inst)
         assert (pb.n, pb.r, pb.p) == (4, 3, 3)
-        assert pb.A_list[0].label == "zero"
+        v = np.arange(10.0)
+        np.testing.assert_array_equal(pb.A_list[0](0.5, v), v)
         assert pb.all_cocoercive
         # the composed blocks share one difference operator
         assert pb.BL_list[0].L is pb.BL_list[1].L

@@ -269,9 +269,10 @@ class TestLift:
         pb = ProblemInstance(d=3, A_list=[zero_resolvent(3)])
         lifted = lift_with_artificial_zero(pb)
         assert lifted.n == 2
-        assert lifted.A_list[0].label == "zero"
+        v = np.arange(3.0)
+        np.testing.assert_array_equal(lifted.A_list[0](0.5, v), v)
         lifted2 = lift_with_artificial_zero(pb, position="last")
-        assert lifted2.A_list[-1].label == "zero"
+        np.testing.assert_array_equal(lifted2.A_list[-1](0.5, v), v)
         with pytest.raises(ValueError):
             lift_with_artificial_zero(pb, position="middle")
 

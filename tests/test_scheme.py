@@ -27,7 +27,7 @@ class NotedScheme(CoefficientScheme):
 def identity_m_scheme(n=3):
     """A structurally invalid scheme: M = I has no ones-kernel."""
     return CoefficientScheme(
-        n=n, m=n, r=0, p=0, M=np.eye(n), N=np.zeros((n, n)),
+        M=np.eye(n), N=np.zeros((n, n)),
         D_diag=np.zeros(n) + n / n, E_diag=np.zeros(0),
         H=np.zeros((n, 0)), K=np.zeros((0, n)), P=np.zeros((n, 0)),
         Q=np.zeros((n, 0)), R=np.zeros((0, n)), gamma=1.0,
@@ -54,6 +54,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             scheme_sequential(3).replace(E_diag=np.zeros(2))
 
+    def test_sizes_read_from_the_matrices(self):
+        s = scheme_ring(4, r=2, p=3)
+        assert (s.n, s.m, s.r, s.p) == (4, 3, 2, 3)
+        s2 = s.replace(H=np.zeros((4, 0)), K=np.zeros((0, 4)),
+                       E_diag=np.zeros(0))
+        assert (s2.r, s.r) == (0, 2)
+        with pytest.raises(TypeError):
+            CoefficientScheme(n=4, **{f.name: getattr(s, f.name)
+                                      for f in dataclasses.fields(s)
+                                      if f.init})
+
     def test_replace_keeps_other_fields(self):
         s = scheme_star(3, gamma=0.5)
         s2 = s.replace(gamma=0.7)
@@ -64,7 +75,8 @@ class TestConstruction:
     def test_replace_without_arguments_keeps_every_field(self):
         ring = scheme_ring(4, gamma=0.3, eta=0.2, regime="lipschitz")
         s = NotedScheme(**{f.name: getattr(ring, f.name)
-                           for f in dataclasses.fields(ring)}, note="kept")
+                           for f in dataclasses.fields(ring) if f.init},
+                        note="kept")
         s2 = s.replace()
         assert type(s2) is NotedScheme and s2 is not s
         for f in dataclasses.fields(s):
@@ -196,7 +208,7 @@ class TestTau:
 
 class TestOmegaUpsilon:
     def test_no_dual_blocks_reduces_to_base_kronecker(self):
-        s = scheme_ring(3, p=0).replace(r=0, H=np.zeros((3, 0)),
+        s = scheme_ring(3, p=0).replace(H=np.zeros((3, 0)),
                                         K=np.zeros((0, 3)),
                                         E_diag=np.zeros(0))
         d = 2
@@ -273,6 +285,25 @@ class TestOmegaUpsilon:
                 assert verdict["A322"]
             if verdict["A322"]:
                 assert verdict["A320"]
+
+    @pytest.mark.parametrize("d", [2, 4, 9])
+    def test_scalar_model_verdicts_do_not_depend_on_d(self, d):
+        # with L_k = l_norm * I every PSD matrix is a Kronecker product with
+        # I_d, so CLI validate assembles the scalar model at d = 1
+        seen = set()
+        for fam in (scheme_sequential, scheme_star, scheme_complete,
+                    scheme_ring):
+            for n in (3, 5):
+                for gamma in (0.1, 0.5, 1.0):
+                    s = fam(n, gamma=gamma, eta=0.5)
+                    ell = [1.0] * s.p
+                    for l_norm in np.linspace(0.1, 4.0, 14):
+                        def verdicts(dim):
+                            L = [LinearMap(l_norm * np.eye(dim))] * s.r
+                            return validate_psd(s, L, ell, dim)
+                        assert verdicts(d) == verdicts(1)
+                        seen.update(verdicts(1).values())
+        assert seen == {True, False}
 
 
 class TestStepBounds:
@@ -354,6 +385,33 @@ class TestSerialization:
         np.testing.assert_allclose(s2.N, s.N)
         with pytest.raises(ValueError):
             scheme_from_dict({"n": 2})
+
+    @pytest.mark.parametrize("edit,named", [
+        ({"M": np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])},
+         r"N has shape \(3, 3\), but n, m, r, p = 2, 3"),
+        ({"n": 3.7}, "n = 3.7 but the matrices give 3"),
+        ({"n": 4}, "n = 4 but the matrices give 3"),
+        ({"gamma": float("nan")}, r"gamma = nan must lie in \(0, inf\)"),
+        ({"gamma": float("inf")}, r"gamma = inf must lie in \(0, inf\)"),
+    ], ids=["transposed_M", "fractional_n", "stale_n", "nan_gamma",
+            "inf_gamma"])
+    def test_sizes_and_gamma_checked_on_load(self, edit, named):
+        data = {**scheme_to_dict(scheme_sequential(3)), **edit}
+        with pytest.raises(ValueError, match="malformed scheme data: "
+                           + named):
+            scheme_from_dict(data)
+
+    @pytest.mark.parametrize("kw", [{"p": 0}, {"r": 0}], ids=["p0", "r0"])
+    def test_empty_blocks_round_trip_through_a_file(self, tmp_path, kw):
+        s = scheme_ring(4, gamma=0.3, **kw)
+        path = tmp_path / "scheme.json"
+        save_scheme(s, path)
+        s2 = load_scheme(path)
+        for f in dataclasses.fields(s):
+            a, b = getattr(s2, f.name), getattr(s, f.name)
+            assert np.shape(a) == np.shape(b), f.name
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        assert (s2.r, s2.p) == (kw.get("r", 1), kw.get("p", 1))
 
     def test_wrong_matrix_size_is_malformed(self):
         data = scheme_to_dict(scheme_ring(3))

@@ -4,6 +4,7 @@ relaxed iteration."""
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ import solver_oracle
 def two_node_scheme(gamma=1.0):
     """Minimal n = 2 scheme with no dual or smooth slots."""
     return CoefficientScheme(
-        n=2, m=1, r=0, p=0,
         M=np.array([[1.0], [-1.0]]), N=np.array([[0.0, 0.0], [2.0, 0.0]]),
         D_diag=np.ones(2), E_diag=np.zeros(0), H=np.zeros((2, 0)),
         K=np.zeros((0, 2)), P=np.zeros((2, 0)), Q=np.zeros((2, 0)),
@@ -239,7 +239,7 @@ class TestSolve:
 
     def test_invalid_scheme_rejected(self, rng):
         s = scheme_sequential(3)
-        bad = s.replace(M=np.eye(3), m=3)
+        bad = s.replace(M=np.eye(3))
         pb = random_problem_for(rng, s, 3, gdim=2)
         with pytest.raises(ValueError):
             solve(bad, pb)
@@ -451,6 +451,24 @@ class TestSolve:
         assert report.lambda_used == 0.5
 
 
+class TestSchemeAgainstProblem:
+    @pytest.mark.parametrize("entry", ["solve", "eval_S"])
+    @pytest.mark.parametrize("ops,size", [
+        ("A_list", "n"), ("BL_list", "r"), ("C_list", "p")],
+        ids=["extra_A", "extra_L", "extra_C"])
+    def test_counts_must_match(self, rng, ops, size, entry):
+        s = scheme_sequential(3, gamma=0.1)
+        pb = random_problem_for(rng, s, 3, gdim=2)
+        pb = replace(pb, **{ops: getattr(pb, ops) + getattr(pb, ops)[-1:]})
+        named = (f"the scheme has {size} = {getattr(s, size)} but the "
+                 f"problem has {getattr(s, size) + 1} operators")
+        with pytest.raises(ValueError, match=named):
+            if entry == "solve":
+                solve(s, pb)
+            else:
+                eval_S(s, pb, np.zeros((s.m, 3)), [np.zeros(2)] * s.r)
+
+
 def _perturbed(s, rng):
     """The scheme with every nonzero coefficient scaled by a random factor,
     so that the sums see unequal weights.  The sparsity pattern, and so
@@ -497,7 +515,7 @@ def random_explicit_scheme(rng, n, gamma, eta):
     for k in range(r):
         K[k, first_row(H[:, k]):] = 0.0
     s = CoefficientScheme(
-        n=n, m=m, r=r, p=p, M=rng.standard_normal((n, m)), N=N,
+        M=rng.standard_normal((n, m)), N=N,
         D_diag=rng.uniform(0.5, 2.0, n), E_diag=eta * rng.uniform(0.5, 2.0, r),
         H=H, K=K, P=P, Q=Q, R=R, gamma=gamma)
     assert check_explicit(s)
