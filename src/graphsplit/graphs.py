@@ -1,6 +1,6 @@
 """Weighted graphs and the scheme generators built on them: Laplacians,
-incidence-based onto decompositions, and the named sequential / star /
-complete / ring families."""
+onto decompositions, scheme_from_graph, and the named sequential / star /
+complete families it builds, beside the ring family."""
 
 from __future__ import annotations
 
@@ -32,62 +32,66 @@ __all__ = [
 
 
 def _connected(n, edges):
-    if n == 0:
-        return False
-    adj = [[] for _ in range(n)]
+    """Whether the edges join the vertices 1..n into one component."""
+    adj = [[] for _ in range(n + 1)]
     for i, j, _ in edges:
-        adj[i - 1].append(j - 1)
-        adj[j - 1].append(i - 1)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
+        adj[i].append(j)
+        adj[j].append(i)
+    seen, stack = {1}, [1]
     while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return all(seen)
+        new = set(adj[stack.pop()]) - seen
+        seen |= new
+        stack += new
+    return len(seen) == n
+
+
+def _edge_list(name, edges, n):
+    """The (i, j, weight) triples sorted, each with integers
+    1 <= i < j <= n and a positive finite weight, and no (i, j) twice."""
+    out = sorted((float(i), float(j), float(w)) for i, j, w in edges)
+    last = None
+    for i, j, w in out:
+        if not (i.is_integer() and j.is_integer() and 1 <= i < j <= n
+                and 0 < w < np.inf):
+            raise ValueError(f"bad {name} entry ({i:g}, {j:g}, {w:g}): need "
+                             f"integers 1 <= i < j <= n = {n} and a positive "
+                             "finite weight")
+        if last == (i, j):
+            raise ValueError(f"duplicate {name} entry ({i:g}, {j:g})")
+        last = i, j
+    return [(int(i), int(j), w) for i, j, w in out]
 
 
 @dataclass
 class GraphSpec:
-    """Weighted undirected connected graph with a designated connected
-    subgraph.  Vertices are 1-indexed; edges are (i, j, weight) with i < j.
-    Subgraph weights may not exceed the corresponding full weights."""
+    """Weighted undirected graph with a designated connected spanning
+    subgraph, the whole graph when none is given.  Vertices are 1-indexed;
+    edges are (i, j, weight) with i < j.  Subgraph weights may not exceed
+    the corresponding full weights."""
 
     n: int
     edges: List[Tuple[int, int, float]]
     subgraph_edges: List[Tuple[int, int, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least 2 vertices")
-        self.edges = sorted((int(i), int(j), float(w)) for i, j, w in self.edges)
-        if not self.subgraph_edges:
-            self.subgraph_edges = list(self.edges)
-        else:
-            self.subgraph_edges = sorted(
-                (int(i), int(j), float(w)) for i, j, w in self.subgraph_edges
-            )
-        full = {}
-        for i, j, w in self.edges:
-            if not (1 <= i < j <= self.n) or w <= 0:
-                raise ValueError(f"bad edge ({i}, {j}, {w})")
-            if (i, j) in full:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            full[(i, j)] = w
-        for i, j, w in self.subgraph_edges:
-            if (i, j) not in full:
-                raise ValueError(f"subgraph edge ({i}, {j}) not in the graph")
-            if w <= 0 or w > full[(i, j)] + 1e-12:
-                raise ValueError(
-                    f"subgraph weight {w} on ({i}, {j}) exceeds full weight"
-                )
-        if not _connected(self.n, self.edges):
-            raise ValueError("graph is disconnected")
+        if not float(self.n).is_integer() or self.n < 2:
+            raise ValueError(f"n = {self.n!r} must be an integer >= 2")
+        self.n = int(self.n)
+        self.edges = _edge_list("edges", self.edges, self.n)
+        sub, self.subgraph_edges = self.subgraph_edges, list(self.edges)
+        if sub:
+            self.subgraph_edges = _edge_list("subgraph_edges", sub, self.n)
+            full = {(i, j): w for i, j, w in self.edges}
+            for i, j, w in self.subgraph_edges:
+                if (i, j) not in full:
+                    raise ValueError(
+                        f"subgraph edge ({i}, {j}) not in the graph")
+                if w > full[(i, j)] + 1e-12:
+                    raise ValueError(f"subgraph weight {w} on ({i}, {j}) "
+                                     "exceeds full weight")
         if not _connected(self.n, self.subgraph_edges):
-            raise ValueError("subgraph is disconnected")
+            raise ValueError(("subgraph" if sub else "graph")
+                             + " is disconnected")
 
     @property
     def subgraph_is_tree(self):
@@ -105,7 +109,7 @@ class OntoDecomposition:
     """Factor M with M M^T equal to the subgraph Laplacian and M^T 1 = 0."""
 
     M: np.ndarray
-    source: str  # incidence | closed_form_complete | eigen_factor
+    source: str  # incidence | closed_form_complete | cholesky
 
 
 def laplacian(g, use_subgraph_weights=False):
@@ -131,22 +135,15 @@ def _complete_coeffs(n):
     return a, t
 
 
-def _complete_factor(n):
-    """The closed-form factor of the unit-weight complete graph's Laplacian:
-    a_j on the diagonal of column j and t_j below it."""
-    a, t = _complete_coeffs(n)
-    M = np.where(np.tri(n, n - 1, -1, dtype=bool), t, 0.0)
-    np.fill_diagonal(M, a)
-    return M
-
-
 def onto_decomposition(g):
     """Factor the subgraph Laplacian as M M^T with M of size n-by-(n-1).
 
     Trees use the oriented incidence matrix (edges point from lower to
     higher vertex index) with columns scaled by sqrt(weight); unit-weight
-    complete graphs use the closed form; anything else falls back to an
-    eigen-factorization with the zero eigenvalue dropped."""
+    complete graphs use the closed form; any other subgraph stacks the
+    Cholesky factor C of the Laplacian's leading (n-1)-block over
+    -1^T C, since the Laplacian's rows sum to zero.  The first nonzero of
+    each column is positive: the diagonal in the last two."""
     n = g.n
     if g.subgraph_is_tree:
         M = np.zeros((n, n - 1))
@@ -155,20 +152,15 @@ def onto_decomposition(g):
             M[i - 1, e] = s
             M[j - 1, e] = -s
         return OntoDecomposition(M=M, source="incidence")
-    if g.subgraph_is_complete_unit:
-        return OntoDecomposition(M=_complete_factor(n),
-                                 source="closed_form_complete")
-    lam, V = np.linalg.eigh(laplacian(g, use_subgraph_weights=True))
-    # ascending eigenvalues; drop the zero mode, order columns by
-    # descending eigenvalue, make the first nonzero entry positive
-    cols = []
-    for k in range(n - 1, 0, -1):
-        v = V[:, k] * np.sqrt(max(lam[k], 0.0))
-        nz = np.nonzero(np.abs(v) > 1e-12)[0]
-        if nz.size and v[nz[0]] < 0:
-            v = -v
-        cols.append(v)
-    return OntoDecomposition(M=np.column_stack(cols), source="eigen_factor")
+    if g.subgraph_is_complete_unit:   # a_j on the diagonal, t_j below it
+        a, t = _complete_coeffs(n)
+        M = np.where(np.tri(n, n - 1, -1, dtype=bool), t, 0.0)
+        np.fill_diagonal(M, a)
+        return OntoDecomposition(M=M, source="closed_form_complete")
+    C = np.linalg.cholesky(laplacian(g, use_subgraph_weights=True)[:-1, :-1])
+    # LAPACK leaves some zeros as -0; adding 0 makes them 0
+    return OntoDecomposition(M=np.vstack([C, -C.sum(axis=0)]) + 0.0,
+                             source="cholesky")
 
 
 def scheme_sequential(n, gamma=1.0, eta=1.0):
@@ -188,20 +180,13 @@ def scheme_star(n, gamma=1.0, eta=1.0):
 
 
 def scheme_complete(n, gamma=1.0, eta=1.0):
-    """Complete-graph scheme with the non-uniform diagonal E = eta*diag(a_i^2)
-    and averaging weights 1/(n-j) below the diagonal of H = P."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    M = _complete_factor(n)
-    HP = np.zeros((n, n - 1))
-    for j in range(n - 1):
-        HP[j + 1:, j] = 1.0 / (n - (j + 1))
-    KR = np.hstack([np.eye(n - 1), np.zeros((n - 1, 1))])
-    return CoefficientScheme(
-        M=M, N=2.0 * np.tri(n, n, -1), D_diag=np.full(n, n - 1.0),
-        E_diag=float(eta) * M.diagonal() ** 2, H=HP, K=KR, P=HP.copy(),
-        Q=np.zeros((n, n - 1)), R=KR.copy(), gamma=gamma, family="complete",
-    )
+    """Complete-graph scheme: every node averages all earlier ones.  It is
+    scheme_from_graph on the unit complete graph with kappa = 1, so
+    E = eta * diag(a_j^2) from the closed-form factor's diagonal and H = P
+    holds 1/(n-j) below the diagonal of column j (1-indexed)."""
+    s = scheme_from_graph(complete_graph(n), gamma, eta, kappa=1.0)
+    s.family = "complete"
+    return s
 
 
 def scheme_ring(n, gamma=1.0, eta=1.0, regime="cocoercive", r=1, p=1):
@@ -242,37 +227,34 @@ def scheme_ring(n, gamma=1.0, eta=1.0, regime="cocoercive", r=1, p=1):
 
 
 def scheme_from_graph(g, gamma=1.0, eta=1.0, kappa=None):
-    """Scheme from a weighted graph whose subgraph is a spanning tree.
+    """Scheme from a weighted graph and its connected spanning subgraph.
 
     N holds the full edge weights below the diagonal, D is half the weighted
-    degree, M is the scaled tree incidence matrix, and H = P / K = R mark
-    which node each tree edge enters / leaves.  With ``kappa`` set, the full
-    weights are replaced by (kappa + 1) times the subgraph weights on the
-    tree edges, the uniformly scaled family whose PSD margin grows with
-    kappa."""
-    if not g.subgraph_is_tree:
-        raise ValueError("subgraph must be a spanning tree")
-    edges = g.edges
-    if kappa is not None:
-        if kappa <= 0:
-            raise ValueError("kappa must be positive")
-        edges = [(i, j, (kappa + 1.0) * w) for i, j, w in g.subgraph_edges]
-    n = g.n
-    N = np.zeros((n, n))
-    deg = np.zeros(n)
-    for i, j, w in edges:
-        N[j - 1, i - 1] += w
-        deg[i - 1] += w
-        deg[j - 1] += w
+    degree and M = onto_decomposition(g).M.  Each column e of M gives one
+    dual block: with p(e) the row of its first nonzero, K_e = R_e = e_p(e),
+    H = P = K^T - M / M[p(e), e] (zero down to row p(e), so the scheme is
+    explicit), Q = 0 and E_e = eta * M[p(e), e]^2.  Then H^T 1 = 1 follows
+    from M^T 1 = 0, and sum_e E_e (H - K^T)_e (H - K^T)_e^T = eta M M^T.
+
+    With ``kappa`` set, the full weights are replaced by (kappa + 1) times
+    the subgraph weights, so that 2D - N - N^T - M M^T = kappa M M^T, and
+    Omega is PSD exactly when gamma * eta * ||L||^2 <= kappa for one map L
+    in every L_k, at any weights.  Without it no such bound is exact."""
+    if kappa is not None and kappa <= 0:
+        raise ValueError("kappa must be positive")
+    scale = 1.0 if kappa is None else kappa + 1.0
+    N = np.zeros((g.n, g.n))
+    for i, j, w in g.edges if kappa is None else g.subgraph_edges:
+        N[j - 1, i - 1] = scale * w
     M = onto_decomposition(g).M
-    HP = np.zeros((n, n - 1))
-    KR = np.zeros((n - 1, n))
-    for e, (i, j, _) in enumerate(g.subgraph_edges):
-        HP[j - 1, e] = 1.0   # edge enters its higher-index endpoint
-        KR[e, i - 1] = 1.0   # and leaves the lower-index one
+    rows = (M != 0).argmax(axis=0)   # p(e) per column e
+    pivots = M[rows, np.arange(M.shape[1])]
+    K = np.eye(g.n)[rows]
+    H = K.T - M / pivots
     return CoefficientScheme(
-        M=M, N=N, D_diag=deg / 2.0, E_diag=np.full(n - 1, float(eta)),
-        H=HP, K=KR, P=HP.copy(), Q=np.zeros((n, n - 1)), R=KR.copy(),
+        M=M, N=N, D_diag=(N.sum(axis=0) + N.sum(axis=1)) / 2.0,
+        E_diag=float(eta) * pivots ** 2,
+        H=H, K=K, P=H.copy(), Q=np.zeros(H.shape), R=K.copy(),
         gamma=gamma, family="graph",
     )
 
@@ -302,7 +284,7 @@ def load_graph(path):
         data = json.load(fh)
     try:
         return GraphSpec(
-            n=int(data["n"]),
+            n=data["n"],
             edges=[tuple(e) for e in data["edges"]],
             subgraph_edges=[tuple(e) for e in data.get("subgraph_edges", [])],
         )

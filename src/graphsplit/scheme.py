@@ -49,6 +49,7 @@ class CoefficientScheme:
 
     Shapes: M n-by-m, N n-by-n, H n-by-r, K r-by-n, P and Q n-by-p,
     R p-by-n; D_diag and E_diag hold the positive diagonals of D and E.
+    Every entry must be finite.
     The sizes are read from M, E_diag and P, and every other matrix must
     have the shape they give.
     """
@@ -80,6 +81,7 @@ class CoefficientScheme:
         shapes = {"M": (n, m), "N": (n, n), "D_diag": (n,), "E_diag": (r,),
                   "H": (n, r), "K": (r, n), "P": (n, p), "Q": (n, p),
                   "R": (p, n)}
+        flat = []
         for name, shape in shapes.items():
             a = np.asarray(getattr(self, name), dtype=float)
             if a.size == 0 and 0 in shape:   # JSON stores it as a bare []
@@ -89,9 +91,15 @@ class CoefficientScheme:
                     f"{name} has shape {a.shape}, but n, m, r, p = {n}, {m}, "
                     f"{r}, {p} from M, E_diag and P need {shape}")
             setattr(self, name, a)
-        if np.any(self.D_diag <= 0):
+            flat.append(a.ravel())
+        # one pass over every entry; the matrix is sought only on failure
+        if not np.isfinite(np.concatenate(flat)).all():
+            name = next(k for k, a in zip(shapes, flat)
+                        if not np.isfinite(a).all())
+            raise ValueError(f"{name} has a non-finite entry")
+        if not (self.D_diag > 0).all():
             raise ValueError("D must be a strictly positive diagonal")
-        if np.any(self.E_diag <= 0):
+        if not (self.E_diag > 0).all():
             raise ValueError("E must be a strictly positive diagonal")
         if not 0 < self.gamma < np.inf:
             raise ValueError(f"gamma = {self.gamma} must lie in (0, inf)")

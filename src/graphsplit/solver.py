@@ -368,36 +368,36 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     records = []
     stop = "max_iters"
     t0 = time.perf_counter()
-    for t in range(opts.max_iters + 1):
-        lam = opts.lam(t, lam_default)
-        if not 0 < lam <= lam_max + LAMBDA_SLACK:
-            raise ValueError(f"lambda = {lam} outside (0, {lam_max}]")
-        gz, gw, x, y = eval_Gamma(s, problem, z, w, check=False, plan=plan)
-        res = residual_star(s, gz, gw, lam)
-        # the stopping rule rides on the recording cadence: records and the
-        # convergence test happen every record_every iterations, but the
-        # last iteration and a non-finite residual are always recorded
-        if not math.isfinite(res):
-            stop = "diverged"
-            # the gap and objective of so large an x overflow; the record
-            # keeps what they give, without warnings
-            with np.errstate(over="ignore", invalid="ignore"):
+    # a diverging run overflows, in the residual norm or in the record of
+    # so large an x, before it ends in DivergenceError; numpy stays silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(opts.max_iters + 1):
+            lam = opts.lam(t, lam_default)
+            if not 0 < lam <= lam_max + LAMBDA_SLACK:
+                raise ValueError(f"lambda = {lam} outside (0, {lam_max}]")
+            gz, gw, x, y = eval_Gamma(s, problem, z, w, check=False, plan=plan)
+            res = residual_star(s, gz, gw, lam)
+            # the stopping rule rides on the recording cadence: records and
+            # the convergence test happen every record_every iterations, but
+            # the last iteration and a non-finite residual are always recorded
+            if not math.isfinite(res):
+                stop = "diverged"
                 records.append(record())
-            break
-        if t % opts.record_every == 0 or t == opts.max_iters:
-            records.append(record())
-            if res <= opts.residual_tol:
-                stop = "converged"
-            if stop == "converged" or t == opts.max_iters:
                 break
-        z_next = np.multiply(gz, -lam, out=gz)   # z - lam * gz, in gz
-        z_next += z
-        w_next = np.multiply(gw, -lam, out=gw)
-        w_next += w
-        if not (np.isfinite(z_next).all() and np.isfinite(w_next).all()):
-            stop = "diverged"
-            break
-        z, w = z_next, w_next
+            if t % opts.record_every == 0 or t == opts.max_iters:
+                records.append(record())
+                if res <= opts.residual_tol:
+                    stop = "converged"
+                if stop == "converged" or t == opts.max_iters:
+                    break
+            z_next = np.multiply(gz, -lam, out=gz)   # z - lam * gz, in gz
+            z_next += z
+            w_next = np.multiply(gw, -lam, out=gw)
+            w_next += w
+            if not (np.isfinite(z_next).all() and np.isfinite(w_next).all()):
+                stop = "diverged"
+                break
+            z, w = z_next, w_next
 
     s_bar = None
     if s.r > 0:

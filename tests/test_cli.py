@@ -9,9 +9,11 @@ from click.testing import CliRunner
 
 from graphsplit.cli import main
 from graphsplit.fusedlasso import gen_instance, save_instance
-from graphsplit.graphs import (path_graph, save_graph, scheme_complete,
-                               scheme_ring, scheme_sequential)
-from graphsplit.scheme import load_scheme, save_scheme
+from graphsplit.graphs import (GraphSpec, path_graph, save_graph,
+                               scheme_complete, scheme_ring,
+                               scheme_sequential)
+from graphsplit.scheme import (check_explicit, load_scheme, save_scheme,
+                               validate_standing)
 
 
 @pytest.fixture
@@ -44,6 +46,19 @@ class TestGenScheme:
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert load_scheme(out).n == 3
+
+    def test_graph_generation_with_cycles(self, runner, tmp_path):
+        gpath = tmp_path / "g.json"
+        save_graph(GraphSpec(n=4, edges=[(1, 2, 1.0), (1, 3, 2.0),
+                                         (2, 3, 0.5), (3, 4, 1.5),
+                                         (2, 4, 1.0)]), gpath)
+        out = tmp_path / "scheme.json"
+        res = runner.invoke(main, ["gen-scheme", "--graph", str(gpath),
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        s = load_scheme(out)
+        assert validate_standing(s, has_B=True, has_C=True).all_pass
+        assert check_explicit(s)
 
     def test_missing_arguments(self, runner, tmp_path):
         res = runner.invoke(main, ["gen-scheme", "--out",

@@ -1,16 +1,23 @@
 """Graph specifications, Laplacian factorizations, and the named scheme
 generators."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphsplit import (GraphSpec, LinearMap, ProblemInstance, complete_graph,
-                        laplacian, load_graph, onto_decomposition, path_graph,
+from graphsplit import (DivergenceError, GraphSpec, LinearMap,
+                        ProblemInstance, check_explicit, complete_graph,
+                        compute_tau, compute_UW, laplacian, load_graph,
+                        onto_decomposition, path_graph, reference_solve,
                         save_graph, scheme_complete, scheme_from_graph,
-                        scheme_ring, scheme_sequential, scheme_star,
-                        star_graph, validate_psd, validate_standing,
-                        zero_resolvent)
-from graphsplit.fusedlasso import FAMILY_GENERATORS
+                        scheme_ring, scheme_sequential, scheme_star, solve,
+                        star_graph, step_bounds, validate_psd,
+                        validate_standing, zero_resolvent)
+from graphsplit.fusedlasso import (FAMILY_GENERATORS, desk_instance,
+                                   difference_norm, objective, to_problem)
 
 
 def lift_with_artificial_zero(problem, position="first"):
@@ -69,6 +76,33 @@ class TestGraphSpec:
         assert g.subgraph_edges == g.edges
         assert g.subgraph_is_tree
 
+    @pytest.mark.parametrize("spec,named", [
+        ({"n": 3.7}, "n = 3.7 must be an integer >= 2"),
+        ({"edges": [[1.7, 2, 1.0], [2, 3, 1.0]]},
+         r"bad edges entry \(1.7, 2, 1\): need integers"),
+        ({"edges": [[1, 2, float("nan")], [2, 3, 1.0]]},
+         r"bad edges entry \(1, 2, nan\)"),
+        ({"edges": [[1, 2, float("inf")], [2, 3, 1.0]]},
+         r"bad edges entry \(1, 2, inf\)"),
+        ({"subgraph_edges": [[1, 2, float("nan")], [2, 3, 1.0]]},
+         r"bad subgraph_edges entry \(1, 2, nan\)"),
+    ], ids=["fractional_n", "fractional_vertex", "nan_weight", "inf_weight",
+            "nan_subgraph_weight"])
+    def test_truncated_or_non_finite_input_rejected(self, tmp_path, spec,
+                                                    named):
+        data = {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]], **spec}
+        with pytest.raises(ValueError, match=named):
+            GraphSpec(**data)
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="malformed graph data: " + named):
+            load_graph(path)
+
+    def test_disconnected_subgraph(self):
+        with pytest.raises(ValueError, match="subgraph is disconnected"):
+            GraphSpec(n=3, edges=[(1, 2, 1.0), (2, 3, 1.0)],
+                      subgraph_edges=[(1, 2, 1.0)])
+
     def test_complete_unit_detection(self):
         assert complete_graph(4).subgraph_is_complete_unit
         assert not complete_graph(4, weight=2.0).subgraph_is_complete_unit
@@ -112,7 +146,7 @@ class TestOntoDecomposition:
         # weighted complete graph: neither a tree nor unit-weight complete
         g = complete_graph(4, weight=1.5)
         dec = onto_decomposition(g)
-        assert dec.source == "eigen_factor"
+        assert dec.source == "cholesky"
         err = np.max(np.abs(dec.M @ dec.M.T - laplacian(g)))
         assert err <= 1e-10
 
@@ -169,9 +203,14 @@ class TestNamedFamilies:
             for gamma, eta in ((1.0, 1.0), (0.37, 2.5e-3)):
                 s = FAMILY_GENERATORS[family](n, gamma=gamma, eta=eta)
                 got = (s.M, s.N, s.D_diag, s.E_diag, s.H, s.K, s.P, s.Q, s.R)
-                for a, b in zip(got, hand_built_family(family, n, gamma,
-                                                       eta)):
-                    assert np.array_equal(a, b)
+                for name, a, b in zip("M N D E H K P Q R".split(), got,
+                                      hand_built_family(family, n, gamma,
+                                                        eta)):
+                    if family == "complete" and name in ("H", "P"):
+                        # -t_j / a_j against 1/(n-j-1): 2 ulp at 1/5, n = 10
+                        np.testing.assert_array_max_ulp(a, b, maxulp=2)
+                    else:
+                        assert np.array_equal(a, b)
                 assert (s.n, s.m, s.r, s.p) == (n, n - 1, n - 1, n - 1)
                 assert s.gamma == gamma and s.family == family
 
@@ -233,9 +272,19 @@ class TestSchemeFromGraph:
         np.testing.assert_allclose(s.N, ref.N / 2.0)
         assert validate_standing(s, has_B=True, has_C=True).all_pass
 
-    def test_requires_spanning_tree_subgraph(self):
-        with pytest.raises(ValueError):
-            scheme_from_graph(complete_graph(3))
+    def test_non_tree_subgraph_gives_explicit_scheme(self):
+        g = GraphSpec(n=4, edges=[(1, 2, 2.0), (1, 3, 1.0), (2, 3, 0.5),
+                                  (2, 4, 1.0), (3, 4, 3.0)],
+                      subgraph_edges=[(1, 2, 1.0), (1, 3, 1.0), (2, 3, 0.5),
+                                      (3, 4, 2.0)])
+        s = scheme_from_graph(g, gamma=0.4, eta=0.7)
+        assert onto_decomposition(g).source == "cholesky"
+        assert validate_standing(s, has_B=True, has_C=True).all_pass
+        assert check_explicit(s)
+        # the E from the pivots turns the dual term into eta * Lap_sub
+        HK = s.H - s.K.T
+        np.testing.assert_allclose(HK @ np.diag(s.E_diag) @ HK.T,
+                                   0.7 * laplacian(g, True), atol=1e-12)
 
     def test_kappa_identity(self):
         # with the kappa scaling, 2D - N - N^T - M M^T = kappa * M M^T
@@ -258,6 +307,49 @@ class TestSchemeFromGraph:
                                   kappa=kappa)
         assert validate_psd(below, L_list, [1.0, 1.0], 2)["A320"]
         assert not validate_psd(above, L_list, [1.0, 1.0], 2)["A320"]
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(2, 7), extra=st.integers(0, 10),
+           d=st.integers(2, 4), kappa=st.floats(0.25, 4.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_any_connected_subgraph(self, n, extra, d, kappa, seed):
+        # weights spread over exp(-3)..exp(3); trees and graphs with cycles
+        rng = np.random.default_rng(seed)
+        g = GraphSpec(n=n, edges=[
+            (i, j, float(np.exp(rng.uniform(-3.0, 3.0))))
+            for i, j, _ in random_tree_graph(rng, n, extra).edges])
+        gamma = float(rng.uniform(0.2, 2.0))
+        s = scheme_from_graph(g, gamma=gamma, kappa=kappa)
+        assert validate_standing(s, has_B=True, has_C=True).all_pass
+        assert check_explicit(s)
+        # Omega >= 0 exactly when gamma * eta * ||L||^2 <= kappa
+        L = LinearMap(rng.standard_normal((d, d)))
+        eta_star = kappa / (gamma * L.norm() ** 2)
+        for factor, psd in ((0.99, True), (1.01, False)):
+            s = scheme_from_graph(g, gamma, factor * eta_star, kappa=kappa)
+            verdict = validate_psd(s, [L] * s.r, np.ones(s.p), d)
+            assert verdict["A320"] is psd, factor
+
+    def test_weighted_path_converges_where_unit_e_diverged(self):
+        # E = eta * 1 on a weight-0.1 path (the rule before pivots) breaks
+        # Omega >= 0 at eta = 0.95 eta_max; E = eta * w keeps it
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        g = path_graph(6, weight=0.1)
+        tau = compute_tau(compute_UW(scheme_from_graph(g, kappa=1.0)),
+                          inst.lipschitz_constants, "cocoercive")
+        bounds = step_bounds(tau, [difference_norm(inst.d)], "cocoercive")
+        gamma = bounds.gamma_max / 2.0
+        eta = 0.95 * bounds.eta_max(gamma)
+        s = scheme_from_graph(g, gamma, eta, kappa=1.0)
+        with pytest.raises(DivergenceError):
+            solve(s.replace(E_diag=np.full(s.r, eta)), pb)
+        report = solve(s, pb, objective=lambda x: objective(inst, x))
+        assert report.converged
+        _, f_ref = reference_solve(inst)
+        f = report.objective_history[-1][1]
+        assert abs(f - f_ref) <= 1e-6 * abs(f_ref)
 
     def test_kappa_positive(self):
         with pytest.raises(ValueError):

@@ -401,6 +401,22 @@ class TestSerialization:
                            + named):
             scheme_from_dict(data)
 
+    @pytest.mark.parametrize("name", ["M", "N", "D_diag", "E_diag", "H", "K",
+                                      "P", "Q", "R"])
+    @pytest.mark.parametrize("bad", ["nan_first", "inf_all"])
+    def test_non_finite_entries_rejected_on_load(self, name, bad):
+        # nan_first turns D_diag [1, 2, 1] into [nan, 2, 1]
+        data = scheme_to_dict(scheme_sequential(3))
+        a = np.array(data[name], dtype=float)
+        if bad == "nan_first":
+            a.flat[0] = np.nan
+        else:
+            a[...] = np.inf
+        data[name] = a.tolist()
+        with pytest.raises(ValueError, match="malformed scheme data: "
+                           f"{name} has a non-finite entry"):
+            scheme_from_dict(data)
+
     @pytest.mark.parametrize("kw", [{"p": 0}, {"r": 0}], ids=["p0", "r0"])
     def test_empty_blocks_round_trip_through_a_file(self, tmp_path, kw):
         s = scheme_ring(4, gamma=0.3, **kw)

@@ -541,6 +541,22 @@ def random_tree_scheme(rng, n, gamma, eta):
     return scheme_from_graph(g, gamma=gamma, eta=eta)
 
 
+def random_subgraph_scheme(rng, n, gamma, eta):
+    """scheme_from_graph on a random connected subgraph with a cycle: a
+    random spanning tree plus one to n more edges, all randomly weighted,
+    so that M is a Cholesky factor, whose columns fill in below their
+    pivots, and so are those of H = P.  kappa is set on about half the
+    draws."""
+    tree = [(int(rng.integers(1, j)), j) for j in range(2, n + 1)]
+    rest = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            if (i, j) not in tree]
+    more = rng.permutation(len(rest))[:int(rng.integers(1, n + 1))]
+    g = GraphSpec(n=n, edges=[(i, j, float(rng.uniform(0.2, 3.0)))
+                              for i, j in tree + [rest[k] for k in more]])
+    kappa = float(rng.uniform(0.5, 2.0)) if rng.random() < 0.5 else None
+    return scheme_from_graph(g, gamma=gamma, eta=eta, kappa=kappa)
+
+
 DIFF_FAMILIES = {
     "sequential": lambda rng, n, g, e: scheme_sequential(n, gamma=g, eta=e),
     "star": lambda rng, n, g, e: scheme_star(n, gamma=g, eta=e),
@@ -550,6 +566,7 @@ DIFF_FAMILIES = {
                                                        regime="lipschitz"),
     "random_explicit": random_explicit_scheme,
     "random_tree": random_tree_scheme,
+    "subgraph": random_subgraph_scheme,
 }
 
 
@@ -557,7 +574,7 @@ class TestAgainstLoopEvaluator:
     """The stacked forward pass against the per-row loop evaluator in
     solver_oracle, on random schemes, problems and points."""
 
-    DRAWS = 40   # per family, 280 in all
+    DRAWS = 40   # per family, 320 in all
 
     @pytest.mark.parametrize("family", sorted(DIFF_FAMILIES))
     def test_gamma_and_certificate_agree(self, family):
