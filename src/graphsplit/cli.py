@@ -81,13 +81,9 @@ def validate(scheme_path, psd_level, ell, l_norm):
         out["bounds_error"] = str(exc)
         ok = False
     if psd_level > 0:
-        L_list = [LinearMap(l_norm * np.eye(1)) for _ in range(s.r)]
-        try:
-            psd = validate_psd(s, L_list, ells, 1)
-        except ValueError as exc:
-            click.echo(f"PSD assembly failed: {exc}", err=True)
-            sys.exit(2)
-        out["psd"] = psd
+        # the scalar model: each L_k a 1x1 map of norm |l_norm|
+        L_list = [LinearMap([[l_norm]])] * s.r
+        psd = out["psd"] = validate_psd(s, L_list, ells, 1)
         wanted = ["A320"] if psd_level == 1 else ["A320", "A321", "A322"]
         ok = ok and all(psd[k] for k in wanted)
     click.echo(dumps_json(out))

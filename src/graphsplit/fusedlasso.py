@@ -87,27 +87,39 @@ def difference_norm(d):
 
 @dataclass
 class FusedLassoInstance:
-    n_agents: int
+    """One agent per data block; n_agents and d are read from A_blocks."""
+
     A_blocks: List[np.ndarray]
     b_blocks: List[np.ndarray]
     mu: List[float]
     nu: List[float]
-    d: int
     seed: int
     x_true: np.ndarray
     noise_var: float = 1e-3
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("need d >= 2")
-        for name in ("A_blocks", "b_blocks", "mu", "nu"):
+        if not self.A_blocks or self.d < 2:
+            raise ValueError("need at least one agent and d >= 2")
+        for name in ("b_blocks", "mu", "nu"):
             if len(getattr(self, name)) != self.n_agents:
-                raise ValueError(f"{name} needs one entry per agent")
-        for A, b in zip(self.A_blocks, self.b_blocks):
-            if A.shape[0] != b.size or A.shape[1] != self.d or A.shape[0] < 1:
+                raise ValueError(f"{name} needs one entry per agent, and "
+                                 f"A_blocks gives {self.n_agents} agents")
+        for i, (A, b) in enumerate(zip(self.A_blocks, self.b_blocks)):
+            if A.shape[1] != self.d:
+                raise ValueError(f"A_blocks[{i}] has {A.shape[1]} columns, "
+                                 f"but A_blocks[0] has {self.d}")
+            if A.shape[0] != b.size or A.shape[0] < 1:
                 raise ValueError("inconsistent block shapes")
             if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
                 raise ValueError("A_blocks and b_blocks must be finite")
+
+    @property
+    def n_agents(self):
+        return len(self.A_blocks)
+
+    @property
+    def d(self):
+        return self.A_blocks[0].shape[1]
 
     @property
     def m(self):
@@ -167,9 +179,9 @@ def gen_instance(seed, n=5, m=100, d=1000, k_nonzero=10, noise_var=1e-3,
     A_blocks = [A[offsets[i]:offsets[i + 1]] for i in range(n)]
     b_blocks = [b[offsets[i]:offsets[i + 1]] for i in range(n)]
     return FusedLassoInstance(
-        n_agents=n, A_blocks=A_blocks, b_blocks=b_blocks,
-        mu=[float(mu)] * n, nu=[float(nu)] * n, d=d, seed=int(seed),
-        x_true=x_true, noise_var=float(noise_var),
+        A_blocks=A_blocks, b_blocks=b_blocks, mu=[float(mu)] * n,
+        nu=[float(nu)] * n, seed=int(seed), x_true=x_true,
+        noise_var=float(noise_var),
     )
 
 
@@ -356,6 +368,8 @@ def save_instance(instance, dirpath):
 
 
 def load_instance(dirpath):
+    """Instance from a directory written by save_instance; the n and d of
+    meta.json must equal the ones read from the arrays."""
     with open(os.path.join(dirpath, "meta.json")) as fh:
         meta = json.load(fh)
     A = np.loadtxt(os.path.join(dirpath, "A.csv"), delimiter=",", ndmin=2)
@@ -364,13 +378,17 @@ def load_instance(dirpath):
                         delimiter=",").reshape(-1)
     counts = [int(c) for c in meta["partition"]]
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    n = int(meta["n"])
-    return FusedLassoInstance(
-        n_agents=n,
-        A_blocks=[A[offsets[i]:offsets[i + 1]] for i in range(n)],
-        b_blocks=[b[offsets[i]:offsets[i + 1]] for i in range(n)],
+    inst = FusedLassoInstance(
+        A_blocks=[A[lo:hi] for lo, hi in zip(offsets, offsets[1:])],
+        b_blocks=[b[lo:hi] for lo, hi in zip(offsets, offsets[1:])],
         mu=[float(v) for v in meta["mu"]],
         nu=[float(v) for v in meta["nu"]],
-        d=int(meta["d"]), seed=int(meta["seed"]), x_true=x_true,
+        seed=int(meta["seed"]), x_true=x_true,
         noise_var=float(meta.get("noise_var", 1e-3)),
     )
+    for key, size in (("n", inst.n_agents), ("d", inst.d)):
+        if meta[key] != size:
+            raise ValueError(
+                f"meta.json has {key} = {meta[key]!r} but the arrays give "
+                f"{size}")
+    return inst

@@ -40,7 +40,6 @@ __all__ = [
 
 STANDING_TOL = 1e-10
 UW_RESIDUAL_TOL = 1e-8
-OMEGA_CAP = 2000
 
 
 @dataclass
@@ -149,6 +148,10 @@ class StepBounds:
             )
 
     def eta_max(self, gamma):
+        """1 / (gamma max_k ||L_k||^2).  This is the Omega >= 0 bound only
+        for a kappa = 1 graph family, or a ring with r = 1, whose ||L_k||
+        are equal; a ring with r > 1 needs gamma eta sum_k ||L_k||^2 <= 1,
+        so there it overstates the bound.  validate_psd decides."""
         self.check_gamma(gamma)
         lmax = max(self.L_norms, default=0.0)
         if lmax == 0:
@@ -195,38 +198,23 @@ def validate_standing(s, has_B, has_C, check_q=False):
     B operators.  ``check_q`` adds the Q row-sum condition needed by the
     lipschitz regime.  Each holds up to STANDING_TOL.
     """
-    n, tol = s.n, STANDING_TOL
-    ones = np.ones(n)
-    kernel = bool(
-        np.max(np.abs(s.M.T @ ones), initial=0.0) <= tol
-        and np.linalg.matrix_rank(s.M) == n - 1
-    )
-    trace = bool(abs(ones @ s.N @ ones - np.sum(s.D_diag)) <= tol)
+    ones = np.ones(s.n)
+
+    def near(a, target=0.0):
+        return bool(np.max(np.abs(a - target), initial=0.0) <= STANDING_TOL)
+
+    kernel = near(s.M.T @ ones) and int(np.linalg.matrix_rank(s.M)) == s.n - 1
+    trace = near(ones @ s.N @ ones, np.sum(s.D_diag))
     if has_C:
-        pr_rows = bool(
-            s.p > 0
-            and np.max(np.abs(s.P.T @ ones - 1.0), initial=0.0) <= tol
-            and np.max(np.abs(s.R @ ones - 1.0), initial=0.0) <= tol
-        )
+        pr_rows = (s.p > 0 and near(s.P.T @ ones, 1.0)
+                   and near(s.R @ ones, 1.0))
     else:
-        pr_rows = bool(
-            np.max(np.abs(s.P), initial=0.0) <= tol
-            and np.max(np.abs(s.R), initial=0.0) <= tol
-        )
+        pr_rows = near(s.P) and near(s.R)
     if has_B:
-        h_rows = bool(
-            s.r > 0 and np.max(np.abs(s.H.T @ ones - 1.0), initial=0.0) <= tol
-        )
+        h_rows = s.r > 0 and near(s.H.T @ ones, 1.0)
     else:
-        h_rows = bool(
-            np.max(np.abs(s.H), initial=0.0) <= tol
-            and np.max(np.abs(s.K), initial=0.0) <= tol
-        )
-    q_rows = None
-    if check_q:
-        q_rows = bool(
-            s.p > 0 and np.max(np.abs(s.Q.T @ ones - 1.0), initial=0.0) <= tol
-        )
+        h_rows = near(s.H) and near(s.K)
+    q_rows = s.p > 0 and near(s.Q.T @ ones, 1.0) if check_q else None
     return StandingReport(kernel, trace, pr_rows, h_rows, q_rows)
 
 
@@ -249,26 +237,20 @@ def compute_UW(s, need_W=False):
     """Minimal-norm U and W with U M^T = P^T - R and W M^T = P^T - Q^T, via
     the pseudo-inverse of M^T, as the pair (U, W); W is None unless
     ``need_W``."""
-    rhs_U = s.P.T - s.R
     if s.p == 0:
         return np.zeros((0, s.m)), np.zeros((0, s.m)) if need_W else None
     Mt_pinv = pinv(s.M.T)
-    U = rhs_U @ Mt_pinv
-    res = np.max(np.abs(U @ s.M.T - rhs_U), initial=0.0)
-    if res > UW_RESIDUAL_TOL:
-        raise ValueError(
-            f"U M^T = P^T - R is inconsistent (residual {res:.3e}); "
-            "the scheme violates solvability"
-        )
-    W = None
-    if need_W:
-        rhs_W = s.P.T - s.Q.T
-        W = rhs_W @ Mt_pinv
-        res_w = np.max(np.abs(W @ s.M.T - rhs_W), initial=0.0)
-        if res_w > UW_RESIDUAL_TOL:
-            raise ValueError(
-                f"W M^T = P^T - Q^T is inconsistent (residual {res_w:.3e})"
-            )
+
+    def solve_for(rhs, equation):
+        X = rhs @ Mt_pinv
+        res = np.max(np.abs(X @ s.M.T - rhs), initial=0.0)
+        if res > UW_RESIDUAL_TOL:
+            raise ValueError(f"{equation} is inconsistent (residual "
+                             f"{res:.3e}); the scheme violates solvability")
+        return X
+
+    U = solve_for(s.P.T - s.R, "U M^T = P^T - R")
+    W = solve_for(s.P.T - s.Q.T, "W M^T = P^T - Q^T") if need_W else None
     return U, W
 
 
@@ -303,28 +285,23 @@ def compute_tau(uw, ell, regime):
 
 
 def assemble_omega(s, L_list, d):
-    """Materialize the (n*d)-by-(n*d) matrix
+    """The n-by-n matrix
 
-        Omega = (2D - N - N^T - M M^T) (x) I_d
-                - gamma * sum_k eta_k (h_k h_k^T) (x) (L_k^T L_k)
+        (2D - N - N^T - M M^T) - gamma * sum_k eta_k ||L_k||^2 h_k h_k^T
 
-    with h_k the k-th column of H - K^T; n*d may not exceed OMEGA_CAP."""
-    if s.n * d > OMEGA_CAP:
-        raise ValueError(
-            f"n*d = {s.n * d} exceeds the materialization cap {OMEGA_CAP}; "
-            "use the scalar sufficient conditions for the named families"
-        )
-    base = 2.0 * s.D - s.N - s.N.T - s.M @ s.M.T
-    omega = np.kron(base, np.eye(d))
-    HK = s.H - s.K.T
+    with h_k the k-th column of H - K^T and eta_k = E_kk.  It stands for
+    the paper's Omega = base (x) I_d - gamma sum_k eta_k (h_k h_k^T) (x)
+    (L_k^T L_k); see validate_psd for when the two verdicts agree.  Each
+    L_k must act on R^d."""
+    sq = np.empty(s.r)
     for k in range(s.r):
         L = L_list[k]
         if L.in_dim != d:
             raise ValueError(f"L_{k} acts on dim {L.in_dim}, expected {d}")
-        A = np.column_stack([L(e) for e in np.eye(d)])
-        h = HK[:, k]
-        omega -= s.gamma * s.E_diag[k] * np.kron(np.outer(h, h), A.T @ A)
-    return omega
+        sq[k] = L.norm() ** 2
+    HK = s.H - s.K.T
+    base = 2.0 * s.D - s.N - s.N.T - s.M @ s.M.T
+    return base - (HK * (s.gamma * s.E_diag * sq)) @ HK.T
 
 
 def assemble_upsilons(s, ell):
@@ -346,16 +323,23 @@ def assemble_upsilons(s, ell):
 
 
 def validate_psd(s, L_list, ell, d):
-    """Verdicts of the three positive-semidefiniteness conditions:
-    Omega >= 0, Omega - gamma*Upsilon_1 >= 0, Omega - (gamma/2)*Upsilon_2 >= 0
-    (the Upsilon terms lifted by (x) I_d)."""
+    """Verdicts of the three positive-semidefiniteness conditions
+    Omega >= 0, Omega - gamma*Upsilon_1 >= 0 and
+    Omega - (gamma/2)*Upsilon_2 >= 0, decided on the n-by-n matrices of
+    assemble_omega and assemble_upsilons at any d.
+
+    Since L_k^T L_k <= ||L_k||^2 I_d, the n-by-n matrix lifted by (x) I_d
+    lies below Omega, so a True verdict is sufficient for every L_k.  It is
+    exact when L_k^T L_k = c_k^2 L^T L for one map L: in the eigenbasis of
+    L^T L each Omega splits into n-by-n blocks that are smallest at the top
+    singular value.  That covers fused lasso's one difference map and
+    the scalar model L_k = c_k I."""
     omega = assemble_omega(s, L_list, d)
     ups1, ups2 = assemble_upsilons(s, ell)
-    eye = np.eye(d)
     return {
         "A320": is_psd(omega),
-        "A321": is_psd(omega - s.gamma * np.kron(ups1, eye)),
-        "A322": is_psd(omega - 0.5 * s.gamma * np.kron(ups2, eye)),
+        "A321": is_psd(omega - s.gamma * ups1),
+        "A322": is_psd(omega - 0.5 * s.gamma * ups2),
     }
 
 

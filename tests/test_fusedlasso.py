@@ -156,6 +156,19 @@ class TestGenInstance:
         with pytest.raises(ValueError, match="must be finite"):
             replace(inst, **{name: blocks})
 
+    def test_sizes_read_from_a_blocks(self):
+        inst = gen_instance(1, n=3, m=12, d=6, k_nonzero=2)
+        assert (inst.n_agents, inst.d) == (3, 6)
+        with pytest.raises(AttributeError):
+            inst.d = 7
+
+    def test_column_count_mismatch_names_the_block(self):
+        inst = gen_instance(1, n=3, m=12, d=6, k_nonzero=2)
+        blocks = list(inst.A_blocks)
+        blocks[2] = blocks[2][:, :5]
+        with pytest.raises(ValueError, match=r"A_blocks\[2\] has 5 columns"):
+            replace(inst, A_blocks=blocks)
+
     def test_desk_instance_shape(self):
         inst = desk_instance(0)
         assert (inst.n_agents, inst.m, inst.d) == (5, 50, 200)
@@ -357,6 +370,25 @@ class TestInstanceIO:
         meta["mu"] = meta["mu"][:-1]
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="mu"):
+            load_instance(str(tmp_path))
+
+    def test_saved_bytes_unchanged_by_a_round_trip(self, tmp_path):
+        inst = gen_instance(3, n=3, m=14, d=9, k_nonzero=2)
+        save_instance(inst, str(tmp_path / "a"))
+        save_instance(load_instance(str(tmp_path / "a")), str(tmp_path / "b"))
+        for name in ("meta.json", "A.csv", "b.csv", "x_true.csv"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("key", ["n", "d"])
+    def test_meta_size_disagreeing_with_arrays_named(self, tmp_path, key):
+        inst = gen_instance(3, n=3, m=14, d=9, k_nonzero=2)
+        save_instance(inst, str(tmp_path))
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key] += 1
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"meta.json has {key} = "):
             load_instance(str(tmp_path))
 
     def test_missing_directory(self, tmp_path):

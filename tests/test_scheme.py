@@ -14,7 +14,12 @@ from graphsplit import (CoefficientScheme, LinearMap, assemble_omega,
                         save_scheme, scheme_complete, scheme_ring,
                         scheme_sequential, scheme_star, step_bounds,
                         validate_psd, validate_standing)
+from graphsplit.fusedlasso import FAMILY_GENERATORS
+from graphsplit.graphs import scheme_from_graph
 from graphsplit.scheme import dumps_json, scheme_from_dict, scheme_to_dict
+
+import psd_oracle
+from test_graphs import random_tree_graph
 
 
 @dataclasses.dataclass
@@ -206,14 +211,36 @@ class TestTau:
             compute_tau(uw, [1.0, bad], "cocoercive")
 
 
+def _draw_scheme(rng, family, n, gamma, eta):
+    """One scheme of the named family: the graph families, both ring
+    regimes with one to three dual blocks, and scheme_from_graph on a
+    random tree plus extra edges, with and without kappa.  In
+    "graph_lipschitz" Q has ones in its last row, so Q^T 1 = 1 and, unlike
+    the ring's, Omega - gamma Upsilon_1 can be PSD."""
+    if family in ("ring", "ring_lipschitz"):
+        regime = "lipschitz" if family == "ring_lipschitz" else "cocoercive"
+        return scheme_ring(n, gamma, eta, regime=regime,
+                           r=int(rng.integers(1, 4)))
+    if family.startswith("graph"):
+        g = random_tree_graph(rng, n, extra_edges=int(rng.integers(0, 4)))
+        kappa = (None if family == "graph_no_kappa"
+                 else float(rng.uniform(0.25, 4.0)))
+        s = scheme_from_graph(g, gamma, eta, kappa=kappa)
+        if family == "graph_lipschitz":
+            s = s.replace(Q=np.eye(n)[[-1] * s.p].T)
+        return s
+    return FAMILY_GENERATORS[family](n, gamma=gamma, eta=eta)
+
+
 class TestOmegaUpsilon:
     def test_no_dual_blocks_reduces_to_base_kronecker(self):
         s = scheme_ring(3, p=0).replace(H=np.zeros((3, 0)),
                                         K=np.zeros((0, 3)),
                                         E_diag=np.zeros(0))
         d = 2
-        omega = assemble_omega(s, [], d)
         base = 2.0 * s.D - s.N - s.N.T - s.M @ s.M.T
+        np.testing.assert_array_equal(assemble_omega(s, [], d), base)
+        omega = psd_oracle.assemble_omega(s, [], d)
         np.testing.assert_allclose(omega, np.kron(base, np.eye(d)),
                                    atol=1e-12)
 
@@ -222,14 +249,19 @@ class TestOmegaUpsilon:
         d = 2
         rng = np.random.default_rng(11)
         L_list = [LinearMap(rng.standard_normal((3, d))) for _ in range(2)]
-        omega = assemble_omega(s, L_list, d)
-        ref = np.kron(2.0 * s.D - s.N - s.N.T - s.M @ s.M.T, np.eye(d))
+        base = 2.0 * s.D - s.N - s.N.T - s.M @ s.M.T
+        ref = np.kron(base, np.eye(d))
+        small = base.copy()
         HK = s.H - s.K.T
         for k in range(2):
             A = L_list[k].matrix
-            ref -= s.gamma * s.E_diag[k] * np.kron(
-                np.outer(HK[:, k], HK[:, k]), A.T @ A)
-        np.testing.assert_allclose(omega, ref, atol=1e-12)
+            hh = np.outer(HK[:, k], HK[:, k])
+            ref -= s.gamma * s.E_diag[k] * np.kron(hh, A.T @ A)
+            small -= s.gamma * s.E_diag[k] * np.linalg.norm(A, 2) ** 2 * hh
+        np.testing.assert_allclose(psd_oracle.assemble_omega(s, L_list, d),
+                                   ref, atol=1e-12)
+        np.testing.assert_allclose(assemble_omega(s, L_list, d), small,
+                                   atol=1e-12)
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
@@ -244,19 +276,71 @@ class TestOmegaUpsilon:
         ell = rng.uniform(0.1, 2.0, size=s.p)
         free = [difference_matrix(d)] * s.r
         dense = [LinearMap(np.diff(np.eye(d), axis=0))] * s.r
-        np.testing.assert_array_equal(assemble_omega(s, free, d),
-                                      assemble_omega(s, dense, d))
+        np.testing.assert_array_equal(psd_oracle.assemble_omega(s, free, d),
+                                      psd_oracle.assemble_omega(s, dense, d))
+        np.testing.assert_allclose(assemble_omega(s, free, d),
+                                   assemble_omega(s, dense, d), atol=1e-12)
         assert validate_psd(s, free, ell, d) == validate_psd(s, dense, ell, d)
+
+    def test_one_map_verdicts_match_dense_oracle(self):
+        # exact for L_k = c_k L, and sufficient for unrelated L_k
+        seen = {key: set() for key in ("A320", "A321", "A322")}
+
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+        @given(family=st.sampled_from(["sequential", "star", "complete",
+                                       "ring", "ring_lipschitz", "graph",
+                                       "graph_no_kappa", "graph_lipschitz"]),
+               n=st.integers(3, 6), d=st.integers(2, 8),
+               one_map=st.booleans(), seed=st.integers(0, 2**32 - 1))
+        def check(family, n, d, one_map, seed):
+            rng = np.random.default_rng(seed)
+            gamma = float(np.exp(rng.uniform(np.log(0.01), np.log(1.5))))
+            s = _draw_scheme(rng, family, n, gamma, 1.0)
+            if one_map:
+                B = (np.diff(np.eye(d), axis=0) if rng.random() < 0.5
+                     else rng.standard_normal((int(rng.integers(1, d + 2)),
+                                               d)))
+                L_list = [LinearMap(c * B)
+                          for c in rng.uniform(-2.0, 2.0, size=s.r)]
+            else:
+                L_list = [LinearMap(rng.standard_normal(
+                    (int(rng.integers(1, d + 2)), d))) for _ in range(s.r)]
+            # eta between a tenth of and four times 1 / (gamma max ||L_k||^2)
+            lmax2 = max(L.norm() for L in L_list) ** 2
+            factor = float(np.exp(rng.uniform(np.log(0.1), np.log(4.0))))
+            s = s.replace(E_diag=s.E_diag * factor / (gamma * lmax2))
+            ell = np.exp(rng.uniform(np.log(0.01), np.log(2.0), size=s.p))
+            got = validate_psd(s, L_list, ell, d)
+            want = psd_oracle.validate_psd(s, L_list, ell, d)
+            if one_map:
+                assert got == want
+                for key, verdict in got.items():
+                    seen[key].add(verdict)
+            else:
+                assert all(want[key] for key in got if got[key]), (got, want)
+
+        check()
+        assert all(v == {True, False} for v in seen.values()), seen
+
+    @pytest.mark.parametrize("family, n, d",
+                             [(scheme_complete, 21, 1000),
+                              (scheme_sequential, 6, 10**4)],
+                             ids=["agents20-complete", "wide-d1e4"])
+    def test_benchmark_scale_gets_verdicts(self, family, n, d):
+        # n d = 21,000 and 60,000: no dense Omega is built
+        L = difference_matrix(d)
+        gamma = 0.3
+        eta_star = 1.0 / (gamma * L.norm() ** 2)
+        for factor, psd in ((0.5, True), (1.01, False)):
+            s = family(n, gamma=gamma, eta=factor * eta_star)
+            verdict = validate_psd(s, [L] * s.r, np.ones(s.p), d)
+            assert verdict["A320"] is psd, factor
 
     def test_wrong_input_dimension_named(self):
         s = scheme_sequential(3)
         with pytest.raises(ValueError, match="L_0 acts on dim 4"):
             assemble_omega(s, [difference_matrix(4)] * s.r, 3)
-
-    def test_cap_enforced(self):
-        s = scheme_sequential(3)
-        with pytest.raises(ValueError):
-            assemble_omega(s, [LinearMap(np.eye(1000))] * 2, 1000)
 
     def test_upsilons_symmetric_psd_ordered(self):
         rng = np.random.default_rng(12)
@@ -289,7 +373,8 @@ class TestOmegaUpsilon:
     @pytest.mark.parametrize("d", [2, 4, 9])
     def test_scalar_model_verdicts_do_not_depend_on_d(self, d):
         # with L_k = l_norm * I every PSD matrix is a Kronecker product with
-        # I_d, so CLI validate assembles the scalar model at d = 1
+        # I_d, so the dense verdicts at d equal the n-by-n ones at d = 1,
+        # which CLI validate reports
         seen = set()
         for fam in (scheme_sequential, scheme_star, scheme_complete,
                     scheme_ring):
@@ -298,11 +383,13 @@ class TestOmegaUpsilon:
                     s = fam(n, gamma=gamma, eta=0.5)
                     ell = [1.0] * s.p
                     for l_norm in np.linspace(0.1, 4.0, 14):
-                        def verdicts(dim):
+                        def verdicts(check, dim):
                             L = [LinearMap(l_norm * np.eye(dim))] * s.r
-                            return validate_psd(s, L, ell, dim)
-                        assert verdicts(d) == verdicts(1)
-                        seen.update(verdicts(1).values())
+                            return check(s, L, ell, dim)
+                        scalar = verdicts(validate_psd, 1)
+                        assert verdicts(psd_oracle.validate_psd, d) == scalar
+                        assert verdicts(validate_psd, d) == scalar
+                        seen.update(scalar.values())
         assert seen == {True, False}
 
 

@@ -24,11 +24,12 @@ from graphsplit.graphs import (GraphSpec, scheme_complete, scheme_from_graph,
                                scheme_ring)
 from graphsplit.operators import SingleValuedOp, least_squares_gradient
 from graphsplit.scheme import (CoefficientScheme, check_explicit, compute_tau,
-                               compute_UW, step_bounds)
+                               compute_UW, step_bounds, validate_psd)
 from graphsplit.solver import (consensus_gap, default_regime,
                                export_report_csv, export_state_json)
 
 from conftest import random_problem_for
+import psd_oracle
 import solver_oracle
 
 
@@ -182,7 +183,7 @@ class TestRegime:
             assert consensus_gap(X) == 0.0
 
 
-def _lipschitz_ring_instance(d):
+def _lipschitz_ring_instance(d, nodes=4):
     """A ring-lipschitz problem: C is 0.5 I plus a skew circulant, monotone
     and Lipschitz but not cocoercive, so solve runs in the lipschitz
     regime; gamma and eta sit at half their bounds."""
@@ -193,15 +194,15 @@ def _lipschitz_ring_instance(d):
     L = difference_matrix(d)
     pb = ProblemInstance(
         d=d,
-        A_list=[zero_resolvent(d)] + [l1_resolvent(0.1, d)] * 3,
+        A_list=[zero_resolvent(d)] + [l1_resolvent(0.1, d)] * (nodes - 1),
         BL_list=[ComposedBlock(B=l1_resolvent(0.1, d - 1), L=L)],
         C_list=[C])
-    base = scheme_ring(4, regime="lipschitz")
+    base = scheme_ring(nodes, regime="lipschitz")
     tau = compute_tau(compute_UW(base, need_W=True), [C.lipschitz],
                       "lipschitz")
     bounds = step_bounds(tau, [L.norm()], "lipschitz")
     gamma = 0.5 * bounds.gamma_max
-    s = scheme_ring(4, gamma=gamma, eta=0.5 * bounds.eta_max(gamma),
+    s = scheme_ring(nodes, gamma=gamma, eta=0.5 * bounds.eta_max(gamma),
                     regime="lipschitz")
     return s, pb, bounds.lambda_max(gamma)
 
@@ -333,6 +334,24 @@ class TestSolve:
         assert report.converged
         cert = certify_solution(s, pb, report.final, tol=1e-8)
         assert cert["ok"], cert
+
+    def test_lipschitz_ring_end_to_end_at_bench_shape(self):
+        # six nodes, d = 12, one difference-map block: Omega >= 0 holds at
+        # the half-bound eta, and at residual_tol 1e-16 the inclusion
+        # residual (3.0e-7) certifies with a 30x margin; 1e-13 left 9.6e-6
+        s, pb, _ = _lipschitz_ring_instance(d=12, nodes=6)
+        assert default_regime(s, pb) == "lipschitz"
+        L_list = [blk.L for blk in pb.BL_list]
+        ell = pb.lipschitz_constants
+        verdict = validate_psd(s, L_list, ell, 12)
+        assert verdict["A320"]
+        assert verdict == psd_oracle.validate_psd(s, L_list, ell, 12)
+        report = solve(s, pb, opts=SolveOptions(max_iters=50_000,
+                                                residual_tol=1e-16))
+        assert report.converged
+        cert = certify_solution(s, pb, report.final, tol=1e-5)
+        assert cert["ok"], cert
+        assert cert["inclusion_residual"] <= 1e-6, cert
 
     @pytest.mark.parametrize("family", ["sequential", "complete",
                                         "ring_lipschitz", "mixed_out_dims"])
