@@ -16,7 +16,7 @@ from .linalg import LinearMap
 from .scheme import (compute_UW, compute_tau, dumps_json, load_scheme,
                      save_scheme, step_bounds, validate_psd,
                      validate_standing)
-from .solver import SolveOptions, export_report_csv, export_state_json, solve
+from .solver import export_report_csv, export_state_json
 
 FAMILIES = {**fusedlasso.FAMILY_GENERATORS, "ring": scheme_ring}
 
@@ -26,8 +26,12 @@ def main():
     """Primal-dual splitting toolkit for composite monotone inclusions."""
 
 
-def _parse_floats(text):
-    return [float(v) for v in text.split(",") if v.strip()]
+def _parse_floats(ctx, param, text):
+    """Option callback: a comma list of numbers, else a usage error."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise click.BadParameter(f"{text!r} is not a comma list of numbers")
 
 
 def _config(**kw):
@@ -44,8 +48,8 @@ def _config(**kw):
 @click.option("--psd-level", type=click.IntRange(0, 2), default=1,
               help="0: structural checks only; 1: add the base PSD "
                    "condition; 2: all three PSD conditions.")
-@click.option("--ell", default="", help="Comma list of Lipschitz constants "
-                                        "(default: all ones).")
+@click.option("--ell", default="", callback=_parse_floats,
+              help="Comma list of Lipschitz constants (default: all ones).")
 @click.option("--l-norm", default=1.0, help="Norm of each L_k for the "
                                             "scalar PSD model.")
 def validate(scheme_path, psd_level, ell, l_norm):
@@ -55,7 +59,7 @@ def validate(scheme_path, psd_level, ell, l_norm):
     except (OSError, ValueError) as exc:
         click.echo(f"cannot read scheme: {exc}", err=True)
         sys.exit(2)
-    ells = _parse_floats(ell) if ell else [1.0] * s.p
+    ells = ell or [1.0] * s.p
     if len(ells) != s.p:
         click.echo(f"expected {s.p} Lipschitz constants", err=True)
         sys.exit(2)
@@ -107,7 +111,9 @@ def gen_scheme(graph_path, family, n_nodes, gamma, eta, out_path):
             except (OSError, ValueError) as exc:
                 click.echo(f"cannot read graph: {exc}", err=True)
                 sys.exit(2)
-            s = scheme_from_graph(g, gamma=gamma, eta=eta)
+            # no proper subgraph: kappa = 1 makes eta_max the A320 bound
+            kappa = 1.0 if g.subgraph_edges == g.edges else None
+            s = scheme_from_graph(g, gamma=gamma, eta=eta, kappa=kappa)
         elif family is not None and n_nodes is not None:
             s = FAMILIES[family](n_nodes, gamma=gamma, eta=eta)
         else:
@@ -132,32 +138,25 @@ def gen_scheme(graph_path, family, n_nodes, gamma, eta, out_path):
 @click.option("--out", "out_dir", type=click.Path(), default=None)
 def solve_cmd(instance_dir, family, gamma_hat, eta_hat, lambda_hat, tol,
               max_iters, out_dir):
-    """Solve a stored fused-lasso instance with one scheme family."""
-    _config(gamma_hats=[gamma_hat], eta_hats=[eta_hat],
-            lambda_hats=[lambda_hat], scheme_families=[family],
-            max_iters=max_iters, tol=tol)
+    """Solve a stored fused-lasso instance: one benchmark grid cell."""
+    config = _config(gamma_hats=[gamma_hat], eta_hats=[eta_hat],
+                     lambda_hats=[lambda_hat], scheme_families=[family],
+                     max_iters=max_iters, tol=tol)
     try:
         inst = fusedlasso.load_instance(instance_dir)
     except (OSError, ValueError, KeyError) as exc:
         click.echo(f"cannot read instance: {exc}", err=True)
         sys.exit(2)
-    problem = fusedlasso.to_problem(inst)
-    scheme, tau, lam_max = fusedlasso.build_family_scheme(
-        family, inst, gamma_hat, eta_hat)
-    opts = SolveOptions(max_iters=max_iters, residual_tol=tol,
-                        lambda_schedule=lambda_hat * lam_max,
-                        record_every=fusedlasso.RECORD_EVERY)
-    report = solve(scheme, problem, opts=opts,
-                   objective=lambda x: fusedlasso.objective(inst, x))
-    _, res, _, obj, _ = report.records[-1]
-    summary = {
-        "converged": report.converged,
-        "iters": report.iters_run,
-        "final_residual": res,
-        "final_objective": obj,
-        "tau": tau,
-    }
-    click.echo(dumps_json(summary))
+    row, report = fusedlasso.run_cell(
+        inst, fusedlasso.to_problem(inst),
+        (family, gamma_hat, eta_hat, lambda_hat), config)
+    if report is None:
+        click.echo(f"solve failed: {row['status']}", err=True)
+        sys.exit(1)
+    click.echo(dumps_json({
+        "converged": report.converged, "iters": row["iters_to_tol"],
+        "final_residual": row["final_residual"],
+        "final_objective": row["final_objective"], "tau": row["tau"]}))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         export_report_csv(report, os.path.join(out_dir, "history.csv"))
@@ -172,10 +171,10 @@ def solve_cmd(instance_dir, family, gamma_hat, eta_hat, lambda_hat, tol,
 @click.option("--d", "dim", default=200)
 @click.option("--mu", default=5.0)
 @click.option("--nu", default=2.0)
-@click.option("--gamma-hat", default="0.5",
+@click.option("--gamma-hat", default="0.5", callback=_parse_floats,
               help="Comma list of gamma scaling factors.")
-@click.option("--eta-hat", default="0.1")
-@click.option("--lambda-hat", default="0.9")
+@click.option("--eta-hat", default="0.1", callback=_parse_floats)
+@click.option("--lambda-hat", default="0.9", callback=_parse_floats)
 @click.option("--families",
               default=",".join(fusedlasso.FAMILY_GENERATORS))
 @click.option("--tol", default=1e-10)
@@ -184,9 +183,8 @@ def solve_cmd(instance_dir, family, gamma_hat, eta_hat, lambda_hat, tol,
 def benchmark(seed, n_agents, m_rows, dim, mu, nu, gamma_hat, eta_hat,
               lambda_hat, families, tol, max_iters, out_dir):
     """Run the fused-lasso parameter grid and check solution parity."""
-    config = _config(gamma_hats=_parse_floats(gamma_hat),
-                     eta_hats=_parse_floats(eta_hat),
-                     lambda_hats=_parse_floats(lambda_hat),
+    config = _config(gamma_hats=gamma_hat, eta_hats=eta_hat,
+                     lambda_hats=lambda_hat,
                      scheme_families=[f for f in families.split(",") if f],
                      max_iters=max_iters, tol=tol)
     try:

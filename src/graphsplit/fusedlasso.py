@@ -35,6 +35,7 @@ __all__ = [
     "objective",
     "reference_solve",
     "build_family_scheme",
+    "run_cell",
     "run_grid",
     "save_instance",
     "load_instance",
@@ -112,6 +113,9 @@ class FusedLassoInstance:
                 raise ValueError("inconsistent block shapes")
             if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
                 raise ValueError("A_blocks and b_blocks must be finite")
+        if np.shape(self.x_true) != (self.d,):
+            raise ValueError(f"x_true has shape {np.shape(self.x_true)}, but "
+                             f"A_blocks give d = {self.d}")
 
     @property
     def n_agents(self):
@@ -148,6 +152,10 @@ class ExperimentConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
+        for name in ("gamma_hats", "eta_hats", "lambda_hats",
+                     "scheme_families"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} is empty")
         for vals in (self.gamma_hats, self.eta_hats, self.lambda_hats):
             if any(not 0.0 < v < 1.0 for v in vals):
                 raise ValueError("scaling factors must lie in (0, 1)")
@@ -268,26 +276,27 @@ def reference_solve(instance, tol=1e-10, max_iters=500_000):
 
 def build_family_scheme(family, instance, gamma_hat, eta_hat):
     """Scheme for one grid cell: compute tau from the structural matrices,
-    set gamma = gamma_hat * (2/tau), then eta = eta_hat / (gamma * max
-    ||L_k||^2), and scale the generated E by eta (every family's E is
-    linear in eta)."""
+    then take gamma = gamma_hat * gamma_max, eta = eta_hat * eta_max(gamma)
+    and lambda_max(gamma) from one StepBounds, and scale the generated E by
+    eta (every family's E is linear in eta)."""
     base = FAMILY_GENERATORS[family](instance.n_agents + 1)
     uw = compute_UW(base)
     tau = compute_tau(uw, instance.lipschitz_constants, "cocoercive")
-    gamma = gamma_hat * 2.0 / tau
-    lnorm2 = difference_norm(instance.d) ** 2
-    eta = eta_hat / (gamma * lnorm2)
-    scheme = base.replace(gamma=gamma, E_diag=eta * base.E_diag)
     bounds = step_bounds(tau, [difference_norm(instance.d)], "cocoercive")
-    lam_max = bounds.lambda_max(gamma)
-    return scheme, tau, lam_max
+    gamma = gamma_hat * bounds.gamma_max
+    eta = eta_hat * bounds.eta_max(gamma)
+    scheme = base.replace(gamma=gamma, E_diag=eta * base.E_diag)
+    return scheme, tau, bounds.lambda_max(gamma)
 
 
 def _curve_name(family, gamma_hat, eta_hat, lambda_hat):
     return f"{family}_{gamma_hat:g}_{eta_hat:g}_{lambda_hat:g}.csv"
 
 
-def _run_cell(instance, problem, cell, config, out_dir):
+def run_cell(instance, problem, cell, config, out_dir=None):
+    """Solve one (family, gamma_hat, eta_hat, lambda_hat) cell.  The row
+    holds the GRID_COLUMNS and tau; report is None when the cell failed,
+    and the row's status says why."""
     family, gamma_hat, eta_hat, lambda_hat = cell
     row = {
         "family": family, "gamma_hat": gamma_hat,
@@ -295,7 +304,7 @@ def _run_cell(instance, problem, cell, config, out_dir):
     }
     t0 = time.perf_counter()
     try:
-        scheme, tau, lam_max = build_family_scheme(
+        scheme, row["tau"], lam_max = build_family_scheme(
             family, instance, gamma_hat, eta_hat)
         opts = SolveOptions(
             max_iters=config.max_iters, residual_tol=config.tol,
@@ -317,11 +326,12 @@ def _run_cell(instance, problem, cell, config, out_dir):
                       ((t, res, obj) for t, res, _, obj, _ in report.records),
                       ("iter", "residual", "objective"))
     except Exception as exc:   # failures become rows, the grid continues
+        report = None
         row.update(iters_to_tol=-1, final_residual=float("nan"),
                    final_objective=float("nan"),
                    wall_ms=1e3 * (time.perf_counter() - t0),
                    status=f"error: {exc}")
-    return row
+    return row, report
 
 
 GRID_COLUMNS = ["family", "gamma_hat", "eta_hat", "lambda_hat",
@@ -343,7 +353,7 @@ def run_grid(instance, config, out_dir=None):
     )
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "curves"), exist_ok=True)
-    rows = [_run_cell(instance, problem, c, config, out_dir) for c in cells]
+    rows = [run_cell(instance, problem, c, config, out_dir)[0] for c in cells]
     if out_dir is not None:
         write_csv(os.path.join(out_dir, "grid.csv"),
                   ([row[c] for c in GRID_COLUMNS] for row in rows),
@@ -368,8 +378,8 @@ def save_instance(instance, dirpath):
 
 
 def load_instance(dirpath):
-    """Instance from a directory written by save_instance; the n and d of
-    meta.json must equal the ones read from the arrays."""
+    """Instance from a directory written by save_instance; the n, m, d and
+    partition of meta.json must agree with the arrays."""
     with open(os.path.join(dirpath, "meta.json")) as fh:
         meta = json.load(fh)
     A = np.loadtxt(os.path.join(dirpath, "A.csv"), delimiter=",", ndmin=2)
@@ -377,6 +387,14 @@ def load_instance(dirpath):
     x_true = np.loadtxt(os.path.join(dirpath, "x_true.csv"),
                         delimiter=",").reshape(-1)
     counts = [int(c) for c in meta["partition"]]
+    if any(c < 1 for c in counts):
+        raise ValueError(f"meta.json's partition {counts} has an entry < 1")
+    for name, size in (("A.csv's row count", A.shape[0]),
+                       ("b.csv's entry count", b.size),
+                       ("meta.json's m", meta["m"])):
+        if size != sum(counts):
+            raise ValueError(f"meta.json's partition sums to {sum(counts)}, "
+                             f"but {name} is {size}")
     offsets = np.concatenate([[0], np.cumsum(counts)])
     inst = FusedLassoInstance(
         A_blocks=[A[lo:hi] for lo, hi in zip(offsets, offsets[1:])],

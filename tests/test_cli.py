@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from graphsplit import fusedlasso
 from graphsplit.cli import main
-from graphsplit.fusedlasso import gen_instance, save_instance
+from graphsplit.fusedlasso import (ExperimentConfig, gen_instance,
+                                   load_instance, run_cell, save_instance,
+                                   to_problem)
 from graphsplit.graphs import (GraphSpec, path_graph, save_graph,
                                scheme_complete, scheme_ring,
                                scheme_sequential)
 from graphsplit.scheme import (check_explicit, load_scheme, save_scheme,
                                validate_standing)
+from graphsplit.solver import DivergenceError
 
 
 @pytest.fixture
@@ -59,6 +63,23 @@ class TestGenScheme:
         s = load_scheme(out)
         assert validate_standing(s, has_B=True, has_C=True).all_pass
         assert check_explicit(s)
+
+    @pytest.mark.parametrize("graph", [
+        path_graph(3),
+        GraphSpec(n=4, edges=[(1, 2, 1.0), (1, 3, 2.0), (2, 3, 0.5),
+                              (3, 4, 1.5), (2, 4, 1.0)])],
+        ids=["path3", "cycles4"])
+    def test_graph_without_subgraph_validates(self, runner, tmp_path, graph):
+        # the whole graph as its own subgraph gets kappa = 1, so the
+        # default gamma = eta = 1 sits on the exact A320 bound
+        gpath, out = tmp_path / "g.json", tmp_path / "scheme.json"
+        save_graph(graph, gpath)
+        res = runner.invoke(main, ["gen-scheme", "--graph", str(gpath),
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["validate", str(out)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["psd"]["A320"]
 
     def test_missing_arguments(self, runner, tmp_path):
         res = runner.invoke(main, ["gen-scheme", "--out",
@@ -196,6 +217,34 @@ class TestSolve:
         res = runner.invoke(main, ["solve", str(tmp_path / "nope")])
         assert res.exit_code == 2
 
+    def test_divergence_reported_without_traceback(self, runner,
+                                                   instance_dir, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise DivergenceError("non-finite residual at iteration 3", None)
+
+        monkeypatch.setattr(fusedlasso, "solve", diverge)
+        res = runner.invoke(main, ["solve", str(instance_dir)])
+        assert res.exit_code == 1
+        assert res.stderr == ("solve failed: error: non-finite residual at "
+                              "iteration 3\n")
+        assert res.stdout == ""
+        assert isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize("family", ["sequential", "complete"])
+    def test_summary_is_the_grid_cell_row(self, runner, instance_dir,
+                                          family):
+        res = runner.invoke(main, ["solve", str(instance_dir), "--family",
+                                   family, "--tol", "1e-8"])
+        assert res.exit_code == 0, res.output
+        inst = load_instance(str(instance_dir))
+        row, report = run_cell(
+            inst, to_problem(inst), (family, 0.5, 0.1, 0.9),
+            ExperimentConfig(max_iters=20_000, tol=1e-8))
+        assert json.loads(res.stdout) == {
+            "converged": report.converged, "iters": row["iters_to_tol"],
+            "final_residual": row["final_residual"],
+            "final_objective": row["final_objective"], "tau": row["tau"]}
+
 
 class TestBenchmark:
     def test_tiny_grid_with_parity(self, runner, tmp_path):
@@ -225,10 +274,22 @@ class TestBenchmark:
     (["benchmark", "--n", "9", "--m", "6", "--out", "{out}"],
      "infeasible sizes"),
     (["benchmark", "--max-iters", "-1", "--out", "{out}"], "max_iters"),
+    (["benchmark", "--gamma-hat", "abc", "--out", "{out}"],
+     "Invalid value for '--gamma-hat'"),
+    (["validate", "{scheme}", "--ell", "x,1,1"],
+     "Invalid value for '--ell'"),
+    (["benchmark", "--families", "", "--out", "{out}"],
+     "scheme_families is empty"),
+    (["benchmark", "--lambda-hat", "", "--out", "{out}"],
+     "lambda_hats is empty"),
 ], ids=["solve_gamma_hat", "solve_lambda_hat", "solve_eta_hat",
-        "solve_max_iters", "benchmark_sizes", "benchmark_max_iters"])
+        "solve_max_iters", "benchmark_sizes", "benchmark_max_iters",
+        "benchmark_gamma_hat_not_a_number", "validate_ell_not_a_number",
+        "benchmark_no_families", "benchmark_no_lambda_hats"])
 def test_input_errors_exit_2(runner, instance_dir, tmp_path, args, message):
-    args = [a.format(inst=instance_dir, out=tmp_path / "b") for a in args]
+    save_scheme(scheme_sequential(3), tmp_path / "s.json")
+    args = [a.format(inst=instance_dir, out=tmp_path / "b",
+                     scheme=tmp_path / "s.json") for a in args]
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert message in res.stderr

@@ -16,10 +16,11 @@ from graphsplit import (LinearMap, SolveOptions, difference_matrix,
                         reference_solve, run_grid, solve, to_problem)
 from graphsplit import fusedlasso
 from graphsplit.fusedlasso import (ExperimentConfig, build_family_scheme,
-                                   desk_instance, load_instance,
+                                   desk_instance, load_instance, run_cell,
                                    save_instance)
 from graphsplit.linalg import spectral_norm
-from graphsplit.scheme import compute_UW, compute_tau, validate_standing
+from graphsplit.scheme import (compute_UW, compute_tau, step_bounds,
+                               validate_standing)
 
 
 def accumulated_adjoint(y):
@@ -256,6 +257,22 @@ class TestBuildFamilyScheme:
             ref = np.linalg.svd(A, compute_uv=False)[0] ** 2
             assert abs(ell - ref) <= 1e-13 * ref
 
+    @pytest.mark.parametrize("hats", [(0.5, 0.1), (0.9, 0.7)])
+    def test_step_sizes_are_the_step_bounds(self, hats):
+        gamma_hat, eta_hat = hats
+        inst = desk_instance(0)
+        for family, gen in fusedlasso.FAMILY_GENERATORS.items():
+            scheme, tau, lam_max = build_family_scheme(family, inst,
+                                                       gamma_hat, eta_hat)
+            bounds = step_bounds(tau, [difference_norm(inst.d)],
+                                 "cocoercive")
+            gamma = gamma_hat * bounds.gamma_max
+            eta = eta_hat * bounds.eta_max(gamma)
+            assert scheme.gamma == gamma
+            assert lam_max == bounds.lambda_max(gamma)
+            base = gen(inst.n_agents + 1)
+            np.testing.assert_array_equal(scheme.E_diag, eta * base.E_diag)
+
     def test_tau_reads_the_solver_constants(self):
         inst = desk_instance(0)
         ell = to_problem(inst).lipschitz_constants
@@ -349,6 +366,21 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             ExperimentConfig(scheme_families=["ring"])
 
+    @pytest.mark.parametrize("name", ["gamma_hats", "eta_hats",
+                                      "lambda_hats", "scheme_families"])
+    def test_empty_list_named(self, name):
+        with pytest.raises(ValueError, match=f"{name} is empty"):
+            ExperimentConfig(**{name: []})
+
+    def test_cell_returns_its_report_and_tau(self, tiny):
+        config = ExperimentConfig(max_iters=20000, tol=1e-8)
+        cell = ("star", 0.5, 0.1, 0.9)
+        row, report = run_cell(tiny, to_problem(tiny), cell, config)
+        assert row["status"] == "ok" and report.converged
+        assert row["iters_to_tol"] == report.iters_run
+        assert row["tau"] == build_family_scheme("star", tiny, 0.5, 0.1)[1]
+        assert row["final_residual"] == report.records[-1][1]
+
 
 class TestInstanceIO:
     def test_round_trip(self, tmp_path):
@@ -389,6 +421,34 @@ class TestInstanceIO:
         meta[key] += 1
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=f"meta.json has {key} = "):
+            load_instance(str(tmp_path))
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"partition": [3, 3, 3]},
+         "partition sums to 9, but A.csv's row count is 14"),
+        ({"partition": [5, 4, 4]},
+         "partition sums to 13, but A.csv's row count is 14"),
+        ({"partition": [-1, 8, 7]},
+         r"partition \[-1, 8, 7\] has an entry < 1"),
+        ({"m": 15}, "partition sums to 14, but meta.json's m is 15")],
+        ids=["short", "long", "negative", "meta_m"])
+    def test_partition_checked_against_the_rows(self, tmp_path, edit,
+                                                message):
+        inst = gen_instance(3, n=3, m=14, d=9, k_nonzero=2)
+        save_instance(inst, str(tmp_path))
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta.update(edit)
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=message):
+            load_instance(str(tmp_path))
+
+    def test_short_x_true_named(self, tmp_path):
+        inst = gen_instance(3, n=3, m=14, d=9, k_nonzero=2)
+        save_instance(inst, str(tmp_path))
+        (tmp_path / "x_true.csv").write_text("0\n0\n0\n0\n0\n")
+        with pytest.raises(ValueError, match=r"x_true has shape \(5,\), "
+                                             "but A_blocks give d = 9"):
             load_instance(str(tmp_path))
 
     def test_missing_directory(self, tmp_path):
