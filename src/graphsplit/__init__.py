@@ -15,7 +15,7 @@ from .graphs import (GraphSpec, complete_graph, laplacian, load_graph,
                      onto_decomposition, path_graph, save_graph,
                      scheme_complete, scheme_from_graph, scheme_ring,
                      scheme_sequential, scheme_star, star_graph)
-from .solver import (DivergenceError, IterateState, SolveOptions, SolveReport,
+from .solver import (IterateState, SolveOptions, SolveReport,
                      StarNormContext, certify_solution, eval_Gamma, eval_S,
                      residual_star, solve, step)
 from .fusedlasso import (ExperimentConfig, FusedLassoInstance,

@@ -150,7 +150,11 @@ def solve_cmd(instance_dir, family, gamma_hat, eta_hat, lambda_hat, tol,
     row, report = fusedlasso.run_cell(
         inst, fusedlasso.to_problem(inst),
         (family, gamma_hat, eta_hat, lambda_hat), config)
-    if report is None:
+    if report is not None and out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        export_report_csv(report, os.path.join(out_dir, "history.csv"))
+    # a diverged run's x may be non-finite, which JSON cannot hold
+    if report is None or report.stop_reason == "diverged":
         click.echo(f"solve failed: {row['status']}", err=True)
         sys.exit(1)
     click.echo(dumps_json({
@@ -158,8 +162,6 @@ def solve_cmd(instance_dir, family, gamma_hat, eta_hat, lambda_hat, tol,
         "final_residual": row["final_residual"],
         "final_objective": row["final_objective"], "tau": row["tau"]}))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        export_report_csv(report, os.path.join(out_dir, "history.csv"))
         export_state_json(report, os.path.join(out_dir, "state.json"))
     sys.exit(0 if report.converged else 1)
 
@@ -191,7 +193,7 @@ def benchmark(seed, n_agents, m_rows, dim, mu, nu, gamma_hat, eta_hat,
         inst = fusedlasso.gen_instance(seed, n=n_agents, m=m_rows, d=dim,
                                        mu=mu, nu=nu)
     except ValueError as exc:
-        click.echo(f"bad instance sizes: {exc}", err=True)
+        click.echo(f"bad instance: {exc}", err=True)
         sys.exit(2)
     rows = fusedlasso.run_grid(inst, config, out_dir=out_dir)
     for row in rows:

@@ -105,6 +105,11 @@ class FusedLassoInstance:
             if len(getattr(self, name)) != self.n_agents:
                 raise ValueError(f"{name} needs one entry per agent, and "
                                  f"A_blocks gives {self.n_agents} agents")
+        for name in ("mu", "nu"):
+            for i, v in enumerate(getattr(self, name)):
+                if not 0.0 <= v < np.inf:
+                    raise ValueError(f"{name}[{i}] = {v} is not a finite "
+                                     "weight >= 0")
         for i, (A, b) in enumerate(zip(self.A_blocks, self.b_blocks)):
             if A.shape[1] != self.d:
                 raise ValueError(f"A_blocks[{i}] has {A.shape[1]} columns, "
@@ -161,6 +166,8 @@ class ExperimentConfig:
                 raise ValueError("scaling factors must lie in (0, 1)")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
+        if not self.tol >= 0:
+            raise ValueError(f"tol = {self.tol} must be >= 0")
         for fam in self.scheme_families:
             if fam not in FAMILY_GENERATORS:
                 raise ValueError(f"unknown family {fam!r}")
@@ -293,10 +300,15 @@ def _curve_name(family, gamma_hat, eta_hat, lambda_hat):
     return f"{family}_{gamma_hat:g}_{eta_hat:g}_{lambda_hat:g}.csv"
 
 
+# the grid's status of each stop_reason
+STATUS = {"converged": "ok", "max_iters": "maxiter", "diverged": "diverged"}
+
+
 def run_cell(instance, problem, cell, config, out_dir=None):
     """Solve one (family, gamma_hat, eta_hat, lambda_hat) cell.  The row
-    holds the GRID_COLUMNS and tau; report is None when the cell failed,
-    and the row's status says why."""
+    holds the GRID_COLUMNS and tau, with the status of the report's
+    stop_reason.  report is None only when no solve ran (the scheme could
+    not be built, or solve refused it), and the row's status says why."""
     family, gamma_hat, eta_hat, lambda_hat = cell
     row = {
         "family": family, "gamma_hat": gamma_hat,
@@ -313,24 +325,24 @@ def run_cell(instance, problem, cell, config, out_dir=None):
         )
         report = solve(scheme, problem, opts=opts,
                        objective=lambda x: objective(instance, x))
-        _, res, _, obj, _ = report.records[-1]
-        row.update(
-            iters_to_tol=report.iters_run,
-            final_residual=res,
-            final_objective=obj,
-            wall_ms=1e3 * (time.perf_counter() - t0),
-            status="ok" if report.converged else "maxiter",
-        )
-        if out_dir is not None:
-            write_csv(os.path.join(out_dir, "curves", _curve_name(*cell)),
-                      ((t, res, obj) for t, res, _, obj, _ in report.records),
-                      ("iter", "residual", "objective"))
     except Exception as exc:   # failures become rows, the grid continues
-        report = None
         row.update(iters_to_tol=-1, final_residual=float("nan"),
                    final_objective=float("nan"),
                    wall_ms=1e3 * (time.perf_counter() - t0),
                    status=f"error: {exc}")
+        return row, None
+    _, res, _, obj, _ = report.records[-1]
+    row.update(
+        iters_to_tol=report.iters_run,
+        final_residual=res,
+        final_objective=obj,
+        wall_ms=1e3 * (time.perf_counter() - t0),
+        status=STATUS[report.stop_reason],
+    )
+    if out_dir is not None:
+        write_csv(os.path.join(out_dir, "curves", _curve_name(*cell)),
+                  ((t, res, obj) for t, res, _, obj, _ in report.records),
+                  ("iter", "residual", "objective"))
     return row, report
 
 
@@ -382,6 +394,9 @@ def load_instance(dirpath):
     partition of meta.json must agree with the arrays."""
     with open(os.path.join(dirpath, "meta.json")) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError("meta.json must hold a JSON object, not "
+                         f"{type(meta).__name__}")
     A = np.loadtxt(os.path.join(dirpath, "A.csv"), delimiter=",", ndmin=2)
     b = np.loadtxt(os.path.join(dirpath, "b.csv"), delimiter=",").reshape(-1)
     x_true = np.loadtxt(os.path.join(dirpath, "x_true.csv"),

@@ -122,7 +122,7 @@ def prox_l1(v, t):
 
 def l1_resolvent(weight, dim):
     """Resolvent of the subdifferential of ``weight * ||.||_1``."""
-    if weight < 0:
+    if not weight >= 0:   # NaN too
         raise ValueError("weight must be nonnegative")
     return ResolventOp(dim=dim,
                        resolvent=lambda step, v: prox_l1(v, step * weight))

@@ -416,6 +416,9 @@ def scheme_from_dict(data):
     residual scale ``theta`` load when it is 1; any other value would change
     when a run stops, so it is rejected."""
     try:
+        if not isinstance(data, dict):
+            raise ValueError("a scheme file must hold a JSON object, not "
+                             f"{type(data).__name__}")
         theta = float(data.get("theta", 1.0))
         if theta != 1.0:
             raise ValueError(

@@ -20,7 +20,7 @@ from .scheme import check_explicit, compute_UW, compute_tau, step_bounds, \
 __all__ = [
     "IterateState", "StarNormContext", "SolveOptions", "SolveReport",
     "RECORD_COLUMNS",
-    "DivergenceError", "EvalPlan", "eval_S", "eval_Gamma", "step", "solve",
+    "EvalPlan", "eval_S", "eval_Gamma", "step", "solve",
     "residual_star", "certify_solution", "default_regime",
     "export_report_csv", "export_state_json",
 ]
@@ -110,15 +110,6 @@ class SolveReport:
     @property
     def time_history(self):
         return [(r[0], r[4]) for r in self.records]
-
-
-class DivergenceError(RuntimeError):
-    """A non-finite residual or iterate; ``report`` ends at the last finite
-    iterate."""
-
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
 
 
 def _require_explicit(scheme):
@@ -327,15 +318,18 @@ def consensus_gap(x):
 
 
 def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
-    """Run the relaxed fixed-point iteration from (z0, w0) until the scaled
-    residual drops below tolerance or the iteration budget runs out.  A
-    non-finite residual, or iterate, raises DivergenceError carrying the
-    report so far; the iteration with the non-finite residual is recorded."""
+    """Run the relaxed fixed-point iteration from (z0, w0) and report how it
+    stopped: ``stop_reason`` is "converged" when the scaled residual drops to
+    ``residual_tol``, "max_iters" when the budget runs out, and "diverged" at
+    a non-finite residual (that iteration is recorded) or before an update
+    to a non-finite iterate.  The final state is the last finite iterate."""
     opts = opts or SolveOptions()
     if opts.max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     if opts.record_every < 1:
         raise ValueError("record_every must be positive")
+    if not opts.residual_tol >= 0:
+        raise ValueError(f"residual_tol = {opts.residual_tol} must be >= 0")
     s = scheme
     plan = EvalPlan(s, problem)
     has_B, has_C = problem.r > 0, problem.p > 0
@@ -369,7 +363,7 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     stop = "max_iters"
     t0 = time.perf_counter()
     # a diverging run overflows, in the residual norm or in the record of
-    # so large an x, before it ends in DivergenceError; numpy stays silent
+    # so large an x, before it stops as "diverged"; numpy stays silent
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(opts.max_iters + 1):
             lam = opts.lam(t, lam_default)
@@ -404,17 +398,11 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
         Kx = s.K @ x
         s_bar = BlockVector([eta * blk.L(kx) - wk for eta, blk, kx, wk in zip(
             s.E_diag, problem.BL_list, Kx, plan.split(w))])
-    report = SolveReport(
+    return SolveReport(
         iters_run=t, records=records,
         final=IterateState(BlockVector(z), BlockVector(plan.split(w)),
                            BlockVector(x), BlockVector(plan.split(y))),
         dual_certificate=s_bar, lambda_used=lam, stop_reason=stop)
-    if stop == "diverged":
-        where = (f"residual at iteration {t}" if not math.isfinite(res)
-                 else f"iterate at iteration {t + 1}")
-        raise DivergenceError(f"non-finite {where}; check step-size "
-                              "configuration", report)
-    return report
 
 
 def certify_solution(scheme, problem, state, tol=1e-5):

@@ -5,6 +5,7 @@ import pytest
 
 from graphsplit import (ComposedBlock, LinearMap, ProblemInstance,
                         affine_resolvent, least_squares_gradient)
+from graphsplit import fusedlasso
 
 
 def monotone_affine(rng, dim, skew_scale=0.3):
@@ -38,3 +39,17 @@ def random_problem_for(rng, scheme, d, gdim=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+@pytest.fixture
+def diverging(monkeypatch):
+    """Make every grid cell diverge: its E is scaled by 60, so at the default
+    eta_hat = 0.1 it is six times the largest E the step-size theory allows
+    and the iterate overflows."""
+    build = fusedlasso.build_family_scheme
+
+    def steep(*args, **kwargs):
+        scheme, tau, lam_max = build(*args, **kwargs)
+        return scheme.replace(E_diag=60.0 * scheme.E_diag), tau, lam_max
+
+    monkeypatch.setattr(fusedlasso, "build_family_scheme", steep)

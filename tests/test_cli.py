@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from graphsplit.graphs import (GraphSpec, path_graph, save_graph,
                                scheme_sequential)
 from graphsplit.scheme import (check_explicit, load_scheme, save_scheme,
                                validate_standing)
-from graphsplit.solver import DivergenceError
 
 
 @pytest.fixture
@@ -218,17 +218,27 @@ class TestSolve:
         assert res.exit_code == 2
 
     def test_divergence_reported_without_traceback(self, runner,
-                                                   instance_dir, monkeypatch):
-        def diverge(*args, **kwargs):
-            raise DivergenceError("non-finite residual at iteration 3", None)
-
-        monkeypatch.setattr(fusedlasso, "solve", diverge)
+                                                   instance_dir, diverging):
         res = runner.invoke(main, ["solve", str(instance_dir)])
         assert res.exit_code == 1
-        assert res.stderr == ("solve failed: error: non-finite residual at "
-                              "iteration 3\n")
+        assert res.stderr == "solve failed: diverged\n"
         assert res.stdout == ""
         assert isinstance(res.exception, SystemExit)
+
+    def test_diverged_solve_keeps_its_history(self, runner, instance_dir,
+                                              diverging, tmp_path):
+        out = tmp_path / "run"
+        res = runner.invoke(main, ["solve", str(instance_dir),
+                                   "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr == "solve failed: diverged\n"
+        lines = (out / "history.csv").read_text().splitlines()
+        assert lines[0] == "iter,residual,consensus_gap,objective,time_ms"
+        assert lines[-1].startswith("433,inf,")
+        assert [int(line.split(",")[0]) for line in lines[1:]] == \
+            list(range(0, 433, 10)) + [433]
+        # the final x may be non-finite, which state.json cannot hold
+        assert not (out / "state.json").exists()
 
     @pytest.mark.parametrize("family", ["sequential", "complete"])
     def test_summary_is_the_grid_cell_row(self, runner, instance_dir,
@@ -282,13 +292,43 @@ class TestBenchmark:
      "scheme_families is empty"),
     (["benchmark", "--lambda-hat", "", "--out", "{out}"],
      "lambda_hats is empty"),
+    (["benchmark", "--n", "2", "--m", "10", "--d", "12", "--nu", "-0.5",
+      "--out", "{out}"], "bad instance: nu[0] = -0.5 is not a finite"),
+    (["benchmark", "--n", "2", "--m", "10", "--d", "12", "--mu", "nan",
+      "--out", "{out}"], "bad instance: mu[0] = nan is not a finite"),
+    (["solve", "{tmp}/negative_mu"],
+     "cannot read instance: mu[0] = -1.0 is not a finite"),
+    (["solve", "{inst}", "--tol", "nan", "--max-iters", "50"], "tol = nan"),
+    (["solve", "{inst}", "--tol", "-1", "--max-iters", "50"], "tol = -1.0"),
+    (["benchmark", "--n", "2", "--m", "10", "--d", "12", "--tol", "nan",
+      "--max-iters", "50", "--out", "{out}"], "tol = nan"),
+    (["validate", "{tmp}/list.json"], "cannot read scheme"),
+    (["validate", "{tmp}/string.json"], "must hold a JSON object, not str"),
+    (["validate", "{tmp}/number.json"], "must hold a JSON object, not int"),
+    (["validate", "{tmp}/null.json"], "must hold a JSON object"),
+    (["solve", "{tmp}/meta_list"],
+     "cannot read instance: meta.json must hold a JSON object, not list"),
 ], ids=["solve_gamma_hat", "solve_lambda_hat", "solve_eta_hat",
         "solve_max_iters", "benchmark_sizes", "benchmark_max_iters",
         "benchmark_gamma_hat_not_a_number", "validate_ell_not_a_number",
-        "benchmark_no_families", "benchmark_no_lambda_hats"])
+        "benchmark_no_families", "benchmark_no_lambda_hats",
+        "benchmark_negative_nu", "benchmark_nan_mu", "solve_negative_mu",
+        "solve_tol_nan", "solve_tol_negative", "benchmark_tol_nan",
+        "validate_scheme_list", "validate_scheme_string",
+        "validate_scheme_number", "validate_scheme_null",
+        "solve_meta_not_an_object"])
 def test_input_errors_exit_2(runner, instance_dir, tmp_path, args, message):
     save_scheme(scheme_sequential(3), tmp_path / "s.json")
-    args = [a.format(inst=instance_dir, out=tmp_path / "b",
+    # JSON files that are not objects, and instances with a bad meta.json
+    for name, text in (("list", "[1, 2]"), ("string", '"x"'),
+                       ("number", "3"), ("null", "null")):
+        (tmp_path / f"{name}.json").write_text(text)
+    meta = json.loads((instance_dir / "meta.json").read_text())
+    for name, bad in (("negative_mu", {**meta, "mu": [-1.0, 0.5]}),
+                      ("meta_list", [1])):
+        shutil.copytree(instance_dir, tmp_path / name)
+        (tmp_path / name / "meta.json").write_text(json.dumps(bad))
+    args = [a.format(inst=instance_dir, out=tmp_path / "b", tmp=tmp_path,
                      scheme=tmp_path / "s.json") for a in args]
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output

@@ -381,6 +381,23 @@ class TestRunGrid:
         assert row["tau"] == build_family_scheme("star", tiny, 0.5, 0.1)[1]
         assert row["final_residual"] == report.records[-1][1]
 
+    def test_diverged_cell_keeps_its_curve(self, diverging, tmp_path):
+        config = ExperimentConfig(scheme_families=["sequential"])
+        [row] = run_grid(desk_instance(0), config, out_dir=str(tmp_path))
+        assert row["status"] == "diverged" and row["iters_to_tol"] == 451
+        assert row["final_residual"] == float("inf")
+        grid = (tmp_path / "grid.csv").read_text().splitlines()
+        assert grid[1].startswith("sequential,") and \
+            grid[1].split(",")[4:6] == ["451", "inf"]
+        assert grid[1].endswith(",diverged")
+        curve = (tmp_path / "curves" / "sequential_0.5_0.1_0.9.csv")
+        lines = curve.read_text().splitlines()
+        assert lines[0] == "iter,residual,objective"
+        assert lines[-1].startswith("451,inf,")
+        # every RECORD_EVERY iterations, and the diverged one
+        assert [int(line.split(",")[0]) for line in lines[1:]] == \
+            list(range(0, 451, 10)) + [451]
+
 
 class TestInstanceIO:
     def test_round_trip(self, tmp_path):

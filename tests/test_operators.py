@@ -91,6 +91,10 @@ class TestResolvents:
         with pytest.raises(ValueError):
             l1_resolvent(-1.0, 2)
 
+    def test_l1_nan_weight(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            l1_resolvent(float("nan"), 2)
+
     def test_zero_resolvent_identity(self):
         op = zero_resolvent(4)
         v = np.arange(4.0)
