@@ -246,7 +246,9 @@ def reference_solve(instance, tol=1e-10, max_iters=500_000):
     """Independent solution of the aggregate problem by a classical
     two-block primal-dual iteration (smooth quadratic handled by gradient,
     the l1 term by its prox, the total-variation term through a clipped
-    dual variable).  Stops on the max of the two stationarity residuals."""
+    dual variable).  Stops on the max of the two stationarity residuals.
+    O(m d) memory and time per iteration: one gradient A^T (A x - b) per
+    iteration, and the exact Lipschitz constant ||A||^2 (spectral_norm)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     A = np.vstack(instance.A_blocks)
@@ -255,21 +257,18 @@ def reference_solve(instance, tol=1e-10, max_iters=500_000):
     nu_bar = float(sum(instance.nu))
     d = instance.d
     L = difference_matrix(d)
-    AtA = A.T @ A
-    Lf = max(float(np.linalg.norm(AtA, 2)), 1e-12)
-    Lnorm2 = difference_norm(d) ** 2
-    rho = Lf / (2.0 * Lnorm2)
+    Lf = max(spectral_norm(A) ** 2, 1e-12)
+    rho = Lf / (2.0 * difference_norm(d) ** 2)
     sigma = 0.99 / Lf
-    Atb = A.T @ b
     x = np.zeros(d)
     u = np.zeros(d - 1)
+    grad = A.T @ (A @ x - b)
     for it in range(max_iters):
-        grad = AtA @ x - Atb
         x_new = prox_l1(x - sigma * (grad + L.adjoint(u)), sigma * mu_bar)
         u = np.clip(u + rho * L(2.0 * x_new - x), -nu_bar, nu_bar)
         x = x_new
+        grad = A.T @ (A @ x - b)
         if it % 10 == 0:
-            grad = AtA @ x - Atb
             v = -grad - L.adjoint(u)
             r1 = np.max(np.abs(x - prox_l1(x + v, mu_bar)), initial=0.0)
             lx = L(x)
@@ -389,6 +388,20 @@ def save_instance(instance, dirpath):
         write_csv(os.path.join(dirpath, name), rows)
 
 
+def _meta_field(meta, key, kind, listed=False):
+    """meta.json's value at key as kind, or a list of kind when listed.  A
+    value of another JSON type, a bool among them, is refused by name; an
+    int is a float too."""
+    val = meta[key]
+    items = val if listed and isinstance(val, list) else [val]
+    if isinstance(val, list) != listed or any(type(v) not in (int, kind)
+                                              for v in items):
+        raise ValueError(f"meta.json's {key} = {val!r} is not "
+                         f"{'a list of' if listed else 'of type'} "
+                         f"{kind.__name__}")
+    return [kind(v) for v in items] if listed else kind(val)
+
+
 def load_instance(dirpath):
     """Instance from a directory written by save_instance; the n, m, d and
     partition of meta.json must agree with the arrays."""
@@ -401,7 +414,7 @@ def load_instance(dirpath):
     b = np.loadtxt(os.path.join(dirpath, "b.csv"), delimiter=",").reshape(-1)
     x_true = np.loadtxt(os.path.join(dirpath, "x_true.csv"),
                         delimiter=",").reshape(-1)
-    counts = [int(c) for c in meta["partition"]]
+    counts = _meta_field(meta, "partition", int, listed=True)
     if any(c < 1 for c in counts):
         raise ValueError(f"meta.json's partition {counts} has an entry < 1")
     for name, size in (("A.csv's row count", A.shape[0]),
@@ -414,10 +427,11 @@ def load_instance(dirpath):
     inst = FusedLassoInstance(
         A_blocks=[A[lo:hi] for lo, hi in zip(offsets, offsets[1:])],
         b_blocks=[b[lo:hi] for lo, hi in zip(offsets, offsets[1:])],
-        mu=[float(v) for v in meta["mu"]],
-        nu=[float(v) for v in meta["nu"]],
-        seed=int(meta["seed"]), x_true=x_true,
-        noise_var=float(meta.get("noise_var", 1e-3)),
+        mu=_meta_field(meta, "mu", float, listed=True),
+        nu=_meta_field(meta, "nu", float, listed=True),
+        seed=_meta_field(meta, "seed", int), x_true=x_true,
+        noise_var=_meta_field({"noise_var": 1e-3, **meta}, "noise_var",
+                              float),
     )
     for key, size in (("n", inst.n_agents), ("d", inst.d)):
         if meta[key] != size:

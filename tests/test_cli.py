@@ -308,6 +308,12 @@ class TestBenchmark:
     (["validate", "{tmp}/null.json"], "must hold a JSON object"),
     (["solve", "{tmp}/meta_list"],
      "cannot read instance: meta.json must hold a JSON object, not list"),
+    (["solve", "{tmp}/mu_number"],
+     "cannot read instance: meta.json's mu = 3 is not a list of float"),
+    (["solve", "{tmp}/partition_number"],
+     "cannot read instance: meta.json's partition = 3 is not a list of int"),
+    (["solve", "{tmp}/seed_list"],
+     "cannot read instance: meta.json's seed = [1] is not of type int"),
 ], ids=["solve_gamma_hat", "solve_lambda_hat", "solve_eta_hat",
         "solve_max_iters", "benchmark_sizes", "benchmark_max_iters",
         "benchmark_gamma_hat_not_a_number", "validate_ell_not_a_number",
@@ -316,7 +322,8 @@ class TestBenchmark:
         "solve_tol_nan", "solve_tol_negative", "benchmark_tol_nan",
         "validate_scheme_list", "validate_scheme_string",
         "validate_scheme_number", "validate_scheme_null",
-        "solve_meta_not_an_object"])
+        "solve_meta_not_an_object", "solve_meta_mu_number",
+        "solve_meta_partition_number", "solve_meta_seed_list"])
 def test_input_errors_exit_2(runner, instance_dir, tmp_path, args, message):
     save_scheme(scheme_sequential(3), tmp_path / "s.json")
     # JSON files that are not objects, and instances with a bad meta.json
@@ -325,7 +332,9 @@ def test_input_errors_exit_2(runner, instance_dir, tmp_path, args, message):
         (tmp_path / f"{name}.json").write_text(text)
     meta = json.loads((instance_dir / "meta.json").read_text())
     for name, bad in (("negative_mu", {**meta, "mu": [-1.0, 0.5]}),
-                      ("meta_list", [1])):
+                      ("meta_list", [1]), ("mu_number", {**meta, "mu": 3}),
+                      ("partition_number", {**meta, "partition": 3}),
+                      ("seed_list", {**meta, "seed": [1]})):
         shutil.copytree(instance_dir, tmp_path / name)
         (tmp_path / name / "meta.json").write_text(json.dumps(bad))
     args = [a.format(inst=instance_dir, out=tmp_path / "b", tmp=tmp_path,

@@ -19,6 +19,7 @@ from graphsplit.fusedlasso import (ExperimentConfig, build_family_scheme,
                                    desk_instance, load_instance, run_cell,
                                    save_instance)
 from graphsplit.linalg import spectral_norm
+from graphsplit.operators import prox_l1
 from graphsplit.scheme import (compute_UW, compute_tau, step_bounds,
                                validate_standing)
 
@@ -30,6 +31,39 @@ def accumulated_adjoint(y):
     out[:-1] -= y
     out[1:] += y
     return out
+
+
+def dense_reference_solve(instance, tol=1e-10, max_iters=500_000):
+    """reference_solve as it was with the dense d-by-d Gram matrix A^T A,
+    its 2-norm by SVD, and the gradient taken again for the check."""
+    A = np.vstack(instance.A_blocks)
+    b = np.concatenate(instance.b_blocks)
+    mu_bar = float(sum(instance.mu))
+    nu_bar = float(sum(instance.nu))
+    d = instance.d
+    L = difference_matrix(d)
+    AtA = A.T @ A
+    Lf = max(float(np.linalg.norm(AtA, 2)), 1e-12)
+    Lnorm2 = difference_norm(d) ** 2
+    rho = Lf / (2.0 * Lnorm2)
+    sigma = 0.99 / Lf
+    Atb = A.T @ b
+    x = np.zeros(d)
+    u = np.zeros(d - 1)
+    for it in range(max_iters):
+        grad = AtA @ x - Atb
+        x_new = prox_l1(x - sigma * (grad + L.adjoint(u)), sigma * mu_bar)
+        u = np.clip(u + rho * L(2.0 * x_new - x), -nu_bar, nu_bar)
+        x = x_new
+        if it % 10 == 0:
+            grad = AtA @ x - Atb
+            v = -grad - L.adjoint(u)
+            r1 = np.max(np.abs(x - prox_l1(x + v, mu_bar)), initial=0.0)
+            lx = L(x)
+            r2 = np.max(np.abs(lx - prox_l1(lx + u, nu_bar)), initial=0.0)
+            if max(r1, r2) <= tol:
+                return x, objective(instance, x)
+    raise RuntimeError("dense reference solver did not converge")
 
 
 class TestDifferenceOperator:
@@ -228,6 +262,29 @@ class TestReferenceSolve:
         inst = gen_instance(1, n=2, m=10, d=6, k_nonzero=2)
         with pytest.raises(ValueError):
             reference_solve(inst, tol=0.0)
+
+    @pytest.mark.parametrize("inst", [
+        desk_instance(0),
+        gen_instance(6, n=2, m=30, d=8, k_nonzero=2, mu=1.0, nu=0.5)],
+        ids=["desk", "m_above_d"])
+    def test_matches_the_dense_gram_iteration(self, inst):
+        x, f = reference_solve(inst, tol=1e-10)
+        x_dense, f_dense = dense_reference_solve(inst, tol=1e-10)
+        assert np.max(np.abs(x - x_dense)) <= 1e-12
+        assert abs(f - f_dense) <= 1e-12 * abs(f_dense)
+
+    def test_memory_stays_order_m_d(self):
+        # the d-by-d Gram matrix alone would take 31 MiB at d = 2000
+        inst = gen_instance(3, n=2, m=20, d=2000, k_nonzero=5, mu=1e4,
+                            nu=1.0)
+        tracemalloc.start()
+        try:
+            x, _ = reference_solve(inst, tol=1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(x)) <= 1e-10
+        assert peak < 4 * 2**20
 
 
 class TestBuildFamilyScheme:
