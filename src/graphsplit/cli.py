@@ -8,15 +8,13 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import fusedlasso
 from .graphs import load_graph, scheme_from_graph, scheme_ring
 from .linalg import LinearMap
-from .scheme import (compute_UW, compute_tau, dumps_json, load_scheme,
-                     save_scheme, step_bounds, validate_psd,
-                     validate_standing)
-from .solver import export_report_csv, export_state_json
+from .scheme import (check_explicit, dumps_json, load_scheme, save_scheme,
+                     validate_psd)
+from .solver import check_scheme, export_report_csv, export_state_json
 
 FAMILIES = {**fusedlasso.FAMILY_GENERATORS, "ring": scheme_ring}
 
@@ -46,8 +44,8 @@ def _config(**kw):
 @main.command()
 @click.argument("scheme_path", type=click.Path())
 @click.option("--psd-level", type=click.IntRange(0, 2), default=1,
-              help="0: structural checks only; 1: add the base PSD "
-                   "condition; 2: all three PSD conditions.")
+              help="0: structural checks only; 1: add A320, Omega >= 0; "
+                   "2: add A322 (cocoercive) or A321 (lipschitz) too.")
 @click.option("--ell", default="", callback=_parse_floats,
               help="Comma list of Lipschitz constants (default: all ones).")
 @click.option("--l-norm", default=1.0, help="Norm of each L_k for the "
@@ -64,31 +62,28 @@ def validate(scheme_path, psd_level, ell, l_norm):
         click.echo(f"expected {s.p} Lipschitz constants", err=True)
         sys.exit(2)
 
-    regime = "cocoercive" if not np.any(s.Q) else "lipschitz"
-    rep = validate_standing(s, has_B=s.r > 0, has_C=s.p > 0,
-                            check_q=(regime == "lipschitz"))
-    out = {"standing": rep.as_dict(), "regime": regime}
-    ok = rep.all_pass
-    try:
-        uw = compute_UW(s, need_W=(regime == "lipschitz"))
-        tau = compute_tau(uw, ells, regime)
-        bounds = step_bounds(tau, [l_norm] * s.r, regime)
-        out["tau"] = tau
-        out["gamma_max"] = bounds.gamma_max
+    # the scalar model: cocoercive C_j, and 1x1 maps L_k of norm |l_norm|
+    regime, rep, bounds = check_scheme(s, ells, [l_norm] * s.r,
+                                       all_cocoercive=True)
+    out = {"standing": rep.as_dict(), "regime": regime,
+           "explicit": check_explicit(s)}
+    if isinstance(bounds, ValueError):
+        out["bounds_error"] = str(bounds)
+    else:
+        out.update(tau=bounds.tau, gamma_max=bounds.gamma_max)
         if 0 < s.gamma < bounds.gamma_max:
-            out["eta_max"] = bounds.eta_max(s.gamma)
-            out["lambda_max"] = bounds.lambda_max(s.gamma)
+            out.update(eta_max=bounds.eta_max(s.gamma),
+                       lambda_max=bounds.lambda_max(s.gamma))
         else:
             out["gamma_in_range"] = False
-            ok = False
-    except ValueError as exc:
-        out["bounds_error"] = str(exc)
-        ok = False
+    # solve's refusals: lambda_max is printed when the bounds hold at gamma
+    ok = rep.all_pass and out["explicit"] and "lambda_max" in out
     if psd_level > 0:
-        # the scalar model: each L_k a 1x1 map of norm |l_norm|
         L_list = [LinearMap([[l_norm]])] * s.r
         psd = out["psd"] = validate_psd(s, L_list, ells, 1)
-        wanted = ["A320"] if psd_level == 1 else ["A320", "A321", "A322"]
+        # A321 implies A322; with Q = 0 it fails once some ell_j > 0
+        wanted = ["A320"] if psd_level == 1 else [
+            "A320", "A321" if regime == "lipschitz" else "A322"]
         ok = ok and all(psd[k] for k in wanted)
     click.echo(dumps_json(out))
     sys.exit(0 if ok else 1)

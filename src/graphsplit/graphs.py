@@ -32,7 +32,10 @@ __all__ = [
 
 
 def _connected(n, edges):
-    """Whether the edges join the vertices 1..n into one component."""
+    """Whether the edges join the vertices 1..n into one component; fewer
+    than n - 1 edges cannot, and are refused before any O(n) work."""
+    if len(edges) < n - 1:
+        return False
     adj = [[] for _ in range(n + 1)]
     for i, j, _ in edges:
         adj[i].append(j)

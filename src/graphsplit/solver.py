@@ -21,7 +21,7 @@ __all__ = [
     "IterateState", "StarNormContext", "SolveOptions", "SolveReport",
     "RECORD_COLUMNS",
     "EvalPlan", "eval_S", "eval_Gamma", "step", "solve",
-    "residual_star", "certify_solution", "default_regime",
+    "residual_star", "certify_solution", "check_scheme",
     "export_report_csv", "export_state_json",
 ]
 
@@ -298,11 +298,21 @@ def step(scheme, problem, state, lambda_t, lambda_max=None, check=True):
                         w=state.w - lambda_t * gw, x=x, y=y)
 
 
-def default_regime(scheme, problem):
-    """Cocoercive when every C_j is cocoercive and Q = 0, else lipschitz."""
-    if problem.all_cocoercive and not np.any(scheme.Q):
-        return "cocoercive"
-    return "lipschitz"
+def check_scheme(scheme, ell, L_norms, all_cocoercive):
+    """The regime (cocoercive when every C_j is cocoercive and Q = 0, else
+    lipschitz), the StandingReport and the StepBounds of a scheme for
+    Lipschitz constants ``ell`` and norms ||L_k||, or in place of the bounds
+    the ValueError that computing them raised."""
+    s = scheme
+    lipschitz = not all_cocoercive or bool(np.any(s.Q))
+    regime = "lipschitz" if lipschitz else "cocoercive"
+    rep = validate_standing(s, s.r > 0, s.p > 0, check_q=lipschitz)
+    try:
+        tau = compute_tau(compute_UW(s, need_W=lipschitz), ell, regime)
+        bounds = step_bounds(tau, L_norms, regime)
+    except ValueError as exc:
+        bounds = exc
+    return regime, rep, bounds
 
 
 def consensus_gap(x):
@@ -332,18 +342,14 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
         raise ValueError(f"residual_tol = {opts.residual_tol} must be >= 0")
     s = scheme
     plan = EvalPlan(s, problem)
-    has_B, has_C = problem.r > 0, problem.p > 0
-    regime = default_regime(s, problem)
-    rep = validate_standing(s, has_B, has_C, check_q=(regime == "lipschitz"))
+    _, rep, bounds = check_scheme(
+        s, problem.lipschitz_constants,
+        [blk.L.norm() for blk in problem.BL_list], problem.all_cocoercive)
     if not rep.all_pass:
         raise ValueError(f"scheme fails structural validation: {rep.as_dict()}")
     _require_explicit(s)
-
-    uw = compute_UW(s, need_W=(regime == "lipschitz"))
-    tau = compute_tau(uw, problem.lipschitz_constants, regime)
-    norms = [blk.L.norm() for blk in problem.BL_list]
-    bounds = step_bounds(tau, norms, regime)
-    bounds.check_gamma(s.gamma)
+    if isinstance(bounds, ValueError):
+        raise bounds
     lam_max = bounds.lambda_max(s.gamma)
     lam_default = 0.9 * lam_max
 

@@ -3,21 +3,29 @@
 import json
 import os
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphsplit import fusedlasso
+from graphsplit import (ComposedBlock, LinearMap, ProblemInstance,
+                        SolveOptions, fusedlasso, solve, zero_resolvent)
 from graphsplit.cli import main
 from graphsplit.fusedlasso import (ExperimentConfig, gen_instance,
                                    load_instance, run_cell, save_instance,
                                    to_problem)
 from graphsplit.graphs import (GraphSpec, path_graph, save_graph,
-                               scheme_complete, scheme_ring,
-                               scheme_sequential)
+                               scheme_complete, scheme_from_graph,
+                               scheme_ring, scheme_sequential, scheme_star)
+from graphsplit.operators import SingleValuedOp
 from graphsplit.scheme import (check_explicit, load_scheme, save_scheme,
                                validate_standing)
+from graphsplit.solver import check_scheme
+
+from test_graphs import random_tree_graph
 
 
 @pytest.fixture
@@ -98,46 +106,46 @@ class TestGenScheme:
 # formatting are all pinned
 VALIDATE_STDOUT = {
     "sequential4": (lambda: scheme_sequential(4), (0, 0, 1), (
-        '{"eta_max": 1, "gamma_max": 1.9999999999999991, "lambda_max": '
-        '0.49999999999999978, "regime": "cocoercive", "standing": '
+        '{"eta_max": 1, "explicit": true, "gamma_max": 1.9999999999999991, '
+        '"lambda_max": 0.49999999999999978, "regime": "cocoercive", '
+        '"standing": {"all_pass": true, "h_rows": true, "kernel": true, '
+        '"pr_rows": true, "trace": true}, "tau": 1.0000000000000004}',
+        '{"eta_max": 1, "explicit": true, "gamma_max": 1.9999999999999991, '
+        '"lambda_max": 0.49999999999999978, "psd": {"A320": true, "A321": '
+        'false, "A322": false}, "regime": "cocoercive", "standing": '
         '{"all_pass": true, "h_rows": true, "kernel": true, "pr_rows": true, '
-        '"trace": true}, "tau": 1.0000000000000004}',
-        '{"eta_max": 1, "gamma_max": 1.9999999999999991, "lambda_max": '
-        '0.49999999999999978, "psd": {"A320": true, "A321": false, "A322": '
-        'false}, "regime": "cocoercive", "standing": {"all_pass": true, '
-        '"h_rows": true, "kernel": true, "pr_rows": true, "trace": true}, '
-        '"tau": 1.0000000000000004}')),
+        '"trace": true}, "tau": 1.0000000000000004}')),
     "complete5": (lambda: scheme_complete(5), (0, 0, 1), (
-        '{"eta_max": 1, "gamma_max": 4.9999999999999982, "lambda_max": '
-        '0.79999999999999993, "regime": "cocoercive", "standing": '
+        '{"eta_max": 1, "explicit": true, "gamma_max": 4.9999999999999982, '
+        '"lambda_max": 0.79999999999999993, "regime": "cocoercive", '
+        '"standing": {"all_pass": true, "h_rows": true, "kernel": true, '
+        '"pr_rows": true, "trace": true}, "tau": 0.40000000000000013}',
+        '{"eta_max": 1, "explicit": true, "gamma_max": 4.9999999999999982, '
+        '"lambda_max": 0.79999999999999993, "psd": {"A320": true, "A321": '
+        'false, "A322": false}, "regime": "cocoercive", "standing": '
         '{"all_pass": true, "h_rows": true, "kernel": true, "pr_rows": true, '
-        '"trace": true}, "tau": 0.40000000000000013}',
-        '{"eta_max": 1, "gamma_max": 4.9999999999999982, "lambda_max": '
-        '0.79999999999999993, "psd": {"A320": true, "A321": false, "A322": '
+        '"trace": true}, "tau": 0.40000000000000013}')),
+    "ring4": (lambda: scheme_ring(4), (1, 1, 1), (
+        '{"explicit": true, "gamma_in_range": false, "gamma_max": '
+        '0.66666666666666674, "regime": "cocoercive", "standing": '
+        '{"all_pass": true, "h_rows": true, "kernel": true, "pr_rows": true, '
+        '"trace": true}, "tau": 2.9999999999999996}',
+        '{"explicit": true, "gamma_in_range": false, "gamma_max": '
+        '0.66666666666666674, "psd": {"A320": true, "A321": false, "A322": '
         'false}, "regime": "cocoercive", "standing": {"all_pass": true, '
         '"h_rows": true, "kernel": true, "pr_rows": true, "trace": true}, '
-        '"tau": 0.40000000000000013}')),
-    "ring4": (lambda: scheme_ring(4), (1, 1, 1), (
-        '{"gamma_in_range": false, "gamma_max": 0.66666666666666674, '
-        '"regime": "cocoercive", "standing": {"all_pass": true, "h_rows": '
-        'true, "kernel": true, "pr_rows": true, "trace": true}, "tau": '
-        '2.9999999999999996}',
-        '{"gamma_in_range": false, "gamma_max": 0.66666666666666674, "psd": '
-        '{"A320": true, "A321": false, "A322": false}, "regime": '
-        '"cocoercive", "standing": {"all_pass": true, "h_rows": true, '
-        '"kernel": true, "pr_rows": true, "trace": true}, "tau": '
-        '2.9999999999999996}')),
+        '"tau": 2.9999999999999996}')),
     "ring_lipschitz4": (lambda: scheme_ring(4, regime="lipschitz"),
                         (1, 1, 1), (
-        '{"gamma_in_range": false, "gamma_max": 0.33333333333333326, '
-        '"regime": "lipschitz", "standing": {"all_pass": true, "h_rows": '
-        'true, "kernel": true, "pr_rows": true, "q_rows": true, "trace": '
-        'true}, "tau": 3.0000000000000009}',
-        '{"gamma_in_range": false, "gamma_max": 0.33333333333333326, "psd": '
-        '{"A320": true, "A321": false, "A322": false}, "regime": '
-        '"lipschitz", "standing": {"all_pass": true, "h_rows": true, '
-        '"kernel": true, "pr_rows": true, "q_rows": true, "trace": true}, '
-        '"tau": 3.0000000000000009}')),
+        '{"explicit": true, "gamma_in_range": false, "gamma_max": '
+        '0.33333333333333326, "regime": "lipschitz", "standing": '
+        '{"all_pass": true, "h_rows": true, "kernel": true, "pr_rows": true, '
+        '"q_rows": true, "trace": true}, "tau": 3.0000000000000009}',
+        '{"explicit": true, "gamma_in_range": false, "gamma_max": '
+        '0.33333333333333326, "psd": {"A320": true, "A321": false, "A322": '
+        'false}, "regime": "lipschitz", "standing": {"all_pass": true, '
+        '"h_rows": true, "kernel": true, "pr_rows": true, "q_rows": true, '
+        '"trace": true}, "tau": 3.0000000000000009}')),
 }
 
 
@@ -183,6 +191,54 @@ class TestValidate:
         res = runner.invoke(main, ["validate", str(path), "--ell", "1.0"])
         assert res.exit_code == 2
 
+    def test_implicit_scheme_fails_at_every_level(self, runner, tmp_path):
+        # N transposed keeps the standing checks and the bounds, but x_i
+        # would need later blocks, so solve refuses it
+        s = scheme_sequential(4, gamma=0.5, eta=0.1)
+        path = tmp_path / "scheme.json"
+        save_scheme(s.replace(N=s.N.T), path)
+        for level in (0, 1, 2):
+            res = runner.invoke(main, ["validate", str(path),
+                                       "--psd-level", str(level)])
+            assert res.exit_code == 1, level
+            report = json.loads(res.output)
+            assert report["explicit"] is False
+            assert report["standing"]["all_pass"] and "lambda_max" in report
+
+    @pytest.mark.parametrize("make, n", [(scheme_sequential, 4),
+                                         (scheme_star, 4),
+                                         (scheme_complete, 5)])
+    def test_psd_level_two_asks_a322_when_cocoercive(self, runner, tmp_path,
+                                                     make, n):
+        # A321 cannot hold with Q = 0 and ell > 0; A322 does at half bounds
+        base = make(n)
+        ell = [0.5] * base.p
+        _, _, bounds = check_scheme(base, ell, [1.0] * base.r,
+                                    all_cocoercive=True)
+        gamma = 0.5 * bounds.gamma_max
+        path = tmp_path / "scheme.json"
+        save_scheme(make(n, gamma=gamma, eta=0.5 * bounds.eta_max(gamma)),
+                    path)
+        res = runner.invoke(main, ["validate", str(path), "--psd-level", "2",
+                                   "--ell", ",".join(map(str, ell))])
+        assert res.exit_code == 0, res.output
+        report = json.loads(res.output)
+        assert report["regime"] == "cocoercive"
+        assert report["psd"] == {"A320": True, "A321": False, "A322": True}
+
+    def test_psd_level_two_asks_a321_when_lipschitz(self, runner, tmp_path):
+        # the Lipschitz ring meets A320 at half bounds, but not A321
+        base = scheme_ring(4, regime="lipschitz")
+        _, _, bounds = check_scheme(base, [1.0], [1.0], all_cocoercive=True)
+        gamma = 0.5 * bounds.gamma_max
+        path = tmp_path / "scheme.json"
+        eta = 0.5 * bounds.eta_max(gamma)
+        save_scheme(scheme_ring(4, gamma, eta, regime="lipschitz"), path)
+        codes = [runner.invoke(main, ["validate", str(path), "--psd-level",
+                                      str(level)]).exit_code
+                 for level in (1, 2)]
+        assert codes == [0, 1]
+
     @pytest.mark.parametrize("name", sorted(VALIDATE_STDOUT))
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_stdout_pinned(self, runner, tmp_path, name, level):
@@ -193,6 +249,68 @@ class TestValidate:
                                    "--psd-level", str(level)])
         assert res.exit_code == codes[level]
         assert res.output == lines[min(level, 1)] + "\n"
+
+
+AGREE_FAMILIES = {
+    "sequential": lambda n, gamma, eta, rng: scheme_sequential(n, gamma, eta),
+    "star": lambda n, gamma, eta, rng: scheme_star(n, gamma, eta),
+    "complete": lambda n, gamma, eta, rng: scheme_complete(n, gamma, eta),
+    "ring": lambda n, gamma, eta, rng: scheme_ring(n, gamma, eta),
+    "ring_lipschitz": lambda n, gamma, eta, rng: scheme_ring(
+        n, gamma, eta, regime="lipschitz"),
+    "graph": lambda n, gamma, eta, rng: scheme_from_graph(
+        random_tree_graph(rng, n, int(rng.integers(0, 4))), gamma, eta,
+        kappa=1.0),
+}
+
+
+def _scalar_problem(s, ell, l_norm):
+    """The scalar PSD model of validate as a problem on R^1: zero
+    resolvents, L_k = [l_norm] and cocoercive C_j x = ell_j x."""
+    block = ComposedBlock(B=zero_resolvent(1), L=LinearMap([[l_norm]]))
+    C_list = [SingleValuedOp(dim=1, apply=lambda x, c=c: c * x, lipschitz=c,
+                             cocoercive=True) for c in ell]
+    return ProblemInstance(d=1, A_list=[zero_resolvent(1)] * s.n,
+                           BL_list=[block] * s.r, C_list=C_list)
+
+
+@pytest.mark.parametrize("family", sorted(AGREE_FAMILIES))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 6),
+       gamma=st.floats(0.05, 2.0), eta=st.floats(0.05, 2.0),
+       l_norm=st.floats(0.1, 2.0),
+       mutation=st.sampled_from(["none", "transpose_N", "tamper_N",
+                                 "gamma_past_max"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_validate_agrees_with_solve(family, n, gamma, eta, l_norm, mutation,
+                                    seed):
+    # validate --psd-level 0 passes exactly the schemes that solve accepts
+    rng = np.random.default_rng(seed)
+    s = AGREE_FAMILIES[family](n, gamma, eta, rng)
+    ell = [float(c) for c in rng.uniform(0.0, 2.0, s.p)]
+    if mutation == "transpose_N":
+        s = s.replace(N=s.N.T)
+    elif mutation == "tamper_N":
+        N = s.N.copy()
+        N[1, 0] += 0.25
+        s = s.replace(N=N)
+    elif mutation == "gamma_past_max":
+        _, _, bounds = check_scheme(s, ell, [l_norm] * s.r, True)
+        if np.isfinite(bounds.gamma_max):
+            s = s.replace(gamma=1.5 * bounds.gamma_max)
+    try:
+        solve(s, _scalar_problem(s, ell, l_norm),
+              opts=SolveOptions(max_iters=0))
+        code = 0
+    except ValueError:
+        code = 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scheme.json")
+        save_scheme(s, path)
+        res = CliRunner().invoke(main, [
+            "validate", path, "--psd-level", "0", "--l-norm", repr(l_norm),
+            "--ell", ",".join(map(repr, ell))])
+    assert res.exit_code == code, res.output
 
 
 class TestSolve:
@@ -314,6 +432,8 @@ class TestBenchmark:
      "cannot read instance: meta.json's partition = 3 is not a list of int"),
     (["solve", "{tmp}/seed_list"],
      "cannot read instance: meta.json's seed = [1] is not of type int"),
+    (["gen-scheme", "--graph", "{tmp}/huge_n.json", "--out", "{out}"],
+     "malformed graph data: graph is disconnected"),
 ], ids=["solve_gamma_hat", "solve_lambda_hat", "solve_eta_hat",
         "solve_max_iters", "benchmark_sizes", "benchmark_max_iters",
         "benchmark_gamma_hat_not_a_number", "validate_ell_not_a_number",
@@ -323,12 +443,15 @@ class TestBenchmark:
         "validate_scheme_list", "validate_scheme_string",
         "validate_scheme_number", "validate_scheme_null",
         "solve_meta_not_an_object", "solve_meta_mu_number",
-        "solve_meta_partition_number", "solve_meta_seed_list"])
+        "solve_meta_partition_number", "solve_meta_seed_list",
+        "gen_scheme_graph_n_beyond_its_edges"])
 def test_input_errors_exit_2(runner, instance_dir, tmp_path, args, message):
     save_scheme(scheme_sequential(3), tmp_path / "s.json")
-    # JSON files that are not objects, and instances with a bad meta.json
+    # JSON files that are not objects, a graph whose edges cannot connect
+    # its n, and instances with a bad meta.json
     for name, text in (("list", "[1, 2]"), ("string", '"x"'),
-                       ("number", "3"), ("null", "null")):
+                       ("number", "3"), ("null", "null"),
+                       ("huge_n", '{"n": 1e300, "edges": [[1, 2, 1.0]]}')):
         (tmp_path / f"{name}.json").write_text(text)
     meta = json.loads((instance_dir / "meta.json").read_text())
     for name, bad in (("negative_mu", {**meta, "mu": [-1.0, 0.5]}),

@@ -86,8 +86,11 @@ class TestGraphSpec:
          r"bad edges entry \(1, 2, inf\)"),
         ({"subgraph_edges": [[1, 2, float("nan")], [2, 3, 1.0]]},
          r"bad subgraph_edges entry \(1, 2, nan\)"),
+        # fewer than n - 1 edges are refused before any O(n) work
+        ({"n": 10**12}, "graph is disconnected"),
+        ({"n": 1e300}, "graph is disconnected"),
     ], ids=["fractional_n", "fractional_vertex", "nan_weight", "inf_weight",
-            "nan_subgraph_weight"])
+            "nan_subgraph_weight", "n_beyond_its_edges", "n_1e300"])
     def test_truncated_or_non_finite_input_rejected(self, tmp_path, spec,
                                                     named):
         data = {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]], **spec}

@@ -24,7 +24,7 @@ from graphsplit.graphs import (GraphSpec, scheme_complete, scheme_from_graph,
 from graphsplit.operators import SingleValuedOp, least_squares_gradient
 from graphsplit.scheme import (CoefficientScheme, check_explicit, compute_tau,
                                compute_UW, step_bounds, validate_psd)
-from graphsplit.solver import (consensus_gap, default_regime,
+from graphsplit.solver import (check_scheme, consensus_gap,
                                export_report_csv, export_state_json)
 
 from conftest import random_problem_for
@@ -145,14 +145,14 @@ class TestRegime:
     def test_default_regime_rules(self, rng):
         s = scheme_sequential(3)
         pb = random_problem_for(rng, s, 3, gdim=2)
-        assert default_regime(s, pb) == "cocoercive"
+        assert _regime(s, pb) == "cocoercive"
         # a merely Lipschitz C forces the lipschitz regime
         pb.C_list[0] = SingleValuedOp(dim=3, apply=lambda x: x,
                                       lipschitz=1.0, cocoercive=False)
-        assert default_regime(s, pb) == "lipschitz"
+        assert _regime(s, pb) == "lipschitz"
         ring = scheme_ring(4, regime="lipschitz")
         pb2 = random_problem_for(rng, ring, 3, gdim=2)
-        assert default_regime(ring, pb2) == "lipschitz"
+        assert _regime(ring, pb2) == "lipschitz"
 
     def test_consensus_gap(self):
         x = BlockVector([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
@@ -180,6 +180,13 @@ class TestRegime:
             assert abs(got - ref) <= 1e-10 * ref, (got, ref)
         if n == 1:
             assert consensus_gap(X) == 0.0
+
+
+def _regime(scheme, problem):
+    """The regime that solve's gate decides for a scheme on a problem."""
+    norms = [blk.L.norm() for blk in problem.BL_list]
+    return check_scheme(scheme, problem.lipschitz_constants, norms,
+                        problem.all_cocoercive)[0]
 
 
 def _lipschitz_ring_instance(d, nodes=4):
@@ -328,7 +335,7 @@ class TestSolve:
 
     def test_lipschitz_ring_converges_and_certifies(self):
         s, pb, _ = _lipschitz_ring_instance(d=10)
-        assert default_regime(s, pb) == "lipschitz"
+        assert _regime(s, pb) == "lipschitz"
         report = solve(s, pb, opts=SolveOptions(max_iters=20_000,
                                                 residual_tol=1e-20))
         assert report.converged
@@ -340,7 +347,7 @@ class TestSolve:
         # the half-bound eta, and at residual_tol 1e-16 the inclusion
         # residual (3.0e-7) certifies with a 30x margin; 1e-13 left 9.6e-6
         s, pb, _ = _lipschitz_ring_instance(d=12, nodes=6)
-        assert default_regime(s, pb) == "lipschitz"
+        assert _regime(s, pb) == "lipschitz"
         L_list = [blk.L for blk in pb.BL_list]
         ell = pb.lipschitz_constants
         verdict = validate_psd(s, L_list, ell, 12)
