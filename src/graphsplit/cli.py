@@ -4,6 +4,7 @@ assertion failure, 2 input error."""
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -30,6 +31,11 @@ def _parse_floats(ctx, param, text):
         return [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise click.BadParameter(f"{text!r} is not a comma list of numbers")
+
+
+def _bound(v):
+    """A bound as JSON can hold it: null when unbounded."""
+    return None if math.isinf(v) else v
 
 
 def _config(**kw):
@@ -61,8 +67,14 @@ def validate(scheme_path, psd_level, ell, l_norm):
     if len(ells) != s.p:
         click.echo(f"expected {s.p} Lipschitz constants", err=True)
         sys.exit(2)
+    for option, values in (("--ell", ells), ("--l-norm", [l_norm])):
+        bad = [v for v in values if not (math.isfinite(v) and v >= 0)]
+        if bad:
+            click.echo(f"{option} = {bad[0]} is not a finite nonnegative "
+                       "number", err=True)
+            sys.exit(2)
 
-    # the scalar model: cocoercive C_j, and 1x1 maps L_k of norm |l_norm|
+    # the scalar model: cocoercive C_j, and 1x1 maps L_k of norm l_norm
     regime, rep, bounds = check_scheme(s, ells, [l_norm] * s.r,
                                        all_cocoercive=True)
     out = {"standing": rep.as_dict(), "regime": regime,
@@ -70,9 +82,9 @@ def validate(scheme_path, psd_level, ell, l_norm):
     if isinstance(bounds, ValueError):
         out["bounds_error"] = str(bounds)
     else:
-        out.update(tau=bounds.tau, gamma_max=bounds.gamma_max)
+        out.update(tau=bounds.tau, gamma_max=_bound(bounds.gamma_max))
         if 0 < s.gamma < bounds.gamma_max:
-            out.update(eta_max=bounds.eta_max(s.gamma),
+            out.update(eta_max=_bound(bounds.eta_max(s.gamma)),
                        lambda_max=bounds.lambda_max(s.gamma))
         else:
             out["gamma_in_range"] = False

@@ -242,7 +242,10 @@ def objective(instance, x):
     return acc / instance.n_agents
 
 
-def reference_solve(instance, tol=1e-10, max_iters=500_000):
+REFERENCE_MAX_ITERS = 500_000   # reference_solve's iteration budget
+
+
+def reference_solve(instance, tol=1e-10):
     """Independent solution of the aggregate problem by a classical
     two-block primal-dual iteration (smooth quadratic handled by gradient,
     the l1 term by its prox, the total-variation term through a clipped
@@ -263,7 +266,7 @@ def reference_solve(instance, tol=1e-10, max_iters=500_000):
     x = np.zeros(d)
     u = np.zeros(d - 1)
     grad = A.T @ (A @ x - b)
-    for it in range(max_iters):
+    for it in range(REFERENCE_MAX_ITERS):
         x_new = prox_l1(x - sigma * (grad + L.adjoint(u)), sigma * mu_bar)
         u = np.clip(u + rho * L(2.0 * x_new - x), -nu_bar, nu_bar)
         x = x_new
@@ -275,9 +278,8 @@ def reference_solve(instance, tol=1e-10, max_iters=500_000):
             r2 = np.max(np.abs(lx - prox_l1(lx + u, nu_bar)), initial=0.0)
             if max(r1, r2) <= tol:
                 return x, objective(instance, x)
-    raise RuntimeError(
-        f"reference solver did not reach tol {tol} in {max_iters} iterations"
-    )
+    raise RuntimeError(f"reference solver did not reach tol {tol} in "
+                       f"{REFERENCE_MAX_ITERS} iterations")
 
 
 def build_family_scheme(family, instance, gamma_hat, eta_hat):

@@ -25,14 +25,31 @@ __all__ = [
     "export_report_csv", "export_state_json",
 ]
 
-# step and solve both accept lambda up to lambda_max + LAMBDA_SLACK
-LAMBDA_SLACK = 1e-12
+LAMBDA_SLACK = 1e-12   # how far lambda may pass lambda_max, in _check_lambda
+
+
+def _check_lambda(lam, lam_max=math.inf, name="lambda_t"):
+    """lam as a float, if it is one number in (0, lam_max + LAMBDA_SLACK]."""
+    try:
+        lam = float(lam)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be one number, not {lam!r}") from None
+    if not (math.isfinite(lam) and 0 < lam <= lam_max + LAMBDA_SLACK):
+        raise ValueError(f"{name} = {lam} outside (0, {lam_max}]")
+    return lam
 
 
 def _stacked(z):
     """The primal blocks of z as the rows of one 2-D array."""
     return (np.stack(z.blocks) if isinstance(z, BlockVector)
             else np.asarray(z, dtype=float))
+
+
+def _check_shape(a, shape, name):
+    """a, if its shape is ``shape``."""
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
 
 
 @dataclass
@@ -69,15 +86,8 @@ class StarNormContext:
 class SolveOptions:
     max_iters: int = 10_000
     residual_tol: float = 1e-10
-    lambda_schedule: Optional[object] = None   # constant or callable t -> lambda
+    lambda_schedule: Optional[float] = None   # one lambda; None: 0.9 lambda_max
     record_every: int = 1
-
-    def lam(self, t, default):
-        if self.lambda_schedule is None:
-            return default
-        if callable(self.lambda_schedule):
-            return float(self.lambda_schedule(t))
-        return float(self.lambda_schedule)
 
 
 # one record per recorded iteration; the objective is None when solve was
@@ -134,10 +144,11 @@ def _arg(row):
 
 def _dual_rows(w, dims=None, name="w"):
     """The dual blocks of w as the rows of one 2-D array, zero-padded to the
-    longest; such an array passes through.  Blocks must have sizes ``dims``
-    when given."""
+    longest; such an array passes through.  Blocks must have sizes ``dims``,
+    and such an array their padded shape, when given."""
     if isinstance(w, np.ndarray) and w.ndim == 2:
-        return w
+        return w if dims is None else _check_shape(
+            w, (len(dims), max(dims, default=0)), name)
     sizes = [np.size(b) for b in w]
     if dims is not None and sizes != dims:
         raise ValueError(f"{name} must hold {len(dims)} blocks of dimensions "
@@ -223,9 +234,10 @@ def eval_S(scheme, problem, z, w, check=True, collect=False, plan=None):
     A, C, BL = problem.A_list, problem.C_list, problem.BL_list
     dot = np.dot   # on one-row products much cheaper than @
     w = _dual_rows(w, plan.dims)
-    U = plan.Md @ _stacked(z)   # row i is (D^{-1} M z)_i; the sums add in
-    # every product below reads only rows and images already written
     d = problem.d
+    # row i of U is (D^{-1} M z)_i; the sums add in
+    U = plan.Md @ _check_shape(_stacked(z), (scheme.m, d), "z")
+    # every product below reads only rows and images already written
     X, S = np.empty((len(plan.rows), d)), np.empty((plan.n_images, d))
     LKx, LHx = np.zeros(w.shape), np.zeros(w.shape)   # zero padded
     stacks = (X, S)
@@ -281,19 +293,16 @@ def eval_Gamma(scheme, problem, z, w, check=True, plan=None):
 
 def residual_star(scheme, gz, gw, lambda_t):
     """(1/lambda) ||(Id - T)(z, w)||_star^2 with (Id - T) = Gamma."""
-    if lambda_t <= 0:
-        raise ValueError("lambda_t must be positive")
+    lambda_t = _check_lambda(lambda_t)
     ctx = StarNormContext(gamma=scheme.gamma, E_diag=scheme.E_diag)
     return ctx.inner(gz, gw, gz, gw) / lambda_t
 
 
-def step(scheme, problem, state, lambda_t, lambda_max=None, check=True):
+def step(scheme, problem, state, lambda_t, lambda_max=None):
     """One relaxed iteration (z, w) <- (z, w) - lambda_t * Gamma(z, w)."""
-    if lambda_t <= 0:
-        raise ValueError("lambda_t must be positive")
-    if lambda_max is not None and lambda_t > lambda_max + LAMBDA_SLACK:
-        raise ValueError(f"lambda_t = {lambda_t} exceeds bound {lambda_max}")
-    gz, gw, x, y = eval_Gamma(scheme, problem, state.z, state.w, check=check)
+    lambda_t = _check_lambda(
+        lambda_t, math.inf if lambda_max is None else lambda_max)
+    gz, gw, x, y = eval_Gamma(scheme, problem, state.z, state.w)
     return IterateState(z=state.z - lambda_t * gz,
                         w=state.w - lambda_t * gw, x=x, y=y)
 
@@ -332,7 +341,8 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     stopped: ``stop_reason`` is "converged" when the scaled residual drops to
     ``residual_tol``, "max_iters" when the budget runs out, and "diverged" at
     a non-finite residual (that iteration is recorded) or before an update
-    to a non-finite iterate.  The final state is the last finite iterate."""
+    to a non-finite iterate.  The final state is the last finite iterate, and
+    lambda is one number, fixed and checked before the first iteration."""
     opts = opts or SolveOptions()
     if opts.max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
@@ -351,14 +361,14 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     if isinstance(bounds, ValueError):
         raise bounds
     lam_max = bounds.lambda_max(s.gamma)
-    lam_default = 0.9 * lam_max
+    lam = _check_lambda(0.9 * lam_max if opts.lambda_schedule is None
+                        else opts.lambda_schedule, lam_max, "lambda_schedule")
 
-    z = (np.array(_stacked(z0), dtype=float) if z0 is not None
-         else np.zeros((s.m, problem.d)))
-    if z.shape != (s.m, problem.d):
-        raise ValueError(f"z0 must hold {s.m} blocks of dimension {problem.d}")
-    w = (_dual_rows(list(w0), plan.dims, "w0") if w0 is not None
-         else np.zeros(plan.eta.shape))
+    z = (_check_shape(np.array(_stacked(z0), dtype=float),
+                      (s.m, problem.d), "z0")
+         if z0 is not None else np.zeros((s.m, problem.d)))
+    w = (np.array(_dual_rows(w0, plan.dims, "w0"), dtype=float)
+         if w0 is not None else np.zeros(plan.eta.shape))
 
     def record():
         return (t, res, consensus_gap(x),
@@ -372,9 +382,6 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     # so large an x, before it stops as "diverged"; numpy stays silent
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(opts.max_iters + 1):
-            lam = opts.lam(t, lam_default)
-            if not 0 < lam <= lam_max + LAMBDA_SLACK:
-                raise ValueError(f"lambda = {lam} outside (0, {lam_max}]")
             gz, gw, x, y = eval_Gamma(s, problem, z, w, check=False, plan=plan)
             res = residual_star(s, gz, gw, lam)
             # the stopping rule rides on the recording cadence: records and
@@ -420,8 +427,8 @@ def certify_solution(scheme, problem, state, tol=1e-5):
     (b) the membership residuals ||L_k xbar - J_{B_k}(L_k xbar + s_k)||,
     and (c) the norm of a_total + sum L_k^* s_k + sum C_j xbar."""
     s = scheme
-    X, y, U, LKx, _ = eval_S(s, problem, _stacked(state.z), state.w,
-                             collect=True)
+    w = _dual_rows(state.w, [blk.L.out_dim for blk in problem.BL_list])
+    X, y, U, LKx, _ = eval_S(s, problem, _stacked(state.z), w, collect=True)
     xbar = X.sum(axis=0) / s.n
     gap = consensus_gap(X)
 
@@ -431,7 +438,8 @@ def certify_solution(scheme, problem, state, tol=1e-5):
 
     memberships = []
     for k, blk in enumerate(problem.BL_list):
-        s_k = s.E_diag[k] * LKx[k, :blk.L.out_dim] - np.asarray(state.w[k])
+        g = blk.L.out_dim
+        s_k = s.E_diag[k] * LKx[k, :g] - w[k, :g]
         total += blk.L.adjoint(s_k)
         lx = blk.L(xbar)
         memberships.append(float(np.linalg.norm(lx - blk.B(1.0, lx + s_k))))
@@ -450,7 +458,6 @@ def export_report_csv(report, path):
 
 def export_state_json(report, path):
     """Final state as JSON: the consensus primal block and the dual blocks."""
-    x = report.final.x[0] if report.final.x is not None else []
     s = ([list(b) for b in report.dual_certificate.blocks]
          if report.dual_certificate is not None else [])
-    write_json(path, {"x": list(np.asarray(x)), "s": s})
+    write_json(path, {"x": list(report.final.x[0]), "s": s})

@@ -191,6 +191,20 @@ class TestValidate:
         res = runner.invoke(main, ["validate", str(path), "--ell", "1.0"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("args,unbounded", [
+        (["--l-norm", "0"], "eta_max"), (["--ell", "0,0"], "gamma_max")],
+        ids=["l_norm_zero", "ell_zero"])
+    def test_unbounded_range_prints_null(self, runner, tmp_path, args,
+                                         unbounded):
+        # solve accepts the scheme on this model, so validate passes it
+        path = tmp_path / "scheme.json"
+        save_scheme(scheme_sequential(3), path)
+        res = runner.invoke(main, ["validate", str(path), *args])
+        assert res.exit_code == 0, res.output
+        report = json.loads(res.output)
+        assert report[unbounded] is None
+        assert report["lambda_max"] > 0
+
     def test_implicit_scheme_fails_at_every_level(self, runner, tmp_path):
         # N transposed keeps the standing checks and the bounds, but x_i
         # would need later blocks, so solve refuses it
@@ -278,16 +292,20 @@ def _scalar_problem(s, ell, l_norm):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(3, 6),
        gamma=st.floats(0.05, 2.0), eta=st.floats(0.05, 2.0),
-       l_norm=st.floats(0.1, 2.0),
+       l_norm=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
+       zero_ell=st.sampled_from(["none", "some", "all"]),
        mutation=st.sampled_from(["none", "transpose_N", "tamper_N",
                                  "gamma_past_max"]),
        seed=st.integers(0, 2**32 - 1))
-def test_validate_agrees_with_solve(family, n, gamma, eta, l_norm, mutation,
-                                    seed):
-    # validate --psd-level 0 passes exactly the schemes that solve accepts
+def test_validate_agrees_with_solve(family, n, gamma, eta, l_norm, zero_ell,
+                                    mutation, seed):
+    # validate --psd-level 0 passes exactly the schemes that solve accepts,
+    # unbounded ranges (l_norm = 0, every ell_j = 0) included
     rng = np.random.default_rng(seed)
     s = AGREE_FAMILIES[family](n, gamma, eta, rng)
-    ell = [float(c) for c in rng.uniform(0.0, 2.0, s.p)]
+    zero = {"none": 0.0, "some": 0.5, "all": 1.0}[zero_ell]
+    ell = [0.0 if rng.random() < zero else float(rng.uniform(0.0, 2.0))
+           for _ in range(s.p)]
     if mutation == "transpose_N":
         s = s.replace(N=s.N.T)
     elif mutation == "tamper_N":
@@ -421,6 +439,11 @@ class TestBenchmark:
     (["benchmark", "--n", "2", "--m", "10", "--d", "12", "--tol", "nan",
       "--max-iters", "50", "--out", "{out}"], "tol = nan"),
     (["validate", "{tmp}/list.json"], "cannot read scheme"),
+    (["validate", "{scheme}", "--l-norm", "nan"], "--l-norm = nan is not"),
+    (["validate", "{scheme}", "--l-norm", "inf"], "--l-norm = inf is not"),
+    (["validate", "{scheme}", "--l-norm", "-1"], "--l-norm = -1.0 is not"),
+    (["validate", "{scheme}", "--ell", "nan,1"], "--ell = nan is not"),
+    (["validate", "{scheme}", "--ell", "inf,1"], "--ell = inf is not"),
     (["validate", "{tmp}/string.json"], "must hold a JSON object, not str"),
     (["validate", "{tmp}/number.json"], "must hold a JSON object, not int"),
     (["validate", "{tmp}/null.json"], "must hold a JSON object"),
@@ -440,7 +463,9 @@ class TestBenchmark:
         "benchmark_no_families", "benchmark_no_lambda_hats",
         "benchmark_negative_nu", "benchmark_nan_mu", "solve_negative_mu",
         "solve_tol_nan", "solve_tol_negative", "benchmark_tol_nan",
-        "validate_scheme_list", "validate_scheme_string",
+        "validate_scheme_list", "validate_l_norm_nan", "validate_l_norm_inf",
+        "validate_l_norm_negative", "validate_ell_nan", "validate_ell_inf",
+        "validate_scheme_string",
         "validate_scheme_number", "validate_scheme_null",
         "solve_meta_not_an_object", "solve_meta_mu_number",
         "solve_meta_partition_number", "solve_meta_seed_list",

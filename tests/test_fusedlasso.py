@@ -263,6 +263,12 @@ class TestReferenceSolve:
         with pytest.raises(ValueError):
             reference_solve(inst, tol=0.0)
 
+    def test_budget_named_when_exhausted(self, monkeypatch):
+        inst = desk_instance(0)
+        monkeypatch.setattr(fusedlasso, "REFERENCE_MAX_ITERS", 5)
+        with pytest.raises(RuntimeError, match="in 5 iterations"):
+            reference_solve(inst, tol=1e-10)
+
     @pytest.mark.parametrize("inst", [
         desk_instance(0),
         gen_instance(6, n=2, m=30, d=8, k_nonzero=2, mu=1.0, nu=0.5)],

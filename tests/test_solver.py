@@ -24,7 +24,8 @@ from graphsplit.graphs import (GraphSpec, scheme_complete, scheme_from_graph,
 from graphsplit.operators import SingleValuedOp, least_squares_gradient
 from graphsplit.scheme import (CoefficientScheme, check_explicit, compute_tau,
                                compute_UW, step_bounds, validate_psd)
-from graphsplit.solver import (check_scheme, consensus_gap,
+from graphsplit import solver as solver_module
+from graphsplit.solver import (LAMBDA_SLACK, check_scheme, consensus_gap,
                                export_report_csv, export_state_json)
 
 from conftest import random_problem_for
@@ -475,14 +476,56 @@ class TestSolve:
         report = solve(s, pb, opts=SolveOptions(max_iters=5, residual_tol=0.0))
         assert report.converged and report.iters_run == 0
 
-    def test_lambda_schedule_callable(self):
+    def test_lambda_schedule_callable_refused(self, monkeypatch):
+        # lambda is one number per run, refused before any evaluation
         s = two_node_scheme()
         ident = affine_resolvent(np.eye(2), np.zeros(2))
         pb = ProblemInstance(d=2, A_list=[ident, ident])
-        report = solve(s, pb, z0=BlockVector([np.ones(2)]),
-                       opts=SolveOptions(max_iters=30, residual_tol=1e-20,
-                                         lambda_schedule=lambda t: 0.5))
-        assert report.lambda_used == 0.5
+
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("Gamma evaluated before lambda was checked")
+
+        monkeypatch.setattr(solver_module, "eval_Gamma", no_evaluation)
+        with pytest.raises(ValueError, match="lambda_schedule"):
+            solve(s, pb, z0=BlockVector([np.ones(2)]),
+                  opts=SolveOptions(max_iters=30,
+                                    lambda_schedule=lambda t: 0.5))
+
+
+def _accepts(call):
+    try:
+        call()
+        return True
+    except ValueError:
+        return False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(near=st.sampled_from(["zero", "lambda_max"]),
+       offset=st.one_of(st.floats(-4 * LAMBDA_SLACK, 4 * LAMBDA_SLACK),
+                        st.sampled_from([LAMBDA_SLACK, -LAMBDA_SLACK,
+                                         math.inf, -math.inf, math.nan])))
+def test_one_lambda_rule_for_solve_step_and_residual(near, offset):
+    # solve and step with lambda_max accept the same lambda, and step
+    # without a bound accepts what residual_star accepts
+    s, pb, _ = _mixed_out_dims_instance(3)
+    lam_max = check_scheme(s, pb.lipschitz_constants,
+                           [blk.L.norm() for blk in pb.BL_list],
+                           pb.all_cocoercive)[2].lambda_max(s.gamma)
+    lam = (0.0 if near == "zero" else lam_max) + offset
+    state = IterateState(z=BlockVector([np.zeros(pb.d)] * s.m),
+                         w=BlockVector([np.zeros(blk.L.out_dim)
+                                        for blk in pb.BL_list]))
+    gz, gw, _, _ = eval_Gamma(s, pb, state.z, state.w)
+    by_solve = _accepts(lambda: solve(s, pb, opts=SolveOptions(
+        max_iters=0, lambda_schedule=lam)))
+    by_step = _accepts(lambda: step(s, pb, state, lam, lambda_max=lam_max))
+    by_step_unbounded = _accepts(lambda: step(s, pb, state, lam))
+    by_residual = _accepts(lambda: residual_star(s, gz, gw, lam))
+    finite_positive = math.isfinite(lam) and lam > 0
+    assert by_solve == by_step == (finite_positive
+                                   and lam <= lam_max + LAMBDA_SLACK)
+    assert by_residual == by_step_unbounded == finite_positive
 
 
 class TestSchemeAgainstProblem:
@@ -501,6 +544,51 @@ class TestSchemeAgainstProblem:
                 solve(s, pb)
             else:
                 eval_S(s, pb, np.zeros((s.m, 3)), [np.zeros(2)] * s.r)
+
+    def test_solve_and_certificate_take_padded_dual_rows(self, rng):
+        # a stacked w is one zero-padded row per dual block, of unequal sizes
+        s, pb, lam_max = _mixed_out_dims_instance(3)
+        dims = [blk.L.out_dim for blk in pb.BL_list]
+
+        def pad(w):
+            rows = np.zeros((s.r, max(dims)))
+            for row, b in zip(rows, w):
+                row[:b.size] = b
+            return rows
+
+        w0 = BlockVector([rng.standard_normal(g) for g in dims])
+        opts = SolveOptions(max_iters=50, lambda_schedule=lam_max)
+        want = solve(s, pb, w0=w0, opts=opts)
+        got = solve(s, pb, w0=pad(w0), opts=opts)
+        np.testing.assert_array_equal(got.final.w.concat(),
+                                      want.final.w.concat())
+        z, w = want.final.z, want.final.w
+        assert certify_solution(s, pb, IterateState(
+            z=np.stack(z.blocks), w=pad(w))) == certify_solution(
+                s, pb, IterateState(z=z, w=w))
+
+    @pytest.mark.parametrize("name,rows,cols", [
+        ("w", 0, 1), ("w", 0, "one"), ("w", -1, 0), ("w", 1, 0),
+        ("z", -1, 0), ("z", 0, "one"), ("z", 0, 1)],
+        ids=["w_too_wide", "w_one_column", "w_too_few_rows",
+             "w_too_many_rows", "z_too_few_rows", "z_one_column",
+             "z_too_wide"])
+    def test_stacked_iterates_must_have_their_shapes(self, name, rows, cols):
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        s, _, _ = build_family_scheme("sequential", inst, 0.5, 0.1)
+        shapes = {"z": (s.m, pb.d),
+                  "w": (s.r, max(blk.L.out_dim for blk in pb.BL_list))}
+        r, g = shapes[name]
+        bad = (r + rows, 1 if cols == "one" else g + cols)
+        zw = {k: np.zeros(bad if k == name else v) for k, v in shapes.items()}
+        named = (rf"{name} has shape \({bad[0]}, {bad[1]}\), "
+                 rf"expected \({r}, {g}\)")
+        for call in (eval_S, eval_Gamma):
+            with pytest.raises(ValueError, match=named):
+                call(s, pb, zw["z"], zw["w"])
+        with pytest.raises(ValueError, match=named):
+            certify_solution(s, pb, IterateState(z=zw["z"], w=zw["w"]))
 
 
 def _perturbed(s, rng):
