@@ -7,6 +7,7 @@ each zero-padded to the longest."""
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -39,10 +40,17 @@ def _check_lambda(lam, lam_max=math.inf, name="lambda_t"):
     return lam
 
 
-def _stacked(z):
-    """The primal blocks of z as the rows of one 2-D array."""
-    return (np.stack(z.blocks) if isinstance(z, BlockVector)
-            else np.asarray(z, dtype=float))
+def _stacked(z, shape=None, name="z"):
+    """The primal blocks of z as the rows of one 2-D array, which must have
+    the shape ``shape`` when given."""
+    if not isinstance(z, BlockVector):
+        z = np.asarray(z, dtype=float)
+    elif shape is None or z.dims == [shape[1]] * len(z):
+        z = np.stack(z.blocks)
+    else:
+        raise ValueError(f"{name} has blocks of dimensions "
+                         f"{sorted(set(z.dims))}, expected {shape}")
+    return z if shape is None else _check_shape(z, shape, name)
 
 
 def _check_shape(a, shape, name):
@@ -236,7 +244,7 @@ def eval_S(scheme, problem, z, w, check=True, collect=False, plan=None):
     w = _dual_rows(w, plan.dims)
     d = problem.d
     # row i of U is (D^{-1} M z)_i; the sums add in
-    U = plan.Md @ _check_shape(_stacked(z), (scheme.m, d), "z")
+    U = plan.Md @ _stacked(z, (scheme.m, d))
     # every product below reads only rows and images already written
     X, S = np.empty((len(plan.rows), d)), np.empty((plan.n_images, d))
     LKx, LHx = np.zeros(w.shape), np.zeros(w.shape)   # zero padded
@@ -281,8 +289,8 @@ def eval_Gamma(scheme, problem, z, w, check=True, plan=None):
     out; a stacked z gives stacked gz and x and, as in eval_S, gw and y as
     padded rows."""
     plan = plan or EvalPlan(scheme, problem)
-    X, y, _, _, LHx = eval_S(scheme, problem, _stacked(z), w, check=check,
-                             collect=True, plan=plan)
+    X, y, _, _, LHx = eval_S(scheme, problem, _stacked(
+        z, (scheme.m, problem.d)), w, check=check, collect=True, plan=plan)
     gz = scheme.M.T @ X
     gw = np.subtract(LHx, y, out=LHx)
     gw *= plan.eta
@@ -340,10 +348,16 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     """Run the relaxed fixed-point iteration from (z0, w0) and report how it
     stopped: ``stop_reason`` is "converged" when the scaled residual drops to
     ``residual_tol``, "max_iters" when the budget runs out, and "diverged" at
-    a non-finite residual (that iteration is recorded) or before an update
-    to a non-finite iterate.  The final state is the last finite iterate, and
-    lambda is one number, fixed and checked before the first iteration."""
+    the first non-finite residual, which is recorded.  A NaN or infinite
+    entry in z0 or w0 is refused, and lambda, one number, is checked, before
+    the first iteration; lambda <= 1 + LAMBDA_SLACK keeps each state finite."""
     opts = opts or SolveOptions()
+    for name, kind, what in (("max_iters", numbers.Integral, "an integer"),
+                             ("record_every", numbers.Integral, "an integer"),
+                             ("residual_tol", numbers.Real, "a number")):
+        value = getattr(opts, name)
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} = {value!r} is not {what}")
     if opts.max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     if opts.record_every < 1:
@@ -364,11 +378,13 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     lam = _check_lambda(0.9 * lam_max if opts.lambda_schedule is None
                         else opts.lambda_schedule, lam_max, "lambda_schedule")
 
-    z = (_check_shape(np.array(_stacked(z0), dtype=float),
-                      (s.m, problem.d), "z0")
+    z = (np.array(_stacked(z0, (s.m, problem.d), "z0"), dtype=float)
          if z0 is not None else np.zeros((s.m, problem.d)))
     w = (np.array(_dual_rows(w0, plan.dims, "w0"), dtype=float)
          if w0 is not None else np.zeros(plan.eta.shape))
+    for name, a in (("z0", z), ("w0", w)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} has a NaN or infinite entry")
 
     def record():
         return (t, res, consensus_gap(x),
@@ -378,8 +394,7 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     records = []
     stop = "max_iters"
     t0 = time.perf_counter()
-    # a diverging run overflows, in the residual norm or in the record of
-    # so large an x, before it stops as "diverged"; numpy stays silent
+    # a diverging run overflows in res, the records and s_bar, silently
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(opts.max_iters + 1):
             gz, gw, x, y = eval_Gamma(s, problem, z, w, check=False, plan=plan)
@@ -397,20 +412,20 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
                     stop = "converged"
                 if stop == "converged" or t == opts.max_iters:
                     break
+            # lam <= lam_max + LAMBDA_SLACK <= 1 + 1e-12, gamma > 0, E > 0:
+            # from a finite state, an update overflows only where |lam g| >=
+            # 2^970, whose square made res infinite; so kept states are finite
             z_next = np.multiply(gz, -lam, out=gz)   # z - lam * gz, in gz
             z_next += z
             w_next = np.multiply(gw, -lam, out=gw)
             w_next += w
-            if not (np.isfinite(z_next).all() and np.isfinite(w_next).all()):
-                stop = "diverged"
-                break
             z, w = z_next, w_next
 
-    s_bar = None
-    if s.r > 0:
-        Kx = s.K @ x
-        s_bar = BlockVector([eta * blk.L(kx) - wk for eta, blk, kx, wk in zip(
-            s.E_diag, problem.BL_list, Kx, plan.split(w))])
+        s_bar = None
+        if s.r > 0:
+            s_bar = BlockVector([eta * blk.L(kx) - wk for eta, blk, kx, wk in
+                                 zip(s.E_diag, problem.BL_list, s.K @ x,
+                                     plan.split(w))])
     return SolveReport(
         iters_run=t, records=records,
         final=IterateState(BlockVector(z), BlockVector(plan.split(w)),
@@ -428,7 +443,8 @@ def certify_solution(scheme, problem, state, tol=1e-5):
     and (c) the norm of a_total + sum L_k^* s_k + sum C_j xbar."""
     s = scheme
     w = _dual_rows(state.w, [blk.L.out_dim for blk in problem.BL_list])
-    X, y, U, LKx, _ = eval_S(s, problem, _stacked(state.z), w, collect=True)
+    X, y, U, LKx, _ = eval_S(s, problem, _stacked(state.z, (s.m, problem.d)),
+                             w, collect=True)
     xbar = X.sum(axis=0) / s.n
     gap = consensus_gap(X)
 

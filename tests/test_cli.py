@@ -100,6 +100,14 @@ class TestGenScheme:
                                    "--out", str(tmp_path / "x.json")])
         assert res.exit_code == 2
 
+    def test_construction_failure_exits_1(self, runner, tmp_path):
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, ["gen-scheme", "--family", "ring",
+                                   "--n", "1", "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("scheme construction failed: n = 1")
+        assert not out.exists()
+
 
 # scheme -> (exit codes at PSD levels 0, 1, 2; stdout at level 0, and at
 # levels 1 and 2, which print the same): the keys, their order and the float
@@ -185,6 +193,18 @@ class TestValidate:
     def test_missing_file(self, runner, tmp_path):
         res = runner.invoke(main, ["validate", str(tmp_path / "nope.json")])
         assert res.exit_code == 2
+
+    def test_bounds_error_printed(self, runner, tmp_path):
+        # with R = 0, U M^T = P^T - R has no solution, so there are no bounds
+        s = scheme_sequential(3)
+        path = tmp_path / "scheme.json"
+        save_scheme(s.replace(R=np.zeros_like(s.R)), path)
+        res = runner.invoke(main, ["validate", str(path)])
+        assert res.exit_code == 1
+        report = json.loads(res.stdout)
+        assert report["bounds_error"].startswith(
+            "U M^T = P^T - R is inconsistent")
+        assert "tau" not in report and "lambda_max" not in report
 
     def test_wrong_ell_count(self, runner, tmp_path):
         path = self._scheme_file(runner, tmp_path)
@@ -410,6 +430,23 @@ class TestBenchmark:
             "benchmark", "--gamma-hat", "1.5",
             "--out", str(tmp_path / "b")])
         assert res.exit_code == 2
+
+    def test_parity_failure_exits_1(self, runner, tmp_path, monkeypatch):
+        reference = fusedlasso.reference_solve
+
+        def shifted(inst, **kwargs):
+            x, f = reference(inst, **kwargs)
+            return x, f + 1.0
+
+        monkeypatch.setattr(fusedlasso, "reference_solve", shifted)
+        res = runner.invoke(main, [
+            "benchmark", "--seed", "2", "--n", "2", "--m", "14", "--d", "16",
+            "--mu", "0.5", "--nu", "0.3", "--families", "sequential",
+            "--tol", "1e-10", "--out", str(tmp_path / "bench")])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("parity failure: sequential objective "
+                                     "off by ")
+        assert "reference objective" in res.stdout
 
 
 @pytest.mark.parametrize("args,message", [

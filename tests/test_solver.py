@@ -4,12 +4,15 @@ relaxed iteration."""
 import csv
 import json
 import math
+import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from graphsplit import (BlockVector, ComposedBlock, IterateState, LinearMap, ProblemInstance,
                         SolveOptions, StarNormContext, affine_resolvent,
@@ -303,6 +306,93 @@ class TestSolve:
         with pytest.raises(ValueError, match="record_every"):
             solve(s, pb, opts=SolveOptions(max_iters=5, record_every=every))
 
+    def test_negative_max_iters_refused(self):
+        s = two_node_scheme()
+        ident = affine_resolvent(np.eye(2), np.zeros(2))
+        pb = ProblemInstance(d=2, A_list=[ident, ident])
+        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+            solve(s, pb, opts=SolveOptions(max_iters=-1))
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_iters", 2.5), ("max_iters", "5"), ("residual_tol", "1"),
+        ("record_every", 2.5)],
+        ids=["max_iters_float", "max_iters_str", "residual_tol_str",
+             "record_every_float"])
+    def test_option_types_refused_by_name(self, field, value):
+        s = two_node_scheme()
+        ident = affine_resolvent(np.eye(2), np.zeros(2))
+        pb = ProblemInstance(d=2, A_list=[ident, ident])
+        opts = replace(SolveOptions(max_iters=7), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} = "):
+            solve(s, pb, opts=opts)
+
+    def test_numpy_integer_options_accepted(self):
+        s = two_node_scheme()
+        ident = affine_resolvent(np.eye(2), np.zeros(2))
+        pb = ProblemInstance(d=2, A_list=[ident, ident])
+        report = solve(s, pb, z0=BlockVector([np.ones(2)]), opts=SolveOptions(
+            max_iters=np.int64(7), record_every=np.int32(5),
+            residual_tol=np.float64(0.0), lambda_schedule=1.0))
+        assert [r[0] for r in report.records] == [0, 5, 7]
+
+    def test_bounds_error_reraised(self):
+        s = scheme_sequential(2)
+        d = 2
+        pb = ProblemInstance(
+            d=d, A_list=[zero_resolvent(d), zero_resolvent(d)],
+            BL_list=[ComposedBlock(B=zero_resolvent(d),
+                                   L=LinearMap(np.eye(d)))],
+            C_list=[SingleValuedOp(dim=d, apply=lambda x: x, lipschitz=-1.0,
+                                   cocoercive=True)])
+        with pytest.raises(ValueError,
+                           match="Lipschitz constants must be nonnegative"):
+            solve(s, pb)
+
+    @pytest.mark.parametrize("name", ["z0", "w0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("stacked", [False, True],
+                             ids=["blocks", "stacked"])
+    def test_non_finite_start_refused(self, monkeypatch, name, value,
+                                      stacked):
+        # a finite start is what keeps every state of the loop finite
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        s, _, _ = build_family_scheme("sequential", inst, 0.5, 0.1)
+        start = {"z0": BlockVector([np.zeros(pb.d) for _ in range(s.m)]),
+                 "w0": BlockVector([np.zeros(blk.L.out_dim)
+                                    for blk in pb.BL_list])}
+        start[name].blocks[-1][3] = value
+        if stacked:
+            start = {k: np.stack(v.blocks) for k, v in start.items()}
+
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("Gamma evaluated at a non-finite start")
+
+        monkeypatch.setattr(solver_module, "eval_Gamma", no_evaluation)
+        with pytest.raises(ValueError,
+                           match=f"^{name} has a NaN or infinite entry$"):
+            solve(s, pb, **start, opts=SolveOptions(max_iters=5))
+
+    def test_diverged_certificate_leaks_no_warning(self):
+        # C overflows at the start, so the last x is not finite, and the
+        # dual certificate is computed from it
+        s = scheme_sequential(3, gamma=0.5, eta=0.5)
+        d = 2
+        blowup = SingleValuedOp(dim=d,
+                                apply=lambda x: 1e300 * np.exp(np.abs(x)),
+                                lipschitz=1.0, cocoercive=True)
+        pb = ProblemInstance(
+            d=d, A_list=[zero_resolvent(d)] * 3,
+            BL_list=[ComposedBlock(B=zero_resolvent(d),
+                                   L=LinearMap(np.eye(d)))] * 2,
+            C_list=[blowup] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(s, pb, z0=BlockVector([np.full(d, 700.0)] * s.m),
+                           opts=SolveOptions(max_iters=5))
+        assert report.stop_reason == "diverged"
+        assert report.final.z.isfinite() and report.final.w.isfinite()
+
     def test_lambda_out_of_range_rejected(self):
         s = two_node_scheme()
         ident = affine_resolvent(np.eye(2), np.zeros(2))
@@ -589,6 +679,72 @@ class TestSchemeAgainstProblem:
                 call(s, pb, zw["z"], zw["w"])
         with pytest.raises(ValueError, match=named):
             certify_solution(s, pb, IterateState(z=zw["z"], w=zw["w"]))
+
+    def test_block_iterate_must_have_its_dimensions(self):
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        s, _, _ = build_family_scheme("sequential", inst, 0.5, 0.1)
+        z = BlockVector([np.zeros(pb.d)] * (s.m - 1) + [np.zeros(pb.d - 1)])
+        w = BlockVector([np.zeros(blk.L.out_dim) for blk in pb.BL_list])
+        named = (rf"has blocks of dimensions \[{pb.d - 1}, {pb.d}\], "
+                 rf"expected \({s.m}, {pb.d}\)")
+        for call in (eval_S, eval_Gamma):
+            with pytest.raises(ValueError, match="^z " + named):
+                call(s, pb, z, w)
+        with pytest.raises(ValueError, match="^z " + named):
+            certify_solution(s, pb, IterateState(z=z, w=w))
+        with pytest.raises(ValueError, match="^z0 " + named):
+            solve(s, pb, z0=z, w0=w)
+
+
+HUGE = np.finfo(float).max
+# finite floats, often within a factor 2 of +-max
+_finite = st.one_of(st.floats(-HUGE, HUGE), st.floats(HUGE / 2, HUGE),
+                    st.floats(-HUGE, -HUGE / 2))
+
+
+def _update_and_residual(z, w, gz, gw, lam, gamma, E):
+    """One update of solve's loop and the residual_star it follows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = residual_star(SimpleNamespace(gamma=gamma, E_diag=E), gz, gw,
+                            lam)
+        z_next = np.multiply(gz, -lam) + z
+        w_next = np.multiply(gw, -lam) + w
+    return np.isfinite(z_next).all() and np.isfinite(w_next).all(), res
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), m=st.integers(1, 3), d=st.integers(1, 3),
+       r=st.integers(0, 2), g=st.integers(1, 3),
+       lam=st.one_of(st.floats(0.0, 1.0 + LAMBDA_SLACK, exclude_min=True),
+                     st.just(1.0 + LAMBDA_SLACK)),
+       gamma=st.floats(0.0, HUGE, exclude_min=True))
+def test_update_overflows_only_with_the_residual(data, m, d, r, g, lam,
+                                                 gamma):
+    # solve's one divergence check: with lambda <= 1 + LAMBDA_SLACK, gamma > 0
+    # and E > 0, an update z - lam gz, w - lam gw from a finite state
+    # overflows only when residual_star of (gz, gw) is not finite
+    z, gz = (data.draw(arrays(float, (m, d), elements=_finite))
+             for _ in range(2))
+    w, gw = (data.draw(arrays(float, (r, g), elements=_finite))
+             for _ in range(2))
+    E = data.draw(arrays(float, r, elements=st.floats(0.0, HUGE,
+                                                      exclude_min=True)))
+    finite, res = _update_and_residual(z, w, gz, gw, lam, gamma, E)
+    assert finite or not math.isfinite(res)
+
+
+@pytest.mark.parametrize("part", ["z", "w"])
+def test_update_overflow_needs_a_step_of_2_970(part):
+    # max + 2^970 rounds to inf and max + 2^969 to max, and the square of
+    # either step overflows the residual, at any gamma and E
+    lam, E = 1.0 + LAMBDA_SLACK, np.array([HUGE])
+    z, w = np.full((1, 1), HUGE), np.full((1, 1), HUGE)
+    for size, overflows in ((2.0 ** 969, False), (2.0 ** 970, True)):
+        gz = np.full((1, 1), -size if part == "z" else 0.0)
+        gw = np.full((1, 1), -size if part == "w" else 0.0)
+        finite, res = _update_and_residual(z, w, gz, gw, lam, 1e-300, E)
+        assert finite != overflows and not math.isfinite(res)
 
 
 def _perturbed(s, rng):
