@@ -32,6 +32,8 @@ LAMBDA_SLACK = 1e-12   # how far lambda may pass lambda_max, in _check_lambda
 def _check_lambda(lam, lam_max=math.inf, name="lambda_t"):
     """lam as a float, if it is one number in (0, lam_max + LAMBDA_SLACK]."""
     try:
+        if isinstance(lam, (bool, np.bool_)):   # float() reads it as 0 or 1
+            raise TypeError
         lam = float(lam)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be one number, not {lam!r}") from None
@@ -173,8 +175,13 @@ class EvalPlan:
     order the rows first need them.  Row i lists the images first needed
     there, with their arguments, and at most two spans of nonzeros, N[i, :i]
     over the x blocks and -gamma times row i of P - Q, Q and H over the
-    images, both divided by delta_i (as is M, in ``Md``).  The scheme's n, r
-    and p must be the problem's numbers of A_i, L_k and C_j."""
+    images, both divided by delta_i (as is M, in ``Md``).  A row that repeats
+    the previous row's coefficients wherever that row has a nonzero (the
+    complete family, below each pivot) has mode "run" in ``modes``: its spans
+    hold only its new coefficients, added to the running sum that the
+    previous row ("start" or "run") left.  ``Ht`` is H^T when a column of H
+    mixes several x_i, so that (H^T x)_k comes from one product.  The
+    scheme's n, r and p must be the problem's numbers of A_i, L_k and C_j."""
 
     def __init__(self, scheme, problem):
         s, gamma = scheme, scheme.gamma
@@ -200,7 +207,10 @@ class EvalPlan:
         self.slices = [(k, slice(0, g)) for k, g in enumerate(self.dims)]
         self.eta = np.repeat(s.E_diag[:, None], max(self.dims, default=0), 1)
         self.inv_eta = 1.0 / self.eta   # per element: faster than broadcast
-        self.rows = []
+        # row i's coefficients over the x blocks, then over the images
+        coef = np.hstack([np.tril(s.N, -1) / s.D_diag[:, None], G])
+        prev = np.zeros(coef.shape[1])
+        self.rows, self.modes = [], []
         for i in range(s.n):
             new = [(t, kind, j) for t, (f, kind, j) in enumerate(images)
                    if f == i]
@@ -208,9 +218,18 @@ class EvalPlan:
                      for t, kind, j in new if kind < 2]
             new_L = [(t, j, self.slices[j], _arg(s.K[j, :i]),
                       float(s.E_diag[j])) for t, kind, j in new if kind == 2]
-            sums = [(a, *_span(row)) for a, row in (
-                (0, s.N[i, :i] / s.D_diag[i]), (1, G[i])) if np.any(row)]
+            c, old = coef[i], prev != 0.0
+            run = old.any() and np.array_equal(c[old], prev[old])
+            prev = c
+            if run:   # sum only the new coefficients, onto the previous sum
+                c = np.where(old, 0.0, c)
+                self.modes[-1] = self.modes[-1] or "start"
+            self.modes.append("run" if run else None)
+            sums = [(a, *_span(row)) for a, row in enumerate(
+                np.split(c, [s.n])) if np.any(row)]
             self.rows.append((new_C, new_L, sums, gamma / s.D_diag[i]))
+        several = np.count_nonzero(s.H, axis=0) > 1
+        self.Ht = np.ascontiguousarray(s.H.T) if several.any() else None
         # per dual block: K[k] when no row needed L_k (K x)_k, and H[:, k]
         f_H = first_rows(s.H)
         self.duals = [(k, self.slices[k],
@@ -249,27 +268,34 @@ def eval_S(scheme, problem, z, w, check=True, collect=False, plan=None):
     X, S = np.empty((len(plan.rows), d)), np.empty((plan.n_images, d))
     LKx, LHx = np.zeros(w.shape), np.zeros(w.shape)   # zero padded
     stacks = (X, S)
+    T = np.empty(d) if "start" in plan.modes else None   # the running sum
 
     def arg(c, coef):
         return X[c] if coef is None else dot(coef, X[c])
 
-    for i, (new_C, new_L, sums, step_i) in enumerate(plan.rows):
+    for i, ((new_C, new_L, sums, step_i), mode) in enumerate(
+            zip(plan.rows, plan.modes)):
         for t, j, spec in new_C:
             S[t] = C[j](arg(*spec))
         for t, k, sl, spec, eta in new_L:
             L = BL[k].L
             lkx = LKx[sl] = L(arg(*spec))
             S[t] = L.adjoint(eta * lkx - w[sl])
-        u = U[i]
+        u = U[i] if mode is None else T
+        if mode == "start":
+            T.fill(0.0)
         for a, cols, coef in sums:
             u += dot(coef, stacks[a][cols])
-        X[i] = A[i](step_i, u)
+        if mode is not None:
+            U[i] += T
+        X[i] = A[i](step_i, U[i])
 
+    HtX = None if plan.Ht is None else plan.Ht @ X
     for k, sl, K_arg, H_arg, _ in plan.duals:
         L = BL[k].L
         if K_arg is not None:   # column k of H is zero, so no row needed it
             LKx[sl] = L(arg(*K_arg))
-        LHx[sl] = L(arg(*H_arg))
+        LHx[sl] = L(arg(*H_arg) if HtX is None else HtX[k])
     # y holds the B arguments LKx - w / eta + LHx, then their resolvents
     y = np.multiply(w, plan.inv_eta)
     np.subtract(LKx, y, out=y)
@@ -338,7 +364,9 @@ def consensus_gap(x):
     cancels.  Adding and removing 2^-900 keeps offsets above 1e-254 exact and
     zeroes subnormal ones, which would make the product many times slower."""
     X = _stacked(x)
-    Y = X - X[0] + 2.0 ** -900 - 2.0 ** -900
+    Y = np.subtract(X, X[0])
+    Y += 2.0 ** -900
+    Y -= 2.0 ** -900
     G = Y @ Y.T
     sq = np.diag(G)
     return float(np.sqrt(max(np.max(sq[:, None] + sq - 2.0 * G), 0.0)))
@@ -356,7 +384,7 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
                              ("record_every", numbers.Integral, "an integer"),
                              ("residual_tol", numbers.Real, "a number")):
         value = getattr(opts, name)
-        if not isinstance(value, kind):
+        if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"{name} = {value!r} is not {what}")
     if opts.max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
