@@ -252,7 +252,7 @@ def reference_solve(instance, tol=1e-10):
     dual variable).  Stops on the max of the two stationarity residuals.
     O(m d) memory and time per iteration: one gradient A^T (A x - b) per
     iteration, and the exact Lipschitz constant ||A||^2 (spectral_norm)."""
-    if tol <= 0:
+    if not tol > 0:   # a NaN tol would never stop the loop
         raise ValueError("tol must be positive")
     A = np.vstack(instance.A_blocks)
     b = np.concatenate(instance.b_blocks)
@@ -421,7 +421,7 @@ def load_instance(dirpath):
         raise ValueError(f"meta.json's partition {counts} has an entry < 1")
     for name, size in (("A.csv's row count", A.shape[0]),
                        ("b.csv's entry count", b.size),
-                       ("meta.json's m", meta["m"])):
+                       ("meta.json's m", _meta_field(meta, "m", int))):
         if size != sum(counts):
             raise ValueError(f"meta.json's partition sums to {sum(counts)}, "
                              f"but {name} is {size}")
@@ -436,7 +436,7 @@ def load_instance(dirpath):
                               float),
     )
     for key, size in (("n", inst.n_agents), ("d", inst.d)):
-        if meta[key] != size:
+        if _meta_field(meta, key, int) != size:
             raise ValueError(
                 f"meta.json has {key} = {meta[key]!r} but the arrays give "
                 f"{size}")

@@ -286,10 +286,13 @@ def load_graph(path):
     with open(path) as fh:
         data = json.load(fh)
     try:
-        return GraphSpec(
-            n=data["n"],
-            edges=[tuple(e) for e in data["edges"]],
-            subgraph_edges=[tuple(e) for e in data.get("subgraph_edges", [])],
-        )
+        edges, sub = data["edges"], data.get("subgraph_edges", [])
+        for e in (*edges, *sub):   # a bool is no number, as in solve's options
+            if any(isinstance(v, bool) or not isinstance(v, (int, float))
+                   for v in e):
+                raise ValueError(f"edge {e!r} holds a value that is not a "
+                                 "number")
+        return GraphSpec(n=data["n"], edges=[tuple(e) for e in edges],
+                         subgraph_edges=[tuple(e) for e in sub])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph data: {exc}") from exc

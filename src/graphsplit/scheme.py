@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -405,9 +406,17 @@ def scheme_to_dict(s):
     return {f.name: getattr(s, f.name) for f in dataclasses.fields(s)}
 
 
-# field annotation -> conversion of the loaded value; the matrices pass as
-# loaded, and CoefficientScheme converts and checks them
-_FROM_JSON = {"float": float, "str": str}
+def _from_json(name, annotation, value):
+    """A loaded value of annotation "str" (family) if a string, of "float"
+    (gamma, theta) as a float if a number, and a matrix as loaded if every
+    entry is a number, for CoefficientScheme to convert and check; a bool
+    is no number, as in solve's options.  Any other is refused by name."""
+    kind, what = ((str, "a string") if annotation == "str"
+                  else (numbers.Real, "a number"))
+    for v in np.asarray(value, dtype=object).ravel():   # the value or entries
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise ValueError(f"{name} holds {v!r}, which is not {what}")
+    return float(value) if annotation == "float" else value
 
 
 def scheme_from_dict(data):
@@ -419,18 +428,19 @@ def scheme_from_dict(data):
         if not isinstance(data, dict):
             raise ValueError("a scheme file must hold a JSON object, not "
                              f"{type(data).__name__}")
-        theta = float(data.get("theta", 1.0))
+        theta = _from_json("theta", "float", data.get("theta", 1.0))
         if theta != 1.0:
             raise ValueError(
                 f"theta = {theta} is not supported; only theta = 1 loads")
         fields = dataclasses.fields(CoefficientScheme)
         s = CoefficientScheme(**{
-            f.name: _FROM_JSON.get(f.type, np.asarray)(data[f.name])
+            f.name: _from_json(f.name, f.type, data[f.name])
             for f in fields if f.init
             and (f.name in data or f.default is dataclasses.MISSING)})
         for name in (f.name for f in fields if not f.init):
             size = getattr(s, name)
-            if data.get(name, size) != size:
+            stored = data.get(name, size)
+            if isinstance(stored, bool) or stored != size:
                 raise ValueError(
                     f"{name} = {data[name]!r} but the matrices give {size}")
         return s

@@ -132,23 +132,13 @@ class SolveReport:
         return [(r[0], r[4]) for r in self.records]
 
 
-def _require_explicit(scheme):
-    if not check_explicit(scheme):
-        raise ValueError("scheme is implicit (not strictly lower triangular); "
-                         "the forward-substitution evaluation does not apply")
-
-
-def _span(row):
-    """The first to last nonzero of a row (empty if none) and its entries."""
+def _combo(row):
+    """A linear combination of stacked rows: the index i alone when ``row``
+    picks row i with coefficient exactly 1, so that row i passes as it is,
+    else the first to last nonzero (empty if none) and their coefficients."""
     nz = np.flatnonzero(row)
     cols = slice(int(nz[0]), int(nz[-1]) + 1) if nz.size else slice(0, 0)
-    return cols, row[cols]
-
-
-def _arg(row):
-    """The span of a row's nonzeros, or only its index i when the row picks
-    x_i with coefficient exactly 1, so that x_i is passed as it is."""
-    cols, coef = _span(row)
+    coef = row[cols]
     return (cols.start, None) if coef.tolist() == [1.0] else (cols, coef)
 
 
@@ -170,18 +160,19 @@ def _dual_rows(w, dims=None, name="w"):
 
 
 class EvalPlan:
-    """The forward substitution of one scheme on one problem, compiled once.
-    The C(Rx), C(P^T x) and L^*(E L K x - w) images share one stack, in the
-    order the rows first need them.  Row i lists the images first needed
-    there, with their arguments, and at most two spans of nonzeros, N[i, :i]
-    over the x blocks and -gamma times row i of P - Q, Q and H over the
-    images, both divided by delta_i (as is M, in ``Md``).  A row that repeats
-    the previous row's coefficients wherever that row has a nonzero (the
-    complete family, below each pivot) has mode "run" in ``modes``: its spans
-    hold only its new coefficients, added to the running sum that the
-    previous row ("start" or "run") left.  ``Ht`` is H^T when a column of H
-    mixes several x_i, so that (H^T x)_k comes from one product.  The
-    scheme's n, r and p must be the problem's numbers of A_i, L_k and C_j."""
+    """The forward substitution of one scheme on one problem, compiled once,
+    for an explicit scheme (``check_explicit``) whose n, r and p are the
+    problem's numbers of A_i, L_k and C_j; any other is refused.  The C(Rx),
+    C(P^T x) and L^*(E L K x - w) images share one stack, in the order the
+    rows first need them.  Row i lists the images first needed there, with
+    their arguments, and at most two sums, N[i, :i] over the x blocks and
+    -gamma times row i of P - Q, Q and H over the images, both divided by
+    delta_i (as is M, in ``Md``); each argument and sum is a ``_combo``.  A
+    row that repeats the previous row's coefficients wherever that row has a
+    nonzero (the complete family, below each pivot) has mode "run" in
+    ``modes``: its sums hold only its new coefficients, added to the running
+    sum that the previous row ("start" or "run") left.  ``Ht`` is H^T when a
+    column of H mixes several x_i, so that (H^T x)_k is one product."""
 
     def __init__(self, scheme, problem):
         s, gamma = scheme, scheme.gamma
@@ -190,6 +181,10 @@ class EvalPlan:
             if have != want:
                 raise ValueError(f"the scheme has {name} = {have} but the "
                                  f"problem has {want} operators {ops}")
+        if not check_explicit(s):
+            raise ValueError("scheme is implicit (not strictly lower "
+                             "triangular); the forward-substitution "
+                             "evaluation does not apply")
         coefs = (s.P - s.Q, s.Q, s.H)   # per image kind, one column per image
 
         def first_rows(a):   # first row with a nonzero, per column; n if none
@@ -214,9 +209,9 @@ class EvalPlan:
         for i in range(s.n):
             new = [(t, kind, j) for t, (f, kind, j) in enumerate(images)
                    if f == i]
-            new_C = [(t, j, _arg(s.R[j, :i] if kind == 0 else s.P[:i, j]))
+            new_C = [(t, j, _combo(s.R[j, :i] if kind == 0 else s.P[:i, j]))
                      for t, kind, j in new if kind < 2]
-            new_L = [(t, j, self.slices[j], _arg(s.K[j, :i]),
+            new_L = [(t, j, self.slices[j], _combo(s.K[j, :i]),
                       float(s.E_diag[j])) for t, kind, j in new if kind == 2]
             c, old = coef[i], prev != 0.0
             run = old.any() and np.array_equal(c[old], prev[old])
@@ -225,7 +220,7 @@ class EvalPlan:
                 c = np.where(old, 0.0, c)
                 self.modes[-1] = self.modes[-1] or "start"
             self.modes.append("run" if run else None)
-            sums = [(a, *_span(row)) for a, row in enumerate(
+            sums = [(a, *_combo(row)) for a, row in enumerate(
                 np.split(c, [s.n])) if np.any(row)]
             self.rows.append((new_C, new_L, sums, gamma / s.D_diag[i]))
         several = np.count_nonzero(s.H, axis=0) > 1
@@ -233,8 +228,8 @@ class EvalPlan:
         # per dual block: K[k] when no row needed L_k (K x)_k, and H[:, k]
         f_H = first_rows(s.H)
         self.duals = [(k, self.slices[k],
-                       _arg(s.K[k]) if f_H[k] == s.n else None,
-                       _arg(s.H[:, k]), 1.0 / float(s.E_diag[k]))
+                       _combo(s.K[k]) if f_H[k] == s.n else None,
+                       _combo(s.H[:, k]), 1.0 / float(s.E_diag[k]))
                       for k in range(s.r)]
 
     def split(self, v):
@@ -242,7 +237,7 @@ class EvalPlan:
         return [v[sl] for sl in self.slices]
 
 
-def eval_S(scheme, problem, z, w, check=True, collect=False, plan=None):
+def eval_S(scheme, problem, z, w, collect=False, plan=None):
     """Evaluate the solution operator: forward substitution for the primal
     blocks x_1..x_n followed by the dual resolvents for y.  Row i solves
     x_i = J_{(gamma/delta_i) A_i}(u_i) with
@@ -255,8 +250,6 @@ def eval_S(scheme, problem, z, w, check=True, collect=False, plan=None):
     (w may come either way).  ``collect`` adds the (n, d) array U of the u_i
     and L_k (K x)_k and L_k (H^T x)_k, like y or as lists of blocks.
     """
-    if check:
-        _require_explicit(scheme)
     plan = plan or EvalPlan(scheme, problem)
     A, C, BL = problem.A_list, problem.C_list, problem.BL_list
     dot = np.dot   # on one-row products much cheaper than @
@@ -270,22 +263,22 @@ def eval_S(scheme, problem, z, w, check=True, collect=False, plan=None):
     stacks = (X, S)
     T = np.empty(d) if "start" in plan.modes else None   # the running sum
 
-    def arg(c, coef):
-        return X[c] if coef is None else dot(coef, X[c])
+    def combo(a, c, coef):   # a _combo of the rows of a
+        return a[c] if coef is None else dot(coef, a[c])
 
     for i, ((new_C, new_L, sums, step_i), mode) in enumerate(
             zip(plan.rows, plan.modes)):
         for t, j, spec in new_C:
-            S[t] = C[j](arg(*spec))
+            S[t] = C[j](combo(X, *spec))
         for t, k, sl, spec, eta in new_L:
             L = BL[k].L
-            lkx = LKx[sl] = L(arg(*spec))
+            lkx = LKx[sl] = L(combo(X, *spec))
             S[t] = L.adjoint(eta * lkx - w[sl])
         u = U[i] if mode is None else T
         if mode == "start":
             T.fill(0.0)
-        for a, cols, coef in sums:
-            u += dot(coef, stacks[a][cols])
+        for a, c, coef in sums:
+            u += combo(stacks[a], c, coef)
         if mode is not None:
             U[i] += T
         X[i] = A[i](step_i, U[i])
@@ -294,8 +287,8 @@ def eval_S(scheme, problem, z, w, check=True, collect=False, plan=None):
     for k, sl, K_arg, H_arg, _ in plan.duals:
         L = BL[k].L
         if K_arg is not None:   # column k of H is zero, so no row needed it
-            LKx[sl] = L(arg(*K_arg))
-        LHx[sl] = L(arg(*H_arg) if HtX is None else HtX[k])
+            LKx[sl] = L(combo(X, *K_arg))
+        LHx[sl] = L(combo(X, *H_arg) if HtX is None else HtX[k])
     # y holds the B arguments LKx - w / eta + LHx, then their resolvents
     y = np.multiply(w, plan.inv_eta)
     np.subtract(LKx, y, out=y)
@@ -313,10 +306,11 @@ def eval_Gamma(scheme, problem, z, w, check=True, plan=None):
     """The displacement map: gz = M^T x and gw_k = eta_k (L_k (H^T x)_k - y_k),
     so that T(z, w) = (z, w) - (gz, gw).  BlockVectors in give BlockVectors
     out; a stacked z gives stacked gz and x and, as in eval_S, gw and y as
-    padded rows."""
+    padded rows.  ``check`` selects nothing: the plan refuses an implicit
+    scheme either way."""
     plan = plan or EvalPlan(scheme, problem)
     X, y, _, _, LHx = eval_S(scheme, problem, _stacked(
-        z, (scheme.m, problem.d)), w, check=check, collect=True, plan=plan)
+        z, (scheme.m, problem.d)), w, collect=True, plan=plan)
     gz = scheme.M.T @ X
     gw = np.subtract(LHx, y, out=LHx)
     gw *= plan.eta
@@ -393,13 +387,12 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     if not opts.residual_tol >= 0:
         raise ValueError(f"residual_tol = {opts.residual_tol} must be >= 0")
     s = scheme
-    plan = EvalPlan(s, problem)
     _, rep, bounds = check_scheme(
         s, problem.lipschitz_constants,
         [blk.L.norm() for blk in problem.BL_list], problem.all_cocoercive)
     if not rep.all_pass:
         raise ValueError(f"scheme fails structural validation: {rep.as_dict()}")
-    _require_explicit(s)
+    plan = EvalPlan(s, problem)
     if isinstance(bounds, ValueError):
         raise bounds
     lam_max = bounds.lambda_max(s.gamma)
@@ -425,7 +418,7 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     # a diverging run overflows in res, the records and s_bar, silently
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(opts.max_iters + 1):
-            gz, gw, x, y = eval_Gamma(s, problem, z, w, check=False, plan=plan)
+            gz, gw, x, y = eval_Gamma(s, problem, z, w, plan=plan)
             res = residual_star(s, gz, gw, lam)
             # the stopping rule rides on the recording cadence: records and
             # the convergence test happen every record_every iterations, but
@@ -469,10 +462,10 @@ def certify_solution(scheme, problem, state, tol=1e-5):
     s_k = eta_k L_k (K x)_k - w_k, and reports (a) the consensus gap,
     (b) the membership residuals ||L_k xbar - J_{B_k}(L_k xbar + s_k)||,
     and (c) the norm of a_total + sum L_k^* s_k + sum C_j xbar."""
-    s = scheme
-    w = _dual_rows(state.w, [blk.L.out_dim for blk in problem.BL_list])
+    s, plan = scheme, EvalPlan(scheme, problem)
+    w = _dual_rows(state.w, plan.dims)
     X, y, U, LKx, _ = eval_S(s, problem, _stacked(state.z, (s.m, problem.d)),
-                             w, collect=True)
+                             w, collect=True, plan=plan)
     xbar = X.sum(axis=0) / s.n
     gap = consensus_gap(X)
 
@@ -481,9 +474,8 @@ def certify_solution(scheme, problem, state, tol=1e-5):
     total = (s.D_diag / s.gamma) @ (U - X)
 
     memberships = []
-    for k, blk in enumerate(problem.BL_list):
-        g = blk.L.out_dim
-        s_k = s.E_diag[k] * LKx[k, :g] - w[k, :g]
+    for (k, sl), blk in zip(plan.slices, problem.BL_list):
+        s_k = s.E_diag[k] * LKx[k, sl] - w[k, sl]
         total += blk.L.adjoint(s_k)
         lx = blk.L(xbar)
         memberships.append(float(np.linalg.norm(lx - blk.B(1.0, lx + s_k))))

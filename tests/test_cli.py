@@ -494,6 +494,17 @@ class TestBenchmark:
      "cannot read instance: meta.json's seed = [1] is not of type int"),
     (["gen-scheme", "--graph", "{tmp}/huge_n.json", "--out", "{out}"],
      "malformed graph data: graph is disconnected"),
+    # json would read true as 1, 7 as the family "7" and "14" as m = 14
+    (["validate", "{tmp}/bool_gamma.json"],
+     "cannot read scheme: malformed scheme data: gamma holds True"),
+    (["validate", "{tmp}/number_family.json"],
+     "cannot read scheme: malformed scheme data: family holds 7"),
+    (["gen-scheme", "--graph", "{tmp}/bool_weight.json", "--out", "{out}"],
+     "cannot read graph: malformed graph data: edge [1, 2, True] holds"),
+    (["solve", "{tmp}/m_string"],
+     "cannot read instance: meta.json's m = '14' is not of type int"),
+    (["solve", "{tmp}/n_bool"],
+     "cannot read instance: meta.json's n = True is not of type int"),
 ], ids=["solve_gamma_hat", "solve_lambda_hat", "solve_eta_hat",
         "solve_max_iters", "benchmark_sizes", "benchmark_max_iters",
         "benchmark_gamma_hat_not_a_number", "validate_ell_not_a_number",
@@ -506,20 +517,30 @@ class TestBenchmark:
         "validate_scheme_number", "validate_scheme_null",
         "solve_meta_not_an_object", "solve_meta_mu_number",
         "solve_meta_partition_number", "solve_meta_seed_list",
-        "gen_scheme_graph_n_beyond_its_edges"])
+        "gen_scheme_graph_n_beyond_its_edges", "validate_scheme_bool_gamma",
+        "validate_scheme_number_family", "gen_scheme_graph_bool_weight",
+        "solve_meta_m_string", "solve_meta_n_bool"])
 def test_input_errors_exit_2(runner, instance_dir, tmp_path, args, message):
     save_scheme(scheme_sequential(3), tmp_path / "s.json")
+    scheme = json.loads((tmp_path / "s.json").read_text())
     # JSON files that are not objects, a graph whose edges cannot connect
-    # its n, and instances with a bad meta.json
+    # its n, files with values of the wrong JSON kind, and instances with a
+    # bad meta.json
     for name, text in (("list", "[1, 2]"), ("string", '"x"'),
                        ("number", "3"), ("null", "null"),
-                       ("huge_n", '{"n": 1e300, "edges": [[1, 2, 1.0]]}')):
+                       ("huge_n", '{"n": 1e300, "edges": [[1, 2, 1.0]]}'),
+                       ("bool_gamma", json.dumps({**scheme, "gamma": True})),
+                       ("number_family", json.dumps({**scheme, "family": 7})),
+                       ("bool_weight", '{"n": 3, "edges": [[1, 2, true], '
+                                       '[2, 3, 1.0]]}')):
         (tmp_path / f"{name}.json").write_text(text)
     meta = json.loads((instance_dir / "meta.json").read_text())
     for name, bad in (("negative_mu", {**meta, "mu": [-1.0, 0.5]}),
                       ("meta_list", [1]), ("mu_number", {**meta, "mu": 3}),
                       ("partition_number", {**meta, "partition": 3}),
-                      ("seed_list", {**meta, "seed": [1]})):
+                      ("seed_list", {**meta, "seed": [1]}),
+                      ("m_string", {**meta, "m": "14"}),
+                      ("n_bool", {**meta, "n": True})):
         shutil.copytree(instance_dir, tmp_path / name)
         (tmp_path / name / "meta.json").write_text(json.dumps(bad))
     args = [a.format(inst=instance_dir, out=tmp_path / "b", tmp=tmp_path,
@@ -527,3 +548,4 @@ def test_input_errors_exit_2(runner, instance_dir, tmp_path, args, message):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert message in res.stderr
+

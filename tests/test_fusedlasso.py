@@ -3,6 +3,7 @@ harness, and artifact IO."""
 
 import json
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -204,6 +205,27 @@ class TestGenInstance:
         with pytest.raises(ValueError, match=r"A_blocks\[2\] has 5 columns"):
             replace(inst, A_blocks=blocks)
 
+    @pytest.mark.parametrize("edit", ["no_agents", "d_1"])
+    def test_empty_or_one_column_instance_refused(self, edit):
+        inst = gen_instance(1, n=3, m=12, d=6, k_nonzero=2)
+        fields = ({"A_blocks": [], "b_blocks": [], "mu": [], "nu": []}
+                  if edit == "no_agents" else
+                  {"A_blocks": [A[:, :1] for A in inst.A_blocks]})
+        with pytest.raises(ValueError,
+                           match="need at least one agent and d >= 2"):
+            replace(inst, **fields)
+
+    @pytest.mark.parametrize("rows", [-1, "none"])
+    def test_rows_disagreeing_with_b_refused(self, rows):
+        inst = gen_instance(1, n=3, m=12, d=6, k_nonzero=2)
+        A_blocks, b_blocks = list(inst.A_blocks), list(inst.b_blocks)
+        if rows == "none":   # a block with no row at all
+            A_blocks[1], b_blocks[1] = A_blocks[1][:0], b_blocks[1][:0]
+        else:
+            b_blocks[1] = b_blocks[1][:rows]
+        with pytest.raises(ValueError, match="inconsistent block shapes"):
+            replace(inst, A_blocks=A_blocks, b_blocks=b_blocks)
+
     def test_desk_instance_shape(self):
         inst = desk_instance(0)
         assert (inst.n_agents, inst.m, inst.d) == (5, 50, 200)
@@ -262,6 +284,13 @@ class TestReferenceSolve:
         inst = gen_instance(1, n=2, m=10, d=6, k_nonzero=2)
         with pytest.raises(ValueError):
             reference_solve(inst, tol=0.0)
+
+    def test_nan_tolerance_refused_before_iterating(self, monkeypatch):
+        # max(r1, r2) <= nan is never true, so it would run the whole budget
+        inst = gen_instance(2, n=2, m=6, d=5, k_nonzero=2)
+        monkeypatch.setattr(fusedlasso, "REFERENCE_MAX_ITERS", 5)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            reference_solve(inst, tol=float("nan"))
 
     def test_budget_named_when_exhausted(self, monkeypatch):
         inst = desk_instance(0)
@@ -521,6 +550,20 @@ class TestInstanceIO:
         meta.update(edit)
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=message):
+            load_instance(str(tmp_path))
+
+    @pytest.mark.parametrize("key, value", [
+        ("m", "14"), ("n", "3"), ("d", "9"), ("n", True), ("m", 14.0)],
+        ids=["m_string", "n_string", "d_string", "n_bool", "m_float"])
+    def test_meta_size_of_another_type_named(self, tmp_path, key, value):
+        inst = gen_instance(3, n=3, m=14, d=9, k_nonzero=2)
+        save_instance(inst, str(tmp_path))
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=re.escape(
+                f"meta.json's {key} = {value!r} is not of type int")):
             load_instance(str(tmp_path))
 
     def test_short_x_true_named(self, tmp_path):

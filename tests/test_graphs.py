@@ -2,6 +2,7 @@
 generators."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,12 @@ class TestGraphSpec:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="malformed graph data: " + named):
             load_graph(path)
+
+    def test_subgraph_edge_outside_the_graph(self):
+        with pytest.raises(ValueError,
+                           match=r"subgraph edge \(1, 3\) not in the graph"):
+            GraphSpec(n=3, edges=[(1, 2, 1.0), (2, 3, 1.0)],
+                      subgraph_edges=[(1, 2, 1.0), (1, 3, 1.0)])
 
     def test_disconnected_subgraph(self):
         with pytest.raises(ValueError, match="subgraph is disconnected"):
@@ -255,6 +262,10 @@ class TestNamedFamilies:
             with pytest.raises(ValueError):
                 gen(1)
 
+    def test_ring_unknown_regime_named(self):
+        with pytest.raises(ValueError, match="unknown regime 'monotone'"):
+            scheme_ring(4, regime="monotone")
+
 
 class TestSchemeFromGraph:
     def test_path_recovers_sequential(self):
@@ -387,4 +398,21 @@ class TestGraphIO:
         path = tmp_path / "bad.json"
         path.write_text('{"n": 3}')
         with pytest.raises(ValueError):
+            load_graph(path)
+
+    @pytest.mark.parametrize("spec,entry", [
+        ({"edges": [[1, 2, True], [2, 3, 1.0]]}, "[1, 2, True]"),
+        ({"edges": [[True, 2, 1.0], [2, 3, 1.0]]}, "[True, 2, 1.0]"),
+        ({"subgraph_edges": [[1, 2, 1.0], [2, 3, True]]}, "[2, 3, True]"),
+        ({"edges": [[1, 2, "1"], [2, 3, 1.0]]}, "[1, 2, '1']")],
+        ids=["bool_weight", "bool_vertex", "bool_subgraph_weight",
+             "string_weight"])
+    def test_non_number_entry_named(self, tmp_path, spec, entry):
+        # json would load true as 1, a valid weight and vertex
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(
+            {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]], **spec}))
+        named = (f"malformed graph data: edge {re.escape(entry)} holds a "
+                 "value that is not a number")
+        with pytest.raises(ValueError, match=named):
             load_graph(path)

@@ -15,6 +15,7 @@ class TestBlockVector:
         assert v.dims == [3, 5, 2]
         assert len(v) == 3
         assert v.norm() == 0.0
+        assert repr(v) == "BlockVector(dims=[3, 5, 2])"
 
     def test_arithmetic(self):
         a = BlockVector([[1.0, 2.0], [3.0]])
@@ -62,6 +63,10 @@ class TestKronApply:
         z = BlockVector([[1.0, 2.0], [3.0]])
         with pytest.raises(ValueError):
             kron_apply(np.eye(2), z)
+
+    def test_matrix_must_be_2d(self):
+        with pytest.raises(ValueError, match="M must be a 2-D matrix"):
+            kron_apply(np.ones(2), BlockVector([[1.0], [2.0]]))
 
 
 class TestLinearMap:
@@ -122,6 +127,14 @@ class TestPsd:
     def test_min_eigenvalue(self):
         S = np.diag([3.0, -1.0, 2.0])
         assert abs(min_eigenvalue_sym(S) + 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_min_eigenvalue_needs_a_square_matrix(self, shape):
+        with pytest.raises(ValueError, match="S must be square"):
+            min_eigenvalue_sym(np.ones(shape))
+
+    def test_min_eigenvalue_of_an_empty_matrix_is_zero(self):
+        assert min_eigenvalue_sym(np.zeros((0, 0))) == 0.0
 
     def test_is_psd_agrees_with_sampling(self):
         rng = np.random.default_rng(5)

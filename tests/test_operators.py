@@ -221,3 +221,16 @@ class TestProblemInstance:
             ProblemInstance(d=3, A_list=[zero_resolvent(2)])
         with pytest.raises(ValueError):
             ProblemInstance(d=3, A_list=[])
+
+    def test_dual_and_smooth_dim_checks_named(self, rng):
+        d = 3
+        A_list = [zero_resolvent(d)]
+        L = LinearMap(rng.standard_normal((2, d + 1)))
+        with pytest.raises(ValueError,
+                           match="all L_k must map from the primal space"):
+            ProblemInstance(d=d, A_list=A_list, BL_list=[
+                ComposedBlock(B=l1_resolvent(1.0, 2), L=L)])
+        C = least_squares_gradient(np.ones((2, d + 1)), np.ones(2))
+        with pytest.raises(ValueError,
+                           match="all C_j must act on the primal space"):
+            ProblemInstance(d=d, A_list=A_list, C_list=[C])

@@ -2,6 +2,8 @@
 assembly."""
 
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +60,14 @@ class TestConstruction:
             scheme_sequential(3).replace(D_diag=np.array([1.0, -1.0, 1.0]))
         with pytest.raises(ValueError):
             scheme_sequential(3).replace(E_diag=np.zeros(2))
+
+    def test_empty_m_refused(self):
+        with pytest.raises(ValueError, match="need n >= 1 and m >= 1"):
+            CoefficientScheme(
+                M=np.zeros((0, 1)), N=np.zeros((0, 0)), D_diag=np.zeros(0),
+                E_diag=np.zeros(0), H=np.zeros((0, 0)), K=np.zeros((0, 0)),
+                P=np.zeros((0, 0)), Q=np.zeros((0, 0)), R=np.zeros((0, 0)),
+                gamma=1.0)
 
     def test_sizes_read_from_the_matrices(self):
         s = scheme_ring(4, r=2, p=3)
@@ -204,6 +214,12 @@ class TestTau:
         with pytest.raises(ValueError):
             compute_tau(uw, [1.0, -1.0], "cocoercive")
 
+    def test_one_ell_per_smooth_operator(self):
+        uw = compute_UW(scheme_sequential(3))
+        with pytest.raises(ValueError, match="ell must have one entry per "
+                                             "single-valued operator"):
+            compute_tau(uw, [1.0, 1.0, 1.0], "cocoercive")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_ell_rejected(self, bad):
         uw = compute_UW(scheme_sequential(3))
@@ -243,6 +259,10 @@ class TestOmegaUpsilon:
         omega = psd_oracle.assemble_omega(s, [], d)
         np.testing.assert_allclose(omega, np.kron(base, np.eye(d)),
                                    atol=1e-12)
+
+    def test_upsilons_need_p_lipschitz_constants(self):
+        with pytest.raises(ValueError, match="ell must have p entries"):
+            assemble_upsilons(scheme_sequential(3), [1.0])
 
     def test_matches_direct_formula(self):
         s = scheme_sequential(3, gamma=0.4, eta=0.7)
@@ -515,6 +535,29 @@ class TestSerialization:
             assert np.shape(a) == np.shape(b), f.name
             np.testing.assert_array_equal(a, b, err_msg=f.name)
         assert (s2.r, s2.p) == (kw.get("r", 1), kw.get("p", 1))
+
+    @pytest.mark.parametrize("edit,named", [
+        ({"gamma": True}, "gamma holds True, which is not a number"),
+        ({"gamma": "0.5"}, "gamma holds '0.5', which is not a number"),
+        ({"family": 7}, "family holds 7, which is not a string"),
+        ({"M": [[1.0, 0.0], [True, 1.0], [0.0, -1.0]]},
+         "M holds True, which is not a number"),
+        ({"D_diag": [1.0, True, 1.0]},
+         "D_diag holds True, which is not a number"),
+        ({"n": True}, "n = True but the matrices give 3"),
+        ({"r": True}, "r = True but the matrices give 1"),
+        ({"theta": True}, "theta holds True, which is not a number"),
+    ], ids=["bool_gamma", "string_gamma", "number_family", "bool_in_matrix",
+            "bool_in_diagonal", "bool_n", "bool_r", "bool_theta"])
+    def test_json_kinds_checked_on_load(self, tmp_path, edit, named):
+        # json would load true as 1 and 7 as the family "7"
+        path = tmp_path / "scheme.json"
+        save_scheme(scheme_ring(3, gamma=0.5), path)
+        data = {**json.loads(path.read_text()), **edit}
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="malformed scheme data: "
+                           + re.escape(named)):
+            load_scheme(path)
 
     def test_wrong_matrix_size_is_malformed(self):
         data = scheme_to_dict(scheme_ring(3))

@@ -31,7 +31,7 @@ from graphsplit import solver as solver_module
 from graphsplit.solver import (LAMBDA_SLACK, check_scheme, consensus_gap,
                                export_report_csv, export_state_json)
 
-from conftest import random_problem_for
+from conftest import monotone_affine, random_problem_for
 import psd_oracle
 import solver_oracle
 
@@ -718,6 +718,33 @@ class TestSchemeAgainstProblem:
         with pytest.raises(ValueError, match=named):
             certify_solution(s, pb, IterateState(z=zw["z"], w=zw["w"]))
 
+    def test_implicit_scheme_refused_by_every_evaluator(self, rng):
+        # N[0, 2] is above the diagonal; its mass comes from N[2, 1], so
+        # the standing checks pass and solve reaches the plan
+        s = scheme_sequential(3, gamma=0.1)
+        N = s.N.copy()
+        N[0, 2], N[2, 1] = 0.5, N[2, 1] - 0.5
+        bad = s.replace(N=N)
+        pb = random_problem_for(rng, bad, 4, gdim=2)
+        assert check_scheme(bad, pb.lipschitz_constants, [1.0] * bad.r,
+                            pb.all_cocoercive)[1].all_pass
+        z, w = np.zeros((bad.m, 4)), np.zeros((bad.r, 2))
+        state = IterateState(z=z, w=w)
+        implicit = r"^scheme is implicit \(not strictly lower triangular\)"
+        for call in (lambda: solver_module.EvalPlan(bad, pb),
+                     lambda: eval_S(bad, pb, z, w),
+                     lambda: eval_Gamma(bad, pb, z, w, check=False),
+                     lambda: step(bad, pb, state, 0.5),
+                     lambda: certify_solution(bad, pb, state),
+                     lambda: solve(bad, pb),
+                     # solve refuses an implicit scheme before its gamma
+                     lambda: solve(bad.replace(gamma=1e6), pb)):
+            with pytest.raises(ValueError, match=implicit):
+                call()
+        # and after a failed standing check
+        with pytest.raises(ValueError, match="fails structural validation"):
+            solve(bad.replace(N=N + np.eye(3)), pb)
+
     def test_block_iterate_must_have_its_dimensions(self):
         inst = desk_instance(0)
         pb = to_problem(inst)
@@ -1000,6 +1027,55 @@ class TestCertification:
                                          lambda_schedule=0.9 * lam_max))
         cert = certify_solution(scheme, pb, report.final, tol=1e-8)
         assert not cert["ok"]
+
+
+class TestClassicalMethods:
+    """Douglas-Rachford (p = 0) and Davis-Yin (p = 1) as schemes:
+    scheme_sequential(2)'s M, N, D, P and R with no dual block, stepped
+    against their textbook loops.  Each prints check_scheme's lambda_max
+    beside the classical relaxation range."""
+
+    STEPS = 60
+
+    @pytest.mark.parametrize("method", ["douglas_rachford", "davis_yin"])
+    def test_scheme_reproduces_the_textbook_loop(self, method, rng):
+        d, p = 6, int(method == "davis_yin")
+        A1, A2 = (monotone_affine(rng, d) for _ in range(2))
+        C_list = ([least_squares_gradient(rng.standard_normal((d + 2, d)),
+                                          rng.standard_normal(d + 2))]
+                  if p else [])
+        pb = ProblemInstance(d=d, A_list=[A1, A2], C_list=C_list)
+        L = C_list[0].lipschitz if p else 0.0
+        gamma = 1.0 / L if p else 0.7
+        s = scheme_sequential(2, gamma=gamma).replace(
+            E_diag=np.zeros(0), H=np.zeros((2, 0)), K=np.zeros((0, 2)),
+            **({} if p else {"P": np.zeros((2, 0)), "Q": np.zeros((2, 0)),
+                             "R": np.zeros((0, 2))}))
+        regime, rep, bounds = check_scheme(s, pb.lipschitz_constants, [],
+                                           pb.all_cocoercive)
+        assert (regime, rep.all_pass, check_explicit(s)) == (
+            "cocoercive", True, True)
+        lam_max = bounds.lambda_max(gamma)
+        classical = 2.0 - gamma * L / 2.0
+        print(f"{method}: lambda_max {lam_max:.6g}, classical lambda < "
+              f"{classical:.6g}")
+        lam = 0.9 * lam_max
+
+        def C(x):
+            return C_list[0](x) if p else 0.0
+
+        z = rng.standard_normal(d)
+        state = IterateState(z=BlockVector([z]), w=BlockVector([]))
+        for _ in range(self.STEPS):
+            # x_B = J_{gamma B} z, x_A = J_{gamma A}(2 x_B - z - gamma C x_B)
+            x_B = A1(gamma, z)
+            x_A = A2(gamma, 2.0 * x_B - z - gamma * C(x_B))
+            z = z + lam * (x_A - x_B)
+            state = step(s, pb, state, lam)
+            for got, want in ((state.x[0], x_B), (state.x[1], x_A),
+                              (state.z[0], z)):
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12)
 
 
 class TestExports:
