@@ -53,7 +53,7 @@ RECORD_EVERY = 10
 
 class DifferenceMap:
     """First-difference operator (Lx)_i = x_{i+1} - x_i from R^d to
-    R^(d-1), applied matrix-free."""
+    R^(d-1), applied matrix-free, to x or to each row of a stack of them."""
 
     def __init__(self, d):
         if d < 2:
@@ -61,9 +61,10 @@ class DifferenceMap:
         self.in_dim, self.out_dim = d, d - 1
 
     def apply(self, x):
-        return x[1:] - x[:-1]
+        return x[..., 1:] - x[..., :-1]
 
     __call__ = apply
+    stacked_rows = True   # so an EvalPlan may apply it to stacked rows
 
     def adjoint(self, y):
         out = np.empty(y.size + 1)

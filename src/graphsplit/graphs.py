@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -77,7 +78,8 @@ class GraphSpec:
     subgraph_edges: List[Tuple[int, int, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        if not float(self.n).is_integer() or self.n < 2:
+        if not isinstance(self.n, numbers.Real) or self.n < 2 \
+                or not float(self.n).is_integer():   # a bool is below 2
             raise ValueError(f"n = {self.n!r} must be an integer >= 2")
         self.n = int(self.n)
         self.edges = _edge_list("edges", self.edges, self.n)

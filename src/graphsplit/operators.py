@@ -114,18 +114,32 @@ def prox_l1(v, t):
     """Componentwise soft-thresholding, the proximal map of t*||.||_1."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    v = np.asarray(v, dtype=float)
+    return _soft_threshold(np.asarray(v, dtype=float), t)
+
+
+def _soft_threshold(v, t):
+    """prox_l1 unchecked, for any t >= 0 that broadcasts against v."""
     out = np.minimum(v, t)   # v - clip(v, -t, t)
     np.maximum(out, -t, out=out)
     return np.subtract(v, out, out=out)
+
+
+class _L1Prox:
+    """l1_resolvent's resolvent, computed from ``weight``.  An EvalPlan reads
+    the weight to threshold every B_k that has one in one call."""
+
+    def __init__(self, weight):
+        self.weight = weight
+
+    def __call__(self, step, v):
+        return prox_l1(v, step * self.weight)
 
 
 def l1_resolvent(weight, dim):
     """Resolvent of the subdifferential of ``weight * ||.||_1``."""
     if not weight >= 0:   # NaN too
         raise ValueError("weight must be nonnegative")
-    return ResolventOp(dim=dim,
-                       resolvent=lambda step, v: prox_l1(v, step * weight))
+    return ResolventOp(dim=dim, resolvent=_L1Prox(weight))
 
 
 def zero_resolvent(dim):

@@ -15,6 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .linalg import BlockVector, kron_apply  # noqa: F401  (re-exported)
+from .operators import _L1Prox, _soft_threshold
 from .scheme import check_explicit, compute_UW, compute_tau, step_bounds, \
     validate_standing, write_csv, write_json
 
@@ -172,7 +173,10 @@ class EvalPlan:
     nonzero (the complete family, below each pivot) has mode "run" in
     ``modes``: its sums hold only its new coefficients, added to the running
     sum that the previous row ("start" or "run") left.  ``Ht`` is H^T when a
-    column of H mixes several x_i, so that (H^T x)_k is one product."""
+    column of H mixes several x_i, so that (H^T x)_k is one product.  When
+    the L_k are one map that takes stacked rows, the B_k resolvents
+    ``_L1Prox`` and each (H^T x)_k one product or row ``picks[k]`` of X, the
+    dual tail is one L call and one soft-threshold by the column ``soft``."""
 
     def __init__(self, scheme, problem):
         s, gamma = scheme, scheme.gamma
@@ -231,6 +235,18 @@ class EvalPlan:
                        _combo(s.K[k]) if f_H[k] == s.n else None,
                        _combo(s.H[:, k]), 1.0 / float(s.E_diag[k]))
                       for k in range(s.r)]
+        BL, self.soft = problem.BL_list, None
+        picks = [H_arg[0] for *_, H_arg, _ in self.duals if H_arg[1] is None]
+        if ((len(picks) == s.r or self.Ht is not None and all(f_H < s.n))
+                and BL and getattr(BL[0].L, "stacked_rows", False)
+                and all(b.L is BL[0].L and isinstance(b.B.resolvent, _L1Prox)
+                        for b in BL)):
+            # row k's threshold, as _L1Prox forms it at step 1/eta_k
+            self.soft = np.array([[inv * b.B.resolvent.weight]
+                                  for (*_, inv), b in zip(self.duals, BL)])
+            if self.Ht is None and picks == [*range(picks[0], picks[0] + s.r)]:
+                picks = slice(picks[0], picks[0] + s.r)   # a view, not a copy
+            self.picks, self.duals = picks, []
 
     def split(self, v):
         """The blocks of padded dual rows, as views."""
@@ -259,7 +275,7 @@ def eval_S(scheme, problem, z, w, collect=False, plan=None):
     U = plan.Md @ _stacked(z, (scheme.m, d))
     # every product below reads only rows and images already written
     X, S = np.empty((len(plan.rows), d)), np.empty((plan.n_images, d))
-    LKx, LHx = np.zeros(w.shape), np.zeros(w.shape)   # zero padded
+    LKx = np.zeros(w.shape)   # zero padded
     stacks = (X, S)
     T = np.empty(d) if "start" in plan.modes else None   # the running sum
 
@@ -283,7 +299,10 @@ def eval_S(scheme, problem, z, w, collect=False, plan=None):
             U[i] += T
         X[i] = A[i](step_i, U[i])
 
+    S = stacks = None   # the images are spent: free them before the tail
     HtX = None if plan.Ht is None else plan.Ht @ X
+    LHx = np.zeros(w.shape) if plan.soft is None else BL[0].L(   # all k
+        X[plan.picks] if HtX is None else HtX)
     for k, sl, K_arg, H_arg, _ in plan.duals:
         L = BL[k].L
         if K_arg is not None:   # column k of H is zero, so no row needed it
@@ -293,6 +312,8 @@ def eval_S(scheme, problem, z, w, collect=False, plan=None):
     y = np.multiply(w, plan.inv_eta)
     np.subtract(LKx, y, out=y)
     y += LHx
+    if plan.soft is not None:   # prox_l1 of every row, by its threshold
+        y = _soft_threshold(y, plan.soft)
     for k, sl, _, _, inv_eta in plan.duals:
         y[sl] = BL[k].B(inv_eta, y[sl])
 

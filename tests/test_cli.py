@@ -505,6 +505,10 @@ class TestBenchmark:
      "cannot read instance: meta.json's m = '14' is not of type int"),
     (["solve", "{tmp}/n_bool"],
      "cannot read instance: meta.json's n = True is not of type int"),
+    (["gen-scheme", "--graph", "{tmp}/string_n.json", "--out", "{out}"],
+     "cannot read graph: malformed graph data: n = '3' must be an integer"),
+    (["gen-scheme", "--graph", "{tmp}/null_n.json", "--out", "{out}"],
+     "cannot read graph: malformed graph data: n = None must be an integer"),
 ], ids=["solve_gamma_hat", "solve_lambda_hat", "solve_eta_hat",
         "solve_max_iters", "benchmark_sizes", "benchmark_max_iters",
         "benchmark_gamma_hat_not_a_number", "validate_ell_not_a_number",
@@ -519,7 +523,8 @@ class TestBenchmark:
         "solve_meta_partition_number", "solve_meta_seed_list",
         "gen_scheme_graph_n_beyond_its_edges", "validate_scheme_bool_gamma",
         "validate_scheme_number_family", "gen_scheme_graph_bool_weight",
-        "solve_meta_m_string", "solve_meta_n_bool"])
+        "solve_meta_m_string", "solve_meta_n_bool",
+        "gen_scheme_graph_string_n", "gen_scheme_graph_null_n"])
 def test_input_errors_exit_2(runner, instance_dir, tmp_path, args, message):
     save_scheme(scheme_sequential(3), tmp_path / "s.json")
     scheme = json.loads((tmp_path / "s.json").read_text())
@@ -529,6 +534,8 @@ def test_input_errors_exit_2(runner, instance_dir, tmp_path, args, message):
     for name, text in (("list", "[1, 2]"), ("string", '"x"'),
                        ("number", "3"), ("null", "null"),
                        ("huge_n", '{"n": 1e300, "edges": [[1, 2, 1.0]]}'),
+                       ("string_n", '{"n": "3", "edges": [[1, 2, 1.0]]}'),
+                       ("null_n", '{"n": null, "edges": [[1, 2, 1.0]]}'),
                        ("bool_gamma", json.dumps({**scheme, "gamma": True})),
                        ("number_family", json.dumps({**scheme, "family": 7})),
                        ("bool_weight", '{"n": 3, "edges": [[1, 2, true], '

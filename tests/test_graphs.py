@@ -79,6 +79,10 @@ class TestGraphSpec:
 
     @pytest.mark.parametrize("spec,named", [
         ({"n": 3.7}, "n = 3.7 must be an integer >= 2"),
+        # not numbers: named, not a comparison error inside the check
+        ({"n": "3"}, "n = '3' must be an integer >= 2"),
+        ({"n": None}, "n = None must be an integer >= 2"),
+        ({"n": True}, "n = True must be an integer >= 2"),
         ({"edges": [[1.7, 2, 1.0], [2, 3, 1.0]]},
          r"bad edges entry \(1.7, 2, 1\): need integers"),
         ({"edges": [[1, 2, float("nan")], [2, 3, 1.0]]},
@@ -90,7 +94,8 @@ class TestGraphSpec:
         # fewer than n - 1 edges are refused before any O(n) work
         ({"n": 10**12}, "graph is disconnected"),
         ({"n": 1e300}, "graph is disconnected"),
-    ], ids=["fractional_n", "fractional_vertex", "nan_weight", "inf_weight",
+    ], ids=["fractional_n", "string_n", "null_n", "bool_n",
+            "fractional_vertex", "nan_weight", "inf_weight",
             "nan_subgraph_weight", "n_beyond_its_edges", "n_1e300"])
     def test_truncated_or_non_finite_input_rejected(self, tmp_path, spec,
                                                     named):

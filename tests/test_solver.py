@@ -24,7 +24,8 @@ from graphsplit.fusedlasso import (build_family_scheme, desk_instance,
                                    to_problem)
 from graphsplit.graphs import (GraphSpec, scheme_complete, scheme_from_graph,
                                scheme_ring)
-from graphsplit.operators import SingleValuedOp, least_squares_gradient
+from graphsplit.operators import (ResolventOp, SingleValuedOp,
+                                  least_squares_gradient)
 from graphsplit.scheme import (CoefficientScheme, check_explicit, compute_tau,
                                compute_UW, step_bounds, validate_psd)
 from graphsplit import solver as solver_module
@@ -1001,6 +1002,190 @@ class TestRunningSums:
     def test_other_families_compile_no_running_row(self, family, n):
         s = DIFF_FAMILIES[family](None, n, 0.5, 0.3)
         assert _modes(s) == ([None] * n, False)
+
+
+def _parent_dual_tail(plan, BL, X, w, LKx):
+    """eval_S's dual tail as it stood before the whole-array tail, verbatim
+    but for its arguments: (y, LHx) from a plan that loops over k."""
+    dot = np.dot
+    LHx = np.zeros(w.shape)
+
+    def combo(a, c, coef):   # a _combo of the rows of a
+        return a[c] if coef is None else dot(coef, a[c])
+
+    HtX = None if plan.Ht is None else plan.Ht @ X
+    for k, sl, K_arg, H_arg, _ in plan.duals:
+        L = BL[k].L
+        if K_arg is not None:   # column k of H is zero, so no row needed it
+            LKx[sl] = L(combo(X, *K_arg))
+        LHx[sl] = L(combo(X, *H_arg) if HtX is None else HtX[k])
+    # y holds the B arguments LKx - w / eta + LHx, then their resolvents
+    y = np.multiply(w, plan.inv_eta)
+    np.subtract(LKx, y, out=y)
+    y += LHx
+    for k, sl, _, _, inv_eta in plan.duals:
+        y[sl] = BL[k].B(inv_eta, y[sl])
+    return y, LHx
+
+
+def _looped(pb):
+    """pb with each B_k's resolvent replaced by the same function, which
+    keeps the dual tail a loop over k."""
+    BL = [ComposedBlock(B=ResolventOp(blk.B.dim, blk.B.resolvent.__call__),
+                        L=blk.L) for blk in pb.BL_list]
+    return replace(pb, BL_list=BL)
+
+
+def _l1_difference_problem(rng, s, d):
+    """A problem for scheme s whose L_k are one difference map and whose B_k
+    are l1 resolvents, so that its dual tail may run whole-array."""
+    pb = random_problem_for(rng, s, d)
+    L = difference_matrix(d)
+    BL = [ComposedBlock(B=l1_resolvent(rng.uniform(0.1, 2.0), d - 1), L=L)
+          for _ in range(s.r)]
+    return replace(pb, BL_list=BL)
+
+
+class TestWholeArrayDualTail:
+    """One L call and one soft-threshold for every dual block, when the L_k
+    are one difference map and the B_k l1 resolvents."""
+
+    @pytest.mark.parametrize("family", ["sequential", "star", "complete"])
+    def test_bit_identical_to_the_loop_over_k(self, family):
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        s, _, lam_max = build_family_scheme(family, inst, 0.5, 0.1)
+        plan, looped = solver_module.EvalPlan(s, pb), _looped(pb)
+        plan_k = solver_module.EvalPlan(s, looped)
+        assert plan.soft is not None and plan.duals == []
+        assert plan_k.soft is None and len(plan_k.duals) == s.r
+        rng = np.random.default_rng(5)
+        for scale in (0.1, 1.0, 10.0):
+            z = scale * rng.standard_normal((s.m, pb.d))
+            w = scale * rng.standard_normal((s.r, pb.d - 1))
+            X, y, U, LKx, LHx = eval_S(s, pb, z, w, collect=True, plan=plan)
+            y_old, LHx_old = _parent_dual_tail(plan_k, looped.BL_list, X, w,
+                                               LKx.copy())
+            assert 0 < np.count_nonzero(y) < y.size   # both sides of prox
+            np.testing.assert_array_equal(y, y_old)
+            np.testing.assert_array_equal(LHx, LHx_old)
+            for a, b in zip((X, y, U, LKx, LHx),
+                            eval_S(s, looped, z, w, collect=True)):
+                np.testing.assert_array_equal(a, b)
+        opts = SolveOptions(max_iters=200, residual_tol=0.0,
+                            lambda_schedule=0.9 * lam_max)
+        new, old = solve(s, pb, opts=opts), solve(s, looped, opts=opts)
+        assert [r[:4] for r in new.records] == [r[:4] for r in old.records]
+        for name in ("z", "w", "x", "y"):
+            np.testing.assert_array_equal(
+                getattr(new.final, name).concat(),
+                getattr(old.final, name).concat())
+
+    @pytest.mark.parametrize("case", ["distinct_maps", "affine_B",
+                                      "mixed_out_dims", "zero_H_column"])
+    def test_other_problems_loop_over_k(self, case):
+        rng = np.random.default_rng(11)
+        if case == "mixed_out_dims":
+            s, pb, _ = _mixed_out_dims_instance(d=6)
+        else:
+            s = scheme_complete(5, gamma=0.6, eta=0.4)
+            if case == "zero_H_column":
+                H = s.H.copy()
+                H[:, 2] = 0.0
+                s = s.replace(H=H)
+            pb = _l1_difference_problem(rng, s, 7)
+            if case == "distinct_maps":
+                pb = replace(pb, BL_list=[
+                    ComposedBlock(B=blk.B, L=difference_matrix(7))
+                    for blk in pb.BL_list])
+            elif case == "affine_B":
+                blk = pb.BL_list[1]
+                pb.BL_list[1] = ComposedBlock(B=monotone_affine(rng, 6),
+                                              L=blk.L)
+        assert solver_module.EvalPlan(s, pb).soft is None
+        for _ in range(10):
+            z = BlockVector([rng.standard_normal(pb.d) for _ in range(s.m)])
+            w = BlockVector([rng.standard_normal(blk.L.out_dim)
+                             for blk in pb.BL_list])
+            new = eval_Gamma(s, pb, z, w)
+            old = solver_oracle.eval_Gamma(s, pb, z, w)
+            for a, b in zip(new, old):
+                assert _rel(a.blocks, b.blocks) <= 1e-13
+
+    def test_a_replaced_resolvent_is_the_one_applied(self, rng):
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        s, _, _ = build_family_scheme("sequential", inst, 0.5, 0.1)
+        B, L = pb.BL_list[1].B, pb.BL_list[1].L
+        heavier = l1_resolvent(3.0 * B.resolvent.weight, B.dim)
+        z = rng.standard_normal((s.m, pb.d))
+        w = rng.standard_normal((s.r, pb.d - 1))
+        y_before = eval_S(s, pb, z, w)[1]
+        B.resolvent = lambda step, v: heavier(step, v)   # after construction
+        assert solver_module.EvalPlan(s, pb).soft is None
+        y = eval_S(s, pb, z, w)[1]
+        assert not np.array_equal(y[1], y_before[1])
+        np.testing.assert_array_equal(np.delete(y, 1, 0),
+                                      np.delete(y_before, 1, 0))
+        pb.BL_list[1] = ComposedBlock(
+            B=replace(B, resolvent=heavier.resolvent), L=L)
+        assert solver_module.EvalPlan(s, pb).soft is not None
+        np.testing.assert_array_equal(eval_S(s, pb, z, w)[1], y)
+
+    @pytest.mark.parametrize("family", sorted(DIFF_FAMILIES))
+    def test_matches_loop_evaluator(self, family):
+        # every family's H pattern: picks of X, H^T X, or a loop when a
+        # column of H is zero
+        rng = np.random.default_rng(sorted(DIFF_FAMILIES).index(family) + 50)
+        kinds = set()
+        for draw in range(20):
+            n, d = int(rng.integers(3, 7)), int(rng.integers(2, 7))
+            s = DIFF_FAMILIES[family](rng, n, rng.uniform(0.2, 1.5),
+                                      rng.uniform(0.2, 1.5))
+            if draw % 2:
+                s = _perturbed(s, rng)
+            pb = _l1_difference_problem(rng, s, d)
+            kinds.add(solver_module.EvalPlan(s, pb).soft is not None)
+            z = BlockVector([rng.standard_normal(d) for _ in range(s.m)])
+            w = BlockVector([rng.standard_normal(d - 1) for _ in range(s.r)])
+            new = eval_Gamma(s, pb, z, w)
+            old = solver_oracle.eval_Gamma(s, pb, z, w)
+            for a, b in zip(new, old):
+                if len(b):
+                    assert _rel(a.blocks, b.blocks) <= 1e-13, (draw, family)
+        assert True in kinds   # and False too, except on complete and subgraph
+
+
+class TestFreshArrays:
+    """What eval_Gamma, eval_S and solve return is the caller's own, also
+    with one plan and with the whole-array tail's views of X."""
+
+    def test_evaluations_with_one_plan_share_no_memory(self, rng):
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        s, _, _ = build_family_scheme("complete", inst, 0.5, 0.1)
+        plan = solver_module.EvalPlan(s, pb)
+        outs = [eval_Gamma(s, pb, rng.standard_normal((s.m, pb.d)),
+                           rng.standard_normal((s.r, pb.d - 1)), plan=plan)
+                for _ in range(2)]
+        outs += [eval_S(s, pb, rng.standard_normal((s.m, pb.d)),
+                        rng.standard_normal((s.r, pb.d - 1)), collect=True,
+                        plan=plan) for _ in range(2)]
+        for i, a in enumerate(outs):
+            for b in outs[i + 1:]:
+                assert not any(np.shares_memory(u, v) for u in a for v in b)
+
+    @pytest.mark.parametrize("family", ["sequential", "complete"])
+    def test_final_state_shares_no_memory(self, family):
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        s, _, _ = build_family_scheme(family, inst, 0.5, 0.1)
+        final = solve(s, pb, opts=SolveOptions(max_iters=30)).final
+        parts = [final.z, final.w, final.x, final.y]
+        for i, a in enumerate(parts):
+            for b in parts[i + 1:]:
+                assert not any(np.shares_memory(u, v)
+                               for u in a.blocks for v in b.blocks)
 
 
 class TestCertification:
