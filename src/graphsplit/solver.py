@@ -45,14 +45,15 @@ def _check_lambda(lam, lam_max=math.inf, name="lambda_t"):
 
 def _stacked(z, shape=None, name="z"):
     """The primal blocks of z as the rows of one 2-D array, which must have
-    the shape ``shape`` when given."""
+    the shape ``shape`` when given; blocks of unequal sizes are refused."""
     if not isinstance(z, BlockVector):
         z = np.asarray(z, dtype=float)
-    elif shape is None or z.dims == [shape[1]] * len(z):
+    elif z.dims == (z.dims[:1] if shape is None else [shape[1]]) * len(z):
         z = np.stack(z.blocks)
     else:
         raise ValueError(f"{name} has blocks of dimensions "
-                         f"{sorted(set(z.dims))}, expected {shape}")
+                         f"{sorted(set(z.dims))}, expected "
+                         f"{shape or 'one size'}")
     return z if shape is None else _check_shape(z, shape, name)
 
 
@@ -77,16 +78,24 @@ class IterateState:
 class StarNormContext:
     """The scaled product norm ||(z, w)||^2 = ||z||^2 + gamma <E^{-1}w, w>.
     z is a BlockVector or a stacked array; w a BlockVector, a list of blocks
-    or their padded rows (see ``_dual_rows``)."""
+    or their padded rows (see ``_dual_rows``).  z1 and z2 must have one
+    shape, and w1 and w2 one padded shape with a row per entry of E_diag."""
 
     gamma: float
     E_diag: np.ndarray
 
     def inner(self, z1, w1, z2, w2):
+        Z1, Z2 = _stacked(z1, name="z1"), _stacked(z2, name="z2")
+        W1, W2 = _dual_rows(w1), _dual_rows(w2)
+        if Z1.shape != Z2.shape:
+            raise ValueError(f"z1 has shape {Z1.shape} but z2 {Z2.shape}")
+        if W1.shape != W2.shape or len(W1) != np.size(self.E_diag):
+            raise ValueError(f"w1 and w2 have shapes {W1.shape} and {W2.shape}"
+                             f", not one with a row per entry of E_diag")
         # a batch of one row product per dual block, then weighted by 1/eta
-        rows = _dual_rows(w1)[:, None] @ _dual_rows(w2)[:, :, None]
+        rows = W1[:, None] @ W2[:, :, None]
         inv_eta = 1.0 / np.asarray(self.E_diag, dtype=float)
-        return (float(np.vdot(_stacked(z1), _stacked(z2)))
+        return (float(np.vdot(Z1, Z2))
                 + self.gamma * float(rows.ravel() @ inv_eta))
 
     def norm(self, z, w):
@@ -172,11 +181,13 @@ class EvalPlan:
     row that repeats the previous row's coefficients wherever that row has a
     nonzero (the complete family, below each pivot) has mode "run" in
     ``modes``: its sums hold only its new coefficients, added to the running
-    sum that the previous row ("start" or "run") left.  ``Ht`` is H^T when a
-    column of H mixes several x_i, so that (H^T x)_k is one product.  When
-    the L_k are one map that takes stacked rows, the B_k resolvents
-    ``_L1Prox`` and each (H^T x)_k one product or row ``picks[k]`` of X, the
-    dual tail is one L call and one soft-threshold by the column ``soft``."""
+    sum that the previous row ("start" or "run") left.  (H^T x)_k is row
+    ``picks[k]`` of X (a slice when consecutive) when each column of H picks
+    one x_i with coefficient 1, else row k of ``Ht`` X; ``lone_K`` holds the
+    L_k (K x)_k of the zero columns of H, which no row needed.  When the L_k
+    are one map that takes stacked rows and the B_k resolvents ``_L1Prox``,
+    the dual tail is one L call and one soft-threshold by the column
+    ``soft``.  ``scheme`` and ``problem`` are the objects compiled from."""
 
     def __init__(self, scheme, problem):
         s, gamma = scheme, scheme.gamma
@@ -227,26 +238,21 @@ class EvalPlan:
             sums = [(a, *_combo(row)) for a, row in enumerate(
                 np.split(c, [s.n])) if np.any(row)]
             self.rows.append((new_C, new_L, sums, gamma / s.D_diag[i]))
-        several = np.count_nonzero(s.H, axis=0) > 1
-        self.Ht = np.ascontiguousarray(s.H.T) if several.any() else None
-        # per dual block: K[k] when no row needed L_k (K x)_k, and H[:, k]
-        f_H = first_rows(s.H)
-        self.duals = [(k, self.slices[k],
-                       _combo(s.K[k]) if f_H[k] == s.n else None,
-                       _combo(s.H[:, k]), 1.0 / float(s.E_diag[k]))
-                      for k in range(s.r)]
+        self.picks, self.Ht = s.H.argmax(axis=0), None
+        if not np.array_equal(s.H, np.eye(s.n)[:, self.picks]):
+            self.Ht = np.ascontiguousarray(s.H.T)
+        elif s.r and (np.diff(self.picks) == 1).all():   # a view, not a copy
+            self.picks = slice(int(self.picks[0]), int(self.picks[-1]) + 1)
+        self.lone_K = [(k, self.slices[k], _combo(s.K[k]))
+                       for k, f in enumerate(first_rows(s.H)) if f == s.n]
         BL, self.soft = problem.BL_list, None
-        picks = [H_arg[0] for *_, H_arg, _ in self.duals if H_arg[1] is None]
-        if ((len(picks) == s.r or self.Ht is not None and all(f_H < s.n))
-                and BL and getattr(BL[0].L, "stacked_rows", False)
+        if (BL and getattr(BL[0].L, "stacked_rows", False)
                 and all(b.L is BL[0].L and isinstance(b.B.resolvent, _L1Prox)
                         for b in BL)):
             # row k's threshold, as _L1Prox forms it at step 1/eta_k
             self.soft = np.array([[inv * b.B.resolvent.weight]
-                                  for (*_, inv), b in zip(self.duals, BL)])
-            if self.Ht is None and picks == [*range(picks[0], picks[0] + s.r)]:
-                picks = slice(picks[0], picks[0] + s.r)   # a view, not a copy
-            self.picks, self.duals = picks, []
+                                  for inv, b in zip(1.0 / s.E_diag, BL)])
+        self.scheme, self.problem = scheme, problem
 
     def split(self, v):
         """The blocks of padded dual rows, as views."""
@@ -264,9 +270,14 @@ def eval_S(scheme, problem, z, w, collect=False, plan=None):
     images and sums.  A BlockVector z gives BlockVectors x and y; a stacked
     z gives the (n, d) array x, and y as one row per dual block, zero-padded
     (w may come either way).  ``collect`` adds the (n, d) array U of the u_i
-    and L_k (K x)_k and L_k (H^T x)_k, like y or as lists of blocks.
+    and L_k (K x)_k and L_k (H^T x)_k, like y or as lists of blocks.  A plan
+    compiled for another scheme or problem object is refused.
     """
-    plan = plan or EvalPlan(scheme, problem)
+    if plan is None:
+        plan = EvalPlan(scheme, problem)
+    elif plan.scheme is not scheme or plan.problem is not problem:
+        other = "scheme" if plan.scheme is not scheme else "problem"
+        raise ValueError(f"plan was compiled for another {other}")
     A, C, BL = problem.A_list, problem.C_list, problem.BL_list
     dot = np.dot   # on one-row products much cheaper than @
     w = _dual_rows(w, plan.dims)
@@ -300,22 +311,24 @@ def eval_S(scheme, problem, z, w, collect=False, plan=None):
         X[i] = A[i](step_i, U[i])
 
     S = stacks = None   # the images are spent: free them before the tail
-    HtX = None if plan.Ht is None else plan.Ht @ X
-    LHx = np.zeros(w.shape) if plan.soft is None else BL[0].L(   # all k
-        X[plan.picks] if HtX is None else HtX)
-    for k, sl, K_arg, H_arg, _ in plan.duals:
-        L = BL[k].L
-        if K_arg is not None:   # column k of H is zero, so no row needed it
-            LKx[sl] = L(combo(X, *K_arg))
-        LHx[sl] = L(combo(X, *H_arg) if HtX is None else HtX[k])
+    HX = X[plan.picks] if plan.Ht is None else plan.Ht @ X   # row k: (H^T x)_k
+    for k, sl, spec in plan.lone_K:
+        LKx[sl] = BL[k].L(combo(X, *spec))
+    if plan.soft is not None:   # one L call for every k
+        LHx = BL[0].L(HX)
+    else:
+        LHx = np.zeros(w.shape)
+        for sl, hx, blk in zip(plan.slices, HX, BL):
+            LHx[sl] = blk.L(hx)
     # y holds the B arguments LKx - w / eta + LHx, then their resolvents
     y = np.multiply(w, plan.inv_eta)
     np.subtract(LKx, y, out=y)
     y += LHx
     if plan.soft is not None:   # prox_l1 of every row, by its threshold
         y = _soft_threshold(y, plan.soft)
-    for k, sl, _, _, inv_eta in plan.duals:
-        y[sl] = BL[k].B(inv_eta, y[sl])
+    else:
+        for sl, blk, eta in zip(plan.slices, BL, scheme.E_diag):
+            y[sl] = blk.B(1.0 / eta, y[sl])
 
     if isinstance(z, BlockVector):
         X, y = BlockVector(X), BlockVector(plan.split(y))

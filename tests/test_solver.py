@@ -55,6 +55,30 @@ class TestStarNorm:
         ref = z.norm() ** 2 + 0.4 * (w[0] @ w[0] / 0.5 + w[1] @ w[1] / 2.0)
         assert abs(ctx.norm(z, w) ** 2 - ref) <= 1e-12
 
+    def test_mismatched_arguments_are_refused_by_name(self, rng):
+        ctx = StarNormContext(gamma=0.4, E_diag=np.array([0.5, 2.0]))
+        z2, z3 = np.ones((2, 2)), np.ones((2, 3))
+        w = [np.ones(2)] * 2
+        with pytest.raises(ValueError, match="w1 and w2 .* E_diag"):
+            ctx.inner(z2, [np.ones(2)] * 3, z2, [np.ones(2)] * 3)
+        with pytest.raises(ValueError, match="w1 and w2"):
+            ctx.inner(z2, w, z2, [np.ones(3)] * 2)
+        with pytest.raises(ValueError, match="z1 has shape .* but z2"):
+            ctx.inner(BlockVector(list(z2)), w, BlockVector(list(z3)), w)
+        with pytest.raises(ValueError, match="z1 has blocks of dimensions"):
+            ragged = BlockVector([np.ones(2), np.ones(3)])
+            ctx.inner(ragged, w, ragged, w)
+
+    def test_checks_leave_the_arithmetic_as_it_was(self, rng):
+        # the sum as it stood before the checks, term by term
+        s = scheme_sequential(4, gamma=0.7, eta=0.3)
+        gz = rng.standard_normal((s.m, 5))
+        gw = rng.standard_normal((s.r, 4))
+        rows = gw[:, None] @ gw[:, :, None]
+        ref = (float(np.vdot(gz, gz))
+               + s.gamma * float(rows.ravel() @ (1.0 / s.E_diag))) / 0.8
+        assert residual_star(s, gz, gw, 0.8) == ref
+
 
 class TestEvalS:
     def test_zero_operators_propagate_first_block(self, rng):
@@ -98,6 +122,39 @@ class TestEvalS:
             ref = pb.A_list[i](s.gamma / s.D_diag[i], u[i])
             np.testing.assert_allclose(x[i], ref, atol=1e-12)
         assert len(LKx) == len(LHx) == 2
+
+    def test_plan_of_another_scheme_is_refused(self, rng):
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        s_seq, _, _ = build_family_scheme("sequential", inst, 0.5, 0.1)
+        s_star, _, _ = build_family_scheme("star", inst, 0.5, 0.1)
+        z = rng.standard_normal((s_seq.m, pb.d))
+        w = rng.standard_normal((s_seq.r, pb.d - 1))
+        plan = solver_module.EvalPlan(s_star, pb)
+        for evaluate in (eval_S, eval_Gamma):
+            with pytest.raises(ValueError, match="another scheme"):
+                evaluate(s_seq, pb, z, w, plan=plan)
+        # the plan of an equal scheme object is another plan too
+        with pytest.raises(ValueError, match="another scheme"):
+            eval_S(s_seq.replace(), pb, z, w,
+                   plan=solver_module.EvalPlan(s_seq, pb))
+
+    def test_plan_of_another_problem_is_refused(self, rng):
+        # nu = 4 instead of 2: the plan holds the other problem's weights
+        inst = gen_instance(3, n=2, m=10, d=12, mu=0.5, nu=2.0)
+        other = gen_instance(3, n=2, m=10, d=12, mu=0.5, nu=4.0)
+        pb, pb_other = to_problem(inst), to_problem(other)
+        s, _, _ = build_family_scheme("sequential", inst, 0.5, 0.1)
+        z = rng.standard_normal((s.m, pb.d))
+        w = rng.standard_normal((s.r, pb.d - 1))
+        plan = solver_module.EvalPlan(s, pb_other)
+        for evaluate in (eval_S, eval_Gamma):
+            with pytest.raises(ValueError, match="another problem"):
+                evaluate(s, pb, z, w, plan=plan)
+        plan = solver_module.EvalPlan(s, pb)
+        for a, b in zip(eval_Gamma(s, pb, z, w, plan=plan),
+                        eval_Gamma(s, pb, z, w)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestResidual:
@@ -970,7 +1027,7 @@ def _modes(s, d=3):
 class TestRunningSums:
     """Rows that repeat the previous row's coefficients wherever it has a
     nonzero add only their new columns to a running sum, and a column of H
-    with several nonzeros makes (H^T x)_k one product."""
+    that is not one x_i with coefficient 1 makes H^T x one product."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_complete_at_agents_scale_matches_loop_evaluator(self, seed):
@@ -1004,26 +1061,35 @@ class TestRunningSums:
         assert _modes(s) == ([None] * n, False)
 
 
-def _parent_dual_tail(plan, BL, X, w, LKx):
+def _per_k_dual_tail(s, BL, X, w, LKx):
     """eval_S's dual tail as it stood before the whole-array tail, verbatim
-    but for its arguments: (y, LHx) from a plan that loops over k."""
+    but for its arguments: (y, LHx) by a loop over k.  The per-k arguments
+    are derived from scheme s as the plan of that time compiled them."""
     dot = np.dot
     LHx = np.zeros(w.shape)
+    _combo = solver_module._combo
+    several = np.count_nonzero(s.H, axis=0) > 1
+    Ht = np.ascontiguousarray(s.H.T) if several.any() else None
+    duals = [(k, (k, slice(0, blk.L.out_dim)),
+              _combo(s.K[k]) if not s.H[:, k].any() else None,
+              _combo(s.H[:, k]), 1.0 / float(s.E_diag[k]))
+             for k, blk in enumerate(BL)]
+    inv_eta = 1.0 / np.repeat(s.E_diag[:, None], w.shape[1], 1)
 
     def combo(a, c, coef):   # a _combo of the rows of a
         return a[c] if coef is None else dot(coef, a[c])
 
-    HtX = None if plan.Ht is None else plan.Ht @ X
-    for k, sl, K_arg, H_arg, _ in plan.duals:
+    HtX = None if Ht is None else Ht @ X
+    for k, sl, K_arg, H_arg, _ in duals:
         L = BL[k].L
         if K_arg is not None:   # column k of H is zero, so no row needed it
             LKx[sl] = L(combo(X, *K_arg))
         LHx[sl] = L(combo(X, *H_arg) if HtX is None else HtX[k])
     # y holds the B arguments LKx - w / eta + LHx, then their resolvents
-    y = np.multiply(w, plan.inv_eta)
+    y = np.multiply(w, inv_eta)
     np.subtract(LKx, y, out=y)
     y += LHx
-    for k, sl, _, _, inv_eta in plan.duals:
+    for k, sl, _, _, inv_eta in duals:
         y[sl] = BL[k].B(inv_eta, y[sl])
     return y, LHx
 
@@ -1046,9 +1112,25 @@ def _l1_difference_problem(rng, s, d):
     return replace(pb, BL_list=BL)
 
 
+def _H_pattern(s, case):
+    """Scheme s, whose columns of H each pick one x_i with coefficient 1,
+    with a zero column of H, a single entry that is not 1, or both and a
+    column that mixes two x_i."""
+    H = s.H.copy()
+    if case == "zero_column":
+        H[:, 1] = 0.0
+    elif case == "non_unit":
+        H[:, 1] *= 1.5
+    else:   # below the column's first nonzero, so the scheme stays explicit
+        H[:, 0] = 0.0
+        H[:, 1] *= 0.7
+        H[-1, 2] = -0.4
+    return s.replace(H=H)
+
+
 class TestWholeArrayDualTail:
     """One L call and one soft-threshold for every dual block, when the L_k
-    are one difference map and the B_k l1 resolvents."""
+    are one difference map and the B_k l1 resolvents, whatever H is."""
 
     @pytest.mark.parametrize("family", ["sequential", "star", "complete"])
     def test_bit_identical_to_the_loop_over_k(self, family):
@@ -1057,15 +1139,14 @@ class TestWholeArrayDualTail:
         s, _, lam_max = build_family_scheme(family, inst, 0.5, 0.1)
         plan, looped = solver_module.EvalPlan(s, pb), _looped(pb)
         plan_k = solver_module.EvalPlan(s, looped)
-        assert plan.soft is not None and plan.duals == []
-        assert plan_k.soft is None and len(plan_k.duals) == s.r
+        assert plan.soft is not None and plan_k.soft is None
         rng = np.random.default_rng(5)
         for scale in (0.1, 1.0, 10.0):
             z = scale * rng.standard_normal((s.m, pb.d))
             w = scale * rng.standard_normal((s.r, pb.d - 1))
             X, y, U, LKx, LHx = eval_S(s, pb, z, w, collect=True, plan=plan)
-            y_old, LHx_old = _parent_dual_tail(plan_k, looped.BL_list, X, w,
-                                               LKx.copy())
+            y_old, LHx_old = _per_k_dual_tail(s, looped.BL_list, X, w,
+                                              LKx.copy())
             assert 0 < np.count_nonzero(y) < y.size   # both sides of prox
             np.testing.assert_array_equal(y, y_old)
             np.testing.assert_array_equal(LHx, LHx_old)
@@ -1080,6 +1161,61 @@ class TestWholeArrayDualTail:
             np.testing.assert_array_equal(
                 getattr(new.final, name).concat(),
                 getattr(old.final, name).concat())
+
+    @pytest.mark.parametrize("case", ["zero_column", "non_unit", "mixed"])
+    def test_bit_identical_on_other_H_patterns(self, case):
+        rng = np.random.default_rng(7)
+        s = _H_pattern(scheme_sequential(5, gamma=0.6, eta=0.4), case)
+        pb = _l1_difference_problem(rng, s, 9)
+        looped = _looped(pb)
+        plan = solver_module.EvalPlan(s, pb)
+        assert plan.soft is not None and plan.Ht is not None
+        assert solver_module.EvalPlan(s, looped).soft is None
+        lone = ~s.H.any(axis=0)   # rows of LKx that the tail forms
+        for scale in (0.01, 0.1, 1.0):
+            z = scale * rng.standard_normal((s.m, pb.d))
+            w = scale * rng.standard_normal((s.r, pb.d - 1))
+            X, y, U, LKx, LHx = eval_S(s, pb, z, w, collect=True, plan=plan)
+            LKx_old = np.where(lone[:, None], 0.0, LKx)
+            y_old, LHx_old = _per_k_dual_tail(s, looped.BL_list, X, w,
+                                              LKx_old)
+            assert 0 < np.count_nonzero(y) < y.size   # both sides of prox
+            np.testing.assert_array_equal(y, y_old)
+            np.testing.assert_array_equal(LHx, LHx_old)
+            np.testing.assert_array_equal(LKx, LKx_old)
+            for a, b in zip((X, y, U, LKx, LHx),
+                            eval_S(s, looped, z, w, collect=True)):
+                np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 6), d=st.integers(2, 6),
+           family=st.sampled_from(["sequential", "star", "ring_cocoercive",
+                                   "random_tree"]))
+    def test_drawn_H_patterns_match_loop_evaluator(self, data, n, d, family):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        s = DIFF_FAMILIES[family](rng, n, 0.6, 0.4)
+        coef = st.floats(-2.0, 2.0).filter(lambda c: c not in (0.0, 1.0))
+        H = s.H.copy()
+        for k in range(s.r):
+            first = int(np.flatnonzero(H[:, k])[0])
+            kind = data.draw(st.sampled_from(["unit", "zero", "scale", "mix"]))
+            if kind == "zero":
+                H[:, k] = 0.0
+            elif kind == "scale":
+                H[first, k] = data.draw(coef)
+            elif kind == "mix" and first < n - 1:   # below: stays explicit
+                row = data.draw(st.integers(first + 1, n - 1))
+                H[row, k] = data.draw(coef)
+        s = s.replace(H=H)
+        pb = _l1_difference_problem(rng, s, d)
+        assert solver_module.EvalPlan(s, pb).soft is not None
+        z = BlockVector([rng.standard_normal(d) for _ in range(s.m)])
+        w = BlockVector([rng.standard_normal(d - 1) for _ in range(s.r)])
+        new = eval_Gamma(s, pb, z, w)
+        old = solver_oracle.eval_Gamma(s, pb, z, w)
+        for a, b in zip(new, old):
+            if len(b):
+                assert _rel(a.blocks, b.blocks) <= 1e-13
 
     @pytest.mark.parametrize("case", ["distinct_maps", "affine_B",
                                       "mixed_out_dims", "zero_H_column"])
@@ -1102,7 +1238,9 @@ class TestWholeArrayDualTail:
                 blk = pb.BL_list[1]
                 pb.BL_list[1] = ComposedBlock(B=monotone_affine(rng, 6),
                                               L=blk.L)
-        assert solver_module.EvalPlan(s, pb).soft is None
+        # a zero column of H leaves the two facts standing: whole-array
+        whole = solver_module.EvalPlan(s, pb).soft is not None
+        assert whole == (case == "zero_H_column")
         for _ in range(10):
             z = BlockVector([rng.standard_normal(pb.d) for _ in range(s.m)])
             w = BlockVector([rng.standard_normal(blk.L.out_dim)
@@ -1134,8 +1272,8 @@ class TestWholeArrayDualTail:
 
     @pytest.mark.parametrize("family", sorted(DIFF_FAMILIES))
     def test_matches_loop_evaluator(self, family):
-        # every family's H pattern: picks of X, H^T X, or a loop when a
-        # column of H is zero
+        # every family's H pattern, perturbed or not: picks of X or H^T X;
+        # a loop over k only when a drawn scheme has no L_k
         rng = np.random.default_rng(sorted(DIFF_FAMILIES).index(family) + 50)
         kinds = set()
         for draw in range(20):
@@ -1145,7 +1283,8 @@ class TestWholeArrayDualTail:
             if draw % 2:
                 s = _perturbed(s, rng)
             pb = _l1_difference_problem(rng, s, d)
-            kinds.add(solver_module.EvalPlan(s, pb).soft is not None)
+            kinds.add(solver_module.EvalPlan(s, pb).soft is not None
+                      or s.r == 0)
             z = BlockVector([rng.standard_normal(d) for _ in range(s.m)])
             w = BlockVector([rng.standard_normal(d - 1) for _ in range(s.r)])
             new = eval_Gamma(s, pb, z, w)
@@ -1153,7 +1292,7 @@ class TestWholeArrayDualTail:
             for a, b in zip(new, old):
                 if len(b):
                     assert _rel(a.blocks, b.blocks) <= 1e-13, (draw, family)
-        assert True in kinds   # and False too, except on complete and subgraph
+        assert kinds == {True}
 
 
 class TestFreshArrays:
