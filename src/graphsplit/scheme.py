@@ -223,15 +223,11 @@ def check_explicit(s):
     """Whether the forward-substitution evaluation applies: N is strictly
     lower triangular and the products (P - Q) R, Q P^T and H K have no mass
     on or above the diagonal, so each x_i depends only on previously
-    computed blocks."""
-    upper = np.triu(np.ones((s.n, s.n)))
-    prods = (
-        np.abs(s.N),
-        np.abs(s.P - s.Q) @ np.abs(s.R),
-        np.abs(s.Q) @ np.abs(s.P).T,
-        np.abs(s.H) @ np.abs(s.K),
-    )
-    return not any(np.any(upper * t) for t in prods)
+    computed blocks.  Decided on nonzero patterns: a product of tiny
+    entries can underflow to zero, a product of patterns cannot."""
+    N, PQ, R, Q, P, H, K = (a != 0.0 for a in (s.N, s.P - s.Q, s.R, s.Q,
+                                                s.P, s.H, s.K))
+    return not any(np.triu(t).any() for t in (N, PQ @ R, Q @ P.T, H @ K))
 
 
 def compute_UW(s, need_W=False):

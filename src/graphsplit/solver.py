@@ -79,19 +79,28 @@ class StarNormContext:
     """The scaled product norm ||(z, w)||^2 = ||z||^2 + gamma <E^{-1}w, w>.
     z is a BlockVector or a stacked array; w a BlockVector, a list of blocks
     or their padded rows (see ``_dual_rows``).  z1 and z2 must have one
-    shape, and w1 and w2 one padded shape with a row per entry of E_diag."""
+    shape, and w1 and w2 one padded shape with a row per entry of E_diag;
+    when both come as blocks, they must have one list of sizes.  A second
+    argument that is the first object is read once."""
 
     gamma: float
     E_diag: np.ndarray
 
     def inner(self, z1, w1, z2, w2):
-        Z1, Z2 = _stacked(z1, name="z1"), _stacked(z2, name="z2")
-        W1, W2 = _dual_rows(w1), _dual_rows(w2)
+        Z1, W1 = _stacked(z1, name="z1"), _dual_rows(w1)
+        Z2 = Z1 if z2 is z1 else _stacked(z2, name="z2")
+        W2 = W1 if w2 is w1 else _dual_rows(w2)
         if Z1.shape != Z2.shape:
             raise ValueError(f"z1 has shape {Z1.shape} but z2 {Z2.shape}")
         if W1.shape != W2.shape or len(W1) != np.size(self.E_diag):
             raise ValueError(f"w1 and w2 have shapes {W1.shape} and {W2.shape}"
                              f", not one with a row per entry of E_diag")
+        if W2 is not W1 and W1 is not w1 and W2 is not w2:   # both blocks
+            # padding alone would pair blocks of other sizes that pad alike
+            s1, s2 = ([np.size(b) for b in w] for w in (w1, w2))
+            if s1 != s2:
+                raise ValueError(f"w1 and w2 have blocks of sizes {s1} and "
+                                 f"{s2}")
         # a batch of one row product per dual block, then weighted by 1/eta
         rows = W1[:, None] @ W2[:, :, None]
         inv_eta = 1.0 / np.asarray(self.E_diag, dtype=float)
@@ -152,13 +161,18 @@ def _combo(row):
     return (cols.start, None) if coef.tolist() == [1.0] else (cols, coef)
 
 
-def _dual_rows(w, dims=None, name="w"):
+def _dual_rows(w, dims=None, name="w", pad=None):
     """The dual blocks of w as the rows of one 2-D array, zero-padded to the
     longest; such an array passes through.  Blocks must have sizes ``dims``,
-    and such an array their padded shape, when given."""
+    and such an array their padded shape, when given; such an array must
+    also be zero where the mask ``pad`` is set."""
     if isinstance(w, np.ndarray) and w.ndim == 2:
-        return w if dims is None else _check_shape(
-            w, (len(dims), max(dims, default=0)), name)
+        if dims is not None:
+            _check_shape(w, (len(dims), max(dims, default=0)), name)
+        if pad is not None and w[pad].any():
+            raise ValueError(f"{name} has a nonzero entry past the block "
+                             f"sizes {dims}")
+        return w
     sizes = [np.size(b) for b in w]
     if dims is not None and sizes != dims:
         raise ValueError(f"{name} must hold {len(dims)} blocks of dimensions "
@@ -174,20 +188,22 @@ class EvalPlan:
     for an explicit scheme (``check_explicit``) whose n, r and p are the
     problem's numbers of A_i, L_k and C_j; any other is refused.  The C(Rx),
     C(P^T x) and L^*(E L K x - w) images share one stack, in the order the
-    rows first need them.  Row i lists the images first needed there, with
-    their arguments, and at most two sums, N[i, :i] over the x blocks and
-    -gamma times row i of P - Q, Q and H over the images, both divided by
-    delta_i (as is M, in ``Md``); each argument and sum is a ``_combo``.  A
-    row that repeats the previous row's coefficients wherever that row has a
-    nonzero (the complete family, below each pivot) has mode "run" in
-    ``modes``: its sums hold only its new coefficients, added to the running
-    sum that the previous row ("start" or "run") left.  (H^T x)_k is row
-    ``picks[k]`` of X (a slice when consecutive) when each column of H picks
-    one x_i with coefficient 1, else row k of ``Ht`` X; ``lone_K`` holds the
-    L_k (K x)_k of the zero columns of H, which no row needed.  When the L_k
-    are one map that takes stacked rows and the B_k resolvents ``_L1Prox``,
-    the dual tail is one L call and one soft-threshold by the column
-    ``soft``.  ``scheme`` and ``problem`` are the objects compiled from."""
+    rows first need them.  ``args`` holds each operator's argument once,
+    from its whole row, indexed like the image kinds: R_j x, P_j^T x, (K x)_k.
+    Row i lists the images first needed there, with their arguments, and at
+    most two sums, row i of N over the x blocks and -gamma times row i of
+    P - Q, Q and H over the images, both divided by delta_i (as is M, in
+    ``Md``); each argument and sum is a ``_combo``.  A row that repeats the
+    previous row's coefficients wherever that row has a nonzero (the complete
+    family, below each pivot) has mode "run" in ``modes``: its sums hold only
+    its new coefficients, added to the running sum that the previous row
+    ("start" or "run") left.  (H^T x)_k is row ``picks[k]`` of X (a slice
+    when consecutive) when each column of H picks one x_i with coefficient
+    1, else row k of ``Ht`` X; ``lone_K`` lists the zero columns k of H,
+    whose (K x)_k no row needed.  When the L_k are one map that takes stacked
+    rows and the B_k resolvents ``_L1Prox``, the dual tail is one L call and
+    one soft-threshold by the column ``soft``.  ``scheme`` and ``problem``
+    are the objects compiled from."""
 
     def __init__(self, scheme, problem):
         s, gamma = scheme, scheme.gamma
@@ -217,16 +233,21 @@ class EvalPlan:
         self.slices = [(k, slice(0, g)) for k, g in enumerate(self.dims)]
         self.eta = np.repeat(s.E_diag[:, None], max(self.dims, default=0), 1)
         self.inv_eta = 1.0 / self.eta   # per element: faster than broadcast
+        # the padding of the shorter dual blocks; None when there is none
+        self.pad = (np.arange(self.eta.shape[1]) >= np.c_[self.dims]
+                    if len(set(self.dims)) > 1 else None)
+        # each operator's argument from its whole row, per image kind: the
+        # explicit pattern leaves no nonzero from the image's first row on
+        args = self.args = [[_combo(r) for r in a] for a in (s.R, s.P.T, s.K)]
         # row i's coefficients over the x blocks, then over the images
-        coef = np.hstack([np.tril(s.N, -1) / s.D_diag[:, None], G])
+        coef = np.hstack([s.N / s.D_diag[:, None], G])
         prev = np.zeros(coef.shape[1])
         self.rows, self.modes = [], []
         for i in range(s.n):
             new = [(t, kind, j) for t, (f, kind, j) in enumerate(images)
                    if f == i]
-            new_C = [(t, j, _combo(s.R[j, :i] if kind == 0 else s.P[:i, j]))
-                     for t, kind, j in new if kind < 2]
-            new_L = [(t, j, self.slices[j], _combo(s.K[j, :i]),
+            new_C = [(t, j, args[kind][j]) for t, kind, j in new if kind < 2]
+            new_L = [(t, j, self.slices[j], args[2][j],
                       float(s.E_diag[j])) for t, kind, j in new if kind == 2]
             c, old = coef[i], prev != 0.0
             run = old.any() and np.array_equal(c[old], prev[old])
@@ -243,8 +264,7 @@ class EvalPlan:
             self.Ht = np.ascontiguousarray(s.H.T)
         elif s.r and (np.diff(self.picks) == 1).all():   # a view, not a copy
             self.picks = slice(int(self.picks[0]), int(self.picks[-1]) + 1)
-        self.lone_K = [(k, self.slices[k], _combo(s.K[k]))
-                       for k, f in enumerate(first_rows(s.H)) if f == s.n]
+        self.lone_K = [k for k, f in enumerate(first_rows(s.H)) if f == s.n]
         BL, self.soft = problem.BL_list, None
         if (BL and getattr(BL[0].L, "stacked_rows", False)
                 and all(b.L is BL[0].L and isinstance(b.B.resolvent, _L1Prox)
@@ -269,9 +289,10 @@ def eval_S(scheme, problem, z, w, collect=False, plan=None):
     (n, d) array, and ``plan`` (compiled when omitted) gives each row's
     images and sums.  A BlockVector z gives BlockVectors x and y; a stacked
     z gives the (n, d) array x, and y as one row per dual block, zero-padded
-    (w may come either way).  ``collect`` adds the (n, d) array U of the u_i
-    and L_k (K x)_k and L_k (H^T x)_k, like y or as lists of blocks.  A plan
-    compiled for another scheme or problem object is refused.
+    (w may come either way; a padded w with a nonzero past a block's size is
+    refused).  ``collect`` adds the (n, d) array U of the u_i and L_k (K x)_k
+    and L_k (H^T x)_k, like y or as lists of blocks.  A plan compiled for
+    another scheme or problem object is refused.
     """
     if plan is None:
         plan = EvalPlan(scheme, problem)
@@ -280,7 +301,7 @@ def eval_S(scheme, problem, z, w, collect=False, plan=None):
         raise ValueError(f"plan was compiled for another {other}")
     A, C, BL = problem.A_list, problem.C_list, problem.BL_list
     dot = np.dot   # on one-row products much cheaper than @
-    w = _dual_rows(w, plan.dims)
+    w = _dual_rows(w, plan.dims, pad=plan.pad)
     d = problem.d
     # row i of U is (D^{-1} M z)_i; the sums add in
     U = plan.Md @ _stacked(z, (scheme.m, d))
@@ -312,8 +333,8 @@ def eval_S(scheme, problem, z, w, collect=False, plan=None):
 
     S = stacks = None   # the images are spent: free them before the tail
     HX = X[plan.picks] if plan.Ht is None else plan.Ht @ X   # row k: (H^T x)_k
-    for k, sl, spec in plan.lone_K:
-        LKx[sl] = BL[k].L(combo(X, *spec))
+    for k in plan.lone_K:
+        LKx[plan.slices[k]] = BL[k].L(combo(X, *plan.args[2][k]))
     if plan.soft is not None:   # one L call for every k
         LHx = BL[0].L(HX)
     else:
@@ -435,7 +456,7 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
 
     z = (np.array(_stacked(z0, (s.m, problem.d), "z0"), dtype=float)
          if z0 is not None else np.zeros((s.m, problem.d)))
-    w = (np.array(_dual_rows(w0, plan.dims, "w0"), dtype=float)
+    w = (np.array(_dual_rows(w0, plan.dims, "w0", plan.pad), dtype=float)
          if w0 is not None else np.zeros(plan.eta.shape))
     for name, a in (("z0", z), ("w0", w)):
         if not np.isfinite(a).all():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from graphsplit import (ComposedBlock, LinearMap, ProblemInstance,
-                        affine_resolvent, least_squares_gradient)
+                        affine_resolvent, least_squares_gradient,
+                        scheme_sequential)
 from graphsplit import fusedlasso
 
 
@@ -34,6 +35,18 @@ def random_problem_for(rng, scheme, d, gdim=None):
     ]
     return ProblemInstance(d=d, A_list=A_list, BL_list=BL_list,
                            C_list=C_list)
+
+
+def read_ahead_scheme():
+    """scheme_sequential(3) with P[:, 0] = (0, 1e-170, 1) and R[0] =
+    (1, 1e-170, 0): C_0's argument R_0 x is first needed in row 1 and reads
+    x_1 there.  The product of the two 1e-170 entries underflows to zero, so
+    the magnitudes of (P - Q) R show no mass on the diagonal, and the
+    standing checks pass (the row sums stay 1 in floating point)."""
+    s = scheme_sequential(3)
+    P, R = s.P.copy(), s.R.copy()
+    P[:, 0], R[0] = (0.0, 1e-170, 1.0), (1.0, 1e-170, 0.0)
+    return s.replace(P=P, R=R)
 
 
 @pytest.fixture

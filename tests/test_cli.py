@@ -25,6 +25,7 @@ from graphsplit.scheme import (check_explicit, load_scheme, save_scheme,
                                validate_standing)
 from graphsplit.solver import check_scheme
 
+from conftest import read_ahead_scheme
 from test_graphs import random_tree_graph
 
 
@@ -227,17 +228,21 @@ class TestValidate:
 
     def test_implicit_scheme_fails_at_every_level(self, runner, tmp_path):
         # N transposed keeps the standing checks and the bounds, but x_i
-        # would need later blocks, so solve refuses it
+        # would need later blocks, so solve refuses it; so does the
+        # read-ahead scheme, where only the nonzero patterns show it
         s = scheme_sequential(4, gamma=0.5, eta=0.1)
         path = tmp_path / "scheme.json"
-        save_scheme(s.replace(N=s.N.T), path)
-        for level in (0, 1, 2):
-            res = runner.invoke(main, ["validate", str(path),
-                                       "--psd-level", str(level)])
-            assert res.exit_code == 1, level
-            report = json.loads(res.output)
-            assert report["explicit"] is False
-            assert report["standing"]["all_pass"] and "lambda_max" in report
+        for bad in (s.replace(N=s.N.T),
+                    read_ahead_scheme().replace(gamma=0.5)):
+            save_scheme(bad, path)
+            for level in (0, 1, 2):
+                res = runner.invoke(main, ["validate", str(path),
+                                           "--psd-level", str(level)])
+                assert res.exit_code == 1, level
+                report = json.loads(res.output)
+                assert report["explicit"] is False
+                assert (report["standing"]["all_pass"]
+                        and "lambda_max" in report)
 
     @pytest.mark.parametrize("make, n", [(scheme_sequential, 4),
                                          (scheme_star, 4),

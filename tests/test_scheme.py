@@ -21,6 +21,7 @@ from graphsplit.graphs import scheme_from_graph
 from graphsplit.scheme import dumps_json, scheme_from_dict, scheme_to_dict
 
 import psd_oracle
+from conftest import read_ahead_scheme
 from test_graphs import random_tree_graph
 
 
@@ -152,6 +153,10 @@ class TestExplicit:
         N = s.N.copy()
         N[0, 2] = 1.0
         assert check_explicit(s.replace(N=N)) is False
+        # the product of magnitudes underflows; the nonzero patterns do not
+        s = read_ahead_scheme()
+        assert not np.triu(np.abs(s.P - s.Q) @ np.abs(s.R)).any()
+        assert check_explicit(s) is False
 
 
 class TestUW:

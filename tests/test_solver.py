@@ -32,7 +32,7 @@ from graphsplit import solver as solver_module
 from graphsplit.solver import (LAMBDA_SLACK, check_scheme, consensus_gap,
                                export_report_csv, export_state_json)
 
-from conftest import monotone_affine, random_problem_for
+from conftest import monotone_affine, random_problem_for, read_ahead_scheme
 import psd_oracle
 import solver_oracle
 
@@ -68,6 +68,33 @@ class TestStarNorm:
         with pytest.raises(ValueError, match="z1 has blocks of dimensions"):
             ragged = BlockVector([np.ones(2), np.ones(3)])
             ctx.inner(ragged, w, ragged, w)
+
+    @pytest.mark.parametrize("make", [list, BlockVector])
+    def test_blocks_that_pad_alike_pair_by_size(self, make):
+        # (2, 4) and (4, 2) pad to one shape: paired row by row they gave
+        # 10.0, where blocks of matching sizes give 35.0
+        ctx = StarNormContext(gamma=1.0, E_diag=np.ones(2))
+        z, a2, a4 = np.zeros((1, 1)), np.arange(1.0, 3.0), np.arange(1.0, 5.0)
+        assert ctx.inner(z, make([a2, a4]), z, make([a2, a4])) == 35.0
+        with pytest.raises(ValueError, match=r"^w1 and w2 have blocks of "
+                           r"sizes \[2, 4\] and \[4, 2\]"):
+            ctx.inner(z, make([a2, a4]), z, make([a4, a2]))
+
+    def test_one_argument_given_twice_is_read_once(self, rng, monkeypatch):
+        s = scheme_sequential(4, gamma=0.7, eta=0.3)
+        gz = rng.standard_normal((s.m, 5))
+        gw = rng.standard_normal((s.r, 4))
+        want = StarNormContext(s.gamma, s.E_diag).inner(
+            gz, gw, gz.copy(), gw.copy()) / 0.8
+        calls = []
+        for name in ("_stacked", "_dual_rows"):
+            def counted(*args, _f=getattr(solver_module, name), _n=name,
+                        **kwargs):
+                calls.append(_n)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(solver_module, name, counted)
+        assert residual_star(s, gz, gw, 0.8) == want
+        assert sorted(calls) == ["_dual_rows", "_stacked"]
 
     def test_checks_leave_the_arithmetic_as_it_was(self, rng):
         # the sum as it stood before the checks, term by term
@@ -753,6 +780,35 @@ class TestSchemeAgainstProblem:
             z=np.stack(z.blocks), w=pad(w))) == certify_solution(
                 s, pb, IterateState(z=z, w=w))
 
+    def test_padding_of_w_must_be_zero(self, rng):
+        # dual blocks of sizes 2, 4 and 2: on this problem at gamma = 1,
+        # 7.0 in the padding left x as it was but moved gw, and
+        # residual_star at 0.5 read 145,727.66 instead of 145,335.66
+        s, pb, lam_max = _mixed_out_dims_instance(5)
+        dims = [blk.L.out_dim for blk in pb.BL_list]
+        assert dims == [2, 4, 2]
+        z = rng.standard_normal((s.m, 5))
+        w = np.zeros((s.r, 4))
+        for row, g in zip(w, dims):
+            row[:g] = rng.standard_normal(g)
+        padded = w.copy()
+        padded[0, 2:] = padded[2, 2:] = 7.0
+        named = r"has a nonzero entry past the block sizes \[2, 4, 2\]"
+        for call in (eval_S, eval_Gamma):
+            call(s, pb, z, w)
+            with pytest.raises(ValueError, match="^w " + named):
+                call(s, pb, z, padded)
+        with pytest.raises(ValueError, match="^w " + named):
+            certify_solution(s, pb, IterateState(z=z, w=padded))
+        opts = SolveOptions(max_iters=5, lambda_schedule=lam_max)
+        solve(s, pb, w0=w, opts=opts)
+        with pytest.raises(ValueError, match="^w0 " + named):
+            solve(s, pb, w0=padded, opts=opts)
+        # blocks of one size leave no padding, and the plan checks none
+        inst = desk_instance(0)
+        desk, _, _ = build_family_scheme("sequential", inst, 0.5, 0.1)
+        assert solver_module.EvalPlan(desk, to_problem(inst)).pad is None
+
     @pytest.mark.parametrize("name,rows,cols", [
         ("w", 0, 1), ("w", 0, "one"), ("w", -1, 0), ("w", 1, 0),
         ("z", -1, 0), ("z", 0, "one"), ("z", 0, 1)],
@@ -778,30 +834,31 @@ class TestSchemeAgainstProblem:
 
     def test_implicit_scheme_refused_by_every_evaluator(self, rng):
         # N[0, 2] is above the diagonal; its mass comes from N[2, 1], so
-        # the standing checks pass and solve reaches the plan
+        # the standing checks pass and solve reaches the plan.  In the
+        # read-ahead scheme only the nonzero patterns show the mass
         s = scheme_sequential(3, gamma=0.1)
         N = s.N.copy()
         N[0, 2], N[2, 1] = 0.5, N[2, 1] - 0.5
-        bad = s.replace(N=N)
-        pb = random_problem_for(rng, bad, 4, gdim=2)
-        assert check_scheme(bad, pb.lipschitz_constants, [1.0] * bad.r,
-                            pb.all_cocoercive)[1].all_pass
-        z, w = np.zeros((bad.m, 4)), np.zeros((bad.r, 2))
-        state = IterateState(z=z, w=w)
         implicit = r"^scheme is implicit \(not strictly lower triangular\)"
-        for call in (lambda: solver_module.EvalPlan(bad, pb),
-                     lambda: eval_S(bad, pb, z, w),
-                     lambda: eval_Gamma(bad, pb, z, w, check=False),
-                     lambda: step(bad, pb, state, 0.5),
-                     lambda: certify_solution(bad, pb, state),
-                     lambda: solve(bad, pb),
-                     # solve refuses an implicit scheme before its gamma
-                     lambda: solve(bad.replace(gamma=1e6), pb)):
-            with pytest.raises(ValueError, match=implicit):
-                call()
+        for bad in (s.replace(N=N), read_ahead_scheme().replace(gamma=0.1)):
+            pb = random_problem_for(rng, bad, 4, gdim=2)
+            assert check_scheme(bad, pb.lipschitz_constants, [1.0] * bad.r,
+                                pb.all_cocoercive)[1].all_pass
+            z, w = np.zeros((bad.m, 4)), np.zeros((bad.r, 2))
+            state = IterateState(z=z, w=w)
+            for call in (lambda: solver_module.EvalPlan(bad, pb),
+                         lambda: eval_S(bad, pb, z, w),
+                         lambda: eval_Gamma(bad, pb, z, w, check=False),
+                         lambda: step(bad, pb, state, 0.5),
+                         lambda: certify_solution(bad, pb, state),
+                         lambda: solve(bad, pb),
+                         # solve refuses an implicit scheme before its gamma
+                         lambda: solve(bad.replace(gamma=1e6), pb)):
+                with pytest.raises(ValueError, match=implicit):
+                    call()
         # and after a failed standing check
         with pytest.raises(ValueError, match="fails structural validation"):
-            solve(bad.replace(N=N + np.eye(3)), pb)
+            solve(s.replace(N=N + np.eye(3)), pb)
 
     def test_block_iterate_must_have_its_dimensions(self):
         inst = desk_instance(0)
@@ -1004,6 +1061,46 @@ class TestAgainstLoopEvaluator:
                     (draw, key)
             np.testing.assert_allclose(c_new["memberships"],
                                        c_old["memberships"], rtol=tol)
+
+
+class TestArgumentTable:
+    """EvalPlan compiles each operator's argument once, from its whole row,
+    and the forward images and the tail's lone (K x)_k read that table."""
+
+    DRAWS = 20   # per family
+
+    @pytest.mark.parametrize("family", sorted(DIFF_FAMILIES))
+    def test_whole_row_is_the_row_before_first_use(self, family):
+        rng = np.random.default_rng(sorted(DIFF_FAMILIES).index(family) + 100)
+        for draw in range(self.DRAWS):
+            n = int(rng.integers(3, 7))
+            s = DIFF_FAMILIES[family](rng, n, rng.uniform(0.2, 1.5),
+                                      rng.uniform(0.2, 1.5))
+            if draw % 2:
+                s = _perturbed(s, rng)
+            plan = solver_module.EvalPlan(s, random_problem_for(rng, s, 3))
+            firsts = []
+            for kind, (coef, rows) in enumerate(
+                    ((s.P - s.Q, s.R), (s.Q, s.P.T), (s.H, s.K))):
+                for j, (col, row) in enumerate(zip(coef.T, rows)):
+                    nz = np.flatnonzero(col)
+                    first = int(nz[0]) if nz.size else n
+                    firsts.append((kind, j, first))
+                    c, coef_got = plan.args[kind][j]
+                    c_want, coef_want = solver_module._combo(row[:first])
+                    assert c == c_want, (draw, kind, j)
+                    if coef_want is None:
+                        assert coef_got is None, (draw, kind, j)
+                    else:
+                        np.testing.assert_array_equal(coef_got, coef_want)
+            # every image reads its table entry, and lone_K lists the rest
+            for new_C, new_L, _, _ in plan.rows:
+                assert all(spec is plan.args[0][j] or spec is plan.args[1][j]
+                           for _, j, spec in new_C)
+                assert all(spec is plan.args[2][k]
+                           for _, k, _, spec, _ in new_L)
+            assert plan.lone_K == [j for kind, j, f in firsts
+                                   if kind == 2 and f == n]
 
 
 def _gamma_error(s, rng, d):
@@ -1355,9 +1452,10 @@ class TestCertification:
 
 class TestClassicalMethods:
     """Douglas-Rachford (p = 0) and Davis-Yin (p = 1) as schemes:
-    scheme_sequential(2)'s M, N, D, P and R with no dual block, stepped
-    against their textbook loops.  Each prints check_scheme's lambda_max
-    beside the classical relaxation range."""
+    scheme_sequential(2)'s M, N, D, P and R with no dual block, and
+    Malitsky-Tam as scheme_ring(5, r=0, p=0), stepped against their
+    textbook loops.  Each prints check_scheme's lambda_max beside the
+    classical relaxation range."""
 
     STEPS = 60
 
@@ -1398,6 +1496,34 @@ class TestClassicalMethods:
             state = step(s, pb, state, lam)
             for got, want in ((state.x[0], x_B), (state.x[1], x_A),
                               (state.z[0], z)):
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12)
+
+    def test_malitsky_tam_is_the_ring_without_dual_or_smooth_slots(self,
+                                                                   rng):
+        # minimal-lifting resolvent splitting: n resolvents and m = n - 1
+        # z-blocks, each resolvent fed the one before it
+        n, d, gamma, lam = 5, 6, 0.7, 0.8
+        s = scheme_ring(n, gamma=gamma, r=0, p=0)
+        assert s.m == n - 1
+        A = [monotone_affine(rng, d) for _ in range(n)]
+        pb = ProblemInstance(d=d, A_list=A)
+        regime, rep, bounds = check_scheme(s, pb.lipschitz_constants, [],
+                                           pb.all_cocoercive)
+        assert (regime, rep.all_pass, check_explicit(s)) == (
+            "cocoercive", True, True)
+        print(f"malitsky_tam: lambda_max {bounds.lambda_max(gamma):.6g}, "
+              f"classical lambda < 1")
+        z = [rng.standard_normal(d) for _ in range(n - 1)]
+        state = IterateState(z=BlockVector(z), w=BlockVector([]))
+        for _ in range(self.STEPS):
+            x = [A[0](gamma, z[0])]
+            for i in range(1, n - 1):
+                x.append(A[i](gamma, z[i] + x[i - 1] - z[i - 1]))
+            x.append(A[n - 1](gamma, x[0] + x[n - 2] - z[n - 2]))
+            z = [z[i] + lam * (x[i + 1] - x[i]) for i in range(n - 1)]
+            state = step(s, pb, state, lam)
+            for got, want in zip(state.x.blocks + state.z.blocks, x + z):
                 np.testing.assert_allclose(got, want, rtol=1e-12,
                                            atol=1e-12)
 
