@@ -1,8 +1,8 @@
 """Graph-based primal-dual splitting for structured composite monotone
 inclusions."""
 
-from .linalg import (BlockVector, LinearMap, is_psd, kron_apply,
-                     min_eigenvalue_sym, pinv, spectral_norm)
+from .linalg import (BlockVector, LinearMap, is_psd, kron_apply, pinv,
+                     spectral_norm)
 from .operators import (ComposedBlock, ProblemInstance, ResolventOp,
                         SingleValuedOp, affine_resolvent, l1_resolvent,
                         least_squares_gradient, prox_l1,

@@ -18,8 +18,8 @@ from .linalg import spectral_norm
 from .operators import (ComposedBlock, ProblemInstance,
                         _least_squares_gradient, l1_resolvent, prox_l1,
                         zero_resolvent)
-from .scheme import (compute_UW, compute_tau, step_bounds, write_csv,
-                     write_json)
+from .scheme import (_is_number, compute_UW, compute_tau, step_bounds,
+                     write_csv, write_json)
 from .solver import SolveOptions, solve
 from .graphs import scheme_complete, scheme_sequential, scheme_star
 
@@ -392,13 +392,13 @@ def save_instance(instance, dirpath):
 
 
 def _meta_field(meta, key, kind, listed=False):
-    """meta.json's value at key as kind, or a list of kind when listed.  A
-    value of another JSON type, a bool among them, is refused by name; an
-    int is a float too."""
+    """meta.json's value at key as kind (int or float), or a list of kind
+    when listed.  A value that is not a number of that kind is refused by
+    name; an int is a float too."""
     val = meta[key]
     items = val if listed and isinstance(val, list) else [val]
-    if isinstance(val, list) != listed or any(type(v) not in (int, kind)
-                                              for v in items):
+    if isinstance(val, list) != listed or not all(
+            _is_number(v, kind is int) for v in items):
         raise ValueError(f"meta.json's {key} = {val!r} is not "
                          f"{'a list of' if listed else 'of type'} "
                          f"{kind.__name__}")

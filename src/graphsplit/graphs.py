@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
 
-from .scheme import CoefficientScheme, write_json
+from .scheme import CoefficientScheme, _is_number, write_json
 
 __all__ = [
     "GraphSpec",
@@ -78,8 +77,8 @@ class GraphSpec:
     subgraph_edges: List[Tuple[int, int, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Real) or self.n < 2 \
-                or not float(self.n).is_integer():   # a bool is below 2
+        if not _is_number(self.n) or self.n < 2 \
+                or not float(self.n).is_integer():
             raise ValueError(f"n = {self.n!r} must be an integer >= 2")
         self.n = int(self.n)
         self.edges = _edge_list("edges", self.edges, self.n)
@@ -285,13 +284,20 @@ def save_graph(g, path):
 
 
 def load_graph(path):
+    """Graph from a file written by save_graph.  A file that does not hold
+    a JSON object, an edge that is not [i, j, weight] and an edge entry that
+    is not a number are refused by name."""
     with open(path) as fh:
         data = json.load(fh)
     try:
+        if not isinstance(data, dict):
+            raise ValueError("a graph file must hold a JSON object, not "
+                             f"{type(data).__name__}")
         edges, sub = data["edges"], data.get("subgraph_edges", [])
-        for e in (*edges, *sub):   # a bool is no number, as in solve's options
-            if any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in e):
+        for e in (*edges, *sub):
+            if not isinstance(e, list) or len(e) != 3:
+                raise ValueError(f"edge {e!r} is not [i, j, weight]")
+            if not all(map(_is_number, e)):
                 raise ValueError(f"edge {e!r} holds a value that is not a "
                                  "number")
         return GraphSpec(n=data["n"], edges=[tuple(e) for e in edges],

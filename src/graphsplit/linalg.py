@@ -15,7 +15,6 @@ __all__ = [
     "LinearMap",
     "kron_apply",
     "spectral_norm",
-    "min_eigenvalue_sym",
     "is_psd",
     "pinv",
 ]
@@ -70,19 +69,8 @@ class BlockVector:
     def __neg__(self):
         return self * -1.0
 
-    def dot(self, other):
-        self._check_conforming(other)
-        return float(sum(a @ b for a, b in zip(self.blocks, other.blocks)))
-
     def norm(self):
         return float(np.sqrt(sum(b @ b for b in self.blocks)))
-
-    def concat(self):
-        """Flatten into one ndarray (blocks in order)."""
-        return np.concatenate(self.blocks) if self.blocks else np.zeros(0)
-
-    def isfinite(self):
-        return all(np.all(np.isfinite(b)) for b in self.blocks)
 
     def __repr__(self):
         return f"BlockVector(dims={self.dims})"
@@ -147,30 +135,21 @@ def spectral_norm(L):
     """Largest singular value of an array, exact: the square root of the
     largest eigenvalue of its Gram matrix on the smaller side (A A^T or
     A^T A, never larger than A); zero and empty arrays give 0.  A linear map
-    (anything callable) gives its own norm()."""
-    if callable(L):
-        return L.norm()
+    has its own norm()."""
     A = LinearMap(L).matrix
     G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
     return float(np.sqrt(np.max(np.linalg.eigvalsh(G), initial=0.0)))
 
 
-def min_eigenvalue_sym(S):
-    """Smallest eigenvalue of a square matrix, symmetrized as (S + S^T)/2."""
+def is_psd(S):
+    """Whether the smallest eigenvalue of a square matrix, symmetrized as
+    (S + S^T)/2, is at least -PSD_TOL * (1 + max |S_ij|); an empty matrix
+    is PSD."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("S must be square")
-    if S.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
-
-
-def is_psd(S):
-    """Positive semidefiniteness up to the scale-aware tolerance
-    PSD_TOL * (1 + max |S_ij|)."""
-    S = np.asarray(S, dtype=float)
-    scale = float(np.max(np.abs(S))) if S.size else 0.0
-    return min_eigenvalue_sym(S) >= -PSD_TOL * (1.0 + scale)
+    low = np.min(np.linalg.eigvalsh(0.5 * (S + S.T)), initial=0.0)
+    return bool(low >= -PSD_TOL * (1.0 + np.max(np.abs(S), initial=0.0)))
 
 
 def pinv(M):

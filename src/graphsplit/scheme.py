@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -347,6 +346,17 @@ def step_bounds(tau, L_norms, regime):
 
 # --- JSON and CSV serialization ---------------------------------------------
 
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+
+
+def _is_number(v, integer=False):
+    """The one rule for "is v a number?", for options and file values: a
+    Python or numpy int, or with integer False also a float.  A bool is
+    none, though int() and float() read it as 1 or 0."""
+    return (isinstance(v, (int, np.integer) if integer else _NUMBER_TYPES)
+            and type(v) is not bool)
+
+
 def dumps_json(obj):
     """Serialize with sorted keys and floats at full %.17g precision, so
     identical data always produces identical bytes."""
@@ -405,13 +415,13 @@ def scheme_to_dict(s):
 def _from_json(name, annotation, value):
     """A loaded value of annotation "str" (family) if a string, of "float"
     (gamma, theta) as a float if a number, and a matrix as loaded if every
-    entry is a number, for CoefficientScheme to convert and check; a bool
-    is no number, as in solve's options.  Any other is refused by name."""
-    kind, what = ((str, "a string") if annotation == "str"
-                  else (numbers.Real, "a number"))
+    entry is a number, for CoefficientScheme to convert and check.  Any
+    other is refused by name."""
+    text = annotation == "str"
     for v in np.asarray(value, dtype=object).ravel():   # the value or entries
-        if isinstance(v, bool) or not isinstance(v, kind):
-            raise ValueError(f"{name} holds {v!r}, which is not {what}")
+        if not (isinstance(v, str) if text else _is_number(v)):
+            raise ValueError(f"{name} holds {v!r}, which is not "
+                             + ("a string" if text else "a number"))
     return float(value) if annotation == "float" else value
 
 
@@ -436,7 +446,7 @@ def scheme_from_dict(data):
         for name in (f.name for f in fields if not f.init):
             size = getattr(s, name)
             stored = data.get(name, size)
-            if isinstance(stored, bool) or stored != size:
+            if not _is_number(stored) or stored != size:
                 raise ValueError(
                     f"{name} = {data[name]!r} but the matrices give {size}")
         return s

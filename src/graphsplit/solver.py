@@ -7,7 +7,6 @@ each zero-padded to the longest."""
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -16,8 +15,8 @@ import numpy as np
 
 from .linalg import BlockVector, kron_apply  # noqa: F401  (re-exported)
 from .operators import _L1Prox, _soft_threshold
-from .scheme import check_explicit, compute_UW, compute_tau, step_bounds, \
-    validate_standing, write_csv, write_json
+from .scheme import _is_number, check_explicit, compute_UW, compute_tau, \
+    step_bounds, validate_standing, write_csv, write_json
 
 __all__ = [
     "IterateState", "StarNormContext", "SolveOptions", "SolveReport",
@@ -32,12 +31,9 @@ LAMBDA_SLACK = 1e-12   # how far lambda may pass lambda_max, in _check_lambda
 
 def _check_lambda(lam, lam_max=math.inf, name="lambda_t"):
     """lam as a float, if it is one number in (0, lam_max + LAMBDA_SLACK]."""
-    try:
-        if isinstance(lam, (bool, np.bool_)):   # float() reads it as 0 or 1
-            raise TypeError
-        lam = float(lam)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be one number, not {lam!r}") from None
+    if not _is_number(lam):
+        raise ValueError(f"{name} must be one number, not {lam!r}")
+    lam = float(lam)
     if not (math.isfinite(lam) and 0 < lam <= lam_max + LAMBDA_SLACK):
         raise ValueError(f"{name} = {lam} outside (0, {lam_max}]")
     return lam
@@ -429,12 +425,12 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     entry in z0 or w0 is refused, and lambda, one number, is checked, before
     the first iteration; lambda <= 1 + LAMBDA_SLACK keeps each state finite."""
     opts = opts or SolveOptions()
-    for name, kind, what in (("max_iters", numbers.Integral, "an integer"),
-                             ("record_every", numbers.Integral, "an integer"),
-                             ("residual_tol", numbers.Real, "a number")):
+    for name, integer in (("max_iters", True), ("record_every", True),
+                          ("residual_tol", False)):
         value = getattr(opts, name)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"{name} = {value!r} is not {what}")
+        if not _is_number(value, integer):
+            raise ValueError(f"{name} = {value!r} is not "
+                             + ("an integer" if integer else "a number"))
     if opts.max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     if opts.record_every < 1:

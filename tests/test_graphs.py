@@ -421,3 +421,27 @@ class TestGraphIO:
                  "value that is not a number")
         with pytest.raises(ValueError, match=named):
             load_graph(path)
+
+    @pytest.mark.parametrize("text,kind", [("[1, 2]", "list"),
+                                           ("null", "NoneType")],
+                             ids=["list", "null"])
+    def test_file_that_is_not_an_object_named(self, tmp_path, text, kind):
+        # these read as "list indices must be integers or slices, not str"
+        # and "'NoneType' object is not subscriptable"
+        path = tmp_path / "graph.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^malformed graph data: a graph "
+                           f"file must hold a JSON object, not {kind}$"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("edge", [[2, 3], 2, [1, 2, 1.0, 1.0]],
+                             ids=["pair", "number", "quadruple"])
+    def test_edge_that_is_not_a_triple_named(self, tmp_path, edge):
+        # these read as "not enough values to unpack", "'int' object is not
+        # iterable" and "too many values to unpack"
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"n": 3, "edges": [[1, 2, 1.0], edge]}))
+        named = (f"malformed graph data: edge {re.escape(repr(edge))} is not "
+                 r"\[i, j, weight\]$")
+        with pytest.raises(ValueError, match=named):
+            load_graph(path)

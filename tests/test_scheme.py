@@ -10,19 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsplit import (CoefficientScheme, LinearMap, assemble_omega,
+from graphsplit import (BlockVector, CoefficientScheme, GraphSpec,
+                        IterateState, LinearMap, ProblemInstance,
+                        SolveOptions, affine_resolvent, assemble_omega,
                         assemble_upsilons, check_explicit, compute_UW,
-                        compute_tau, difference_matrix, load_scheme,
-                        save_scheme, scheme_complete, scheme_ring,
-                        scheme_sequential, scheme_star, step_bounds,
-                        validate_psd, validate_standing)
-from graphsplit.fusedlasso import FAMILY_GENERATORS
+                        compute_tau, difference_matrix, gen_instance,
+                        load_graph, load_scheme, save_graph, save_scheme,
+                        scheme_complete, scheme_ring, scheme_sequential,
+                        scheme_star, solve, step, step_bounds, validate_psd,
+                        validate_standing)
+from graphsplit.fusedlasso import (FAMILY_GENERATORS, load_instance,
+                                   save_instance)
 from graphsplit.graphs import scheme_from_graph
 from graphsplit.scheme import dumps_json, scheme_from_dict, scheme_to_dict
 
 import psd_oracle
 from conftest import read_ahead_scheme
 from test_graphs import random_tree_graph
+from test_solver import two_node_scheme
 
 
 @dataclasses.dataclass
@@ -569,3 +574,85 @@ class TestSerialization:
         data["M"] = data["M"].ravel()[:-1]
         with pytest.raises(ValueError, match="malformed scheme data"):
             scheme_from_dict(data)
+
+
+def _two_nodes():
+    ident = affine_resolvent(np.eye(2), np.zeros(2))
+    return two_node_scheme(), ProblemInstance(d=2, A_list=[ident, ident])
+
+
+def _solve_two_nodes(**opts):
+    solve(*_two_nodes(), opts=SolveOptions(**{"max_iters": 2, **opts}))
+
+
+def _step_two_nodes(lam):
+    # step, not solve: solve reads a lambda_schedule of None as its default
+    step(*_two_nodes(), IterateState(z=BlockVector([np.ones(2)]),
+                                     w=BlockVector([])), lam)
+
+
+def _load_edited(monkeypatch, load, path, edit):
+    """load(path) with edit applied to what json.load reads, since a JSON
+    file cannot hold a numpy scalar."""
+    json_load = json.load
+    monkeypatch.setattr(json, "load", lambda fh: edit(json_load(fh)))
+    return load(path)
+
+
+def _graph_with_weight(monkeypatch, tmp_path, value):
+    path = tmp_path / "graph.json"
+    save_graph(GraphSpec(n=3, edges=[(1, 2, 1.0), (2, 3, 1.0)]), path)
+
+    def edit(data):
+        data["edges"][0][2] = value
+        return data
+    return _load_edited(monkeypatch, load_graph, path, edit)
+
+
+def _instance_with(monkeypatch, tmp_path, key, value):
+    save_instance(gen_instance(3, n=3, m=14, d=9, k_nonzero=2), tmp_path)
+    return _load_edited(monkeypatch, load_instance, str(tmp_path),
+                        lambda meta: {**meta, key: value})
+
+
+# entry point: (a valid value, an integer wanted, the call, its refusal)
+NUMBER_ENTRY_POINTS = {
+    "solve_max_iters": (2, True, lambda v, mp, tmp: _solve_two_nodes(
+        max_iters=v), "^max_iters = "),
+    "solve_residual_tol": (1e-10, False, lambda v, mp, tmp: _solve_two_nodes(
+        residual_tol=v), "^residual_tol = "),
+    "lambda": (0.5, False, lambda v, mp, tmp: _step_two_nodes(v),
+               "^lambda_t must be one number, not "),
+    "scheme_gamma": (0.5, False, lambda v, mp, tmp: scheme_from_dict(
+        {**scheme_to_dict(scheme_ring(3, gamma=0.5)), "gamma": v}),
+        "^malformed scheme data: gamma holds "),
+    "graph_edge": (1.0, False, lambda v, mp, tmp: _graph_with_weight(
+        mp, tmp, v), "^malformed graph data: edge .* holds a value that is "
+        "not a number$"),
+    "meta_m": (14, True, lambda v, mp, tmp: _instance_with(
+        mp, tmp, "m", v), "^meta.json's m = .* is not of type int$"),
+    "meta_noise_var": (1e-3, False, lambda v, mp, tmp: _instance_with(
+        mp, tmp, "noise_var", v),
+        "^meta.json's noise_var = .* is not of type float$"),
+    "graph_n": (3, True, lambda v, mp, tmp: GraphSpec(
+        n=v, edges=[(1, 2, 1.0), (2, 3, 1.0)]),
+        "^n = .* must be an integer >= 2$"),
+}
+
+
+@pytest.mark.parametrize("entry", list(NUMBER_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [True, np.True_, "1", None],
+                         ids=["True", "np.True_", "string", "None"])
+def test_one_number_rule_refuses_at_every_entry_point(
+        monkeypatch, tmp_path, entry, value):
+    # int() and float() read a bool as 1 or 0 and float() reads "1" as 1.0
+    _, _, call, refusal = NUMBER_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=refusal):
+        call(value, monkeypatch, tmp_path)
+
+
+@pytest.mark.parametrize("entry", list(NUMBER_ENTRY_POINTS))
+def test_one_number_rule_accepts_numpy_scalars_at_every_entry_point(
+        monkeypatch, tmp_path, entry):
+    valid, integer, call, _ = NUMBER_ENTRY_POINTS[entry]
+    call((np.int64 if integer else np.float64)(valid), monkeypatch, tmp_path)

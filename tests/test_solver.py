@@ -377,7 +377,8 @@ class TestSolve:
         final = report.final
         x, y = eval_S(scheme, pb, final.z, final.w)
         for got, want in ((x, final.x), (y, final.y)):
-            np.testing.assert_allclose(got.concat(), want.concat(),
+            np.testing.assert_allclose(np.concatenate(got.blocks),
+                                       np.concatenate(want.blocks),
                                        rtol=0, atol=1e-12)
 
     def test_step_accepts_what_solve_accepts(self):
@@ -440,14 +441,21 @@ class TestSolve:
             solve(s, pb, z0=BlockVector([np.ones(2)]), opts=opts)
 
     def test_bool_lambda_refused_by_step_and_residual(self):
+        # a string is no number either: float() read "0.4" as 0.4, and
+        # solve ran with it
         s = two_node_scheme()
         ident = affine_resolvent(np.eye(2), np.zeros(2))
         pb = ProblemInstance(d=2, A_list=[ident, ident])
         state = IterateState(z=BlockVector([np.ones(2)]), w=BlockVector([]))
-        with pytest.raises(ValueError, match="^lambda_t must be one number"):
-            step(s, pb, state, True)
-        with pytest.raises(ValueError, match="^lambda_t must be one number"):
-            residual_star(s, state.z, state.w, True)
+        for lam in (True, "0.4"):
+            named = f" must be one number, not {lam!r}$"
+            with pytest.raises(ValueError, match="^lambda_t" + named):
+                step(s, pb, state, lam)
+            with pytest.raises(ValueError, match="^lambda_t" + named):
+                residual_star(s, state.z, state.w, lam)
+            with pytest.raises(ValueError, match="^lambda_schedule" + named):
+                solve(s, pb, z0=state.z, opts=SolveOptions(
+                    max_iters=3, lambda_schedule=lam))
 
     def test_numpy_integer_options_accepted(self):
         s = two_node_scheme()
@@ -514,7 +522,8 @@ class TestSolve:
             report = solve(s, pb, z0=BlockVector([np.full(d, 700.0)] * s.m),
                            opts=SolveOptions(max_iters=5))
         assert report.stop_reason == "diverged"
-        assert report.final.z.isfinite() and report.final.w.isfinite()
+        assert np.isfinite(np.concatenate(
+            report.final.z.blocks + report.final.w.blocks)).all()
 
     def test_lambda_out_of_range_rejected(self):
         s = two_node_scheme()
@@ -667,10 +676,13 @@ class TestSolve:
                    for _, res, gap, _, _ in report.records[:-1])
         assert not math.isfinite(report.records[-1][1])
         final = report.final
-        assert final.z.isfinite() and final.w.isfinite()
+        assert np.isfinite(np.concatenate(
+            final.z.blocks + final.w.blocks)).all()
         x, y = eval_S(s, pb, final.z, final.w)
-        np.testing.assert_array_equal(x.concat(), final.x.concat())
-        np.testing.assert_array_equal(y.concat(), final.y.concat())
+        np.testing.assert_array_equal(np.concatenate(x.blocks),
+                                      np.concatenate(final.x.blocks))
+        np.testing.assert_array_equal(np.concatenate(y.blocks),
+                                      np.concatenate(final.y.blocks))
         # that iteration is recorded between the record_every records too
         report = solve(s, pb, z0=BlockVector([np.ones(d)]),
                        opts=SolveOptions(max_iters=2000, record_every=10))
@@ -773,8 +785,8 @@ class TestSchemeAgainstProblem:
         opts = SolveOptions(max_iters=50, lambda_schedule=lam_max)
         want = solve(s, pb, w0=w0, opts=opts)
         got = solve(s, pb, w0=pad(w0), opts=opts)
-        np.testing.assert_array_equal(got.final.w.concat(),
-                                      want.final.w.concat())
+        np.testing.assert_array_equal(np.concatenate(got.final.w.blocks),
+                                      np.concatenate(want.final.w.blocks))
         z, w = want.final.z, want.final.w
         assert certify_solution(s, pb, IterateState(
             z=np.stack(z.blocks), w=pad(w))) == certify_solution(
@@ -1256,8 +1268,8 @@ class TestWholeArrayDualTail:
         assert [r[:4] for r in new.records] == [r[:4] for r in old.records]
         for name in ("z", "w", "x", "y"):
             np.testing.assert_array_equal(
-                getattr(new.final, name).concat(),
-                getattr(old.final, name).concat())
+                np.concatenate(getattr(new.final, name).blocks),
+                np.concatenate(getattr(old.final, name).blocks))
 
     @pytest.mark.parametrize("case", ["zero_column", "non_unit", "mixed"])
     def test_bit_identical_on_other_H_patterns(self, case):
