@@ -387,8 +387,10 @@ def save_instance(instance, dirpath):
     files = {"A.csv": np.vstack(instance.A_blocks),
              "b.csv": np.concatenate(instance.b_blocks).reshape(-1, 1),
              "x_true.csv": instance.x_true.reshape(-1, 1)}
+    # as Python floats: csv writes a numpy float through str(), which
+    # follows numpy's print options (legacy="1.13" keeps 12 digits)
     for name, rows in files.items():
-        write_csv(os.path.join(dirpath, name), rows)
+        write_csv(os.path.join(dirpath, name), rows.tolist())
 
 
 def _meta_field(meta, key, kind, listed=False):

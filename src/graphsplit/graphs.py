@@ -50,7 +50,17 @@ def _connected(n, edges):
 
 def _edge_list(name, edges, n):
     """The (i, j, weight) triples sorted, each with integers
-    1 <= i < j <= n and a positive finite weight, and no (i, j) twice."""
+    1 <= i < j <= n and a positive finite weight, and no (i, j) twice.  A
+    value that is not a list, an edge that is not [i, j, weight] and an
+    entry that is not a number are refused by name."""
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError(f"{name} = {edges!r} is not a list of edges")
+    for e in edges:
+        if not isinstance(e, (list, tuple)) or len(e) != 3:
+            raise ValueError(f"edge {e!r} is not [i, j, weight]")
+        if not all(map(_is_number, e)):
+            raise ValueError(f"edge {e!r} holds a value that is not a "
+                             "number")
     out = sorted((float(i), float(j), float(w)) for i, j, w in edges)
     last = None
     for i, j, w in out:
@@ -82,9 +92,9 @@ class GraphSpec:
             raise ValueError(f"n = {self.n!r} must be an integer >= 2")
         self.n = int(self.n)
         self.edges = _edge_list("edges", self.edges, self.n)
-        sub, self.subgraph_edges = self.subgraph_edges, list(self.edges)
+        sub = _edge_list("subgraph_edges", self.subgraph_edges, self.n)
+        self.subgraph_edges = sub or list(self.edges)
         if sub:
-            self.subgraph_edges = _edge_list("subgraph_edges", sub, self.n)
             full = {(i, j): w for i, j, w in self.edges}
             for i, j, w in self.subgraph_edges:
                 if (i, j) not in full:
@@ -285,22 +295,15 @@ def save_graph(g, path):
 
 def load_graph(path):
     """Graph from a file written by save_graph.  A file that does not hold
-    a JSON object, an edge that is not [i, j, weight] and an edge entry that
-    is not a number are refused by name."""
+    a JSON object is refused by name, and so is every edge that GraphSpec
+    refuses."""
     with open(path) as fh:
         data = json.load(fh)
     try:
         if not isinstance(data, dict):
             raise ValueError("a graph file must hold a JSON object, not "
                              f"{type(data).__name__}")
-        edges, sub = data["edges"], data.get("subgraph_edges", [])
-        for e in (*edges, *sub):
-            if not isinstance(e, list) or len(e) != 3:
-                raise ValueError(f"edge {e!r} is not [i, j, weight]")
-            if not all(map(_is_number, e)):
-                raise ValueError(f"edge {e!r} holds a value that is not a "
-                                 "number")
-        return GraphSpec(n=data["n"], edges=[tuple(e) for e in edges],
-                         subgraph_edges=[tuple(e) for e in sub])
+        return GraphSpec(n=data["n"], edges=data["edges"],
+                         subgraph_edges=data.get("subgraph_edges", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph data: {exc}") from exc

@@ -8,6 +8,7 @@ and p single-valued operator slots.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -357,49 +358,33 @@ def _is_number(v, integer=False):
             and type(v) is not bool)
 
 
+def _plain(v):
+    """A numpy array or scalar as the Python value of its tolist(), for
+    json.dumps; any other type it cannot write is refused."""
+    if isinstance(v, (np.ndarray, np.generic)):
+        return v.tolist()
+    raise TypeError(f"cannot serialize {type(v).__name__}")
+
+
 def dumps_json(obj):
-    """Serialize with sorted keys and floats at full %.17g precision, so
-    identical data always produces identical bytes."""
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if not np.isfinite(v):
-            raise ValueError("non-finite value in JSON output")
-        return "%.17g" % v
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return dumps_json(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = sorted((str(k), v) for k, v in obj.items())
-        return "{" + ", ".join(
-            json.dumps(k) + ": " + dumps_json(v) for k, v in items
-        ) + "}"
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _csv_field(v):
-    if v is None:
-        return ""
-    return "%.17g" % v if isinstance(v, float) else str(v)
+    """Serialize with sorted keys, so identical data always produces
+    identical bytes.  Each float is Python's shortest text that reads back
+    as the same float (an integral one keeps its ".0", -0.0 its sign); NaN
+    and infinities are refused."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False, default=_plain)
 
 
 def write_csv(path, rows, header=None):
-    """Write rows as comma-separated lines, after an optional header: floats
-    at full %.17g precision (as in dumps_json), None as an empty field, and
-    anything else through str."""
-    with open(path, "w") as fh:
+    """Write rows through csv.writer, after an optional header: each Python
+    float as its shortest text that reads back as the same float (as in
+    dumps_json), None as an empty field, anything else through str (so a
+    numpy float as numpy's print options give it), and a field that holds
+    a comma, a quote or a newline quoted."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
         if header is not None:
-            fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_csv_field, row)) + "\n")
+            out.writerow(header)
+        out.writerows(rows)
 
 
 def write_json(path, obj):

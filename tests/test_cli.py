@@ -115,32 +115,32 @@ class TestGenScheme:
 # formatting are all pinned
 VALIDATE_STDOUT = {
     "sequential4": (lambda: scheme_sequential(4), (0, 0, 1), (
-        '{"eta_max": 1, "explicit": true, "gamma_max": 1.9999999999999991, '
-        '"lambda_max": 0.49999999999999978, "regime": "cocoercive", '
+        '{"eta_max": 1.0, "explicit": true, "gamma_max": 1.9999999999999991, '
+        '"lambda_max": 0.4999999999999998, "regime": "cocoercive", '
         '"standing": {"all_pass": true, "h_rows": true, "kernel": true, '
         '"pr_rows": true, "trace": true}, "tau": 1.0000000000000004}',
-        '{"eta_max": 1, "explicit": true, "gamma_max": 1.9999999999999991, '
-        '"lambda_max": 0.49999999999999978, "psd": {"A320": true, "A321": '
+        '{"eta_max": 1.0, "explicit": true, "gamma_max": 1.9999999999999991, '
+        '"lambda_max": 0.4999999999999998, "psd": {"A320": true, "A321": '
         'false, "A322": false}, "regime": "cocoercive", "standing": '
         '{"all_pass": true, "h_rows": true, "kernel": true, "pr_rows": true, '
         '"trace": true}, "tau": 1.0000000000000004}')),
     "complete5": (lambda: scheme_complete(5), (0, 0, 1), (
-        '{"eta_max": 1, "explicit": true, "gamma_max": 4.9999999999999982, '
-        '"lambda_max": 0.79999999999999993, "regime": "cocoercive", '
+        '{"eta_max": 1.0, "explicit": true, "gamma_max": 4.999999999999998, '
+        '"lambda_max": 0.7999999999999999, "regime": "cocoercive", '
         '"standing": {"all_pass": true, "h_rows": true, "kernel": true, '
         '"pr_rows": true, "trace": true}, "tau": 0.40000000000000013}',
-        '{"eta_max": 1, "explicit": true, "gamma_max": 4.9999999999999982, '
-        '"lambda_max": 0.79999999999999993, "psd": {"A320": true, "A321": '
+        '{"eta_max": 1.0, "explicit": true, "gamma_max": 4.999999999999998, '
+        '"lambda_max": 0.7999999999999999, "psd": {"A320": true, "A321": '
         'false, "A322": false}, "regime": "cocoercive", "standing": '
         '{"all_pass": true, "h_rows": true, "kernel": true, "pr_rows": true, '
         '"trace": true}, "tau": 0.40000000000000013}')),
     "ring4": (lambda: scheme_ring(4), (1, 1, 1), (
         '{"explicit": true, "gamma_in_range": false, "gamma_max": '
-        '0.66666666666666674, "regime": "cocoercive", "standing": '
+        '0.6666666666666667, "regime": "cocoercive", "standing": '
         '{"all_pass": true, "h_rows": true, "kernel": true, "pr_rows": true, '
         '"trace": true}, "tau": 2.9999999999999996}',
         '{"explicit": true, "gamma_in_range": false, "gamma_max": '
-        '0.66666666666666674, "psd": {"A320": true, "A321": false, "A322": '
+        '0.6666666666666667, "psd": {"A320": true, "A321": false, "A322": '
         'false}, "regime": "cocoercive", "standing": {"all_pass": true, '
         '"h_rows": true, "kernel": true, "pr_rows": true, "trace": true}, '
         '"tau": 2.9999999999999996}')),
@@ -149,12 +149,12 @@ VALIDATE_STDOUT = {
         '{"explicit": true, "gamma_in_range": false, "gamma_max": '
         '0.33333333333333326, "regime": "lipschitz", "standing": '
         '{"all_pass": true, "h_rows": true, "kernel": true, "pr_rows": true, '
-        '"q_rows": true, "trace": true}, "tau": 3.0000000000000009}',
+        '"q_rows": true, "trace": true}, "tau": 3.000000000000001}',
         '{"explicit": true, "gamma_in_range": false, "gamma_max": '
         '0.33333333333333326, "psd": {"A320": true, "A321": false, "A322": '
         'false}, "regime": "lipschitz", "standing": {"all_pass": true, '
         '"h_rows": true, "kernel": true, "pr_rows": true, "q_rows": true, '
-        '"trace": true}, "tau": 3.0000000000000009}')),
+        '"trace": true}, "tau": 3.000000000000001}')),
 }
 
 

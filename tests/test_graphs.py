@@ -413,13 +413,17 @@ class TestGraphIO:
         ids=["bool_weight", "bool_vertex", "bool_subgraph_weight",
              "string_weight"])
     def test_non_number_entry_named(self, tmp_path, spec, entry):
-        # json would load true as 1, a valid weight and vertex
+        # json would load true as 1, a valid weight and vertex, and float()
+        # reads "1" as 1.0
+        data = {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]], **spec}
+        named = (f"edge {re.escape(entry)} holds a value that is not a "
+                 "number$")
+        with pytest.raises(ValueError, match="^" + named):
+            GraphSpec(**data)
         path = tmp_path / "graph.json"
-        path.write_text(json.dumps(
-            {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]], **spec}))
-        named = (f"malformed graph data: edge {re.escape(entry)} holds a "
-                 "value that is not a number")
-        with pytest.raises(ValueError, match=named):
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError,
+                           match="^malformed graph data: " + named):
             load_graph(path)
 
     @pytest.mark.parametrize("text,kind", [("[1, 2]", "list"),
@@ -439,9 +443,32 @@ class TestGraphIO:
     def test_edge_that_is_not_a_triple_named(self, tmp_path, edge):
         # these read as "not enough values to unpack", "'int' object is not
         # iterable" and "too many values to unpack"
-        path = tmp_path / "graph.json"
-        path.write_text(json.dumps({"n": 3, "edges": [[1, 2, 1.0], edge]}))
-        named = (f"malformed graph data: edge {re.escape(repr(edge))} is not "
+        data = {"n": 3, "edges": [[1, 2, 1.0], edge]}
+        named = (f"edge {re.escape(repr(edge))} is not "
                  r"\[i, j, weight\]$")
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises(ValueError, match="^" + named):
+            GraphSpec(**data)
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError,
+                           match="^malformed graph data: " + named):
+            load_graph(path)
+
+    @pytest.mark.parametrize("spec,named", [
+        ({"edges": 5}, "edges = 5"),
+        ({"edges": {"1": [1, 2, 1.0]}}, "edges = {'1': [1, 2, 1.0]}"),
+        ({"subgraph_edges": 0}, "subgraph_edges = 0"),
+        ({"subgraph_edges": None}, "subgraph_edges = None")],
+        ids=["number", "object", "zero_subgraph", "null_subgraph"])
+    def test_edges_that_are_not_a_list_named(self, tmp_path, spec, named):
+        # "edges": 5 read as "Value after * must be an iterable, not int",
+        # and a subgraph_edges of 0 or null as no subgraph
+        data = {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]], **spec}
+        named = re.escape(named) + " is not a list of edges$"
+        with pytest.raises(ValueError, match="^" + named):
+            GraphSpec(**data)
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError,
+                           match="^malformed graph data: " + named):
             load_graph(path)

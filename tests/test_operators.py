@@ -50,7 +50,8 @@ def sign_formula_prox_l1(v, t):
 
 
 class TestProxL1:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
     @given(v=arrays(float, st.integers(0, 30), elements=st.floats()),
            t=st.one_of(st.just(0.0), st.just(np.inf),
                        st.floats(0.0, 1e300)))

@@ -637,6 +637,12 @@ NUMBER_ENTRY_POINTS = {
     "graph_n": (3, True, lambda v, mp, tmp: GraphSpec(
         n=v, edges=[(1, 2, 1.0), (2, 3, 1.0)]),
         "^n = .* must be an integer >= 2$"),
+    "graph_spec_vertex": (1, True, lambda v, mp, tmp: GraphSpec(
+        n=3, edges=[(v, 2, 1.0), (2, 3, 1.0)]),
+        "^edge .* holds a value that is not a number$"),
+    "graph_spec_weight": (1.0, False, lambda v, mp, tmp: GraphSpec(
+        n=3, edges=[(1, 2, v), (2, 3, 1.0)]),
+        "^edge .* holds a value that is not a number$"),
 }
 
 

@@ -247,7 +247,8 @@ class TestRegime:
         x = BlockVector([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
         assert abs(consensus_gap(x) - 5.0) <= 1e-14
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
     @given(n=st.integers(1, 25), d=st.integers(1, 40),
            offset=st.sampled_from([0.0, 1.0, -3e3, 1e6]),
            spread=st.sampled_from([1.0, 1e-3, 1e-6, 1e-9]),
@@ -270,7 +271,8 @@ class TestRegime:
         if n == 1:
             assert consensus_gap(X) == 0.0
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
     @given(data=st.data(), n=st.integers(1, 8), d=st.integers(1, 12),
            scale=st.sampled_from([1.0, 1e-300, 1e-310, 5e-324]))
     def test_one_buffer_is_bit_identical(self, data, n, d, scale):
@@ -1296,25 +1298,30 @@ class TestWholeArrayDualTail:
                             eval_S(s, looped, z, w, collect=True)):
                 np.testing.assert_array_equal(a, b)
 
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), n=st.integers(3, 6), d=st.integers(2, 6),
-           family=st.sampled_from(["sequential", "star", "ring_cocoercive",
-                                   "random_tree"]))
-    def test_drawn_H_patterns_match_loop_evaluator(self, data, n, d, family):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    @staticmethod
+    def _check_drawn_H(family, n, d, seed, column):
+        """eval_Gamma against the loop evaluator on family's scheme, with
+        column k of H redrawn by column(first), first the row of its first
+        nonzero: ("unit",) keeps it, ("zero",) zeroes it, ("scale", c) puts
+        c at first and ("mix", row, c) puts c at a row below it.
+
+        Each output's error is measured against the size of what it sums,
+        from the oracle: the prox argument LKx - w / eta + LHx by its three
+        terms for y (after the soft threshold y may be far smaller), the
+        resolvent argument u and x for x, |M|^T |x| for gz and
+        eta (|LHx| + |y|) for gw.  An error of 1e-12 on that scale fails."""
+        rng = np.random.default_rng(seed)
         s = DIFF_FAMILIES[family](rng, n, 0.6, 0.4)
-        coef = st.floats(-2.0, 2.0).filter(lambda c: c not in (0.0, 1.0))
         H = s.H.copy()
         for k in range(s.r):
             first = int(np.flatnonzero(H[:, k])[0])
-            kind = data.draw(st.sampled_from(["unit", "zero", "scale", "mix"]))
+            kind, *how = column(first)
             if kind == "zero":
                 H[:, k] = 0.0
             elif kind == "scale":
-                H[first, k] = data.draw(coef)
-            elif kind == "mix" and first < n - 1:   # below: stays explicit
-                row = data.draw(st.integers(first + 1, n - 1))
-                H[row, k] = data.draw(coef)
+                H[first, k] = how[0]
+            elif kind == "mix":   # below the first nonzero: stays explicit
+                H[how[0], k] = how[1]
         s = s.replace(H=H)
         pb = _l1_difference_problem(rng, s, d)
         assert solver_module.EvalPlan(s, pb).soft is not None
@@ -1322,9 +1329,48 @@ class TestWholeArrayDualTail:
         w = BlockVector([rng.standard_normal(d - 1) for _ in range(s.r)])
         new = eval_Gamma(s, pb, z, w)
         old = solver_oracle.eval_Gamma(s, pb, z, w)
-        for a, b in zip(new, old):
-            if len(b):
-                assert _rel(a.blocks, b.blocks) <= 1e-13
+        X, Y, U, LKx = (np.array(v) for v in solver_oracle.eval_S(
+            s, pb, z, w, collect=True))
+        L, eta = pb.BL_list[0].L, s.E_diag[:, None]
+        LHx = np.array([L(hx) for hx in s.H.T @ X])
+        W = np.array(w.blocks)
+        scales = [np.abs(s.M).T @ np.abs(X), eta * (abs(LHx) + abs(Y)),
+                  abs(U) + abs(X), abs(LKx) + abs(W / eta) + abs(LHx)]
+        for a, b, scale in zip(new, old, scales):
+            if not len(b):
+                continue
+            a, b = np.concatenate(a.blocks), np.concatenate(b.blocks)
+            size = np.linalg.norm(scale)
+            assert np.linalg.norm(a - b) <= 1e-13 * size
+            a[0] += 1e-12 * size   # caught, unless nothing was summed
+            assert size == 0 or np.linalg.norm(a - b) > 1e-13 * size
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(), n=st.integers(3, 6), d=st.integers(2, 6),
+           family=st.sampled_from(["sequential", "star", "ring_cocoercive",
+                                   "random_tree"]))
+    def test_drawn_H_patterns_match_loop_evaluator(self, data, n, d, family):
+        coef = st.floats(-2.0, 2.0).filter(lambda c: c not in (0.0, 1.0))
+
+        def column(first):
+            kind = data.draw(st.sampled_from(["unit", "zero", "scale", "mix"]))
+            if kind == "scale":
+                return kind, data.draw(coef)
+            if kind == "mix" and first < n - 1:
+                return (kind, data.draw(st.integers(first + 1, n - 1)),
+                        data.draw(coef))
+            return ("unit",) if kind == "mix" else (kind,)
+        self._check_drawn_H(family, n, d,
+                            data.draw(st.integers(0, 2 ** 32 - 1)), column)
+
+    def test_drawn_H_thresholded_y_measured_on_its_argument(self):
+        # y is about 0.00256 after the soft threshold and 4.4e-16 off, 2 ulp
+        # of its O(1) argument: 1.7e-13 relative to y, 7.6e-17 relative to
+        # the size of the argument's terms
+        columns = iter([("scale", 0.7578125), ("zero",), ("unit",)])
+        self._check_drawn_H("random_tree", 4, 2, 1027734,
+                            lambda first: next(columns))
 
     @pytest.mark.parametrize("case", ["distinct_maps", "affine_B",
                                       "mixed_out_dims", "zero_H_column"])
