@@ -4,13 +4,13 @@ experiment harness."""
 
 from __future__ import annotations
 
+import json
 import os
+import re
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List
-
-import json
 
 import numpy as np
 
@@ -47,7 +47,7 @@ FAMILY_GENERATORS = {
     "complete": scheme_complete,
 }
 
-# the solves of the grid and of the CLI record every RECORD_EVERY iterations
+# grid and CLI solves record every RECORD_EVERY iterations, and their stop
 RECORD_EVERY = 10
 
 
@@ -162,13 +162,20 @@ class ExperimentConfig:
                      "scheme_families"):
             if not getattr(self, name):
                 raise ValueError(f"{name} is empty")
-        for vals in (self.gamma_hats, self.eta_hats, self.lambda_hats):
-            if any(not 0.0 < v < 1.0 for v in vals):
-                raise ValueError("scaling factors must lie in (0, 1)")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-        if not self.tol >= 0:
-            raise ValueError(f"tol = {self.tol} must be >= 0")
+        for name in ("gamma_hats", "eta_hats", "lambda_hats"):
+            for v in getattr(self, name):
+                if not _is_number(v):
+                    raise ValueError(f"{name} holds {v!r}, which is not a "
+                                     "number")
+                if not 0.0 < v < 1.0:
+                    raise ValueError("scaling factors must lie in (0, 1)")
+        for name, integer in (("max_iters", True), ("tol", False)):
+            value = getattr(self, name)
+            if not _is_number(value, integer):
+                raise ValueError(f"{name} = {value!r} is not "
+                                 + ("an integer" if integer else "a number"))
+            if not value >= 0:
+                raise ValueError(f"{name} = {value} must be >= 0")
         for fam in self.scheme_families:
             if fam not in FAMILY_GENERATORS:
                 raise ValueError(f"unknown family {fam!r}")
@@ -298,8 +305,8 @@ def build_family_scheme(family, instance, gamma_hat, eta_hat):
     return scheme, tau, bounds.lambda_max(gamma)
 
 
-def _curve_name(family, gamma_hat, eta_hat, lambda_hat):
-    return f"{family}_{gamma_hat:g}_{eta_hat:g}_{lambda_hat:g}.csv"
+def _curve_name(family, *hats):   # each hat as grid.csv writes a float
+    return "_".join([family, *map(repr, map(float, hats))]) + ".csv"
 
 
 # the grid's status of each stop_reason
@@ -310,12 +317,10 @@ def run_cell(instance, problem, cell, config, out_dir=None):
     """Solve one (family, gamma_hat, eta_hat, lambda_hat) cell.  The row
     holds the GRID_COLUMNS and tau, with the status of the report's
     stop_reason.  report is None only when no solve ran (the scheme could
-    not be built, or solve refused it), and the row's status says why."""
+    not be built, or solve refused it); the status is then "error: " and the
+    message, each run of whitespace one space, so the row stays one line."""
     family, gamma_hat, eta_hat, lambda_hat = cell
-    row = {
-        "family": family, "gamma_hat": gamma_hat,
-        "eta_hat": eta_hat, "lambda_hat": lambda_hat,
-    }
+    row = dict(zip(GRID_COLUMNS, cell))
     t0 = time.perf_counter()
     try:
         scheme, row["tau"], lam_max = build_family_scheme(
@@ -331,7 +336,7 @@ def run_cell(instance, problem, cell, config, out_dir=None):
         row.update(iters_to_tol=-1, final_residual=float("nan"),
                    final_objective=float("nan"),
                    wall_ms=1e3 * (time.perf_counter() - t0),
-                   status=f"error: {exc}")
+                   status=re.sub(r"\s+", " ", f"error: {exc}"))
         return row, None
     _, res, _, obj, _ = report.records[-1]
     row.update(
@@ -354,17 +359,17 @@ GRID_COLUMNS = ["family", "gamma_hat", "eta_hat", "lambda_hat",
 
 
 def run_grid(instance, config, out_dir=None):
-    """Run every (family, gamma_hat, eta_hat, lambda_hat) combination and
-    return the result rows in deterministic sorted order.  ``out_dir`` gets
-    grid.csv plus one residual curve per run."""
+    """Run every distinct (family, gamma_hat, eta_hat, lambda_hat) cell once
+    and return the result rows in deterministic sorted order.  ``out_dir``
+    gets grid.csv plus one residual curve per row."""
     problem = to_problem(instance)
-    cells = sorted(
+    cells = sorted({
         (fam, g, e, l)
         for fam in config.scheme_families
         for g in config.gamma_hats
         for e in config.eta_hats
         for l in config.lambda_hats
-    )
+    })
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "curves"), exist_ok=True)
     rows = [run_cell(instance, problem, c, config, out_dir)[0] for c in cells]

@@ -379,7 +379,8 @@ def write_csv(path, rows, header=None):
     float as its shortest text that reads back as the same float (as in
     dumps_json), None as an empty field, anything else through str (so a
     numpy float as numpy's print options give it), and a field that holds
-    a comma, a quote or a newline quoted."""
+    a comma, a quote or a newline quoted.  No field may hold a carriage
+    return: Python 3.10 and 3.11 leave it unquoted, and readers end the row."""
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         if header is not None:

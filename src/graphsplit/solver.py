@@ -418,12 +418,12 @@ def consensus_gap(x):
 
 
 def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
-    """Run the relaxed fixed-point iteration from (z0, w0) and report how it
-    stopped: ``stop_reason`` is "converged" when the scaled residual drops to
-    ``residual_tol``, "max_iters" when the budget runs out, and "diverged" at
-    the first non-finite residual, which is recorded.  A NaN or infinite
-    entry in z0 or w0 is refused, and lambda, one number, is checked, before
-    the first iteration; lambda <= 1 + LAMBDA_SLACK keeps each state finite."""
+    """Run the relaxed fixed-point iteration from (z0, w0).  Each iteration
+    decides its stop from its residual: ``stop_reason`` is "diverged" if it
+    is not finite, "converged" if it is <= ``residual_tol``, "max_iters" at
+    the last one.  That iteration is the last record; ``record_every`` thins
+    only the records before it.  A non-finite z0 or w0 is refused, and lambda
+    checked, first; lambda <= 1 + LAMBDA_SLACK keeps every state finite."""
     opts = opts or SolveOptions()
     for name, integer in (("max_iters", True), ("record_every", True),
                           ("residual_tol", False)):
@@ -464,26 +464,19 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
                 1e3 * (time.perf_counter() - t0))
 
     records = []
-    stop = "max_iters"
     t0 = time.perf_counter()
     # a diverging run overflows in res, the records and s_bar, silently
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(opts.max_iters + 1):
             gz, gw, x, y = eval_Gamma(s, problem, z, w, plan=plan)
             res = residual_star(s, gz, gw, lam)
-            # the stopping rule rides on the recording cadence: records and
-            # the convergence test happen every record_every iterations, but
-            # the last iteration and a non-finite residual are always recorded
-            if not math.isfinite(res):
-                stop = "diverged"
+            stop = ("diverged" if not math.isfinite(res) else "converged"
+                    if res <= opts.residual_tol else "max_iters"
+                    if t == opts.max_iters else None)
+            if stop or t % opts.record_every == 0:
                 records.append(record())
+            if stop:
                 break
-            if t % opts.record_every == 0 or t == opts.max_iters:
-                records.append(record())
-                if res <= opts.residual_tol:
-                    stop = "converged"
-                if stop == "converged" or t == opts.max_iters:
-                    break
             # lam <= lam_max + LAMBDA_SLACK <= 1 + 1e-12, gamma > 0, E > 0:
             # from a finite state, an update overflows only where |lam g| >=
             # 2^970, whose square made res infinite; so kept states are finite

@@ -1,6 +1,7 @@
 """Fused-lasso benchmark: instance generation, reference solver, grid
 harness, and artifact IO."""
 
+import csv
 import json
 import os
 import re
@@ -451,6 +452,26 @@ class TestRunGrid:
         ca = (tmp_path / "a" / "curves" / "sequential_0.5_0.1_0.9.csv").read_bytes()
         cb = (tmp_path / "b" / "curves" / "sequential_0.5_0.1_0.9.csv").read_bytes()
         assert ca == cb
+
+    @pytest.mark.parametrize("hats", [[0.5, 0.5000001], [0.5, 0.5]],
+                             ids=["six_digits_alike", "repeated"])
+    def test_one_curve_per_row_named_by_its_fields(self, tmp_path, hats):
+        # :g names gave 0.5 and 0.5000001 one curve; a repeated hat ran twice
+        inst = gen_instance(1, n=2, m=10, d=12, mu=0.5, nu=0.2)
+        config = ExperimentConfig(gamma_hats=hats,
+                                  scheme_families=["sequential"])
+        rows = run_grid(inst, config, out_dir=str(tmp_path))
+        assert len(rows) == len(set(hats))
+        with open(tmp_path / "grid.csv", newline="") as fh:
+            read = list(csv.DictReader(fh))
+        names = ["{family}_{gamma_hat}_{eta_hat}_{lambda_hat}.csv".format(**r)
+                 for r in read]
+        assert len(read) == len(rows) and len(set(names)) == len(rows)
+        assert sorted(os.listdir(tmp_path / "curves")) == sorted(names)
+        for r, name in zip(read, names):
+            with open(tmp_path / "curves" / name, newline="") as fh:
+                *_, last = csv.DictReader(fh)
+            assert last["iter"] == r["iters_to_tol"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -128,6 +128,22 @@ def test_curve_and_grid_rows_match_old_format(tiny, tmp_path, monkeypatch):
             for t, res, _, obj, _ in report.records] + [""]
 
 
+def assert_grid_reads_back(path, rows):
+    """grid.csv, read back through csv.DictReader, gives ``rows``: one line
+    each, and no extra key."""
+    with open(path, newline="") as fh:
+        read = list(csv.DictReader(fh))
+    assert len(read) == len(rows)
+    for got, row in zip(read, rows):
+        assert list(got) == fusedlasso.GRID_COLUMNS
+        for c in fusedlasso.GRID_COLUMNS:
+            want = row[c]
+            if isinstance(want, float):
+                np.testing.assert_equal(float(got[c]), want)   # NaN == NaN
+            else:
+                assert got[c] == str(want)
+
+
 def test_grid_keeps_one_row_per_cell_when_a_status_holds_a_comma(tmp_path):
     # with every A_i zero, tau = 0 and gamma = gamma_hat * inf, so every
     # cell is an error row whose status holds a comma
@@ -142,17 +158,22 @@ def test_grid_keeps_one_row_per_cell_when_a_status_holds_a_comma(tmp_path):
     assert len(rows) == 4 and all(
         r["status"] == "error: gamma = inf outside (0, inf) for the "
         "cocoercive regime" for r in rows)
-    with open(tmp_path / "grid.csv", newline="") as fh:
-        read = list(csv.DictReader(fh))
-    assert len(read) == len(rows)
-    for got, row in zip(read, rows):
-        assert list(got) == fusedlasso.GRID_COLUMNS   # no extra key
-        for c in fusedlasso.GRID_COLUMNS:
-            want = row[c]
-            if isinstance(want, float):
-                np.testing.assert_equal(float(got[c]), want)   # NaN == NaN
-            else:
-                assert got[c] == str(want)
+    assert_grid_reads_back(tmp_path / "grid.csv", rows)
+
+
+def test_error_status_with_a_carriage_return_stays_one_row(
+        tiny, tmp_path, monkeypatch):
+    # csv.writer leaves a field holding \r unquoted on Python 3.10 and 3.11,
+    # and csv.reader ends the row there
+    def refuse(*args):
+        raise ValueError("bad\rvalue")
+
+    monkeypatch.setattr(fusedlasso, "build_family_scheme", refuse)
+    config = ExperimentConfig(lambda_hats=[0.5, 0.9],
+                              scheme_families=["sequential"])
+    rows = run_grid(tiny, config, out_dir=str(tmp_path))
+    assert [r["status"] for r in rows] == ["error: bad value"] * 2
+    assert_grid_reads_back(tmp_path / "grid.csv", rows)
 
 
 def test_save_instance_rows_match_old_format(tiny, tmp_path):

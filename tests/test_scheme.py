@@ -19,8 +19,8 @@ from graphsplit import (BlockVector, CoefficientScheme, GraphSpec,
                         scheme_complete, scheme_ring, scheme_sequential,
                         scheme_star, solve, step, step_bounds, validate_psd,
                         validate_standing)
-from graphsplit.fusedlasso import (FAMILY_GENERATORS, load_instance,
-                                   save_instance)
+from graphsplit.fusedlasso import (FAMILY_GENERATORS, ExperimentConfig,
+                                   load_instance, save_instance)
 from graphsplit.graphs import scheme_from_graph
 from graphsplit.scheme import dumps_json, scheme_from_dict, scheme_to_dict
 
@@ -643,6 +643,12 @@ NUMBER_ENTRY_POINTS = {
     "graph_spec_weight": (1.0, False, lambda v, mp, tmp: GraphSpec(
         n=3, edges=[(1, 2, v), (2, 3, 1.0)]),
         "^edge .* holds a value that is not a number$"),
+    "config_max_iters": (50, True, lambda v, mp, tmp: ExperimentConfig(
+        max_iters=v), "^max_iters = .* is not an integer$"),
+    "config_tol": (1e-8, False, lambda v, mp, tmp: ExperimentConfig(tol=v),
+                   "^tol = .* is not a number$"),
+    "config_gamma_hats": (0.5, False, lambda v, mp, tmp: ExperimentConfig(
+        gamma_hats=[0.3, v]), "^gamma_hats holds .*, which is not a number$"),
 }
 
 

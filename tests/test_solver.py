@@ -2,6 +2,7 @@
 relaxed iteration."""
 
 import csv
+import functools
 import json
 import math
 import warnings
@@ -288,6 +289,46 @@ class TestRegime:
         assert consensus_gap(BlockVector(list(X))) == old
 
 
+@functools.lru_cache(maxsize=None)
+def _cadence_run(stop, every):
+    """A solve that stops by ``stop``, recording every ``every`` iterations:
+    desk sequential at 1e-10, the two-node setup of
+    test_stop_reason_max_iters at max_iters 13, or the steep setup of
+    test_divergence_carries_partial_report."""
+    if stop == "converged":
+        inst = desk_instance(0)
+        s, _, lam_max = build_family_scheme("sequential", inst, 0.5, 0.1)
+        return solve(s, to_problem(inst), opts=SolveOptions(
+            max_iters=20_000, residual_tol=1e-10,
+            lambda_schedule=0.9 * lam_max, record_every=every))
+    d = 2
+    if stop == "max_iters":
+        ident = affine_resolvent(np.eye(d), np.zeros(d))
+        s, pb = two_node_scheme(gamma=1.0), ProblemInstance(
+            d=d, A_list=[ident, ident])
+        opts = SolveOptions(max_iters=13, residual_tol=1e-30,
+                            lambda_schedule=1.0, record_every=every)
+    else:
+        s = scheme_sequential(2, gamma=1.0, eta=1e-3)
+        steep = SingleValuedOp(dim=d, apply=lambda x: 1e6 * x,
+                               lipschitz=1e-6, cocoercive=True)
+        pb = ProblemInstance(
+            d=d, A_list=[zero_resolvent(d), zero_resolvent(d)],
+            BL_list=[ComposedBlock(B=zero_resolvent(d),
+                                   L=LinearMap(np.eye(d)))],
+            C_list=[steep])
+        opts = SolveOptions(max_iters=2000, record_every=every)
+    return solve(s, pb, z0=BlockVector([np.ones(d)]), opts=opts)
+
+
+def _final_arrays(report):
+    """The final z, w, x and y of a report, and its dual certificate."""
+    f, cert = report.final, report.dual_certificate
+    return [np.concatenate(v.blocks) if v.blocks else np.zeros(0)
+            for v in (f.z, f.w, f.x, f.y)] + [
+        None if cert is None else np.concatenate(cert.blocks)]
+
+
 def _regime(scheme, problem):
     """The regime that solve's gate decides for a scheme on a problem."""
     norms = [blk.L.norm() for blk in problem.BL_list]
@@ -367,6 +408,21 @@ class TestSolve:
                                          record_every=7, lambda_schedule=1.0))
         iters = [t for t, _ in report.residual_history]
         assert iters == [0, 7, 14, 21, 28, 35, 40]
+
+    @pytest.mark.parametrize("every", [1, 3, 7, 10, 25])
+    @pytest.mark.parametrize("stop", ["converged", "max_iters", "diverged"])
+    def test_record_every_thins_only_the_records(self, stop, every):
+        # every stop is decided on every iteration: a run stops where the
+        # record_every = 1 run stops, in its state, and records that run's
+        # records at multiples of record_every, then the stopping one
+        base, run = (_cadence_run(stop, e) for e in (1, every))
+        assert (run.iters_run, run.stop_reason) == (base.iters_run, stop)
+        for got, want in zip(_final_arrays(run), _final_arrays(base)):
+            np.testing.assert_array_equal(got, want)
+        kept = [r[:4] for r in base.records if r[0] % every == 0]
+        if base.iters_run % every:
+            kept.append(base.records[-1][:4])
+        np.testing.assert_equal([r[:4] for r in run.records], kept)
 
     def test_max_iters_exit_reports_consistent_state(self):
         inst = desk_instance(0)
