@@ -204,10 +204,11 @@ def benchmark(seed, n_agents, m_rows, dim, mu, nu, gamma_hat, eta_hat,
         sys.exit(2)
     rows = fusedlasso.run_grid(inst, config, out_dir=out_dir)
     for row in rows:
-        click.echo("%-10s g=%.2g e=%.2g l=%.2g iters=%-6d obj=%.8g %s"
-                   % (row["family"], row["gamma_hat"], row["eta_hat"],
-                      row["lambda_hat"], row["iters_to_tol"],
-                      row["final_objective"], row["status"]))
+        # each factor as grid.csv and the curve names give it
+        click.echo("%-10s g=%s e=%s l=%s iters=%-6d obj=%.8g %s" % (
+            row["family"], *(repr(float(row[k])) for k in (
+                "gamma_hat", "eta_hat", "lambda_hat")),
+            row["iters_to_tol"], row["final_objective"], row["status"]))
     ok = all(row["status"] == "ok" for row in rows)
     if ok:
         x_ref, f_ref = fusedlasso.reference_solve(inst, tol=1e-10)

@@ -18,8 +18,8 @@ from .linalg import spectral_norm
 from .operators import (ComposedBlock, ProblemInstance,
                         _least_squares_gradient, l1_resolvent, prox_l1,
                         zero_resolvent)
-from .scheme import (_is_number, compute_UW, compute_tau, step_bounds,
-                     write_csv, write_json)
+from .scheme import (_check_number, _is_number, compute_UW, compute_tau,
+                     step_bounds, write_csv, write_json)
 from .solver import SolveOptions, solve
 from .graphs import scheme_complete, scheme_sequential, scheme_star
 
@@ -170,12 +170,7 @@ class ExperimentConfig:
                 if not 0.0 < v < 1.0:
                     raise ValueError("scaling factors must lie in (0, 1)")
         for name, integer in (("max_iters", True), ("tol", False)):
-            value = getattr(self, name)
-            if not _is_number(value, integer):
-                raise ValueError(f"{name} = {value!r} is not "
-                                 + ("an integer" if integer else "a number"))
-            if not value >= 0:
-                raise ValueError(f"{name} = {value} must be >= 0")
+            _check_number(name, getattr(self, name), integer, 0)
         for fam in self.scheme_families:
             if fam not in FAMILY_GENERATORS:
                 raise ValueError(f"unknown family {fam!r}")

@@ -11,7 +11,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .scheme import CoefficientScheme, _is_number, write_json
+from .scheme import CoefficientScheme, _check_number, _is_number, write_json
 
 __all__ = [
     "GraphSpec",
@@ -235,7 +235,8 @@ def scheme_ring(n, gamma=1.0, eta=1.0, regime="cocoercive", r=1, p=1):
             P[n - 2, :] = 1.0
             Q[n - 1, :] = 1.0
     return CoefficientScheme(
-        M=M, N=N, D_diag=np.ones(n), E_diag=np.full(r, float(eta)),
+        M=M, N=N, D_diag=np.ones(n),
+        E_diag=np.full(r, float(_check_number("eta", eta))),
         H=H, K=K, P=P, Q=Q, R=R, gamma=gamma, family=f"ring_{regime}",
     )
 
@@ -254,7 +255,8 @@ def scheme_from_graph(g, gamma=1.0, eta=1.0, kappa=None):
     the subgraph weights, so that 2D - N - N^T - M M^T = kappa M M^T, and
     Omega is PSD exactly when gamma * eta * ||L||^2 <= kappa for one map L
     in every L_k, at any weights.  Without it no such bound is exact."""
-    if kappa is not None and kappa <= 0:
+    _check_number("eta", eta)
+    if kappa is not None and _check_number("kappa", kappa) <= 0:
         raise ValueError("kappa must be positive")
     scale = 1.0 if kappa is None else kappa + 1.0
     N = np.zeros((g.n, g.n))

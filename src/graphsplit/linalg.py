@@ -1,9 +1,10 @@
 """Dense matrix and block-vector kernels.
 
 Vectors living in a product space H^n are represented as :class:`BlockVector`
-objects (an ordered list of real blocks).  Coefficient matrices act on them
-through the Kronecker lift ``M (x) Id``, implemented without materializing the
-Kronecker matrix.
+objects (an ordered list of real blocks).  The solver applies coefficient
+matrices to blocks stacked as the rows of one array; ``kron_apply``, the
+Kronecker lift ``M (x) Id`` on a BlockVector, remains for the benchmark's
+instrumentation and the tests' reference evaluator.
 """
 
 from __future__ import annotations

@@ -101,7 +101,7 @@ class CoefficientScheme:
             raise ValueError("D must be a strictly positive diagonal")
         if not (self.E_diag > 0).all():
             raise ValueError("E must be a strictly positive diagonal")
-        if not 0 < self.gamma < np.inf:
+        if not 0 < _check_number("gamma", self.gamma) < np.inf:
             raise ValueError(f"gamma = {self.gamma} must lie in (0, inf)")
 
     @property
@@ -356,6 +356,17 @@ def _is_number(v, integer=False):
     none, though int() and float() read it as 1 or 0."""
     return (isinstance(v, (int, np.integer) if integer else _NUMBER_TYPES)
             and type(v) is not bool)
+
+
+def _check_number(name, value, integer=False, low=None):
+    """value, if it is a number (an integer with ``integer``) and, when
+    ``low`` is given, at least low; anything else is refused by name."""
+    if not _is_number(value, integer):
+        raise ValueError(f"{name} = {value!r} is not "
+                         + ("an integer" if integer else "a number"))
+    if low is not None and not value >= low:
+        raise ValueError(f"{name} = {value} must be >= {low}")
+    return value
 
 
 def _plain(v):

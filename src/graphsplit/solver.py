@@ -1,8 +1,8 @@
 """Relaxed fixed-point solver: the solution operator S, the displacement
 map Gamma, residual tracking in the scaled product norm, and solution
 certification.  The public functions take and return BlockVectors; inside,
-primal blocks are the rows of one array, and dual blocks the rows of another,
-each zero-padded to the longest."""
+and in the kernel eval_S that they share, primal blocks are the rows of one
+array, and dual blocks the rows of another, each zero-padded to the longest."""
 
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ import numpy as np
 
 from .linalg import BlockVector, kron_apply  # noqa: F401  (re-exported)
 from .operators import _L1Prox, _soft_threshold
-from .scheme import _is_number, check_explicit, compute_UW, compute_tau, \
-    step_bounds, validate_standing, write_csv, write_json
+from .scheme import _check_number, _is_number, check_explicit, compute_UW, \
+    compute_tau, step_bounds, validate_standing, write_csv, write_json
 
 __all__ = [
     "IterateState", "StarNormContext", "SolveOptions", "SolveReport",
@@ -275,32 +275,23 @@ class EvalPlan:
         return [v[sl] for sl in self.slices]
 
 
-def eval_S(scheme, problem, z, w, collect=False, plan=None):
-    """Evaluate the solution operator: forward substitution for the primal
-    blocks x_1..x_n followed by the dual resolvents for y.  Row i solves
-    x_i = J_{(gamma/delta_i) A_i}(u_i) with
+def eval_S(plan, z, w):
+    """Evaluate the solution operator of ``plan.scheme`` on ``plan.problem``:
+    forward substitution for the primal blocks x_1..x_n followed by the dual
+    resolvents for y.  Row i solves x_i = J_{(gamma/delta_i) A_i}(u_i) with
         u_i = (1/delta_i) [ (Mz)_i + (Nx)_i - gamma (Phi x)_i
               - gamma (H L^*(E L K x - w))_i ]
-    where Phi = (P - Q) C(Rx) + Q C(P^T x).  The x_i are the rows of one
-    (n, d) array, and ``plan`` (compiled when omitted) gives each row's
-    images and sums.  A BlockVector z gives BlockVectors x and y; a stacked
-    z gives the (n, d) array x, and y as one row per dual block, zero-padded
-    (w may come either way; a padded w with a nonzero past a block's size is
-    refused).  ``collect`` adds the (n, d) array U of the u_i and L_k (K x)_k
-    and L_k (H^T x)_k, like y or as lists of blocks.  A plan compiled for
-    another scheme or problem object is refused.
-    """
-    if plan is None:
-        plan = EvalPlan(scheme, problem)
-    elif plan.scheme is not scheme or plan.problem is not problem:
-        other = "scheme" if plan.scheme is not scheme else "problem"
-        raise ValueError(f"plan was compiled for another {other}")
-    A, C, BL = problem.A_list, problem.C_list, problem.BL_list
+    where Phi = (P - Q) C(Rx) + Q C(P^T x); the plan gives each row's images
+    and sums.  z and w come as BlockVectors or stacked (z as (m, d), w as one
+    row per dual block, zero-padded; a nonzero in the padding is refused).
+    Returns new arrays: X and U, the (n, d) arrays of the x_i and u_i, and
+    y, L_k (K x)_k and L_k (H^T x)_k as padded rows."""
+    s, pb = plan.scheme, plan.problem
+    A, C, BL, d = pb.A_list, pb.C_list, pb.BL_list, pb.d
     dot = np.dot   # on one-row products much cheaper than @
     w = _dual_rows(w, plan.dims, pad=plan.pad)
-    d = problem.d
     # row i of U is (D^{-1} M z)_i; the sums add in
-    U = plan.Md @ _stacked(z, (scheme.m, d))
+    U = plan.Md @ _stacked(z, (s.m, d))
     # every product below reads only rows and images already written
     X, S = np.empty((len(plan.rows), d)), np.empty((plan.n_images, d))
     LKx = np.zeros(w.shape)   # zero padded
@@ -344,24 +335,23 @@ def eval_S(scheme, problem, z, w, collect=False, plan=None):
     if plan.soft is not None:   # prox_l1 of every row, by its threshold
         y = _soft_threshold(y, plan.soft)
     else:
-        for sl, blk, eta in zip(plan.slices, BL, scheme.E_diag):
+        for sl, blk, eta in zip(plan.slices, BL, s.E_diag):
             y[sl] = blk.B(1.0 / eta, y[sl])
-
-    if isinstance(z, BlockVector):
-        X, y = BlockVector(X), BlockVector(plan.split(y))
-        LKx, LHx = plan.split(LKx), plan.split(LHx)
-    return (X, y, U, LKx, LHx) if collect else (X, y)
+    return X, y, U, LKx, LHx
 
 
 def eval_Gamma(scheme, problem, z, w, check=True, plan=None):
     """The displacement map: gz = M^T x and gw_k = eta_k (L_k (H^T x)_k - y_k),
     so that T(z, w) = (z, w) - (gz, gw).  BlockVectors in give BlockVectors
-    out; a stacked z gives stacked gz and x and, as in eval_S, gw and y as
-    padded rows.  ``check`` selects nothing: the plan refuses an implicit
-    scheme either way."""
+    out; a stacked z gives stacked gz and x and, as eval_S does, gw and y as
+    padded rows.  ``plan`` is compiled when omitted; one compiled for another
+    scheme or problem object is refused.  ``check`` selects nothing: the plan
+    refuses an implicit scheme either way."""
     plan = plan or EvalPlan(scheme, problem)
-    X, y, _, _, LHx = eval_S(scheme, problem, _stacked(
-        z, (scheme.m, problem.d)), w, collect=True, plan=plan)
+    if plan.scheme is not scheme or plan.problem is not problem:
+        other = "scheme" if plan.scheme is not scheme else "problem"
+        raise ValueError(f"plan was compiled for another {other}")
+    X, y, _, _, LHx = eval_S(plan, z, w)
     gz = scheme.M.T @ X
     gw = np.subtract(LHx, y, out=LHx)
     gw *= plan.eta
@@ -425,18 +415,10 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     only the records before it.  A non-finite z0 or w0 is refused, and lambda
     checked, first; lambda <= 1 + LAMBDA_SLACK keeps every state finite."""
     opts = opts or SolveOptions()
-    for name, integer in (("max_iters", True), ("record_every", True),
-                          ("residual_tol", False)):
-        value = getattr(opts, name)
-        if not _is_number(value, integer):
-            raise ValueError(f"{name} = {value!r} is not "
-                             + ("an integer" if integer else "a number"))
-    if opts.max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
-    if opts.record_every < 1:
-        raise ValueError("record_every must be positive")
-    if not opts.residual_tol >= 0:
-        raise ValueError(f"residual_tol = {opts.residual_tol} must be >= 0")
+    for name, integer, low in (("max_iters", True, 0),
+                               ("record_every", True, 1),
+                               ("residual_tol", False, 0)):
+        _check_number(name, getattr(opts, name), integer, low)
     s = scheme
     _, rep, bounds = check_scheme(
         s, problem.lipschitz_constants,
@@ -486,11 +468,11 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
             w_next += w
             z, w = z_next, w_next
 
-        s_bar = None
-        if s.r > 0:
-            s_bar = BlockVector([eta * blk.L(kx) - wk for eta, blk, kx, wk in
-                                 zip(s.E_diag, problem.BL_list, s.K @ x,
-                                     plan.split(w))])
+        del gz, gw   # spent: the final evaluation holds no more than a step
+        S = eval_S(plan, z, w)[3]   # s_k = eta_k L_k (K x)_k - w_k, in place:
+        S *= plan.eta               # an (r, g) temporary here raised
+        S -= w                      # wide-d1e4's peak RSS
+        s_bar = BlockVector(plan.split(S)) if s.r > 0 else None
     return SolveReport(
         iters_run=t, records=records,
         final=IterateState(BlockVector(z), BlockVector(plan.split(w)),
@@ -508,8 +490,7 @@ def certify_solution(scheme, problem, state, tol=1e-5):
     and (c) the norm of a_total + sum L_k^* s_k + sum C_j xbar."""
     s, plan = scheme, EvalPlan(scheme, problem)
     w = _dual_rows(state.w, plan.dims)
-    X, y, U, LKx, _ = eval_S(s, problem, _stacked(state.z, (s.m, problem.d)),
-                             w, collect=True, plan=plan)
+    X, _, U, LKx, _ = eval_S(plan, state.z, w)
     xbar = X.sum(axis=0) / s.n
     gap = consensus_gap(X)
 
@@ -518,8 +499,7 @@ def certify_solution(scheme, problem, state, tol=1e-5):
     total = (s.D_diag / s.gamma) @ (U - X)
 
     memberships = []
-    for (k, sl), blk in zip(plan.slices, problem.BL_list):
-        s_k = s.E_diag[k] * LKx[k, sl] - w[k, sl]
+    for s_k, blk in zip(plan.split(plan.eta * LKx - w), problem.BL_list):
         total += blk.L.adjoint(s_k)
         lx = blk.L(xbar)
         memberships.append(float(np.linalg.norm(lx - blk.B(1.0, lx + s_k))))

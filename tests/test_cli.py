@@ -430,6 +430,19 @@ class TestBenchmark:
         assert (out / "grid.csv").exists()
         assert len(os.listdir(out / "curves")) == 2
 
+    def test_distinct_cells_print_distinct_rows(self, runner, tmp_path):
+        # "%.2g" printed both rows as "sequential g=0.5 e=0.1 l=0.9 ..."
+        res = runner.invoke(main, [
+            "benchmark", "--seed", "1", "--n", "2", "--m", "10", "--d", "12",
+            "--gamma-hat", "0.5,0.5000001", "--families", "sequential",
+            "--out", str(tmp_path / "g")])
+        assert res.exit_code == 0, res.output
+        rows = [line for line in res.stdout.splitlines()
+                if line.startswith("sequential ")]
+        assert len(rows) == len(set(rows)) == 2
+        for line, gamma_hat in zip(rows, ("0.5", "0.5000001")):
+            assert f" g={gamma_hat} e=0.1 l=0.9 " in line, line
+
     def test_bad_configuration(self, runner, tmp_path):
         res = runner.invoke(main, [
             "benchmark", "--gamma-hat", "1.5",

@@ -21,7 +21,7 @@ from graphsplit import (BlockVector, CoefficientScheme, GraphSpec,
                         validate_standing)
 from graphsplit.fusedlasso import (FAMILY_GENERATORS, ExperimentConfig,
                                    load_instance, save_instance)
-from graphsplit.graphs import scheme_from_graph
+from graphsplit.graphs import path_graph, scheme_from_graph
 from graphsplit.scheme import dumps_json, scheme_from_dict, scheme_to_dict
 
 import psd_oracle
@@ -649,6 +649,14 @@ NUMBER_ENTRY_POINTS = {
                    "^tol = .* is not a number$"),
     "config_gamma_hats": (0.5, False, lambda v, mp, tmp: ExperimentConfig(
         gamma_hats=[0.3, v]), "^gamma_hats holds .*, which is not a number$"),
+    "constructor_gamma": (0.5, False, lambda v, mp, tmp: scheme_sequential(
+        3).replace(gamma=v), "^gamma = .* is not a number$"),
+    "graph_scheme_eta": (0.5, False, lambda v, mp, tmp: scheme_from_graph(
+        path_graph(3), eta=v), "^eta = .* is not a number$"),
+    "graph_scheme_kappa": (1.0, False, lambda v, mp, tmp: scheme_from_graph(
+        path_graph(3), kappa=v), "^kappa = .* is not a number$"),
+    "ring_eta": (0.5, False, lambda v, mp, tmp: scheme_ring(3, eta=v),
+                 "^eta = .* is not a number$"),
 }
 
 
@@ -659,6 +667,9 @@ def test_one_number_rule_refuses_at_every_entry_point(
         monkeypatch, tmp_path, entry, value):
     # int() and float() read a bool as 1 or 0 and float() reads "1" as 1.0
     _, _, call, refusal = NUMBER_ENTRY_POINTS[entry]
+    if value is None and entry == "graph_scheme_kappa":
+        assert call(value, monkeypatch, tmp_path).family == "graph"
+        return   # kappa None is the full graph's weights, not a number
     with pytest.raises(ValueError, match=refusal):
         call(value, monkeypatch, tmp_path)
 

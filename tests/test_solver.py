@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from graphsplit import (BlockVector, ComposedBlock, IterateState, LinearMap, ProblemInstance,
                         SolveOptions, StarNormContext, affine_resolvent,
-                        certify_solution, eval_Gamma, eval_S, l1_resolvent,
+                        certify_solution, eval_Gamma, l1_resolvent,
                         prox_l1, residual_star, scheme_sequential,
                         scheme_star, solve, step, zero_resolvent)
 from graphsplit.fusedlasso import (build_family_scheme, desk_instance,
@@ -30,8 +30,9 @@ from graphsplit.operators import (ResolventOp, SingleValuedOp,
 from graphsplit.scheme import (CoefficientScheme, check_explicit, compute_tau,
                                compute_UW, step_bounds, validate_psd)
 from graphsplit import solver as solver_module
-from graphsplit.solver import (LAMBDA_SLACK, check_scheme, consensus_gap,
-                               export_report_csv, export_state_json)
+from graphsplit.solver import (LAMBDA_SLACK, EvalPlan, check_scheme,
+                               consensus_gap, eval_S, export_report_csv,
+                               export_state_json)
 
 from conftest import monotone_affine, random_problem_for, read_ahead_scheme
 import psd_oracle
@@ -114,7 +115,7 @@ class TestEvalS:
         pb = ProblemInstance(d=3, A_list=[zero_resolvent(3),
                                           zero_resolvent(3)])
         z = BlockVector([rng.standard_normal(3)])
-        x, y = eval_S(s, pb, z, BlockVector([]))
+        x, y = eval_S(EvalPlan(s, pb), z, BlockVector([]))[:2]
         np.testing.assert_allclose(x[0], z[0], atol=1e-14)
         np.testing.assert_allclose(x[1], z[0], atol=1e-14)
         assert len(y) == 0
@@ -127,7 +128,7 @@ class TestEvalS:
         pb.A_list[0] = l1_resolvent(mu, d)
         z = BlockVector([rng.standard_normal(d) for _ in range(n - 1)])
         w = BlockVector([rng.standard_normal(3) for _ in range(n - 1)])
-        x, _ = eval_S(s, pb, z, w)
+        x = eval_S(EvalPlan(s, pb), z, w)[0]
         mean_z = sum(z.blocks) / (n - 1)
         ref = prox_l1(mean_z, 0.8 * mu / (n - 1))
         np.testing.assert_allclose(x[0], ref, atol=1e-12)
@@ -137,14 +138,15 @@ class TestEvalS:
         bad = s.replace(N=np.array([[0.0, 1.0], [2.0, 0.0]]))
         pb = ProblemInstance(d=2, A_list=[zero_resolvent(2)] * 2)
         with pytest.raises(ValueError):
-            eval_S(bad, pb, BlockVector([np.zeros(2)]), BlockVector([]))
+            eval_S(EvalPlan(bad, pb), BlockVector([np.zeros(2)]),
+                   BlockVector([]))
 
     def test_collect_returns_resolvent_arguments(self, rng):
         s = scheme_sequential(3, gamma=0.5)
         pb = random_problem_for(rng, s, 4, gdim=2)
         z = BlockVector([rng.standard_normal(4) for _ in range(2)])
         w = BlockVector([rng.standard_normal(2) for _ in range(2)])
-        x, y, u, LKx, LHx = eval_S(s, pb, z, w, collect=True)
+        x, y, u, LKx, LHx = eval_S(EvalPlan(s, pb), z, w)
         # x_i is the resolvent of A_i at u_i with step gamma / delta_i
         for i in range(3):
             ref = pb.A_list[i](s.gamma / s.D_diag[i], u[i])
@@ -159,13 +161,12 @@ class TestEvalS:
         z = rng.standard_normal((s_seq.m, pb.d))
         w = rng.standard_normal((s_seq.r, pb.d - 1))
         plan = solver_module.EvalPlan(s_star, pb)
-        for evaluate in (eval_S, eval_Gamma):
-            with pytest.raises(ValueError, match="another scheme"):
-                evaluate(s_seq, pb, z, w, plan=plan)
+        with pytest.raises(ValueError, match="another scheme"):
+            eval_Gamma(s_seq, pb, z, w, plan=plan)
         # the plan of an equal scheme object is another plan too
         with pytest.raises(ValueError, match="another scheme"):
-            eval_S(s_seq.replace(), pb, z, w,
-                   plan=solver_module.EvalPlan(s_seq, pb))
+            eval_Gamma(s_seq.replace(), pb, z, w,
+                       plan=solver_module.EvalPlan(s_seq, pb))
 
     def test_plan_of_another_problem_is_refused(self, rng):
         # nu = 4 instead of 2: the plan holds the other problem's weights
@@ -176,9 +177,8 @@ class TestEvalS:
         z = rng.standard_normal((s.m, pb.d))
         w = rng.standard_normal((s.r, pb.d - 1))
         plan = solver_module.EvalPlan(s, pb_other)
-        for evaluate in (eval_S, eval_Gamma):
-            with pytest.raises(ValueError, match="another problem"):
-                evaluate(s, pb, z, w, plan=plan)
+        with pytest.raises(ValueError, match="another problem"):
+            eval_Gamma(s, pb, z, w, plan=plan)
         plan = solver_module.EvalPlan(s, pb)
         for a, b in zip(eval_Gamma(s, pb, z, w, plan=plan),
                         eval_Gamma(s, pb, z, w)):
@@ -433,11 +433,34 @@ class TestSolve:
                                          lambda_schedule=0.9 * lam_max))
         assert not report.converged and report.iters_run == 3
         final = report.final
-        x, y = eval_S(scheme, pb, final.z, final.w)
+        _, _, x, y = eval_Gamma(scheme, pb, final.z, final.w)
         for got, want in ((x, final.x), (y, final.y)):
             np.testing.assert_allclose(np.concatenate(got.blocks),
                                        np.concatenate(want.blocks),
                                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["sequential", "star", "complete",
+                                      "mixed_out_dims"])
+    def test_dual_certificate_is_eta_L_K_x_minus_w(self, case):
+        # s_k = eta_k L_k (K x)_k - w_k, formed here from the final state
+        if case == "mixed_out_dims":
+            s, pb, lam_max = _mixed_out_dims_instance(5)
+        else:
+            inst = desk_instance(0)
+            pb = to_problem(inst)
+            s, _, lam_max = build_family_scheme(case, inst, 0.5, 0.1)
+        report = solve(s, pb, opts=SolveOptions(max_iters=50,
+                                                lambda_schedule=lam_max))
+        final = report.final
+        want = [eta * blk.L(kx) - wk for eta, blk, kx, wk in zip(
+            s.E_diag, pb.BL_list, s.K @ np.stack(final.x.blocks),
+            final.w.blocks)]
+        got = report.dual_certificate.blocks
+        assert [b.shape for b in got] == [b.shape for b in want]
+        assert len({b.size for b in want}) == (2 if case == "mixed_out_dims"
+                                               else 1)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
     def test_step_accepts_what_solve_accepts(self):
         # solve's own lambda bound, computed as solve computes it
@@ -469,7 +492,7 @@ class TestSolve:
         s = two_node_scheme()
         ident = affine_resolvent(np.eye(2), np.zeros(2))
         pb = ProblemInstance(d=2, A_list=[ident, ident])
-        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+        with pytest.raises(ValueError, match=r"^max_iters = -1 must be >= 0$"):
             solve(s, pb, opts=SolveOptions(max_iters=-1))
 
     @pytest.mark.parametrize("field,value", [
@@ -736,7 +759,7 @@ class TestSolve:
         final = report.final
         assert np.isfinite(np.concatenate(
             final.z.blocks + final.w.blocks)).all()
-        x, y = eval_S(s, pb, final.z, final.w)
+        _, _, x, y = eval_Gamma(s, pb, final.z, final.w)
         np.testing.assert_array_equal(np.concatenate(x.blocks),
                                       np.concatenate(final.x.blocks))
         np.testing.assert_array_equal(np.concatenate(y.blocks),
@@ -826,7 +849,8 @@ class TestSchemeAgainstProblem:
             if entry == "solve":
                 solve(s, pb)
             else:
-                eval_S(s, pb, np.zeros((s.m, 3)), [np.zeros(2)] * s.r)
+                eval_S(EvalPlan(s, pb), np.zeros((s.m, 3)),
+                       [np.zeros(2)] * s.r)
 
     def test_solve_and_certificate_take_padded_dual_rows(self, rng):
         # a stacked w is one zero-padded row per dual block, of unequal sizes
@@ -864,10 +888,11 @@ class TestSchemeAgainstProblem:
         padded = w.copy()
         padded[0, 2:] = padded[2, 2:] = 7.0
         named = r"has a nonzero entry past the block sizes \[2, 4, 2\]"
-        for call in (eval_S, eval_Gamma):
-            call(s, pb, z, w)
+        for call in (functools.partial(eval_S, EvalPlan(s, pb)),
+                     functools.partial(eval_Gamma, s, pb)):
+            call(z, w)
             with pytest.raises(ValueError, match="^w " + named):
-                call(s, pb, z, padded)
+                call(z, padded)
         with pytest.raises(ValueError, match="^w " + named):
             certify_solution(s, pb, IterateState(z=z, w=padded))
         opts = SolveOptions(max_iters=5, lambda_schedule=lam_max)
@@ -896,9 +921,10 @@ class TestSchemeAgainstProblem:
         zw = {k: np.zeros(bad if k == name else v) for k, v in shapes.items()}
         named = (rf"{name} has shape \({bad[0]}, {bad[1]}\), "
                  rf"expected \({r}, {g}\)")
-        for call in (eval_S, eval_Gamma):
+        for call in (functools.partial(eval_S, EvalPlan(s, pb)),
+                     functools.partial(eval_Gamma, s, pb)):
             with pytest.raises(ValueError, match=named):
-                call(s, pb, zw["z"], zw["w"])
+                call(zw["z"], zw["w"])
         with pytest.raises(ValueError, match=named):
             certify_solution(s, pb, IterateState(z=zw["z"], w=zw["w"]))
 
@@ -917,7 +943,7 @@ class TestSchemeAgainstProblem:
             z, w = np.zeros((bad.m, 4)), np.zeros((bad.r, 2))
             state = IterateState(z=z, w=w)
             for call in (lambda: solver_module.EvalPlan(bad, pb),
-                         lambda: eval_S(bad, pb, z, w),
+                         lambda: eval_S(EvalPlan(bad, pb), z, w),
                          lambda: eval_Gamma(bad, pb, z, w, check=False),
                          lambda: step(bad, pb, state, 0.5),
                          lambda: certify_solution(bad, pb, state),
@@ -938,9 +964,10 @@ class TestSchemeAgainstProblem:
         w = BlockVector([np.zeros(blk.L.out_dim) for blk in pb.BL_list])
         named = (rf"has blocks of dimensions \[{pb.d - 1}, {pb.d}\], "
                  rf"expected \({s.m}, {pb.d}\)")
-        for call in (eval_S, eval_Gamma):
+        for call in (functools.partial(eval_S, EvalPlan(s, pb)),
+                     functools.partial(eval_Gamma, s, pb)):
             with pytest.raises(ValueError, match="^z " + named):
-                call(s, pb, z, w)
+                call(z, w)
         with pytest.raises(ValueError, match="^z " + named):
             certify_solution(s, pb, IterateState(z=z, w=w))
         with pytest.raises(ValueError, match="^z0 " + named):
@@ -1311,14 +1338,13 @@ class TestWholeArrayDualTail:
         for scale in (0.1, 1.0, 10.0):
             z = scale * rng.standard_normal((s.m, pb.d))
             w = scale * rng.standard_normal((s.r, pb.d - 1))
-            X, y, U, LKx, LHx = eval_S(s, pb, z, w, collect=True, plan=plan)
+            X, y, U, LKx, LHx = eval_S(plan, z, w)
             y_old, LHx_old = _per_k_dual_tail(s, looped.BL_list, X, w,
                                               LKx.copy())
             assert 0 < np.count_nonzero(y) < y.size   # both sides of prox
             np.testing.assert_array_equal(y, y_old)
             np.testing.assert_array_equal(LHx, LHx_old)
-            for a, b in zip((X, y, U, LKx, LHx),
-                            eval_S(s, looped, z, w, collect=True)):
+            for a, b in zip((X, y, U, LKx, LHx), eval_S(plan_k, z, w)):
                 np.testing.assert_array_equal(a, b)
         opts = SolveOptions(max_iters=200, residual_tol=0.0,
                             lambda_schedule=0.9 * lam_max)
@@ -1342,7 +1368,7 @@ class TestWholeArrayDualTail:
         for scale in (0.01, 0.1, 1.0):
             z = scale * rng.standard_normal((s.m, pb.d))
             w = scale * rng.standard_normal((s.r, pb.d - 1))
-            X, y, U, LKx, LHx = eval_S(s, pb, z, w, collect=True, plan=plan)
+            X, y, U, LKx, LHx = eval_S(plan, z, w)
             LKx_old = np.where(lone[:, None], 0.0, LKx)
             y_old, LHx_old = _per_k_dual_tail(s, looped.BL_list, X, w,
                                               LKx_old)
@@ -1351,7 +1377,7 @@ class TestWholeArrayDualTail:
             np.testing.assert_array_equal(LHx, LHx_old)
             np.testing.assert_array_equal(LKx, LKx_old)
             for a, b in zip((X, y, U, LKx, LHx),
-                            eval_S(s, looped, z, w, collect=True)):
+                            eval_S(EvalPlan(s, looped), z, w)):
                 np.testing.assert_array_equal(a, b)
 
     @staticmethod
@@ -1469,17 +1495,17 @@ class TestWholeArrayDualTail:
         heavier = l1_resolvent(3.0 * B.resolvent.weight, B.dim)
         z = rng.standard_normal((s.m, pb.d))
         w = rng.standard_normal((s.r, pb.d - 1))
-        y_before = eval_S(s, pb, z, w)[1]
+        y_before = eval_S(EvalPlan(s, pb), z, w)[1]
         B.resolvent = lambda step, v: heavier(step, v)   # after construction
         assert solver_module.EvalPlan(s, pb).soft is None
-        y = eval_S(s, pb, z, w)[1]
+        y = eval_S(EvalPlan(s, pb), z, w)[1]
         assert not np.array_equal(y[1], y_before[1])
         np.testing.assert_array_equal(np.delete(y, 1, 0),
                                       np.delete(y_before, 1, 0))
         pb.BL_list[1] = ComposedBlock(
             B=replace(B, resolvent=heavier.resolvent), L=L)
         assert solver_module.EvalPlan(s, pb).soft is not None
-        np.testing.assert_array_equal(eval_S(s, pb, z, w)[1], y)
+        np.testing.assert_array_equal(eval_S(EvalPlan(s, pb), z, w)[1], y)
 
     @pytest.mark.parametrize("family", sorted(DIFF_FAMILIES))
     def test_matches_loop_evaluator(self, family):
@@ -1518,9 +1544,9 @@ class TestFreshArrays:
         outs = [eval_Gamma(s, pb, rng.standard_normal((s.m, pb.d)),
                            rng.standard_normal((s.r, pb.d - 1)), plan=plan)
                 for _ in range(2)]
-        outs += [eval_S(s, pb, rng.standard_normal((s.m, pb.d)),
-                        rng.standard_normal((s.r, pb.d - 1)), collect=True,
-                        plan=plan) for _ in range(2)]
+        outs += [eval_S(plan, rng.standard_normal((s.m, pb.d)),
+                        rng.standard_normal((s.r, pb.d - 1)))
+                 for _ in range(2)]
         for i, a in enumerate(outs):
             for b in outs[i + 1:]:
                 assert not any(np.shares_memory(u, v) for u in a for v in b)
