@@ -38,13 +38,19 @@ def _bound(v):
     return None if math.isinf(v) else v
 
 
-def _config(**kw):
-    """The ExperimentConfig of the options; a bad value exits with code 2."""
+def _refuse(message):
+    """Print message and exit with code 2, the input-error code."""
+    click.echo(message, err=True)
+    sys.exit(2)
+
+
+def _read(what, read, *args, **kw):
+    """read(*args, **kw); an input it refuses exits with code 2 and
+    "<what>: <the error>"."""
     try:
-        return fusedlasso.ExperimentConfig(**kw)
-    except ValueError as exc:
-        click.echo(f"bad configuration: {exc}", err=True)
-        sys.exit(2)
+        return read(*args, **kw)
+    except (OSError, ValueError) as exc:
+        _refuse(f"{what}: {exc}")
 
 
 @main.command()
@@ -58,21 +64,14 @@ def _config(**kw):
                                             "scalar PSD model.")
 def validate(scheme_path, psd_level, ell, l_norm):
     """Check the structural and PSD conditions of a scheme file."""
-    try:
-        s = load_scheme(scheme_path)
-    except (OSError, ValueError) as exc:
-        click.echo(f"cannot read scheme: {exc}", err=True)
-        sys.exit(2)
+    s = _read("cannot read scheme", load_scheme, scheme_path)
     ells = ell or [1.0] * s.p
     if len(ells) != s.p:
-        click.echo(f"expected {s.p} Lipschitz constants", err=True)
-        sys.exit(2)
+        _refuse(f"expected {s.p} Lipschitz constants")
     for option, values in (("--ell", ells), ("--l-norm", [l_norm])):
         bad = [v for v in values if not (math.isfinite(v) and v >= 0)]
         if bad:
-            click.echo(f"{option} = {bad[0]} is not a finite nonnegative "
-                       "number", err=True)
-            sys.exit(2)
+            _refuse(f"{option} = {bad[0]} is not a finite nonnegative number")
 
     # the scalar model: cocoercive C_j, and 1x1 maps L_k of norm l_norm
     regime, rep, bounds = check_scheme(s, ells, [l_norm] * s.r,
@@ -113,19 +112,14 @@ def gen_scheme(graph_path, family, n_nodes, gamma, eta, out_path):
     """Write a scheme file from a named family or a graph description."""
     try:
         if graph_path is not None:
-            try:
-                g = load_graph(graph_path)
-            except (OSError, ValueError) as exc:
-                click.echo(f"cannot read graph: {exc}", err=True)
-                sys.exit(2)
+            g = _read("cannot read graph", load_graph, graph_path)
             # no proper subgraph: kappa = 1 makes eta_max the A320 bound
             kappa = 1.0 if g.subgraph_edges == g.edges else None
             s = scheme_from_graph(g, gamma=gamma, eta=eta, kappa=kappa)
         elif family is not None and n_nodes is not None:
             s = FAMILIES[family](n_nodes, gamma=gamma, eta=eta)
         else:
-            click.echo("need --graph or both --family and --n", err=True)
-            sys.exit(2)
+            _refuse("need --graph or both --family and --n")
     except ValueError as exc:
         click.echo(f"scheme construction failed: {exc}", err=True)
         sys.exit(1)
@@ -146,14 +140,12 @@ def gen_scheme(graph_path, family, n_nodes, gamma, eta, out_path):
 def solve_cmd(instance_dir, family, gamma_hat, eta_hat, lambda_hat, tol,
               max_iters, out_dir):
     """Solve a stored fused-lasso instance: one benchmark grid cell."""
-    config = _config(gamma_hats=[gamma_hat], eta_hats=[eta_hat],
-                     lambda_hats=[lambda_hat], scheme_families=[family],
-                     max_iters=max_iters, tol=tol)
-    try:
-        inst = fusedlasso.load_instance(instance_dir)
-    except (OSError, ValueError, KeyError) as exc:
-        click.echo(f"cannot read instance: {exc}", err=True)
-        sys.exit(2)
+    config = _read("bad configuration", fusedlasso.ExperimentConfig,
+                   gamma_hats=[gamma_hat], eta_hats=[eta_hat],
+                   lambda_hats=[lambda_hat], scheme_families=[family],
+                   max_iters=max_iters, tol=tol)
+    inst = _read("cannot read instance", fusedlasso.load_instance,
+                 instance_dir)
     row, report = fusedlasso.run_cell(
         inst, fusedlasso.to_problem(inst),
         (family, gamma_hat, eta_hat, lambda_hat), config)
@@ -192,16 +184,13 @@ def solve_cmd(instance_dir, family, gamma_hat, eta_hat, lambda_hat, tol,
 def benchmark(seed, n_agents, m_rows, dim, mu, nu, gamma_hat, eta_hat,
               lambda_hat, families, tol, max_iters, out_dir):
     """Run the fused-lasso parameter grid and check solution parity."""
-    config = _config(gamma_hats=gamma_hat, eta_hats=eta_hat,
-                     lambda_hats=lambda_hat,
-                     scheme_families=[f for f in families.split(",") if f],
-                     max_iters=max_iters, tol=tol)
-    try:
-        inst = fusedlasso.gen_instance(seed, n=n_agents, m=m_rows, d=dim,
-                                       mu=mu, nu=nu)
-    except ValueError as exc:
-        click.echo(f"bad instance: {exc}", err=True)
-        sys.exit(2)
+    config = _read("bad configuration", fusedlasso.ExperimentConfig,
+                   gamma_hats=gamma_hat, eta_hats=eta_hat,
+                   lambda_hats=lambda_hat,
+                   scheme_families=[f for f in families.split(",") if f],
+                   max_iters=max_iters, tol=tol)
+    inst = _read("bad instance", fusedlasso.gen_instance, seed, n=n_agents,
+                 m=m_rows, d=dim, mu=mu, nu=nu)
     rows = fusedlasso.run_grid(inst, config, out_dir=out_dir)
     for row in rows:
         # each factor as grid.csv and the curve names give it

@@ -73,18 +73,17 @@ class DifferenceMap:
         return out
 
     def norm(self):
-        return difference_norm(self.in_dim)
+        """The spectral norm, sqrt(2 - 2 cos((d-1) pi / d))."""
+        d = self.in_dim
+        return float(np.sqrt(2.0 - 2.0 * np.cos((d - 1) * np.pi / d)))
 
 
 difference_matrix = DifferenceMap
 
 
 def difference_norm(d):
-    """Spectral norm of the first-difference operator,
-    sqrt(2 - 2 cos((d-1) pi / d))."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    return float(np.sqrt(2.0 - 2.0 * np.cos((d - 1) * np.pi / d)))
+    """Spectral norm of the first-difference operator on R^d."""
+    return DifferenceMap(d).norm()
 
 
 @dataclass
@@ -182,7 +181,11 @@ def gen_instance(seed, n=5, m=100, d=1000, k_nonzero=10, noise_var=1e-3,
     noisy observations, and a random row partition with every agent getting
     at least one row.  The partition uses its own seed stream so changing
     only the data draw does not reshuffle the split."""
-    if k_nonzero > d or n > m or n < 1:
+    for name, v, low in (("n", n, 1), ("m", m, None), ("d", d, 2),
+                         ("k_nonzero", k_nonzero, 0)):
+        _check_number(name, v, integer=True, low=low)
+    _check_number("noise_var", noise_var, low=0)
+    if k_nonzero > d or n > m:
         raise ValueError("infeasible sizes")
     rng = np.random.default_rng([int(seed), 0])
     A = rng.standard_normal((m, d))
@@ -255,7 +258,7 @@ def reference_solve(instance, tol=1e-10):
     dual variable).  Stops on the max of the two stationarity residuals.
     O(m d) memory and time per iteration: one gradient A^T (A x - b) per
     iteration, and the exact Lipschitz constant ||A||^2 (spectral_norm)."""
-    if not tol > 0:   # a NaN tol would never stop the loop
+    if not _check_number("tol", tol) > 0:   # a NaN tol would never stop
         raise ValueError("tol must be positive")
     A = np.vstack(instance.A_blocks)
     b = np.concatenate(instance.b_blocks)
@@ -396,7 +399,9 @@ def save_instance(instance, dirpath):
 def _meta_field(meta, key, kind, listed=False):
     """meta.json's value at key as kind (int or float), or a list of kind
     when listed.  A value that is not a number of that kind is refused by
-    name; an int is a float too."""
+    name, and so is a missing key; an int is a float too."""
+    if key not in meta:
+        raise ValueError(f"meta.json has no {key!r}")
     val = meta[key]
     items = val if listed and isinstance(val, list) else [val]
     if isinstance(val, list) != listed or not all(

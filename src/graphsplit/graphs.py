@@ -211,8 +211,9 @@ def scheme_ring(n, gamma=1.0, eta=1.0, regime="cocoercive", r=1, p=1):
     needs n >= 3."""
     if regime not in ("cocoercive", "lipschitz"):
         raise ValueError(f"unknown regime {regime!r}")
-    if n < 2 or (regime == "lipschitz" and n < 3):
-        raise ValueError(f"n = {n} too small for the {regime} case")
+    for name, v, low in (("n", n, 2 if regime == "cocoercive" else 3),
+                         ("r", r, 0), ("p", p, 0)):
+        _check_number(name, v, integer=True, low=low)
     M = np.zeros((n, n - 1))
     N = np.zeros((n, n))
     for i in range(n - 1):
@@ -276,16 +277,19 @@ def scheme_from_graph(g, gamma=1.0, eta=1.0, kappa=None):
 
 
 def path_graph(n, weight=1.0):
+    n = _check_number("n", n, integer=True, low=2)
     edges = [(i, i + 1, float(weight)) for i in range(1, n)]
     return GraphSpec(n=n, edges=edges)
 
 
 def star_graph(n, weight=1.0):
+    n = _check_number("n", n, integer=True, low=2)
     edges = [(1, j, float(weight)) for j in range(2, n + 1)]
     return GraphSpec(n=n, edges=edges)
 
 
 def complete_graph(n, weight=1.0):
+    n = _check_number("n", n, integer=True, low=2)
     edges = [(i, j, float(weight))
              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return GraphSpec(n=n, edges=edges)

@@ -132,8 +132,7 @@ class StepBounds:
     def __post_init__(self):
         if self.regime not in ("cocoercive", "lipschitz"):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        self.tau = float(_check_number("tau", self.tau, low=0))
 
     @property
     def gamma_max(self):
@@ -341,7 +340,7 @@ def validate_psd(s, L_list, ell, d):
 
 
 def step_bounds(tau, L_norms, regime):
-    return StepBounds(tau=float(tau), regime=regime,
+    return StepBounds(tau=tau, regime=regime,
                       L_norms=[float(v) for v in L_norms])
 
 

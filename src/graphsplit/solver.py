@@ -15,8 +15,8 @@ import numpy as np
 
 from .linalg import BlockVector, kron_apply  # noqa: F401  (re-exported)
 from .operators import _L1Prox, _soft_threshold
-from .scheme import _check_number, _is_number, check_explicit, compute_UW, \
-    compute_tau, step_bounds, validate_standing, write_csv, write_json
+from .scheme import _check_number, check_explicit, compute_UW, compute_tau, \
+    step_bounds, validate_standing, write_csv, write_json
 
 __all__ = [
     "IterateState", "StarNormContext", "SolveOptions", "SolveReport",
@@ -30,10 +30,8 @@ LAMBDA_SLACK = 1e-12   # how far lambda may pass lambda_max, in _check_lambda
 
 
 def _check_lambda(lam, lam_max=math.inf, name="lambda_t"):
-    """lam as a float, if it is one number in (0, lam_max + LAMBDA_SLACK]."""
-    if not _is_number(lam):
-        raise ValueError(f"{name} must be one number, not {lam!r}")
-    lam = float(lam)
+    """lam as a float, if it is a number in (0, lam_max + LAMBDA_SLACK]."""
+    lam = float(_check_number(name, lam))
     if not (math.isfinite(lam) and 0 < lam <= lam_max + LAMBDA_SLACK):
         raise ValueError(f"{name} = {lam} outside (0, {lam_max}]")
     return lam
@@ -76,8 +74,8 @@ class StarNormContext:
     z is a BlockVector or a stacked array; w a BlockVector, a list of blocks
     or their padded rows (see ``_dual_rows``).  z1 and z2 must have one
     shape, and w1 and w2 one padded shape with a row per entry of E_diag;
-    when both come as blocks, they must have one list of sizes.  A second
-    argument that is the first object is read once."""
+    when w1 comes as blocks, w2 must hold blocks of its sizes or their
+    padded rows.  A second argument that is the first object is read once."""
 
     gamma: float
     E_diag: np.ndarray
@@ -85,18 +83,13 @@ class StarNormContext:
     def inner(self, z1, w1, z2, w2):
         Z1, W1 = _stacked(z1, name="z1"), _dual_rows(w1)
         Z2 = Z1 if z2 is z1 else _stacked(z2, name="z2")
-        W2 = W1 if w2 is w1 else _dual_rows(w2)
+        W2 = W1 if w2 is w1 else _dual_rows(
+            w2, None if W1 is w1 else [np.size(b) for b in w1], "w2")
         if Z1.shape != Z2.shape:
             raise ValueError(f"z1 has shape {Z1.shape} but z2 {Z2.shape}")
         if W1.shape != W2.shape or len(W1) != np.size(self.E_diag):
             raise ValueError(f"w1 and w2 have shapes {W1.shape} and {W2.shape}"
                              f", not one with a row per entry of E_diag")
-        if W2 is not W1 and W1 is not w1 and W2 is not w2:   # both blocks
-            # padding alone would pair blocks of other sizes that pad alike
-            s1, s2 = ([np.size(b) for b in w] for w in (w1, w2))
-            if s1 != s2:
-                raise ValueError(f"w1 and w2 have blocks of sizes {s1} and "
-                                 f"{s2}")
         # a batch of one row product per dual block, then weighted by 1/eta
         rows = W1[:, None] @ W2[:, :, None]
         inv_eta = 1.0 / np.asarray(self.E_diag, dtype=float)
@@ -488,6 +481,7 @@ def certify_solution(scheme, problem, state, tol=1e-5):
     s_k = eta_k L_k (K x)_k - w_k, and reports (a) the consensus gap,
     (b) the membership residuals ||L_k xbar - J_{B_k}(L_k xbar + s_k)||,
     and (c) the norm of a_total + sum L_k^* s_k + sum C_j xbar."""
+    _check_number("tol", tol, low=0)
     s, plan = scheme, EvalPlan(scheme, problem)
     w = _dual_rows(state.w, plan.dims)
     X, _, U, LKx, _ = eval_S(plan, state.z, w)

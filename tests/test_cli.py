@@ -527,6 +527,22 @@ class TestBenchmark:
      "cannot read graph: malformed graph data: n = '3' must be an integer"),
     (["gen-scheme", "--graph", "{tmp}/null_n.json", "--out", "{out}"],
      "cannot read graph: malformed graph data: n = None must be an integer"),
+    (["gen-scheme", "--out", "{out}"],
+     "need --graph or both --family and --n"),
+    (["gen-scheme", "--family", "ring", "--out", "{out}"],
+     "need --graph or both --family and --n"),
+    (["validate", "{tmp}/s4.json", "--ell", "1,1"],
+     "expected 3 Lipschitz constants"),
+    (["validate", "{tmp}/missing.json"], "cannot read scheme: [Errno 2]"),
+    (["gen-scheme", "--graph", "{tmp}/missing.json", "--out", "{out}"],
+     "cannot read graph: [Errno 2]"),
+    (["solve", "{tmp}/missing"], "cannot read instance: [Errno 2]"),
+    (["solve", "{inst}", "--max-iters", "-1"],
+     "bad configuration: max_iters = -1 must be >= 0"),
+    (["benchmark", "--lambda-hat", "", "--out", "{out}"],
+     "bad configuration: lambda_hats is empty"),
+    (["solve", "{tmp}/no_partition"],
+     "cannot read instance: meta.json has no 'partition'"),
 ], ids=["solve_gamma_hat", "solve_lambda_hat", "solve_eta_hat",
         "solve_max_iters", "benchmark_sizes", "benchmark_max_iters",
         "benchmark_gamma_hat_not_a_number", "validate_ell_not_a_number",
@@ -542,9 +558,15 @@ class TestBenchmark:
         "gen_scheme_graph_n_beyond_its_edges", "validate_scheme_bool_gamma",
         "validate_scheme_number_family", "gen_scheme_graph_bool_weight",
         "solve_meta_m_string", "solve_meta_n_bool",
-        "gen_scheme_graph_string_n", "gen_scheme_graph_null_n"])
+        "gen_scheme_graph_string_n", "gen_scheme_graph_null_n",
+        "gen_scheme_no_source", "gen_scheme_family_without_n",
+        "validate_ell_count", "validate_missing_scheme",
+        "gen_scheme_missing_graph", "solve_missing_instance",
+        "solve_bad_configuration", "benchmark_bad_configuration",
+        "solve_meta_no_partition"])
 def test_input_errors_exit_2(runner, instance_dir, tmp_path, args, message):
     save_scheme(scheme_sequential(3), tmp_path / "s.json")
+    save_scheme(scheme_sequential(4), tmp_path / "s4.json")   # p = 3
     scheme = json.loads((tmp_path / "s.json").read_text())
     # JSON files that are not objects, a graph whose edges cannot connect
     # its n, files with values of the wrong JSON kind, and instances with a
@@ -565,7 +587,9 @@ def test_input_errors_exit_2(runner, instance_dir, tmp_path, args, message):
                       ("partition_number", {**meta, "partition": 3}),
                       ("seed_list", {**meta, "seed": [1]}),
                       ("m_string", {**meta, "m": "14"}),
-                      ("n_bool", {**meta, "n": True})):
+                      ("n_bool", {**meta, "n": True}),
+                      ("no_partition", {k: v for k, v in meta.items()
+                                        if k != "partition"})):
         shutil.copytree(instance_dir, tmp_path / name)
         (tmp_path / name / "meta.json").write_text(json.dumps(bad))
     args = [a.format(inst=instance_dir, out=tmp_path / "b", tmp=tmp_path,

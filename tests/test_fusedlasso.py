@@ -179,6 +179,13 @@ class TestGenInstance:
         with pytest.raises(ValueError):
             gen_instance(0, n=2, m=10, d=4, k_nonzero=9)
 
+    def test_negative_noise_var_refused_by_name(self):
+        # its square root warned, and the NaN data it made was refused as
+        # "A_blocks and b_blocks must be finite"
+        with pytest.raises(ValueError, match=r"^noise_var = -1.0 must be "
+                           r">= 0$"):
+            gen_instance(1, n=2, m=10, d=12, noise_var=-1.0)
+
     @pytest.mark.parametrize("name", ["A_blocks", "b_blocks", "mu", "nu"])
     def test_short_per_agent_list_rejected(self, name):
         inst = gen_instance(1, n=3, m=12, d=6, k_nonzero=2)

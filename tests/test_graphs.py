@@ -267,6 +267,17 @@ class TestNamedFamilies:
             with pytest.raises(ValueError):
                 gen(1)
 
+    @pytest.mark.parametrize("kw,named", [
+        ({"n": 1}, "n = 1 must be >= 2"),
+        ({"n": 2, "regime": "lipschitz"}, "n = 2 must be >= 3"),
+        ({"n": 3, "r": -1}, "r = -1 must be >= 0"),
+        ({"n": 3, "p": -1}, "p = -1 must be >= 0"),
+    ], ids=["n_1", "lipschitz_n_2", "negative_r", "negative_p"])
+    def test_ring_counts_refused_by_name(self, kw, named):
+        # a negative r or p was numpy's "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            scheme_ring(**kw)
+
     def test_ring_unknown_regime_named(self):
         with pytest.raises(ValueError, match="unknown regime 'monotone'"):
             scheme_ring(4, regime="monotone")

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 from graphsplit import (BlockVector, CoefficientScheme, GraphSpec,
                         IterateState, LinearMap, ProblemInstance,
                         SolveOptions, affine_resolvent, assemble_omega,
-                        assemble_upsilons, check_explicit, compute_UW,
-                        compute_tau, difference_matrix, gen_instance,
-                        load_graph, load_scheme, save_graph, save_scheme,
-                        scheme_complete, scheme_ring, scheme_sequential,
-                        scheme_star, solve, step, step_bounds, validate_psd,
-                        validate_standing)
+                        assemble_upsilons, certify_solution, check_explicit,
+                        complete_graph, compute_UW, compute_tau,
+                        difference_matrix, gen_instance, load_graph,
+                        load_scheme, reference_solve, save_graph,
+                        save_scheme, scheme_complete, scheme_ring,
+                        scheme_sequential, scheme_star, solve, star_graph,
+                        step, step_bounds, validate_psd, validate_standing)
 from graphsplit.fusedlasso import (FAMILY_GENERATORS, ExperimentConfig,
                                    load_instance, save_instance)
 from graphsplit.graphs import path_graph, scheme_from_graph
@@ -461,6 +462,11 @@ class TestStepBounds:
         with pytest.raises(ValueError):
             step_bounds(-1.0, [], "cocoercive")
 
+    def test_nan_tau_refused_by_name(self):
+        # nan < 0 is false: these bounds were built, with gamma_max nan
+        with pytest.raises(ValueError, match="^tau = nan must be >= 0$"):
+            step_bounds(float("nan"), [1.0], "cocoercive")
+
 
 class TestSerialization:
     def test_dumps_json_deterministic(self):
@@ -622,7 +628,7 @@ NUMBER_ENTRY_POINTS = {
     "solve_residual_tol": (1e-10, False, lambda v, mp, tmp: _solve_two_nodes(
         residual_tol=v), "^residual_tol = "),
     "lambda": (0.5, False, lambda v, mp, tmp: _step_two_nodes(v),
-               "^lambda_t must be one number, not "),
+               "^lambda_t = .* is not a number$"),
     "scheme_gamma": (0.5, False, lambda v, mp, tmp: scheme_from_dict(
         {**scheme_to_dict(scheme_ring(3, gamma=0.5)), "gamma": v}),
         "^malformed scheme data: gamma holds "),
@@ -657,6 +663,36 @@ NUMBER_ENTRY_POINTS = {
         path_graph(3), kappa=v), "^kappa = .* is not a number$"),
     "ring_eta": (0.5, False, lambda v, mp, tmp: scheme_ring(3, eta=v),
                  "^eta = .* is not a number$"),
+    "ring_n": (3, True, lambda v, mp, tmp: scheme_ring(v),
+               "^n = .* is not an integer$"),
+    "ring_r": (2, True, lambda v, mp, tmp: scheme_ring(3, r=v),
+               "^r = .* is not an integer$"),
+    "ring_p": (2, True, lambda v, mp, tmp: scheme_ring(3, p=v),
+               "^p = .* is not an integer$"),
+    "step_bounds_tau": (1.0, False, lambda v, mp, tmp: step_bounds(
+        v, [1.0], "cocoercive"), "^tau = .* is not a number$"),
+    "path_graph_n": (3, True, lambda v, mp, tmp: path_graph(v),
+                     "^n = .* is not an integer$"),
+    "star_graph_n": (3, True, lambda v, mp, tmp: star_graph(v),
+                     "^n = .* is not an integer$"),
+    "complete_graph_n": (3, True, lambda v, mp, tmp: complete_graph(v),
+                         "^n = .* is not an integer$"),
+    "sequential_n": (3, True, lambda v, mp, tmp: scheme_sequential(v),
+                     "^n = .* is not an integer$"),
+    **{f"gen_instance_{k}": (valid, True, lambda v, mp, tmp, k=k:
+                             gen_instance(1, **{"n": 2, "m": 10, "d": 12,
+                                                "k_nonzero": 2, k: v}),
+                             f"^{k} = .* is not an integer$")
+       for k, valid in (("n", 2), ("m", 10), ("d", 12), ("k_nonzero", 2))},
+    "gen_instance_noise_var": (1e-3, False, lambda v, mp, tmp: gen_instance(
+        1, n=2, m=10, d=12, noise_var=v), "^noise_var = .* is not a number$"),
+    "reference_tol": (1e-6, False, lambda v, mp, tmp: reference_solve(
+        gen_instance(1, n=2, m=10, d=6, k_nonzero=2), tol=v),
+        "^tol = .* is not a number$"),
+    "certify_tol": (1e-5, False, lambda v, mp, tmp: certify_solution(
+        *_two_nodes(), IterateState(z=BlockVector([np.ones(2)]),
+                                    w=BlockVector([])), tol=v),
+        "^tol = .* is not a number$"),
 }
 
 

@@ -63,7 +63,8 @@ class TestStarNorm:
         w = [np.ones(2)] * 2
         with pytest.raises(ValueError, match="w1 and w2 .* E_diag"):
             ctx.inner(z2, [np.ones(2)] * 3, z2, [np.ones(2)] * 3)
-        with pytest.raises(ValueError, match="w1 and w2"):
+        with pytest.raises(ValueError, match=r"^w2 must hold 2 blocks of "
+                           r"dimensions \[2, 2\]$"):
             ctx.inner(z2, w, z2, [np.ones(3)] * 2)
         with pytest.raises(ValueError, match="z1 has shape .* but z2"):
             ctx.inner(BlockVector(list(z2)), w, BlockVector(list(z3)), w)
@@ -78,8 +79,8 @@ class TestStarNorm:
         ctx = StarNormContext(gamma=1.0, E_diag=np.ones(2))
         z, a2, a4 = np.zeros((1, 1)), np.arange(1.0, 3.0), np.arange(1.0, 5.0)
         assert ctx.inner(z, make([a2, a4]), z, make([a2, a4])) == 35.0
-        with pytest.raises(ValueError, match=r"^w1 and w2 have blocks of "
-                           r"sizes \[2, 4\] and \[4, 2\]"):
+        with pytest.raises(ValueError, match=r"^w2 must hold 2 blocks of "
+                           r"dimensions \[2, 4\]$"):
             ctx.inner(z, make([a2, a4]), z, make([a4, a2]))
 
     def test_one_argument_given_twice_is_read_once(self, rng, monkeypatch):
@@ -529,7 +530,7 @@ class TestSolve:
         pb = ProblemInstance(d=2, A_list=[ident, ident])
         state = IterateState(z=BlockVector([np.ones(2)]), w=BlockVector([]))
         for lam in (True, "0.4"):
-            named = f" must be one number, not {lam!r}$"
+            named = f" = {lam!r} is not a number$"
             with pytest.raises(ValueError, match="^lambda_t" + named):
                 step(s, pb, state, lam)
             with pytest.raises(ValueError, match="^lambda_t" + named):
