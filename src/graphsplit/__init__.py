@@ -19,7 +19,7 @@ from .solver import (IterateState, SolveOptions, SolveReport,
                      StarNormContext, certify_solution, eval_Gamma,
                      residual_star, solve, step)
 from .fusedlasso import (ExperimentConfig, FusedLassoInstance,
-                         difference_matrix, difference_norm, gen_instance,
-                         objective, reference_solve, run_grid, to_problem)
+                         difference_matrix, gen_instance, objective,
+                         reference_solve, run_grid, to_problem)
 
 __version__ = "0.1.0"

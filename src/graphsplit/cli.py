@@ -13,8 +13,8 @@ import click
 from . import fusedlasso
 from .graphs import load_graph, scheme_from_graph, scheme_ring
 from .linalg import LinearMap
-from .scheme import (check_explicit, dumps_json, load_scheme, save_scheme,
-                     validate_psd)
+from .scheme import (_check_constant, check_explicit, dumps_json, load_scheme,
+                     save_scheme, validate_psd)
 from .solver import check_scheme, export_report_csv, export_state_json
 
 FAMILIES = {**fusedlasso.FAMILY_GENERATORS, "ring": scheme_ring}
@@ -68,10 +68,11 @@ def validate(scheme_path, psd_level, ell, l_norm):
     ells = ell or [1.0] * s.p
     if len(ells) != s.p:
         _refuse(f"expected {s.p} Lipschitz constants")
-    for option, values in (("--ell", ells), ("--l-norm", [l_norm])):
-        bad = [v for v in values if not (math.isfinite(v) and v >= 0)]
-        if bad:
-            _refuse(f"{option} = {bad[0]} is not a finite nonnegative number")
+    try:
+        for option, v in [("--ell", e) for e in ells] + [("--l-norm", l_norm)]:
+            _check_constant(option, v)
+    except ValueError as exc:
+        _refuse(str(exc))
 
     # the scalar model: cocoercive C_j, and 1x1 maps L_k of norm l_norm
     regime, rep, bounds = check_scheme(s, ells, [l_norm] * s.r,

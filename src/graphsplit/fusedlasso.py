@@ -18,15 +18,14 @@ from .linalg import spectral_norm
 from .operators import (ComposedBlock, ProblemInstance,
                         _least_squares_gradient, l1_resolvent, prox_l1,
                         zero_resolvent)
-from .scheme import (_check_number, _is_number, compute_UW, compute_tau,
-                     step_bounds, write_csv, write_json)
+from .scheme import (_check_constant, _check_number, _is_number, compute_UW,
+                     compute_tau, step_bounds, write_csv, write_json)
 from .solver import SolveOptions, solve
 from .graphs import scheme_complete, scheme_sequential, scheme_star
 
 __all__ = [
     "DifferenceMap",
     "difference_matrix",
-    "difference_norm",
     "FusedLassoInstance",
     "ExperimentConfig",
     "gen_instance",
@@ -56,9 +55,8 @@ class DifferenceMap:
     R^(d-1), applied matrix-free, to x or to each row of a stack of them."""
 
     def __init__(self, d):
-        if d < 2:
-            raise ValueError("need d >= 2")
-        self.in_dim, self.out_dim = d, d - 1
+        self.in_dim = _check_number("d", d, integer=True, low=2)
+        self.out_dim = d - 1
 
     def apply(self, x):
         return x[..., 1:] - x[..., :-1]
@@ -79,11 +77,6 @@ class DifferenceMap:
 
 
 difference_matrix = DifferenceMap
-
-
-def difference_norm(d):
-    """Spectral norm of the first-difference operator on R^d."""
-    return DifferenceMap(d).norm()
 
 
 @dataclass
@@ -107,9 +100,7 @@ class FusedLassoInstance:
                                  f"A_blocks gives {self.n_agents} agents")
         for name in ("mu", "nu"):
             for i, v in enumerate(getattr(self, name)):
-                if not 0.0 <= v < np.inf:
-                    raise ValueError(f"{name}[{i}] = {v} is not a finite "
-                                     "weight >= 0")
+                _check_constant(f"{name}[{i}]", v)
         for i, (A, b) in enumerate(zip(self.A_blocks, self.b_blocks)):
             if A.shape[1] != self.d:
                 raise ValueError(f"A_blocks[{i}] has {A.shape[1]} columns, "
@@ -181,8 +172,8 @@ def gen_instance(seed, n=5, m=100, d=1000, k_nonzero=10, noise_var=1e-3,
     noisy observations, and a random row partition with every agent getting
     at least one row.  The partition uses its own seed stream so changing
     only the data draw does not reshuffle the split."""
-    for name, v, low in (("n", n, 1), ("m", m, None), ("d", d, 2),
-                         ("k_nonzero", k_nonzero, 0)):
+    for name, v, low in (("seed", seed, 0), ("n", n, 1), ("m", m, None),
+                         ("d", d, 2), ("k_nonzero", k_nonzero, 0)):
         _check_number(name, v, integer=True, low=low)
     _check_number("noise_var", noise_var, low=0)
     if k_nonzero > d or n > m:
@@ -200,8 +191,8 @@ def gen_instance(seed, n=5, m=100, d=1000, k_nonzero=10, noise_var=1e-3,
     A_blocks = [A[offsets[i]:offsets[i + 1]] for i in range(n)]
     b_blocks = [b[offsets[i]:offsets[i + 1]] for i in range(n)]
     return FusedLassoInstance(
-        A_blocks=A_blocks, b_blocks=b_blocks, mu=[float(mu)] * n,
-        nu=[float(nu)] * n, seed=int(seed), x_true=x_true,
+        A_blocks=A_blocks, b_blocks=b_blocks, mu=[mu] * n, nu=[nu] * n,
+        seed=int(seed), x_true=x_true,
         noise_var=float(noise_var),
     )
 
@@ -267,7 +258,7 @@ def reference_solve(instance, tol=1e-10):
     d = instance.d
     L = difference_matrix(d)
     Lf = max(spectral_norm(A) ** 2, 1e-12)
-    rho = Lf / (2.0 * difference_norm(d) ** 2)
+    rho = Lf / (2.0 * L.norm() ** 2)
     sigma = 0.99 / Lf
     x = np.zeros(d)
     u = np.zeros(d - 1)
@@ -296,7 +287,8 @@ def build_family_scheme(family, instance, gamma_hat, eta_hat):
     base = FAMILY_GENERATORS[family](instance.n_agents + 1)
     uw = compute_UW(base)
     tau = compute_tau(uw, instance.lipschitz_constants, "cocoercive")
-    bounds = step_bounds(tau, [difference_norm(instance.d)], "cocoercive")
+    bounds = step_bounds(tau, [DifferenceMap(instance.d).norm()],
+                         "cocoercive")
     gamma = gamma_hat * bounds.gamma_max
     eta = eta_hat * bounds.eta_max(gamma)
     scheme = base.replace(gamma=gamma, E_diag=eta * base.E_diag)

@@ -10,6 +10,7 @@ from typing import Callable, List
 import numpy as np
 
 from .linalg import LinearMap, spectral_norm
+from .scheme import _check_constant, _check_number
 
 __all__ = [
     "ResolventOp",
@@ -77,8 +78,9 @@ class ProblemInstance:
     C_list: List[SingleValuedOp] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.d < 1 or not self.A_list:
-            raise ValueError("need d >= 1 and at least one set-valued operator")
+        _check_number("d", self.d, integer=True, low=1)
+        if not self.A_list:
+            raise ValueError("need at least one set-valued operator")
         for A in self.A_list:
             if A.dim != self.d:
                 raise ValueError("all A_i must act on the primal space")
@@ -137,17 +139,15 @@ class _L1Prox:
 
 def l1_resolvent(weight, dim):
     """Resolvent of the subdifferential of ``weight * ||.||_1``."""
-    if not weight >= 0:   # NaN too
-        raise ValueError("weight must be nonnegative")
-    return ResolventOp(dim=dim, resolvent=_L1Prox(weight))
+    return ResolventOp(dim=dim,
+                       resolvent=_L1Prox(_check_constant("weight", weight)))
 
 
 def zero_resolvent(dim):
     """The artificial operator A = 0; its resolvent is the identity for
     every step size."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    return ResolventOp(dim=dim, resolvent=lambda step, v: v)
+    return ResolventOp(dim=_check_number("dim", dim, integer=True, low=1),
+                       resolvent=lambda step, v: v)
 
 
 def affine_resolvent(S, q):
@@ -167,7 +167,7 @@ def affine_resolvent(S, q):
 def resolvent_of_inverse(B, eta, u):
     """J_{eta B^{-1}}(u) through the Moreau decomposition:
     ``u - eta * J_{(1/eta) B}(u / eta)``."""
-    if eta <= 0:
+    if not _check_number("eta", eta) > 0:   # NaN too
         raise ValueError("eta must be positive")
     u = np.asarray(u, dtype=float)
     return u - eta * B(1.0 / eta, u / eta)

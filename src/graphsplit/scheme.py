@@ -133,6 +133,8 @@ class StepBounds:
         if self.regime not in ("cocoercive", "lipschitz"):
             raise ValueError(f"unknown regime {self.regime!r}")
         self.tau = float(_check_number("tau", self.tau, low=0))
+        self.L_norms = [float(_check_constant(f"L_norms[{k}]", v))
+                        for k, v in enumerate(self.L_norms)]
 
     @property
     def gamma_max(self):
@@ -233,8 +235,6 @@ def compute_UW(s, need_W=False):
     """Minimal-norm U and W with U M^T = P^T - R and W M^T = P^T - Q^T, via
     the pseudo-inverse of M^T, as the pair (U, W); W is None unless
     ``need_W``."""
-    if s.p == 0:
-        return np.zeros((0, s.m)), np.zeros((0, s.m)) if need_W else None
     Mt_pinv = pinv(s.M.T)
 
     def solve_for(rhs, equation):
@@ -258,13 +258,7 @@ def compute_tau(uw, ell, regime):
     ||diag(sqrt(ell)) W||_2^2.
     """
     U, W = uw
-    ell = np.asarray(ell, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(ell)):
-        raise ValueError("Lipschitz constants must be finite")
-    if np.any(ell < 0):
-        raise ValueError("Lipschitz constants must be nonnegative")
-    if U.shape[0] != ell.size:
-        raise ValueError("ell must have one entry per single-valued operator")
+    ell = _check_ell(ell, U.shape[0])
     if ell.size == 0:
         return 0.0
     root = np.sqrt(ell)
@@ -308,9 +302,7 @@ def assemble_upsilons(s, ell):
         Upsilon_2 = (P - R^T) diag(ell) (P^T - R)
 
     both symmetric PSD, with Upsilon_1 - Upsilon_2 PSD as well."""
-    ell = np.asarray(ell, dtype=float).reshape(-1)
-    if ell.size != s.p:
-        raise ValueError("ell must have p entries")
+    ell = _check_ell(ell, s.p)
     PQ = s.P - s.Q
     PR = s.P - s.R.T
     ups2 = PR @ (ell[:, None] * PR.T)
@@ -340,8 +332,7 @@ def validate_psd(s, L_list, ell, d):
 
 
 def step_bounds(tau, L_norms, regime):
-    return StepBounds(tau=tau, regime=regime,
-                      L_norms=[float(v) for v in L_norms])
+    return StepBounds(tau=tau, regime=regime, L_norms=L_norms)
 
 
 # --- JSON and CSV serialization ---------------------------------------------
@@ -366,6 +357,22 @@ def _check_number(name, value, integer=False, low=None):
     if low is not None and not value >= low:
         raise ValueError(f"{name} = {value} must be >= {low}")
     return value
+
+
+def _check_constant(name, value):
+    """value, if it is a finite number >= 0: the one rule for a constant (an
+    ell_j, a norm ||L_k||, an l1 or TV weight).  Else refused by name."""
+    if not (_is_number(value) and 0 <= value < np.inf):
+        raise ValueError(f"{name} = {value!r} is not a finite number >= 0")
+    return value
+
+
+def _check_ell(ell, p):
+    """ell as a float array, if it holds p constants, one per C_j."""
+    if len(ell) != p:
+        raise ValueError(f"ell needs p = {p} entries, not {len(ell)}")
+    return np.array([_check_constant(f"ell[{j}]", v)
+                     for j, v in enumerate(ell)], dtype=float)
 
 
 def _plain(v):

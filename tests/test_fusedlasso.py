@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsplit import (LinearMap, SolveOptions, difference_matrix,
-                        difference_norm, gen_instance, objective,
-                        reference_solve, run_grid, solve, to_problem)
+                        gen_instance, objective, reference_solve, run_grid,
+                        solve, to_problem)
 from graphsplit import fusedlasso
 from graphsplit.fusedlasso import (ExperimentConfig, build_family_scheme,
                                    desk_instance, load_instance, run_cell,
@@ -46,7 +46,7 @@ def dense_reference_solve(instance, tol=1e-10, max_iters=500_000):
     L = difference_matrix(d)
     AtA = A.T @ A
     Lf = max(float(np.linalg.norm(AtA, 2)), 1e-12)
-    Lnorm2 = difference_norm(d) ** 2
+    Lnorm2 = L.norm() ** 2
     rho = Lf / (2.0 * Lnorm2)
     sigma = 0.99 / Lf
     Atb = A.T @ b
@@ -83,19 +83,17 @@ class TestDifferenceOperator:
         assert abs(L(x) @ y - x @ L.adjoint(y)) <= 1e-12
 
     def test_norm_closed_form(self):
-        assert abs(difference_norm(2) - np.sqrt(2.0)) <= 1e-14
-        assert abs(difference_norm(4) - np.sqrt(2.0 + np.sqrt(2.0))) <= 1e-14
+        assert abs(difference_matrix(2).norm() - np.sqrt(2.0)) <= 1e-14
+        assert abs(difference_matrix(4).norm()
+                   - np.sqrt(2.0 + np.sqrt(2.0))) <= 1e-14
         for d in (3, 10, 57):
             L = difference_matrix(d)
             dense = np.diff(np.eye(d), axis=0)
             assert abs(L.norm() - np.linalg.norm(dense, 2)) <= 1e-12
-            assert L.norm() == difference_norm(d)
 
     def test_minimum_size(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^d = 1 must be >= 2$"):
             difference_matrix(1)
-        with pytest.raises(ValueError):
-            difference_norm(1)
 
     @settings(max_examples=20, deadline=None, derandomize=True,
               database=None)
@@ -126,7 +124,9 @@ class TestDifferenceOperator:
               database=None)
     @given(d=st.integers(2, 300))
     def test_spectral_norm_matches_closed_form(self, d):
-        assert difference_matrix(d).norm() == difference_norm(d)
+        # sqrt(2 - 2 cos((d-1) pi / d)) = 2 cos(pi / (2 d))
+        exact = 2.0 * np.cos(np.pi / (2 * d))
+        assert abs(difference_matrix(d).norm() - exact) <= 4.5e-16
 
     def test_million_dimensions_stay_matrix_free(self):
         d = 10**6
@@ -135,7 +135,7 @@ class TestDifferenceOperator:
             pb = to_problem(gen_instance(0, n=1, m=1, d=d, k_nonzero=1))
             L = pb.BL_list[0].L
             assert L.adjoint(L(np.ones(d))).shape == (d,)
-            assert L.norm() == difference_norm(d)
+            assert L.norm() == difference_matrix(d).norm()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -336,7 +336,7 @@ class TestBuildFamilyScheme:
         for fam in ("sequential", "star", "complete"):
             scheme, tau, lam_max = build_family_scheme(fam, inst, 0.5, 0.1)
             assert abs(scheme.gamma - 0.5 * 2.0 / tau) <= 1e-12
-            lnorm2 = difference_norm(inst.d) ** 2
+            lnorm2 = difference_matrix(inst.d).norm() ** 2
             eta_expected = 0.1 / (scheme.gamma * lnorm2)
             if fam == "complete":
                 # E is eta * a_i^2 for the complete family
@@ -364,7 +364,7 @@ class TestBuildFamilyScheme:
         for family, gen in fusedlasso.FAMILY_GENERATORS.items():
             scheme, tau, lam_max = build_family_scheme(family, inst,
                                                        gamma_hat, eta_hat)
-            bounds = step_bounds(tau, [difference_norm(inst.d)],
+            bounds = step_bounds(tau, [difference_matrix(inst.d).norm()],
                                  "cocoercive")
             gamma = gamma_hat * bounds.gamma_max
             eta = eta_hat * bounds.eta_max(gamma)

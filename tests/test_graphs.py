@@ -18,7 +18,7 @@ from graphsplit import (GraphSpec, LinearMap, ProblemInstance,
                         star_graph, step_bounds, validate_psd,
                         validate_standing, zero_resolvent)
 from graphsplit.fusedlasso import (FAMILY_GENERATORS, desk_instance,
-                                   difference_norm, objective, to_problem)
+                                   difference_matrix, objective, to_problem)
 
 
 def lift_with_artificial_zero(problem, position="first"):
@@ -369,7 +369,8 @@ class TestSchemeFromGraph:
         g = path_graph(6, weight=0.1)
         tau = compute_tau(compute_UW(scheme_from_graph(g, kappa=1.0)),
                           inst.lipschitz_constants, "cocoercive")
-        bounds = step_bounds(tau, [difference_norm(inst.d)], "cocoercive")
+        bounds = step_bounds(tau, [difference_matrix(inst.d).norm()],
+                             "cocoercive")
         gamma = bounds.gamma_max / 2.0
         eta = 0.95 * bounds.eta_max(gamma)
         s = scheme_from_graph(g, gamma, eta, kappa=1.0)

@@ -93,7 +93,8 @@ class TestResolvents:
             l1_resolvent(-1.0, 2)
 
     def test_l1_nan_weight(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError,
+                           match="^weight = nan is not a finite number >= 0$"):
             l1_resolvent(float("nan"), 2)
 
     def test_zero_resolvent_identity(self):

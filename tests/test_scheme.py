@@ -15,11 +15,12 @@ from graphsplit import (BlockVector, CoefficientScheme, GraphSpec,
                         SolveOptions, affine_resolvent, assemble_omega,
                         assemble_upsilons, certify_solution, check_explicit,
                         complete_graph, compute_UW, compute_tau,
-                        difference_matrix, gen_instance, load_graph,
-                        load_scheme, reference_solve, save_graph,
-                        save_scheme, scheme_complete, scheme_ring,
-                        scheme_sequential, scheme_star, solve, star_graph,
-                        step, step_bounds, validate_psd, validate_standing)
+                        difference_matrix, gen_instance, l1_resolvent,
+                        load_graph, load_scheme, reference_solve,
+                        resolvent_of_inverse, save_graph, save_scheme,
+                        scheme_complete, scheme_ring, scheme_sequential,
+                        scheme_star, solve, star_graph, step, step_bounds,
+                        validate_psd, validate_standing, zero_resolvent)
 from graphsplit.fusedlasso import (FAMILY_GENERATORS, ExperimentConfig,
                                    load_instance, save_instance)
 from graphsplit.graphs import path_graph, scheme_from_graph
@@ -227,14 +228,15 @@ class TestTau:
 
     def test_one_ell_per_smooth_operator(self):
         uw = compute_UW(scheme_sequential(3))
-        with pytest.raises(ValueError, match="ell must have one entry per "
-                                             "single-valued operator"):
+        with pytest.raises(ValueError,
+                           match="^ell needs p = 2 entries, not 3$"):
             compute_tau(uw, [1.0, 1.0, 1.0], "cocoercive")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_ell_rejected(self, bad):
         uw = compute_UW(scheme_sequential(3))
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"ell[1] = {bad!r} is not a finite number >= 0")):
             compute_tau(uw, [1.0, bad], "cocoercive")
 
 
@@ -272,7 +274,8 @@ class TestOmegaUpsilon:
                                    atol=1e-12)
 
     def test_upsilons_need_p_lipschitz_constants(self):
-        with pytest.raises(ValueError, match="ell must have p entries"):
+        with pytest.raises(ValueError,
+                           match="^ell needs p = 2 entries, not 1$"):
             assemble_upsilons(scheme_sequential(3), [1.0])
 
     def test_matches_direct_formula(self):
@@ -597,6 +600,11 @@ def _step_two_nodes(lam):
                                      w=BlockVector([])), lam)
 
 
+def _psd_with_ell(ell):
+    s = scheme_sequential(3)
+    return validate_psd(s, [LinearMap([[1.0]])] * s.r, ell, 1)
+
+
 def _load_edited(monkeypatch, load, path, edit):
     """load(path) with edit applied to what json.load reads, since a JSON
     file cannot hold a numpy scalar."""
@@ -693,6 +701,34 @@ NUMBER_ENTRY_POINTS = {
         *_two_nodes(), IterateState(z=BlockVector([np.ones(2)]),
                                     w=BlockVector([])), tol=v),
         "^tol = .* is not a number$"),
+    "difference_map_d": (3, True, lambda v, mp, tmp: difference_matrix(v),
+                         "^d = .* is not an integer$"),
+    "zero_resolvent_dim": (2, True, lambda v, mp, tmp: zero_resolvent(v),
+                           "^dim = .* is not an integer$"),
+    "problem_d": (2, True, lambda v, mp, tmp: ProblemInstance(
+        d=v, A_list=[zero_resolvent(2)]), "^d = .* is not an integer$"),
+    "resolvent_of_inverse_eta": (0.5, False, lambda v, mp, tmp:
+                                 resolvent_of_inverse(l1_resolvent(1.0, 2), v,
+                                                      np.zeros(2)),
+                                 "^eta = .* is not a number$"),
+    "gen_instance_seed": (1, True, lambda v, mp, tmp: gen_instance(
+        v, n=2, m=10, d=12, k_nonzero=2), "^seed = .* is not an integer$"),
+    # a constant (an ell_j, a norm ||L_k||, a weight) is a finite number >= 0
+    "l1_weight": (1.0, False, lambda v, mp, tmp: l1_resolvent(v, 2),
+                  "^weight = .* is not a finite number >= 0$"),
+    **{f"gen_instance_{k}": (1.0, False, lambda v, mp, tmp, k=k:
+                             gen_instance(1, n=2, m=10, d=12, k_nonzero=2,
+                                          **{k: v}),
+                             rf"^{k}\[0\] = .* is not a finite number >= 0$")
+       for k in ("mu", "nu")},
+    "step_bounds_norm": (1.0, False, lambda v, mp, tmp: step_bounds(
+        1.0, [2.0, v], "cocoercive"),
+        r"^L_norms\[1\] = .* is not a finite number >= 0$"),
+    "compute_tau_ell": (1.0, False, lambda v, mp, tmp: compute_tau(
+        compute_UW(scheme_sequential(3)), [1.0, v], "cocoercive"),
+        r"^ell\[1\] = .* is not a finite number >= 0$"),
+    "validate_psd_ell": (1.0, False, lambda v, mp, tmp: _psd_with_ell(
+        [1.0, v]), r"^ell\[1\] = .* is not a finite number >= 0$"),
 }
 
 
@@ -715,3 +751,35 @@ def test_one_number_rule_accepts_numpy_scalars_at_every_entry_point(
         monkeypatch, tmp_path, entry):
     valid, integer, call, _ = NUMBER_ENTRY_POINTS[entry]
     call((np.int64 if integer else np.float64)(valid), monkeypatch, tmp_path)
+
+
+@pytest.mark.parametrize("call,refusal", [
+    # validate_psd gave A320-A322 verdicts for ell = -1 and numpy's
+    # LinAlgError for NaN; step_bounds an eta bound of 0.222 for -3 and NaN
+    # for NaN; seed 1.5 ran as seed 1 and -1 gave numpy's message;
+    # DifferenceMap(3.5) had in_dim 3.5
+    (lambda: _psd_with_ell([1.0, -1.0]), r"ell\[1\] = -1.0 is not a finite"),
+    (lambda: _psd_with_ell([np.nan, 1.0]), r"ell\[0\] = nan is not a finite"),
+    (lambda: step_bounds(1.0, [np.nan], "cocoercive"),
+     r"L_norms\[0\] = nan is not a finite"),
+    (lambda: step_bounds(1.0, [-3.0], "cocoercive"),
+     r"L_norms\[0\] = -3.0 is not a finite"),
+    (lambda: step_bounds(1.0, [np.inf], "cocoercive"),
+     r"L_norms\[0\] = inf is not a finite"),
+    (lambda: gen_instance(1.5, n=2, m=10, d=12),
+     "seed = 1.5 is not an integer"),
+    (lambda: gen_instance(-1, n=2, m=10, d=12), "seed = -1 must be >= 0"),
+    (lambda: difference_matrix(3.5), "d = 3.5 is not an integer"),
+    (lambda: zero_resolvent(2.5), "dim = 2.5 is not an integer"),
+    (lambda: zero_resolvent(0), "dim = 0 must be >= 1"),
+    (lambda: ProblemInstance(d=2.5, A_list=[zero_resolvent(2)]),
+     "d = 2.5 is not an integer"),
+    (lambda: resolvent_of_inverse(l1_resolvent(1.0, 2), np.nan, np.zeros(2)),
+     "eta must be positive"),
+], ids=["psd_ell_negative", "psd_ell_nan", "norm_nan", "norm_negative",
+        "norm_inf", "seed_fraction", "seed_negative", "difference_fraction",
+        "zero_dim_fraction", "zero_dim_zero", "problem_d_fraction",
+        "inverse_eta_nan"])
+def test_constants_and_sizes_refused_by_value(call, refusal):
+    with pytest.raises(ValueError, match="^" + refusal):
+        call()

@@ -338,9 +338,11 @@ def _regime(scheme, problem):
 
 
 def _lipschitz_ring_instance(d, nodes=4):
-    """A ring-lipschitz problem: C is 0.5 I plus a skew circulant, monotone
-    and Lipschitz but not cocoercive, so solve runs in the lipschitz
-    regime; gamma and eta sit at half their bounds."""
+    """A ring-lipschitz problem: C is 0.5 I plus a skew circulant, Lipschitz
+    with constant sqrt(4.25).  It is also 2/17-cocoercive (ell = 8.5):
+    <Cx - Cy, x - y> = 0.5 ||x - y||^2 >= (2/17) ||Cx - Cy||^2.  solve runs
+    it in the lipschitz regime only because it is flagged
+    cocoercive=False; gamma and eta sit at half their bounds."""
     q = np.random.default_rng(0).standard_normal(d)
     C = SingleValuedOp(
         dim=d, apply=lambda x: 0.5 * x + np.roll(x, -1) - np.roll(x, 1) + q,
@@ -557,8 +559,8 @@ class TestSolve:
                                    L=LinearMap(np.eye(d)))],
             C_list=[SingleValuedOp(dim=d, apply=lambda x: x, lipschitz=-1.0,
                                    cocoercive=True)])
-        with pytest.raises(ValueError,
-                           match="Lipschitz constants must be nonnegative"):
+        with pytest.raises(ValueError, match=r"^ell\[0\] = -1.0 is not a "
+                                             "finite number >= 0$"):
             solve(s, pb)
 
     @pytest.mark.parametrize("name", ["z0", "w0"])
