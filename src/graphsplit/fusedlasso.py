@@ -52,7 +52,7 @@ RECORD_EVERY = 10
 
 class DifferenceMap:
     """First-difference operator (Lx)_i = x_{i+1} - x_i from R^d to
-    R^(d-1), applied matrix-free, to x or to each row of a stack of them."""
+    R^(d-1) and its adjoint, matrix-free, on x or each row of a stack."""
 
     def __init__(self, d):
         self.in_dim = _check_number("d", d, integer=True, low=2)
@@ -65,9 +65,9 @@ class DifferenceMap:
     stacked_rows = True   # so an EvalPlan may apply it to stacked rows
 
     def adjoint(self, y):
-        out = np.empty(y.size + 1)
-        np.subtract(y[:-1], y[1:], out=out[1:-1])
-        out[0], out[-1] = -y[0], y[-1]
+        out = np.empty(y.shape[:-1] + (y.shape[-1] + 1,))
+        np.subtract(y[..., :-1], y[..., 1:], out=out[..., 1:-1])
+        out.T[0], out.T[-1] = -y.T[0], y.T[-1]   # cheaper than out[..., 0]
         return out
 
     def norm(self):
@@ -154,11 +154,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} is empty")
         for name in ("gamma_hats", "eta_hats", "lambda_hats"):
             for v in getattr(self, name):
-                if not _is_number(v):
-                    raise ValueError(f"{name} holds {v!r}, which is not a "
-                                     "number")
-                if not 0.0 < v < 1.0:
-                    raise ValueError("scaling factors must lie in (0, 1)")
+                if not (_is_number(v) and 0.0 < v < 1.0):
+                    raise ValueError(f"{name} holds {v!r}, " + (
+                        "outside (0, 1)" if _is_number(v)
+                        else "which is not a number"))
         for name, integer in (("max_iters", True), ("tol", False)):
             _check_number(name, getattr(self, name), integer, 0)
         for fam in self.scheme_families:

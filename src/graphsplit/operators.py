@@ -128,7 +128,7 @@ def _soft_threshold(v, t):
 
 class _L1Prox:
     """l1_resolvent's resolvent, computed from ``weight``.  An EvalPlan reads
-    the weight to threshold every B_k that has one in one call."""
+    the weight to threshold a level's A_i, or the B_k, in one call."""
 
     def __init__(self, weight):
         self.weight = weight
@@ -139,7 +139,7 @@ class _L1Prox:
 
 def l1_resolvent(weight, dim):
     """Resolvent of the subdifferential of ``weight * ||.||_1``."""
-    return ResolventOp(dim=dim,
+    return ResolventOp(dim=_check_number("dim", dim, integer=True, low=1),
                        resolvent=_L1Prox(_check_constant("weight", weight)))
 
 

@@ -132,7 +132,7 @@ class StepBounds:
     def __post_init__(self):
         if self.regime not in ("cocoercive", "lipschitz"):
             raise ValueError(f"unknown regime {self.regime!r}")
-        self.tau = float(_check_number("tau", self.tau, low=0))
+        self.tau = float(_check_constant("tau", self.tau))
         self.L_norms = [float(_check_constant(f"L_norms[{k}]", v))
                         for k, v in enumerate(self.L_norms)]
 

@@ -150,6 +150,26 @@ def _combo(row):
     return (cols.start, None) if coef.tolist() == [1.0] else (cols, coef)
 
 
+def _index(ids):   # a lone row's own (1-D), an even slice (a view), or array
+    ids, step = list(ids), (ids[-1] - ids[0]) // max(len(ids) - 1, 1)
+    if ids == list(range(ids[0], ids[-1] + 1, step or 1)):
+        return slice(ids[0], ids[-1] + 1, step) if step else ids[0]
+    return np.array(ids)
+
+
+def _one_map(maps):
+    """Whether ``maps`` are one map, and it takes stacked rows."""
+    L = maps[0] if maps else None
+    return getattr(L, "stacked_rows", False) and all(m is L for m in maps)
+
+
+def _thresholds(ops, steps):
+    """The l1 thresholds step * weight (a column, one a float), or None."""
+    if all(isinstance(getattr(op, "resolvent", None), _L1Prox) for op in ops):
+        col = np.array([[t * op.resolvent.weight] for t, op in zip(steps, ops)])
+        return col.item() if col.size == 1 else col
+
+
 def _dual_rows(w, dims=None, name="w", pad=None):
     """The dual blocks of w as the rows of one 2-D array, zero-padded to the
     longest; such an array passes through.  Blocks must have sizes ``dims``,
@@ -179,20 +199,20 @@ class EvalPlan:
     C(P^T x) and L^*(E L K x - w) images share one stack, in the order the
     rows first need them.  ``args`` holds each operator's argument once,
     from its whole row, indexed like the image kinds: R_j x, P_j^T x, (K x)_k.
-    Row i lists the images first needed there, with their arguments, and at
-    most two sums, row i of N over the x blocks and -gamma times row i of
-    P - Q, Q and H over the images, both divided by delta_i (as is M, in
-    ``Md``); each argument and sum is a ``_combo``.  A row that repeats the
-    previous row's coefficients wherever that row has a nonzero (the complete
-    family, below each pivot) has mode "run" in ``modes``: its sums hold only
-    its new coefficients, added to the running sum that the previous row
-    ("start" or "run") left.  (H^T x)_k is row ``picks[k]`` of X (a slice
-    when consecutive) when each column of H picks one x_i with coefficient
-    1, else row k of ``Ht`` X; ``lone_K`` lists the zero columns k of H,
-    whose (K x)_k no row needed.  When the L_k are one map that takes stacked
-    rows and the B_k resolvents ``_L1Prox``, the dual tail is one L call and
-    one soft-threshold by the column ``soft``.  ``scheme`` and ``problem``
-    are the objects compiled from."""
+    Row i holds its step gamma / delta_i, a mode, and at most two sums, row
+    i of N over the x blocks and -gamma times row i of P - Q, Q and H over
+    the images, both divided by delta_i (as is M, in ``Md``); each argument
+    and sum is a ``_combo``.  A row that repeats the previous row's
+    coefficients wherever that row has a nonzero (the complete family, below
+    each pivot) has mode "run": its sums hold only its new coefficients,
+    added to the running sum that the previous row ("start" or "run") left.
+    A row joins the current ``_level`` if it reads no x block of it, through
+    N or its images' arguments (star: {0}, {1..n-1}).  (H^T x)_k is row
+    ``picks[k]`` of X (a slice when consecutive) when each column of H picks
+    one x_i with coefficient 1, else row k of ``Ht`` X; ``lone_K`` lists the
+    zero columns k of H, whose (K x)_k no row needed.  If ``_one_map``, the
+    dual tail is one L call and one soft-threshold by the B_k ``_thresholds``
+    ``soft``.  ``scheme`` and ``problem`` are the objects compiled from."""
 
     def __init__(self, scheme, problem):
         s, gamma = scheme, scheme.gamma
@@ -227,41 +247,59 @@ class EvalPlan:
                     if len(set(self.dims)) > 1 else None)
         # each operator's argument from its whole row, per image kind: the
         # explicit pattern leaves no nonzero from the image's first row on
-        args = self.args = [[_combo(r) for r in a] for a in (s.R, s.P.T, s.K)]
+        self.args = [[_combo(r) for r in a] for a in (s.R, s.P.T, s.K)]
         # row i's coefficients over the x blocks, then over the images
         coef = np.hstack([s.N / s.D_diag[:, None], G])
         prev = np.zeros(coef.shape[1])
-        self.rows, self.modes = [], []
+        rows, starts = [], [0]
         for i in range(s.n):
-            new = [(t, kind, j) for t, (f, kind, j) in enumerate(images)
-                   if f == i]
-            new_C = [(t, j, args[kind][j]) for t, kind, j in new if kind < 2]
-            new_L = [(t, j, self.slices[j], args[2][j],
-                      float(s.E_diag[j])) for t, kind, j in new if kind == 2]
+            reads = np.vstack([s.N[i], *((s.R, s.P.T, s.K)[kind][j]
+                                         for f, kind, j in images if f == i)])
+            if reads[:, starts[-1]:].any():   # reads into the level: next
+                starts.append(i)
             c, old = coef[i], prev != 0.0
             run = old.any() and np.array_equal(c[old], prev[old])
             prev = c
             if run:   # sum only the new coefficients, onto the previous sum
                 c = np.where(old, 0.0, c)
-                self.modes[-1] = self.modes[-1] or "start"
-            self.modes.append("run" if run else None)
+                rows[-1][3] = rows[-1][3] or "start"
             sums = [(a, *_combo(row)) for a, row in enumerate(
                 np.split(c, [s.n])) if np.any(row)]
-            self.rows.append((new_C, new_L, sums, gamma / s.D_diag[i]))
+            rows.append([i, sums, gamma / s.D_diag[i], "run" if run else None])
+        self.levels = [self._level(rows[lo:hi], images, s, problem)
+                       for lo, hi in zip(starts, starts[1:] + [s.n])]
         self.picks, self.Ht = s.H.argmax(axis=0), None
         if not np.array_equal(s.H, np.eye(s.n)[:, self.picks]):
             self.Ht = np.ascontiguousarray(s.H.T)
         elif s.r and (np.diff(self.picks) == 1).all():   # a view, not a copy
             self.picks = slice(int(self.picks[0]), int(self.picks[-1]) + 1)
         self.lone_K = [k for k, f in enumerate(first_rows(s.H)) if f == s.n]
-        BL, self.soft = problem.BL_list, None
-        if (BL and getattr(BL[0].L, "stacked_rows", False)
-                and all(b.L is BL[0].L and isinstance(b.B.resolvent, _L1Prox)
-                        for b in BL)):
-            # row k's threshold, as _L1Prox forms it at step 1/eta_k
-            self.soft = np.array([[inv * b.B.resolvent.weight]
-                                  for inv, b in zip(1.0 / s.E_diag, BL)])
+        self.soft = (_thresholds([b.B for b in problem.BL_list], 1.0 / s.E_diag)
+                     if _one_map([b.L for b in problem.BL_list]) else None)
         self.scheme, self.problem = scheme, problem
+
+    def _level(self, rows, images, s, problem):
+        """Rows (i, sums, step, mode) at a slice, their C images (t, j, arg),
+        L image groups (L, ks, ts, eta, args), one if ``_one_map``, else one
+        per image, and A_i ``_thresholds``.  A group's L calls, one per
+        distinct argument, fill LKx; then S[ts] = L^*(eta LKx[ks] - w[ks])."""
+        BL, groups, at = problem.BL_list, [], slice(rows[0][0], rows[-1][0] + 1)
+        new = [(t, kind, j) for t, (f, kind, j) in enumerate(images)
+               if at.start <= f < at.stop]
+        new_L = [(t, j) for t, kind, j in new if kind == 2]
+        one = _one_map([BL[k].L for _, k in new_L])
+        for group in [new_L] if one else [[im] for im in new_L]:
+            ts, ks = zip(*group)
+            cols, by_arg = slice(0, self.dims[ks[0]]), {}
+            for k in ks:   # one L call per distinct row of K
+                by_arg.setdefault(s.K[k].tobytes(), []).append(k)
+            groups.append((BL[ks[0]].L, (_index(ks), cols), _index(ts),
+                           s.E_diag[_index(ks), None],
+                           [((_index(kk), cols), self.args[2][kk[0]])
+                            for kk in by_arg.values()]))
+        return (at, rows, [(t, j, self.args[kind][j]) for t, kind, j in new
+                           if kind < 2], groups,
+                _thresholds(problem.A_list[at], [row[2] for row in rows]))
 
     def split(self, v):
         """The blocks of padded dual rows, as views."""
@@ -286,30 +324,33 @@ def eval_S(plan, z, w):
     # row i of U is (D^{-1} M z)_i; the sums add in
     U = plan.Md @ _stacked(z, (s.m, d))
     # every product below reads only rows and images already written
-    X, S = np.empty((len(plan.rows), d)), np.empty((plan.n_images, d))
+    X, S = np.empty((s.n, d)), np.empty((plan.n_images, d))
     LKx = np.zeros(w.shape)   # zero padded
     stacks = (X, S)
-    T = np.empty(d) if "start" in plan.modes else None   # the running sum
+    T = np.empty(d)   # the running sum of the "run" rows
 
     def combo(a, c, coef):   # a _combo of the rows of a
         return a[c] if coef is None else dot(coef, a[c])
 
-    for i, ((new_C, new_L, sums, step_i), mode) in enumerate(
-            zip(plan.rows, plan.modes)):
+    for at, rows, new_C, new_L, thresholds in plan.levels:
         for t, j, spec in new_C:
             S[t] = C[j](combo(X, *spec))
-        for t, k, sl, spec, eta in new_L:
-            L = BL[k].L
-            lkx = LKx[sl] = L(combo(X, *spec))
-            S[t] = L.adjoint(eta * lkx - w[sl])
-        u = U[i] if mode is None else T
-        if mode == "start":
-            T.fill(0.0)
-        for a, c, coef in sums:
-            u += combo(stacks[a], c, coef)
-        if mode is not None:
-            U[i] += T
-        X[i] = A[i](step_i, U[i])
+        for L, ks, ts, eta, args in new_L:
+            for kk, spec in args:
+                LKx[kk] = L(combo(X, *spec))
+            S[ts] = L.adjoint(eta * LKx[ks] - w[ks])
+        for i, sums, step_i, mode in rows:
+            u = U[i] if mode is None else T
+            if mode == "start":
+                T.fill(0.0)
+            for a, c, coef in sums:
+                u += combo(stacks[a], c, coef)
+            if mode is not None:
+                U[i] += T
+            if thresholds is None:
+                X[i] = A[i](step_i, U[i])
+        if thresholds is not None:   # prox_l1 of the level's rows at once
+            X[at] = _soft_threshold(U[at], thresholds)
 
     S = stacks = None   # the images are spent: free them before the tail
     HX = X[plan.picks] if plan.Ht is None else plan.Ht @ X   # row k: (H^T x)_k

@@ -468,9 +468,12 @@ class TestBenchmark:
 
 
 @pytest.mark.parametrize("args,message", [
-    (["solve", "{inst}", "--gamma-hat", "1.5"], "scaling factors"),
-    (["solve", "{inst}", "--lambda-hat", "2"], "scaling factors"),
-    (["solve", "{inst}", "--eta-hat", "0"], "scaling factors"),
+    (["solve", "{inst}", "--gamma-hat", "1.5"],
+     "gamma_hats holds 1.5, outside (0, 1)"),
+    (["solve", "{inst}", "--lambda-hat", "2"],
+     "lambda_hats holds 2.0, outside (0, 1)"),
+    (["solve", "{inst}", "--eta-hat", "0"],
+     "eta_hats holds 0.0, outside (0, 1)"),
     (["solve", "{inst}", "--max-iters", "-1"], "max_iters"),
     (["benchmark", "--n", "9", "--m", "6", "--out", "{out}"],
      "infeasible sizes"),

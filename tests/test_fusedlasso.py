@@ -122,6 +122,33 @@ class TestDifferenceOperator:
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
+    @given(d=st.integers(2, 300), k=st.integers(1, 6))
+    def test_adjoint_of_stacked_rows_is_row_by_row(self, d, k):
+        # an EvalPlan applies L^* to a level's (k, d-1) rows in one call
+        L = difference_matrix(d)
+        rng = np.random.default_rng([d, k])
+        Y = rng.standard_normal((k, d - 1))
+        Y[:, ::4] = 0.0   # and signed zeros, as above
+        Y[::2, 1::5] = -0.0
+        out, rows = L.adjoint(Y), np.array([L.adjoint(y) for y in Y])
+        assert out.shape == (k, d)
+        # bit for bit, the signs of zeros too
+        assert np.array_equal(out.view(np.int64), rows.view(np.int64))
+        # a view of other rows' columns, as the plan reads w[ks, :g]
+        W = rng.standard_normal((2 * k, d + 2))[::2, :d - 1]
+        assert np.array_equal(L.adjoint(W),
+                              np.array([L.adjoint(w) for w in W]))
+
+    @pytest.mark.parametrize("d,k", [(2, 1), (5, 3), (40, 7)])
+    def test_adjoint_identity_holds_row_wise(self, rng, d, k):
+        L = difference_matrix(d)
+        X, Y = rng.standard_normal((k, d)), rng.standard_normal((k, d - 1))
+        lhs = np.sum(L(X) * Y, axis=1)   # <L x_i, y_i> per row
+        rhs = np.sum(X * L.adjoint(Y), axis=1)
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12 * d)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
     @given(d=st.integers(2, 300))
     def test_spectral_norm_matches_closed_form(self, d):
         # sqrt(2 - 2 cos((d-1) pi / d)) = 2 cos(pi / (2 d))

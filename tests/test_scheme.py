@@ -467,7 +467,8 @@ class TestStepBounds:
 
     def test_nan_tau_refused_by_name(self):
         # nan < 0 is false: these bounds were built, with gamma_max nan
-        with pytest.raises(ValueError, match="^tau = nan must be >= 0$"):
+        with pytest.raises(ValueError,
+                           match="^tau = nan is not a finite number >= 0$"):
             step_bounds(float("nan"), [1.0], "cocoercive")
 
 
@@ -678,7 +679,7 @@ NUMBER_ENTRY_POINTS = {
     "ring_p": (2, True, lambda v, mp, tmp: scheme_ring(3, p=v),
                "^p = .* is not an integer$"),
     "step_bounds_tau": (1.0, False, lambda v, mp, tmp: step_bounds(
-        v, [1.0], "cocoercive"), "^tau = .* is not a number$"),
+        v, [1.0], "cocoercive"), "^tau = .* is not a finite number >= 0$"),
     "path_graph_n": (3, True, lambda v, mp, tmp: path_graph(v),
                      "^n = .* is not an integer$"),
     "star_graph_n": (3, True, lambda v, mp, tmp: star_graph(v),
@@ -705,6 +706,8 @@ NUMBER_ENTRY_POINTS = {
                          "^d = .* is not an integer$"),
     "zero_resolvent_dim": (2, True, lambda v, mp, tmp: zero_resolvent(v),
                            "^dim = .* is not an integer$"),
+    "l1_resolvent_dim": (2, True, lambda v, mp, tmp: l1_resolvent(1.0, v),
+                         "^dim = .* is not an integer$"),
     "problem_d": (2, True, lambda v, mp, tmp: ProblemInstance(
         d=v, A_list=[zero_resolvent(2)]), "^d = .* is not an integer$"),
     "resolvent_of_inverse_eta": (0.5, False, lambda v, mp, tmp:
@@ -772,13 +775,23 @@ def test_one_number_rule_accepts_numpy_scalars_at_every_entry_point(
     (lambda: difference_matrix(3.5), "d = 3.5 is not an integer"),
     (lambda: zero_resolvent(2.5), "dim = 2.5 is not an integer"),
     (lambda: zero_resolvent(0), "dim = 0 must be >= 1"),
+    (lambda: l1_resolvent(1.0, 2.5), "dim = 2.5 is not an integer"),
+    (lambda: l1_resolvent(1.0, 0), "dim = 0 must be >= 1"),
+    (lambda: step_bounds(np.inf, [1.0], "cocoercive"),
+     "tau = inf is not a finite number >= 0$"),
+    (lambda: ExperimentConfig(eta_hats=[0.1, 1.5]),
+     r"eta_hats holds 1.5, outside \(0, 1\)$"),
+    (lambda: ExperimentConfig(eta_hats=[float("nan")]),
+     r"eta_hats holds nan, outside \(0, 1\)$"),
     (lambda: ProblemInstance(d=2.5, A_list=[zero_resolvent(2)]),
      "d = 2.5 is not an integer"),
     (lambda: resolvent_of_inverse(l1_resolvent(1.0, 2), np.nan, np.zeros(2)),
      "eta must be positive"),
 ], ids=["psd_ell_negative", "psd_ell_nan", "norm_nan", "norm_negative",
         "norm_inf", "seed_fraction", "seed_negative", "difference_fraction",
-        "zero_dim_fraction", "zero_dim_zero", "problem_d_fraction",
+        "zero_dim_fraction", "zero_dim_zero", "l1_dim_fraction",
+        "l1_dim_zero", "tau_inf", "factor_above_one", "factor_nan",
+        "problem_d_fraction",
         "inverse_eta_nan"])
 def test_constants_and_sizes_refused_by_value(call, refusal):
     with pytest.raises(ValueError, match="^" + refusal):

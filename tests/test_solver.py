@@ -23,8 +23,9 @@ from graphsplit import (BlockVector, ComposedBlock, IterateState, LinearMap, Pro
 from graphsplit.fusedlasso import (build_family_scheme, desk_instance,
                                    difference_matrix, gen_instance,
                                    to_problem)
-from graphsplit.graphs import (GraphSpec, scheme_complete, scheme_from_graph,
-                               scheme_ring)
+from graphsplit.graphs import (GraphSpec, complete_graph, path_graph,
+                               scheme_complete, scheme_from_graph,
+                               scheme_ring, star_graph)
 from graphsplit.operators import (ResolventOp, SingleValuedOp,
                                   least_squares_gradient)
 from graphsplit.scheme import (CoefficientScheme, check_explicit, compute_tau,
@@ -1194,11 +1195,18 @@ class TestArgumentTable:
                     else:
                         np.testing.assert_array_equal(coef_got, coef_want)
             # every image reads its table entry, and lone_K lists the rest
-            for new_C, new_L, _, _ in plan.rows:
+            for _, _, new_C, new_L, _ in plan.levels:
                 assert all(spec is plan.args[0][j] or spec is plan.args[1][j]
                            for _, j, spec in new_C)
-                assert all(spec is plan.args[2][k]
-                           for _, k, _, spec, _ in new_L)
+                # an argument that several L_k share is the first one's
+                for *_, L_args in new_L:
+                    for (kk, _), spec in L_args:
+                        ks = np.atleast_1d(np.arange(s.r)[kk])
+                        assert spec is plan.args[2][ks[0]]
+                        for k in ks:
+                            assert plan.args[2][k][0] == spec[0]
+                            np.testing.assert_array_equal(
+                                plan.args[2][k][1], spec[1])
             assert plan.lone_K == [j for kind, j, f in firsts
                                    if kind == 2 and f == n]
 
@@ -1218,7 +1226,8 @@ def _gamma_error(s, rng, d):
 def _modes(s, d=3):
     plan = solver_module.EvalPlan(
         s, random_problem_for(np.random.default_rng(0), s, d))
-    return plan.modes, plan.Ht is not None
+    return [row[3] for _, rows, *_ in plan.levels for row in rows], \
+        plan.Ht is not None
 
 
 class TestRunningSums:
@@ -1325,6 +1334,19 @@ def _H_pattern(s, case):
     return s.replace(H=H)
 
 
+def _assert_same_solve(s, pb, other, lam_max):
+    """200 iterations of solve on pb and on other give the same records and
+    final state, bit for bit."""
+    opts = SolveOptions(max_iters=200, residual_tol=0.0,
+                        lambda_schedule=0.9 * lam_max)
+    new, old = solve(s, pb, opts=opts), solve(s, other, opts=opts)
+    assert [r[:4] for r in new.records] == [r[:4] for r in old.records]
+    for name in ("z", "w", "x", "y"):
+        np.testing.assert_array_equal(
+            np.concatenate(getattr(new.final, name).blocks),
+            np.concatenate(getattr(old.final, name).blocks))
+
+
 class TestWholeArrayDualTail:
     """One L call and one soft-threshold for every dual block, when the L_k
     are one difference map and the B_k l1 resolvents, whatever H is."""
@@ -1349,14 +1371,7 @@ class TestWholeArrayDualTail:
             np.testing.assert_array_equal(LHx, LHx_old)
             for a, b in zip((X, y, U, LKx, LHx), eval_S(plan_k, z, w)):
                 np.testing.assert_array_equal(a, b)
-        opts = SolveOptions(max_iters=200, residual_tol=0.0,
-                            lambda_schedule=0.9 * lam_max)
-        new, old = solve(s, pb, opts=opts), solve(s, looped, opts=opts)
-        assert [r[:4] for r in new.records] == [r[:4] for r in old.records]
-        for name in ("z", "w", "x", "y"):
-            np.testing.assert_array_equal(
-                np.concatenate(getattr(new.final, name).blocks),
-                np.concatenate(getattr(old.final, name).blocks))
+        _assert_same_solve(s, pb, looped, lam_max)
 
     @pytest.mark.parametrize("case", ["zero_column", "non_unit", "mixed"])
     def test_bit_identical_on_other_H_patterns(self, case):
@@ -1533,6 +1548,137 @@ class TestWholeArrayDualTail:
                 if len(b):
                     assert _rel(a.blocks, b.blocks) <= 1e-13, (draw, family)
         assert kinds == {True}
+
+
+def _per_row(pb):
+    """pb with each A_i's resolvent replaced by the same function and each
+    L_k by a difference map of its own, so that every level runs its A_i
+    and its L_k one row at a time, and the dual tail loops over k."""
+    A = [ResolventOp(op.dim, op.resolvent.__call__) for op in pb.A_list]
+    BL = [ComposedBlock(B=blk.B, L=difference_matrix(pb.d))
+          for blk in pb.BL_list]
+    return replace(pb, A_list=A, BL_list=BL)
+
+
+def _l1_star_problem(rng, s, d):
+    """A problem for scheme s as to_problem builds one: A_0 = 0 and l1
+    resolvents after it, l1 B_k on one difference map."""
+    A = [zero_resolvent(d)] + [l1_resolvent(rng.uniform(0.1, 2.0), d)
+                               for _ in range(s.n - 1)]
+    return replace(_l1_difference_problem(rng, s, d), A_list=A)
+
+
+def _weighted_star(rng, n):
+    """scheme_from_graph on a star with random edge weights, so that the
+    rows of its level differ in delta_i and in eta_k."""
+    g = GraphSpec(n=n, edges=[(1, j, float(rng.uniform(0.5, 2.0)))
+                              for j in range(2, n + 1)])
+    return scheme_from_graph(g, gamma=0.6, eta=0.4)
+
+
+def _level_rows(plan):
+    return [[row[0] for row in rows] for _, rows, *_ in plan.levels]
+
+
+class TestLevels:
+    """A row that reads no x block of the current level joins it: star runs
+    rows 1..n-1 as one level, with one soft-threshold for its A_i and one L
+    and one L^* call for its L_k, bit for bit as the per-row path does."""
+
+    @pytest.mark.parametrize("n", range(3, 22))
+    def test_star_has_two_levels_hub_then_leaves(self, n):
+        s = scheme_from_graph(star_graph(n), gamma=0.5, eta=0.3)
+        plan = EvalPlan(s, random_problem_for(np.random.default_rng(n), s, 3))
+        assert _level_rows(plan) == [[0], list(range(1, n))]
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 21])
+    @pytest.mark.parametrize("family", [
+        "sequential", "complete", "ring_cocoercive", "ring_lipschitz",
+        "path_graph", "complete_graph"])
+    def test_other_families_have_one_row_per_level(self, family, n):
+        if family.endswith("_graph"):
+            graph = path_graph if family == "path_graph" else complete_graph
+            s = scheme_from_graph(graph(n), gamma=0.5, eta=0.3)
+        else:
+            s = DIFF_FAMILIES[family](None, n, 0.5, 0.3)
+        plan = EvalPlan(s, random_problem_for(np.random.default_rng(n), s, 3))
+        assert _level_rows(plan) == [[i] for i in range(s.n)]
+
+    @staticmethod
+    def _same_S(plan, other, rng, s, d):
+        """eval_S of both plans at points of three scales, array_equal; the
+        A_i threshold must leave some x entries zero and some not."""
+        zero = nonzero = False
+        for scale in (0.1, 1.0, 10.0):
+            z = scale * rng.standard_normal((s.m, d))
+            w = scale * rng.standard_normal((s.r, d - 1))
+            new, old = eval_S(plan, z, w), eval_S(other, z, w)
+            for a, b in zip(new, old):
+                np.testing.assert_array_equal(a, b)
+            zero |= not np.all(new[0][1:])
+            nonzero |= bool(np.any(new[0][1:]))
+        assert zero and nonzero   # both sides of the prox
+
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    def test_star_level_matches_per_row_path(self, n):
+        rng = np.random.default_rng(n)
+        s = _weighted_star(rng, n)
+        pb = _l1_star_problem(rng, s, 9)
+        plan, rows = EvalPlan(s, pb), EvalPlan(s, _per_row(pb))
+        _, _, new_C, groups, thresholds = plan.levels[1]
+        assert len(new_C) == n - 1 and thresholds.shape == (n - 1, 1)
+        [(_, ks, ts, eta, args)] = groups   # one L call, one L^* call
+        assert len(args) == 1 and eta.shape == (n - 1, 1)
+        _, _, _, groups, thresholds = rows.levels[1]
+        assert thresholds is None and len(groups) == n - 1
+        self._same_S(plan, rows, rng, s, pb.d)
+
+    def test_desk_star_solve_matches_per_row_path(self):
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        s, _, lam_max = build_family_scheme("star", inst, 0.5, 0.1)
+        rows = _per_row(pb)
+        assert EvalPlan(s, pb).levels[1][4] is not None
+        self._same_S(EvalPlan(s, pb), EvalPlan(s, rows),
+                     np.random.default_rng(3), s, pb.d)
+        _assert_same_solve(s, pb, rows, lam_max)
+
+    def test_level_of_mixed_resolvents_runs_them_per_row(self):
+        rng = np.random.default_rng(21)
+        s = _weighted_star(rng, 5)
+        pb = _l1_star_problem(rng, s, 8)
+        pb.A_list[2] = monotone_affine(rng, 8)   # among l1 resolvents
+        plan = EvalPlan(s, pb)
+        assert plan.levels[1][4] is None and len(plan.levels[1][3]) == 1
+        self._same_S(plan, EvalPlan(s, _per_row(pb)), rng, s, pb.d)
+
+    def test_level_of_distinct_maps_runs_them_per_image(self):
+        rng = np.random.default_rng(22)
+        s = _weighted_star(rng, 5)
+        pb = _l1_star_problem(rng, s, 8)
+        own = replace(pb, BL_list=[
+            ComposedBlock(B=blk.B, L=difference_matrix(8))
+            for blk in pb.BL_list])
+        plan = EvalPlan(s, own)
+        assert len(plan.levels[1][3]) == 4 and plan.levels[1][4] is not None
+        self._same_S(plan, EvalPlan(s, pb), rng, s, pb.d)
+        self._same_S(plan, EvalPlan(s, _per_row(pb)), rng, s, pb.d)
+
+    def test_distinct_arguments_share_one_adjoint_call(self):
+        # K row 2 reads 0.5 x_0, the other three x_0: two L calls, one L^*,
+        # and rows [0, 1, 3] of LKx taken by an index array
+        rng = np.random.default_rng(23)
+        s = _weighted_star(rng, 5)
+        K = s.K.copy()
+        K[2, 0] = 0.5
+        s = s.replace(K=K)
+        pb = _l1_star_problem(rng, s, 8)
+        plan = EvalPlan(s, pb)
+        [(_, ks, _, _, args)] = plan.levels[1][3]
+        assert ks[0] == slice(0, 4, 1) and len(args) == 2
+        np.testing.assert_array_equal(args[0][0][0], [0, 1, 3])
+        assert args[1][0][0] == 2
+        self._same_S(plan, EvalPlan(s, _per_row(pb)), rng, s, pb.d)
 
 
 class TestFreshArrays:
