@@ -114,8 +114,7 @@ class ProblemInstance:
 
 def prox_l1(v, t):
     """Componentwise soft-thresholding, the proximal map of t*||.||_1."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    t = _check_number("t", t, low=0)   # inf too: every finite entry to 0
     return _soft_threshold(np.asarray(v, dtype=float), t)
 
 
@@ -133,8 +132,10 @@ class _L1Prox:
     def __init__(self, weight):
         self.weight = weight
 
-    def __call__(self, step, v):
-        return prox_l1(v, step * self.weight)
+    def __call__(self, step, v):   # the weight is checked: only the step
+        if not step >= 0:
+            raise ValueError(f"step = {step!r} is not a number >= 0")
+        return _soft_threshold(np.asarray(v, dtype=float), step * self.weight)
 
 
 def l1_resolvent(weight, dim):
@@ -173,6 +174,16 @@ def resolvent_of_inverse(B, eta, u):
     return u - eta * B(1.0 / eta, u / eta)
 
 
+class _LeastSquares:
+    """least_squares_gradient's map: an EvalPlan may stack its A and b."""
+
+    def __init__(self, A, b):
+        self.A, self.b = A, b
+
+    def __call__(self, x):
+        return self.A.T @ (self.A @ x - self.b)
+
+
 def least_squares_gradient(A, b):
     """Gradient of x -> 0.5*||Ax - b||^2 as a cocoercive SingleValuedOp
     with Lipschitz constant ||A||_2^2, exact (spectral_norm of the array).
@@ -192,7 +203,7 @@ def _least_squares_gradient(A, b, ell):
             raise ValueError(f"{name} must be finite")
     return SingleValuedOp(
         dim=A.shape[1],
-        apply=lambda x: A.T @ (A @ x - b),
+        apply=_LeastSquares(A, b),
         lipschitz=spectral_norm(A) ** 2 if ell is None else ell,
         cocoercive=True,
     )

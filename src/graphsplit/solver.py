@@ -9,12 +9,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .linalg import BlockVector, kron_apply  # noqa: F401  (re-exported)
-from .operators import _L1Prox, _soft_threshold
+from .operators import _L1Prox, _LeastSquares, _soft_threshold
 from .scheme import _check_number, check_explicit, compute_UW, compute_tau, \
     step_bounds, validate_standing, write_csv, write_json
 
@@ -140,13 +140,14 @@ class SolveReport:
         return [(r[0], r[4]) for r in self.records]
 
 
-def _combo(row):
-    """A linear combination of stacked rows: the index i alone when ``row``
-    picks row i with coefficient exactly 1, so that row i passes as it is,
-    else the first to last nonzero (empty if none) and their coefficients."""
-    nz = np.flatnonzero(row)
+def _combo(coef):
+    """A linear combination of stacked rows, by a row or a block of rows of
+    coefficients: the index i alone when a row picks row i with coefficient
+    exactly 1, so that row i passes as it is, else the first to last row
+    read (empty if none) and the coefficients over them."""
+    nz = np.flatnonzero(coef if coef.ndim == 1 else coef.any(axis=0))
     cols = slice(int(nz[0]), int(nz[-1]) + 1) if nz.size else slice(0, 0)
-    coef = row[cols]
+    coef = coef[..., cols]
     return (cols.start, None) if coef.tolist() == [1.0] else (cols, coef)
 
 
@@ -168,6 +169,17 @@ def _thresholds(ops, steps):
     if all(isinstance(getattr(op, "resolvent", None), _L1Prox) for op in ops):
         col = np.array([[t * op.resolvent.weight] for t, op in zip(steps, ops)])
         return col.item() if col.size == 1 else col
+
+
+def _gradients(ops):
+    """Two or more least-squares gradients' A and b, zero-padded: see _level."""
+    maps = [getattr(op, "apply", None) for op in ops]
+    if len(maps) > 1 and all(isinstance(f, _LeastSquares) for f in maps):
+        k, m = len(maps), max(f.b.size for f in maps)
+        A3, B2 = np.zeros((k, m, maps[0].A.shape[1])), np.zeros((k, m))
+        for a, b, f in zip(A3, B2, maps):
+            a[:f.b.size], b[:f.b.size] = f.A, f.b
+        return A3, B2
 
 
 def _dual_rows(w, dims=None, name="w", pad=None):
@@ -192,6 +204,10 @@ def _dual_rows(w, dims=None, name="w", pad=None):
     return W
 
 
+_Level = NamedTuple("_Level", [(name, Any) for name in (   # see _level
+    "at", "rows", "new_C", "new_L", "thresholds", "grads", "sums")])
+
+
 class EvalPlan:
     """The forward substitution of one scheme on one problem, compiled once,
     for an explicit scheme (``check_explicit``) whose n, r and p are the
@@ -199,13 +215,13 @@ class EvalPlan:
     C(P^T x) and L^*(E L K x - w) images share one stack, in the order the
     rows first need them.  ``args`` holds each operator's argument once,
     from its whole row, indexed like the image kinds: R_j x, P_j^T x, (K x)_k.
-    Row i holds its step gamma / delta_i, a mode, and at most two sums, row
-    i of N over the x blocks and -gamma times row i of P - Q, Q and H over
-    the images, both divided by delta_i (as is M, in ``Md``); each argument
-    and sum is a ``_combo``.  A row that repeats the previous row's
+    Row i has its step gamma / delta_i, a mode, and coefficients: row i of N
+    over the x blocks and -gamma times row i of P - Q, Q and H over the
+    images, both divided by delta_i (as is M, in ``Md``); each argument and
+    sum is a ``_combo``.  A row that repeats the previous row's
     coefficients wherever that row has a nonzero (the complete family, below
-    each pivot) has mode "run": its sums hold only its new coefficients,
-    added to the running sum that the previous row ("start" or "run") left.
+    each pivot) has mode "run": it sums only its new coefficients, added to
+    the running sum that the previous row ("start" or "run") left.
     A row joins the current ``_level`` if it reads no x block of it, through
     N or its images' arguments (star: {0}, {1..n-1}).  (H^T x)_k is row
     ``picks[k]`` of X (a slice when consecutive) when each column of H picks
@@ -233,9 +249,10 @@ class EvalPlan:
 
         images = sorted((int(f), kind, j) for kind, a in enumerate(coefs)
                         for j, f in enumerate(first_rows(a)) if f < s.n)
-        G = np.zeros((s.n, len(images)))
-        for t, (_, kind, j) in enumerate(images):
+        G, by_row = np.zeros((s.n, len(images))), [[] for _ in range(s.n)]
+        for t, (f, kind, j) in enumerate(images):   # by_row: by first row
             G[:, t] = -gamma * coefs[kind][:, j] / s.D_diag
+            by_row[f].append((t, kind, j, (s.R, s.P.T, s.K)[kind][j]))
         self.n_images = len(images)
         self.Md = s.M / s.D_diag[:, None]
         self.dims = [blk.L.out_dim for blk in problem.BL_list]
@@ -253,8 +270,7 @@ class EvalPlan:
         prev = np.zeros(coef.shape[1])
         rows, starts = [], [0]
         for i in range(s.n):
-            reads = np.vstack([s.N[i], *((s.R, s.P.T, s.K)[kind][j]
-                                         for f, kind, j in images if f == i)])
+            reads = np.vstack([s.N[i], *(a for *_, a in by_row[i])])
             if reads[:, starts[-1]:].any():   # reads into the level: next
                 starts.append(i)
             c, old = coef[i], prev != 0.0
@@ -263,11 +279,9 @@ class EvalPlan:
             if run:   # sum only the new coefficients, onto the previous sum
                 c = np.where(old, 0.0, c)
                 rows[-1][3] = rows[-1][3] or "start"
-            sums = [(a, *_combo(row)) for a, row in enumerate(
-                np.split(c, [s.n])) if np.any(row)]
-            rows.append([i, sums, gamma / s.D_diag[i], "run" if run else None])
-        self.levels = [self._level(rows[lo:hi], images, s, problem)
-                       for lo, hi in zip(starts, starts[1:] + [s.n])]
+            rows.append([i, c, gamma / s.D_diag[i], "run" if run else None])
+        self.levels = [self._level(rows[a:b], by_row[a:b], coef, s, problem)
+                       for a, b in zip(starts, starts[1:] + [s.n])]
         self.picks, self.Ht = s.H.argmax(axis=0), None
         if not np.array_equal(s.H, np.eye(s.n)[:, self.picks]):
             self.Ht = np.ascontiguousarray(s.H.T)
@@ -278,15 +292,23 @@ class EvalPlan:
                      if _one_map([b.L for b in problem.BL_list]) else None)
         self.scheme, self.problem = scheme, problem
 
-    def _level(self, rows, images, s, problem):
-        """Rows (i, sums, step, mode) at a slice, their C images (t, j, arg),
-        L image groups (L, ks, ts, eta, args), one if ``_one_map``, else one
-        per image, and A_i ``_thresholds``.  A group's L calls, one per
-        distinct argument, fill LKx; then S[ts] = L^*(eta LKx[ks] - w[ks])."""
-        BL, groups, at = problem.BL_list, [], slice(rows[0][0], rows[-1][0] + 1)
-        new = [(t, kind, j) for t, (f, kind, j) in enumerate(images)
-               if at.start <= f < at.stop]
-        new_L = [(t, j) for t, kind, j in new if kind == 2]
+    def _level(self, rows, by_row, coef, s, problem):
+        """The ``_Level`` of rows [i, coefficients, step, mode] and the images
+        they first need: C calls (t, j, arg), or ``grads``, one product (ts,
+        arg, A3, B2) on the A_j, b_j zero-padded to (k, m, d), (k, m); L groups
+        (L, ks, ts, eta, args), one if ``_one_map``: an L call per distinct
+        argument fills LKx, then S[ts] = L^*(eta LKx[ks] - w[ks]); sums (i,
+        combos, mode), of the block ``coef[at]``, or per row if one runs."""
+        BL, groups, at = problem.BL_list, [], _index([row[0] for row in rows])
+        new = [image for images in by_row for image in images]
+        new_C = [(t, j, self.args[kind][j]) for t, kind, j, _ in new
+                 if kind < 2]
+        grads = _gradients([problem.C_list[j] for _, j, _ in new_C])
+        if grads is not None:   # one argument if all are one (star: x_0)
+            R = np.array([a for _, kind, _, a in new if kind < 2])
+            grads, new_C = [(_index([t for t, *_ in new_C]), _combo(
+                R[0] if (R == R[0]).all() else R), *grads)], []
+        new_L = [(t, j) for t, kind, j, _ in new if kind == 2]
         one = _one_map([BL[k].L for _, k in new_L])
         for group in [new_L] if one else [[im] for im in new_L]:
             ts, ks = zip(*group)
@@ -297,9 +319,12 @@ class EvalPlan:
                            s.E_diag[_index(ks), None],
                            [((_index(kk), cols), self.args[2][kk[0]])
                             for kk in by_arg.values()]))
-        return (at, rows, [(t, j, self.args[kind][j]) for t, kind, j in new
-                           if kind < 2], groups,
-                _thresholds(problem.A_list[at], [row[2] for row in rows]))
+        sums = [(i, [(a, *_combo(b)) for a, b in enumerate(np.split(
+            c, [s.n], axis=-1)) if b.any()], mode) for i, c, *_, mode in (
+            rows if any(row[3] for row in rows) else [(at, coef[at], None)])]
+        return _Level(at, [(i, step) for i, _, step, _ in rows], new_C, groups,
+                      _thresholds([problem.A_list[row[0]] for row in rows],
+                                  [row[2] for row in rows]), grads or [], sums)
 
     def split(self, v):
         """The blocks of padded dual rows, as views."""
@@ -332,24 +357,28 @@ def eval_S(plan, z, w):
     def combo(a, c, coef):   # a _combo of the rows of a
         return a[c] if coef is None else dot(coef, a[c])
 
-    for at, rows, new_C, new_L, thresholds in plan.levels:
+    for at, rows, new_C, new_L, thresholds, grads, sums in plan.levels:
         for t, j, spec in new_C:
             S[t] = C[j](combo(X, *spec))
+        for ts, arg, A3, B2 in grads:   # every A_j^T (A_j x - b_j) at once
+            r = (A3 @ combo(X, *arg)[..., None])[..., 0] - B2
+            S[ts] = (r[:, None] @ A3)[:, 0]
         for L, ks, ts, eta, args in new_L:
             for kk, spec in args:
                 LKx[kk] = L(combo(X, *spec))
             S[ts] = L.adjoint(eta * LKx[ks] - w[ks])
-        for i, sums, step_i, mode in rows:
+        for i, combos, mode in sums:   # all the rows at once, unless running
             u = U[i] if mode is None else T
             if mode == "start":
                 T.fill(0.0)
-            for a, c, coef in sums:
+            for a, c, coef in combos:
                 u += combo(stacks[a], c, coef)
             if mode is not None:
                 U[i] += T
-            if thresholds is None:
+        if thresholds is None:
+            for i, step_i in rows:
                 X[i] = A[i](step_i, U[i])
-        if thresholds is not None:   # prox_l1 of the level's rows at once
+        else:   # prox_l1 of the level's rows at once
             X[at] = _soft_threshold(U[at], thresholds)
 
     S = stacks = None   # the images are spent: free them before the tail

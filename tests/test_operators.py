@@ -1,5 +1,7 @@
 """Resolvent and single-valued operator toolbox."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,8 +80,14 @@ class TestProxL1:
         np.testing.assert_allclose(prox_l1(v, 0.0), v)
 
     def test_negative_threshold(self):
-        with pytest.raises(ValueError):
-            prox_l1(np.zeros(2), -1.0)
+        # every t that is not a number >= 0 is refused by name; inf is not
+        # refused (test_matches_sign_formula)
+        for t, message in [(-1.0, "t = -1.0 must be >= 0"),
+                           (float("nan"), "t = nan must be >= 0"),
+                           (True, "t = True is not a number"),
+                           ("1", "t = '1' is not a number")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                prox_l1(np.zeros(2), t)
 
 
 class TestResolvents:
@@ -91,6 +99,13 @@ class TestResolvents:
     def test_l1_negative_weight(self):
         with pytest.raises(ValueError):
             l1_resolvent(-1.0, 2)
+
+    def test_l1_step_must_not_be_negative(self):
+        op = l1_resolvent(2.0, 3)
+        for step in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match="is not a number >= 0$"):
+                op(step, np.ones(3))
+        np.testing.assert_array_equal(op(0.0, -np.ones(3)), -np.ones(3))
 
     def test_l1_nan_weight(self):
         with pytest.raises(ValueError,
