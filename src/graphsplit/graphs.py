@@ -278,19 +278,19 @@ def scheme_from_graph(g, gamma=1.0, eta=1.0, kappa=None):
 
 def path_graph(n, weight=1.0):
     n = _check_number("n", n, integer=True, low=2)
-    edges = [(i, i + 1, float(weight)) for i in range(1, n)]
+    edges = [(i, i + 1, weight) for i in range(1, n)]
     return GraphSpec(n=n, edges=edges)
 
 
 def star_graph(n, weight=1.0):
     n = _check_number("n", n, integer=True, low=2)
-    edges = [(1, j, float(weight)) for j in range(2, n + 1)]
+    edges = [(1, j, weight) for j in range(2, n + 1)]
     return GraphSpec(n=n, edges=edges)
 
 
 def complete_graph(n, weight=1.0):
     n = _check_number("n", n, integer=True, low=2)
-    edges = [(i, j, float(weight))
+    edges = [(i, j, weight)
              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return GraphSpec(n=n, edges=edges)
 

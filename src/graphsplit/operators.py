@@ -115,10 +115,10 @@ class ProblemInstance:
 def prox_l1(v, t):
     """Componentwise soft-thresholding, the proximal map of t*||.||_1."""
     t = _check_number("t", t, low=0)   # inf too: every finite entry to 0
-    return _soft_threshold(np.asarray(v, dtype=float), t)
+    return _soft_threshold(t, np.asarray(v, dtype=float))
 
 
-def _soft_threshold(v, t):
+def _soft_threshold(t, v):   # t first, as a resolvent takes its step
     """prox_l1 unchecked, for any t >= 0 that broadcasts against v."""
     out = np.minimum(v, t)   # v - clip(v, -t, t)
     np.maximum(out, -t, out=out)
@@ -135,7 +135,7 @@ class _L1Prox:
     def __call__(self, step, v):   # the weight is checked: only the step
         if not step >= 0:
             raise ValueError(f"step = {step!r} is not a number >= 0")
-        return _soft_threshold(np.asarray(v, dtype=float), step * self.weight)
+        return _soft_threshold(step * self.weight, np.asarray(v, dtype=float))
 
 
 def l1_resolvent(weight, dim):
@@ -182,6 +182,15 @@ class _LeastSquares:
 
     def __call__(self, x):
         return self.A.T @ (self.A @ x - self.b)
+
+
+class _StackedLeastSquares(_LeastSquares):
+    """Several _LeastSquares maps as one, A and b zero-padded to (k, m, d)
+    and (k, m): row j of a call is map j at row j of x, or at x itself."""
+
+    def __call__(self, x):   # every A_j^T (A_j x - b_j) at once
+        r = (self.A @ x[..., None])[..., 0] - self.b
+        return (r[:, None] @ self.A)[:, 0]
 
 
 def least_squares_gradient(A, b):

@@ -143,7 +143,7 @@ class StepBounds:
         return 2.0 / self.tau if self.regime == "cocoercive" else 1.0 / self.tau
 
     def check_gamma(self, gamma):
-        if not 0 < gamma < self.gamma_max:
+        if not 0 < _check_number("gamma", gamma) < self.gamma_max:
             raise ValueError(
                 f"gamma = {gamma} outside (0, {self.gamma_max}) for the "
                 f"{self.regime} regime"

@@ -14,7 +14,8 @@ from typing import Any, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .linalg import BlockVector, kron_apply  # noqa: F401  (re-exported)
-from .operators import _L1Prox, _LeastSquares, _soft_threshold
+from .operators import _L1Prox, _LeastSquares, _StackedLeastSquares, \
+    _soft_threshold
 from .scheme import _check_number, check_explicit, compute_UW, compute_tau, \
     step_bounds, validate_standing, write_csv, write_json
 
@@ -142,13 +143,17 @@ class SolveReport:
 
 def _combo(coef):
     """A linear combination of stacked rows, by a row or a block of rows of
-    coefficients: the index i alone when a row picks row i with coefficient
-    exactly 1, so that row i passes as it is, else the first to last row
-    read (empty if none) and the coefficients over them."""
-    nz = np.flatnonzero(coef if coef.ndim == 1 else coef.any(axis=0))
+    coefficients: the rows picked, as they are (a slice when consecutive),
+    when each row picks one with coefficient exactly 1; else the first to
+    last row read (empty if none) and the coefficients over them."""
+    nz = coef != 0.0
+    if (nz.sum(axis=-1) == 1).all() and (coef[nz] == 1.0).all():
+        p = nz.argmax(axis=-1)   # the rows picked
+        run = p.ndim and p.size and (np.diff(p) == 1).all()
+        return slice(int(p[0]), int(p[-1]) + 1) if run else p, None
+    nz = np.flatnonzero(nz if nz.ndim == 1 else nz.any(axis=0))
     cols = slice(int(nz[0]), int(nz[-1]) + 1) if nz.size else slice(0, 0)
-    coef = coef[..., cols]
-    return (cols.start, None) if coef.tolist() == [1.0] else (cols, coef)
+    return cols, coef[..., cols]
 
 
 def _index(ids):   # a lone row's own (1-D), an even slice (a view), or array
@@ -164,22 +169,26 @@ def _one_map(maps):
     return getattr(L, "stacked_rows", False) and all(m is L for m in maps)
 
 
-def _thresholds(ops, steps):
-    """The l1 thresholds step * weight (a column, one a float), or None."""
-    if all(isinstance(getattr(op, "resolvent", None), _L1Prox) for op in ops):
+def _resolvents(ops, steps, at, rows):
+    """(index, call, step) entries for resolvents ``ops`` of steps ``steps``
+    on rows ``rows``: one soft-threshold of the rows ``at`` by the column
+    step * weight (a float for one row) if all are l1, else one per row."""
+    if ops and all(isinstance(getattr(op, "resolvent", None), _L1Prox)
+                   for op in ops):
         col = np.array([[t * op.resolvent.weight] for t, op in zip(steps, ops)])
-        return col.item() if col.size == 1 else col
+        return [(at, _soft_threshold, col.item() if col.size == 1 else col)]
+    return list(zip(rows, ops, steps))
 
 
 def _gradients(ops):
-    """Two or more least-squares gradients' A and b, zero-padded: see _level."""
+    """Two or more least-squares gradients as one _StackedLeastSquares."""
     maps = [getattr(op, "apply", None) for op in ops]
     if len(maps) > 1 and all(isinstance(f, _LeastSquares) for f in maps):
         k, m = len(maps), max(f.b.size for f in maps)
         A3, B2 = np.zeros((k, m, maps[0].A.shape[1])), np.zeros((k, m))
         for a, b, f in zip(A3, B2, maps):
             a[:f.b.size], b[:f.b.size] = f.A, f.b
-        return A3, B2
+        return _StackedLeastSquares(A3, B2)
 
 
 def _dual_rows(w, dims=None, name="w", pad=None):
@@ -205,7 +214,7 @@ def _dual_rows(w, dims=None, name="w", pad=None):
 
 
 _Level = NamedTuple("_Level", [(name, Any) for name in (   # see _level
-    "at", "rows", "new_C", "new_L", "thresholds", "grads", "sums")])
+    "images", "fills", "adjoints", "sums", "resolvents")])
 
 
 class EvalPlan:
@@ -213,22 +222,21 @@ class EvalPlan:
     for an explicit scheme (``check_explicit``) whose n, r and p are the
     problem's numbers of A_i, L_k and C_j; any other is refused.  The C(Rx),
     C(P^T x) and L^*(E L K x - w) images share one stack, in the order the
-    rows first need them.  ``args`` holds each operator's argument once,
-    from its whole row, indexed like the image kinds: R_j x, P_j^T x, (K x)_k.
-    Row i has its step gamma / delta_i, a mode, and coefficients: row i of N
-    over the x blocks and -gamma times row i of P - Q, Q and H over the
-    images, both divided by delta_i (as is M, in ``Md``); each argument and
-    sum is a ``_combo``.  A row that repeats the previous row's
-    coefficients wherever that row has a nonzero (the complete family, below
-    each pivot) has mode "run": it sums only its new coefficients, added to
-    the running sum that the previous row ("start" or "run") left.
-    A row joins the current ``_level`` if it reads no x block of it, through
-    N or its images' arguments (star: {0}, {1..n-1}).  (H^T x)_k is row
-    ``picks[k]`` of X (a slice when consecutive) when each column of H picks
-    one x_i with coefficient 1, else row k of ``Ht`` X; ``lone_K`` lists the
-    zero columns k of H, whose (K x)_k no row needed.  If ``_one_map``, the
-    dual tail is one L call and one soft-threshold by the B_k ``_thresholds``
-    ``soft``.  ``scheme`` and ``problem`` are the objects compiled from."""
+    rows first need them; each reads its argument, R_j x, P_j^T x or
+    (K x)_k, from its whole row.  Row i has its step gamma / delta_i, a
+    mode, and coefficients: row i of N over the x blocks and -gamma times
+    row i of P - Q, Q and H over the images, both divided by delta_i (as is
+    M, in ``Md``); each argument and sum is a ``_combo``.  A row that
+    repeats the previous row's coefficients wherever that row has a nonzero
+    (the complete family, below each pivot) has mode "run": it sums only its
+    new coefficients, added to the running sum that the previous row
+    ("start" or "run") left.  A row joins the current ``_level`` if it reads
+    no x block of it, through N or its images' arguments (star: {0},
+    {1..n-1}).  The dual tail is compiled like a level: ``Hx``, the rows
+    (H^T x)_k (a pick of X, or the whole H^T product); ``fills`` (L, out,
+    index, arg) for L_k (H^T x)_k, one for all k if ``_one_map``, and for
+    the (K x)_k of the zero columns of H, which no row needed; and the B_k
+    ``resolvents``.  ``scheme`` and ``problem`` are what it compiled."""
 
     def __init__(self, scheme, problem):
         s, gamma = scheme, scheme.gamma
@@ -262,9 +270,6 @@ class EvalPlan:
         # the padding of the shorter dual blocks; None when there is none
         self.pad = (np.arange(self.eta.shape[1]) >= np.c_[self.dims]
                     if len(set(self.dims)) > 1 else None)
-        # each operator's argument from its whole row, per image kind: the
-        # explicit pattern leaves no nonzero from the image's first row on
-        self.args = [[_combo(r) for r in a] for a in (s.R, s.P.T, s.K)]
         # row i's coefficients over the x blocks, then over the images
         coef = np.hstack([s.N / s.D_diag[:, None], G])
         prev = np.zeros(coef.shape[1])
@@ -282,49 +287,50 @@ class EvalPlan:
             rows.append([i, c, gamma / s.D_diag[i], "run" if run else None])
         self.levels = [self._level(rows[a:b], by_row[a:b], coef, s, problem)
                        for a, b in zip(starts, starts[1:] + [s.n])]
-        self.picks, self.Ht = s.H.argmax(axis=0), None
-        if not np.array_equal(s.H, np.eye(s.n)[:, self.picks]):
-            self.Ht = np.ascontiguousarray(s.H.T)
-        elif s.r and (np.diff(self.picks) == 1).all():   # a view, not a copy
-            self.picks = slice(int(self.picks[0]), int(self.picks[-1]) + 1)
-        self.lone_K = [k for k, f in enumerate(first_rows(s.H)) if f == s.n]
-        self.soft = (_thresholds([b.B for b in problem.BL_list], 1.0 / s.E_diag)
-                     if _one_map([b.L for b in problem.BL_list]) else None)
+        BL, (c, Ht) = problem.BL_list, _combo(s.H.T)
+        self.Hx = (0, c, None) if Ht is None else (   # bit for bit: the
+            0, slice(0, s.n), np.ascontiguousarray(s.H.T))   # whole H^T
+        self.fills = [(BL[k].L, 0, self.slices[k], (0, *_combo(s.K[k])))
+                      for k, f in enumerate(first_rows(s.H)) if f == s.n]
+        whole = [(b.L, 1, ..., (1, ..., None)) for b in BL[:1]]
+        self.fills += whole if _one_map([b.L for b in BL]) else [
+            (b.L, 1, sl, (1, sl[0], None)) for b, sl in zip(BL, self.slices)]
+        self.resolvents = _resolvents([b.B for b in BL], 1.0 / s.E_diag, ...,
+                                      self.slices)
         self.scheme, self.problem = scheme, problem
 
     def _level(self, rows, by_row, coef, s, problem):
         """The ``_Level`` of rows [i, coefficients, step, mode] and the images
-        they first need: C calls (t, j, arg), or ``grads``, one product (ts,
-        arg, A3, B2) on the A_j, b_j zero-padded to (k, m, d), (k, m); L groups
-        (L, ks, ts, eta, args), one if ``_one_map``: an L call per distinct
-        argument fills LKx, then S[ts] = L^*(eta LKx[ks] - w[ks]); sums (i,
-        combos, mode), of the block ``coef[at]``, or per row if one runs."""
-        BL, groups, at = problem.BL_list, [], _index([row[0] for row in rows])
-        new = [image for images in by_row for image in images]
-        new_C = [(t, j, self.args[kind][j]) for t, kind, j, _ in new
-                 if kind < 2]
+        they first need: ``images`` (ts, call, arg), a C call per image or
+        one ``_gradients`` call; ``fills`` (L, 0, index, arg), an L call per
+        distinct argument, and ``adjoints`` S[ts] = L^*(eta LKx[ks] - w[ks])
+        (L, ks, ts, eta), one group if ``_one_map``; ``sums`` (i, combos,
+        mode), of the block ``coef[at]``, or per row if one runs; and the
+        A_i ``_resolvents``."""
+        BL, (ids, _, steps, _) = problem.BL_list, zip(*rows)
+        at, new = _index(ids), [im for images in by_row for im in images]
+        new_C = [(t, j, a) for t, kind, j, a in new if kind < 2]
         grads = _gradients([problem.C_list[j] for _, j, _ in new_C])
-        if grads is not None:   # one argument if all are one (star: x_0)
-            R = np.array([a for _, kind, _, a in new if kind < 2])
-            grads, new_C = [(_index([t for t, *_ in new_C]), _combo(
-                R[0] if (R == R[0]).all() else R), *grads)], []
+        R = np.array([a for *_, a in new_C])   # one argument if all are one
+        images = [(_index([t for t, *_ in new_C]), grads, (0, *_combo(
+            R[0] if (R == R[0]).all() else R)))] if grads else [
+            (t, problem.C_list[j], (0, *_combo(a))) for t, j, a in new_C]
         new_L = [(t, j) for t, kind, j, _ in new if kind == 2]
-        one = _one_map([BL[k].L for _, k in new_L])
+        fills, adjoints, one = [], [], _one_map([BL[k].L for _, k in new_L])
         for group in [new_L] if one else [[im] for im in new_L]:
-            ts, ks = zip(*group)
+            (ts, ks), L = zip(*group), BL[group[0][1]].L
             cols, by_arg = slice(0, self.dims[ks[0]]), {}
             for k in ks:   # one L call per distinct row of K
                 by_arg.setdefault(s.K[k].tobytes(), []).append(k)
-            groups.append((BL[ks[0]].L, (_index(ks), cols), _index(ts),
-                           s.E_diag[_index(ks), None],
-                           [((_index(kk), cols), self.args[2][kk[0]])
-                            for kk in by_arg.values()]))
+            fills += [(L, 0, (_index(kk), cols), (0, *_combo(s.K[kk[0]])))
+                      for kk in by_arg.values()]
+            adjoints.append((L, (_index(ks), cols), _index(ts),
+                             s.E_diag[_index(ks), None]))
         sums = [(i, [(a, *_combo(b)) for a, b in enumerate(np.split(
             c, [s.n], axis=-1)) if b.any()], mode) for i, c, *_, mode in (
             rows if any(row[3] for row in rows) else [(at, coef[at], None)])]
-        return _Level(at, [(i, step) for i, _, step, _ in rows], new_C, groups,
-                      _thresholds([problem.A_list[row[0]] for row in rows],
-                                  [row[2] for row in rows]), grads or [], sums)
+        return _Level(images, fills, adjoints, sums, _resolvents(
+            [problem.A_list[i] for i in ids], steps, at, ids))
 
     def split(self, v):
         """The blocks of padded dual rows, as views."""
@@ -337,13 +343,12 @@ def eval_S(plan, z, w):
     resolvents for y.  Row i solves x_i = J_{(gamma/delta_i) A_i}(u_i) with
         u_i = (1/delta_i) [ (Mz)_i + (Nx)_i - gamma (Phi x)_i
               - gamma (H L^*(E L K x - w))_i ]
-    where Phi = (P - Q) C(Rx) + Q C(P^T x); the plan gives each row's images
-    and sums.  z and w come as BlockVectors or stacked (z as (m, d), w as one
-    row per dual block, zero-padded; a nonzero in the padding is refused).
-    Returns new arrays: X and U, the (n, d) arrays of the x_i and u_i, and
-    y, L_k (K x)_k and L_k (H^T x)_k as padded rows."""
-    s, pb = plan.scheme, plan.problem
-    A, C, BL, d = pb.A_list, pb.C_list, pb.BL_list, pb.d
+    where Phi = (P - Q) C(Rx) + Q C(P^T x); each stage runs the plan's
+    entries as they come.  z and w come as BlockVectors or stacked (z as
+    (m, d), w as one row per dual block, zero-padded; a nonzero in the
+    padding is refused).  Returns new arrays: X and U, the (n, d) arrays of
+    the x_i and u_i, and y, L_k (K x)_k and L_k (H^T x)_k as padded rows."""
+    s, d = plan.scheme, plan.problem.d
     dot = np.dot   # on one-row products much cheaper than @
     w = _dual_rows(w, plan.dims, pad=plan.pad)
     # row i of U is (D^{-1} M z)_i; the sums add in
@@ -351,55 +356,41 @@ def eval_S(plan, z, w):
     # every product below reads only rows and images already written
     X, S = np.empty((s.n, d)), np.empty((plan.n_images, d))
     LKx = np.zeros(w.shape)   # zero padded
-    stacks = (X, S)
+    stacks, outs = [X, S], [LKx, None]   # what an arg reads, a fill writes
     T = np.empty(d)   # the running sum of the "run" rows
 
-    def combo(a, c, coef):   # a _combo of the rows of a
-        return a[c] if coef is None else dot(coef, a[c])
+    def combo(a, c, coef):   # a _combo of the rows of stack a
+        return stacks[a][c] if coef is None else dot(coef, stacks[a][c])
 
-    for at, rows, new_C, new_L, thresholds, grads, sums in plan.levels:
-        for t, j, spec in new_C:
-            S[t] = C[j](combo(X, *spec))
-        for ts, arg, A3, B2 in grads:   # every A_j^T (A_j x - b_j) at once
-            r = (A3 @ combo(X, *arg)[..., None])[..., 0] - B2
-            S[ts] = (r[:, None] @ A3)[:, 0]
-        for L, ks, ts, eta, args in new_L:
-            for kk, spec in args:
-                LKx[kk] = L(combo(X, *spec))
+    for images, fills, adjoints, sums, resolvents in plan.levels:
+        for ts, call, arg in images:
+            S[ts] = call(combo(*arg))
+        for L, out, index, arg in fills:
+            outs[out][index] = L(combo(*arg))
+        for L, ks, ts, eta in adjoints:
             S[ts] = L.adjoint(eta * LKx[ks] - w[ks])
         for i, combos, mode in sums:   # all the rows at once, unless running
             u = U[i] if mode is None else T
             if mode == "start":
                 T.fill(0.0)
-            for a, c, coef in combos:
-                u += combo(stacks[a], c, coef)
+            for arg in combos:
+                u += combo(*arg)
             if mode is not None:
                 U[i] += T
-        if thresholds is None:
-            for i, step_i in rows:
-                X[i] = A[i](step_i, U[i])
-        else:   # prox_l1 of the level's rows at once
-            X[at] = _soft_threshold(U[at], thresholds)
+        for i, call, step in resolvents:
+            X[i] = call(step, U[i])
 
-    S = stacks = None   # the images are spent: free them before the tail
-    HX = X[plan.picks] if plan.Ht is None else plan.Ht @ X   # row k: (H^T x)_k
-    for k in plan.lone_K:
-        LKx[plan.slices[k]] = BL[k].L(combo(X, *plan.args[2][k]))
-    if plan.soft is not None:   # one L call for every k
-        LHx = BL[0].L(HX)
-    else:
-        LHx = np.zeros(w.shape)
-        for sl, hx, blk in zip(plan.slices, HX, BL):
-            LHx[sl] = blk.L(hx)
+    stacks[1] = S = None   # the images are spent: free them before the tail
+    stacks[1] = combo(*plan.Hx)   # row k: (H^T x)_k
+    outs[1] = LHx = np.zeros(w.shape)
+    for L, out, index, arg in plan.fills:
+        outs[out][index] = L(combo(*arg))
     # y holds the B arguments LKx - w / eta + LHx, then their resolvents
     y = np.multiply(w, plan.inv_eta)
     np.subtract(LKx, y, out=y)
     y += LHx
-    if plan.soft is not None:   # prox_l1 of every row, by its threshold
-        y = _soft_threshold(y, plan.soft)
-    else:
-        for sl, blk, eta in zip(plan.slices, BL, s.E_diag):
-            y[sl] = blk.B(1.0 / eta, y[sl])
+    for i, call, step in plan.resolvents:
+        y[i] = call(step, y[i])
     return X, y, U, LKx, LHx
 
 

@@ -122,6 +122,18 @@ class TestGraphSpec:
         assert complete_graph(4).subgraph_is_complete_unit
         assert not complete_graph(4, weight=2.0).subgraph_is_complete_unit
 
+    @pytest.mark.parametrize("weight", ["2", True], ids=["string", "bool"])
+    @pytest.mark.parametrize("graph", [path_graph, star_graph,
+                                       complete_graph])
+    def test_generator_weight_that_is_not_a_number_named(self, graph,
+                                                         weight):
+        # float() read "2" as 2.0 and True as 1.0 before the edge rule saw
+        # the weight; the rule refuses both, as it does in a graph file
+        named = re.escape(f"edge (1, 2, {weight!r}) holds a value that is "
+                          "not a number")
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            graph(3, weight=weight)
+
 
 class TestLaplacian:
     def test_path_two_nodes(self):

@@ -453,6 +453,18 @@ class TestStepBounds:
         with pytest.raises(ValueError):
             b.lambda_max(-0.1)
 
+    @pytest.mark.parametrize("gamma", ["0.5", True, None],
+                             ids=["string", "bool", "none"])
+    @pytest.mark.parametrize("method", ["check_gamma", "eta_max",
+                                        "lambda_max"])
+    def test_gamma_that_is_not_a_number_named(self, method, gamma):
+        # "0.5" raised a bare TypeError from the comparison, and True ran
+        # as gamma = 1 (lambda_max(True) returned 0.5)
+        b = step_bounds(1.0, [1.0], "cocoercive")
+        with pytest.raises(ValueError, match=re.escape(
+                f"gamma = {gamma!r} is not a number")):
+            getattr(b, method)(gamma)
+
     def test_lambda_max_decreases_with_gamma(self):
         b = step_bounds(1.5, [1.0], "cocoercive")
         gammas = np.linspace(0.1, 1.2, 8)

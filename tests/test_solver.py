@@ -1,6 +1,7 @@
 """Solution operator, displacement map, residual bookkeeping, and the full
 relaxed iteration."""
 
+import copy
 import csv
 import functools
 import json
@@ -27,6 +28,7 @@ from graphsplit.graphs import (GraphSpec, complete_graph, path_graph,
                                scheme_complete, scheme_from_graph,
                                scheme_ring, star_graph)
 from graphsplit.operators import (ResolventOp, SingleValuedOp,
+                                  _StackedLeastSquares,
                                   least_squares_gradient)
 from graphsplit.scheme import (CoefficientScheme, check_explicit, compute_tau,
                                compute_UW, step_bounds, validate_psd)
@@ -1164,9 +1166,19 @@ class TestAgainstLoopEvaluator:
                                        c_old["memberships"], rtol=tol)
 
 
+def _assert_same_combo(got, want):
+    """Two _combo results alike: the same rows read, the same coefficients."""
+    assert str(got[0]) == str(want[0])
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        np.testing.assert_array_equal(got[1], want[1])
+
+
 class TestArgumentTable:
-    """EvalPlan compiles each operator's argument once, from its whole row,
-    and the forward images and the tail's lone (K x)_k read that table."""
+    """EvalPlan compiles each operator's argument from its whole row, which
+    is the row before the image's first use: the forward images, the L_k
+    fills and the tail's lone (K x)_k each hold theirs."""
 
     DRAWS = 20   # per family
 
@@ -1179,50 +1191,54 @@ class TestArgumentTable:
                                       rng.uniform(0.2, 1.5))
             if draw % 2:
                 s = _perturbed(s, rng)
-            plan = solver_module.EvalPlan(s, random_problem_for(rng, s, 3))
-            firsts = []
+            pb = random_problem_for(rng, s, 3)
+            plan, firsts, want = solver_module.EvalPlan(s, pb), [], {}
             for kind, (coef, rows) in enumerate(
                     ((s.P - s.Q, s.R), (s.Q, s.P.T), (s.H, s.K))):
                 for j, (col, row) in enumerate(zip(coef.T, rows)):
                     nz = np.flatnonzero(col)
                     first = int(nz[0]) if nz.size else n
                     firsts.append((kind, j, first))
-                    c, coef_got = plan.args[kind][j]
-                    c_want, coef_want = solver_module._combo(row[:first])
-                    assert c == c_want, (draw, kind, j)
-                    if coef_want is None:
-                        assert coef_got is None, (draw, kind, j)
-                    else:
-                        np.testing.assert_array_equal(coef_got, coef_want)
-            # every image reads its table entry, and lone_K lists the rest;
-            # the plan orders the images by first row, then kind and index
+                    want[kind, j] = solver_module._combo(row[:first])
+            # the plan orders the images by first row, then kind and index;
+            # every image is computed once, and each reads its own row
             images = sorted((f, kind, j) for kind, j, f in firsts if f < n)
+            seen = []
             for lv in plan.levels:
-                assert all(spec is plan.args[0][j] or spec is plan.args[1][j]
-                           for _, j, spec in lv.new_C)
-                # a product of gradients reads its images' rows as one
-                for ts, (c, coef_got), _, _ in lv.grads:
-                    rows = np.array([(s.R, s.P.T)[kind][j] for _, kind, j in (
-                        images[t] for t in np.arange(len(images))[ts])])
+                for ts, call, (a, *arg) in lv.images:
+                    assert a == 0, (draw, ts)
+                    ts = np.atleast_1d(np.arange(len(images))[ts])
+                    seen += ts.tolist()
+                    if isinstance(call, SingleValuedOp):
+                        _, kind, j = images[ts[0]]
+                        assert call is pb.C_list[j], (draw, ts)
+                        _assert_same_combo(arg, want[kind, j])
+                        continue
+                    # a product of gradients reads its images' rows as one
+                    rows = np.array([(s.R, s.P.T)[kind][j]
+                                     for _, kind, j in map(images.__getitem__,
+                                                           ts)])
                     one = (rows == rows[0]).all()
-                    c_want, coef_want = solver_module._combo(
-                        rows[0] if one else rows)
-                    assert c == c_want, (draw, ts)
-                    if coef_want is None:
-                        assert coef_got is None, (draw, ts)
-                    else:
-                        np.testing.assert_array_equal(coef_got, coef_want)
-                # an argument that several L_k share is the first one's
-                for *_, L_args in lv.new_L:
-                    for (kk, _), spec in L_args:
-                        ks = np.atleast_1d(np.arange(s.r)[kk])
-                        assert spec is plan.args[2][ks[0]]
-                        for k in ks:
-                            assert plan.args[2][k][0] == spec[0]
-                            np.testing.assert_array_equal(
-                                plan.args[2][k][1], spec[1])
-            assert plan.lone_K == [j for kind, j, f in firsts
-                                   if kind == 2 and f == n]
+                    _assert_same_combo(arg, solver_module._combo(
+                        rows[0] if one else rows))
+                # an argument that several L_k share is the first one's,
+                # and each of them has that argument
+                for _, out, (kk, _), (a, *arg) in lv.fills:
+                    assert (out, a) == (0, 0)
+                    for k in np.atleast_1d(np.arange(s.r)[kk]):
+                        _assert_same_combo(arg, want[2, k])
+                seen += [t for _, _, ts, _ in lv.adjoints
+                         for t in np.atleast_1d(np.arange(len(images))[ts])]
+            assert sorted(seen) == list(range(len(images))), draw
+            # the tail forms the (K x)_k of the zero columns of H, and only
+            # those, from the whole row of K
+            lone = [(index[0], arg) for _, out, index, arg in plan.fills
+                    if out == 0]
+            assert [k for k, _ in lone] == [j for kind, j, f in firsts
+                                             if kind == 2 and f == n]
+            for k, (a, *arg) in lone:
+                assert a == 0
+                _assert_same_combo(arg, want[2, k])
 
 
 def _gamma_error(s, rng, d):
@@ -1241,10 +1257,8 @@ def _modes(s, d=3):
     plan = solver_module.EvalPlan(
         s, random_problem_for(np.random.default_rng(0), s, d))
     # a level sums its rows as one block (mode None) unless one runs
-    return [mode for lv in plan.levels for mode in (
-        [mode for *_, mode in lv.sums] if len(lv.sums) == len(lv.rows)
-        else [None] * len(lv.rows))], \
-        plan.Ht is not None
+    return [mode for lv in plan.levels for i, _, mode in lv.sums
+            for _ in np.atleast_1d(np.arange(s.n)[i])], plan.Hx[2] is not None
 
 
 class TestRunningSums:
@@ -1318,11 +1332,22 @@ def _per_k_dual_tail(s, BL, X, w, LKx):
 
 
 def _looped(pb):
-    """pb with each B_k's resolvent replaced by the same function, which
-    keeps the dual tail a loop over k."""
+    """pb with each B_k's resolvent replaced by the same function and each
+    L_k by a copy of its own, which keeps the dual tail a loop over k."""
     BL = [ComposedBlock(B=ResolventOp(blk.B.dim, blk.B.resolvent.__call__),
-                        L=blk.L) for blk in pb.BL_list]
+                        L=copy.copy(blk.L)) for blk in pb.BL_list]
     return replace(pb, BL_list=BL)
+
+
+def _one_L(plan):
+    """Whether the tail forms every L_k (H^T x)_k by one L call."""
+    return [index for _, out, index, _ in plan.fills if out == 1] == [...]
+
+
+def _one_soft(plan):
+    """Whether the tail takes every B_k resolvent by one soft-threshold."""
+    return [call for _, call, _ in plan.resolvents] == [
+        solver_module._soft_threshold]
 
 
 def _l1_difference_problem(rng, s, d):
@@ -1381,19 +1406,27 @@ def _assert_same_solve(s, pb, other, lam_max, rtol=0.0):
 
 
 class TestWholeArrayDualTail:
-    """One L call and one soft-threshold for every dual block, when the L_k
-    are one difference map and the B_k l1 resolvents, whatever H is."""
+    """One L call for every dual block when the L_k are one difference map,
+    and one soft-threshold when the B_k are l1 resolvents, each decided
+    apart from the other, whatever H is."""
 
-    @pytest.mark.parametrize("family", ["sequential", "star", "complete"])
+    @pytest.mark.parametrize("family", ["sequential", "star", "complete",
+                                        "complete_agents"])
     def test_bit_identical_to_the_loop_over_k(self, family):
-        inst = desk_instance(0)
+        # agents: 21 nodes at d = 100, where an H^T product trimmed to its
+        # span, or not contiguous, rounds LHx differently
+        family, _, size = family.partition("_")
+        inst = (gen_instance(0, n=20, m=400, d=100, mu=15.0, nu=5.0)
+                if size == "agents" else desk_instance(0))
         pb = to_problem(inst)
         s, _, lam_max = build_family_scheme(family, inst, 0.5, 0.1)
         plan, looped = solver_module.EvalPlan(s, pb), _looped(pb)
         plan_k = solver_module.EvalPlan(s, looped)
-        assert plan.soft is not None and plan_k.soft is None
+        assert _one_L(plan) and _one_soft(plan)
+        assert not _one_L(plan_k) and not _one_soft(plan_k)
         rng = np.random.default_rng(5)
-        for scale in (0.1, 1.0, 10.0):
+        # the agents instance thresholds more: below scale 1 y is all zero
+        for scale in (1.0, 10.0) if size == "agents" else (0.1, 1.0, 10.0):
             z = scale * rng.standard_normal((s.m, pb.d))
             w = scale * rng.standard_normal((s.r, pb.d - 1))
             X, y, U, LKx, LHx = eval_S(plan, z, w)
@@ -1412,9 +1445,9 @@ class TestWholeArrayDualTail:
         s = _H_pattern(scheme_sequential(5, gamma=0.6, eta=0.4), case)
         pb = _l1_difference_problem(rng, s, 9)
         looped = _looped(pb)
-        plan = solver_module.EvalPlan(s, pb)
-        assert plan.soft is not None and plan.Ht is not None
-        assert solver_module.EvalPlan(s, looped).soft is None
+        plan, plan_k = EvalPlan(s, pb), EvalPlan(s, looped)
+        assert _one_L(plan) and _one_soft(plan) and plan.Hx[2] is not None
+        assert not _one_L(plan_k) and not _one_soft(plan_k)
         lone = ~s.H.any(axis=0)   # rows of LKx that the tail forms
         for scale in (0.01, 0.1, 1.0):
             z = scale * rng.standard_normal((s.m, pb.d))
@@ -1427,8 +1460,37 @@ class TestWholeArrayDualTail:
             np.testing.assert_array_equal(y, y_old)
             np.testing.assert_array_equal(LHx, LHx_old)
             np.testing.assert_array_equal(LKx, LKx_old)
-            for a, b in zip((X, y, U, LKx, LHx),
-                            eval_S(EvalPlan(s, looped), z, w)):
+            for a, b in zip((X, y, U, LKx, LHx), eval_S(plan_k, z, w)):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("case", ["one_map_affine_B",
+                                      "distinct_maps_l1_B"])
+    def test_L_and_B_batched_apart_match_the_loop_over_k(self, case):
+        # one difference map with affine B_k: one L call, a B_k call per k;
+        # a difference map per k with l1 B_k: an L call per k, one
+        # soft-threshold
+        rng = np.random.default_rng(13)
+        s = scheme_complete(5, gamma=0.6, eta=0.4)
+        pb = _l1_difference_problem(rng, s, 9)
+        one = case == "one_map_affine_B"
+        pb = replace(pb, BL_list=[ComposedBlock(
+            B=monotone_affine(rng, 8) if one else blk.B,
+            L=blk.L if one else difference_matrix(9)) for blk in pb.BL_list])
+        plan, looped = EvalPlan(s, pb), _looped(pb)
+        plan_k = EvalPlan(s, looped)
+        assert (_one_L(plan), _one_soft(plan)) == (one, not one)
+        assert (len(plan.fills), len(plan.resolvents)) == (
+            (1, s.r) if one else (s.r, 1))
+        assert not _one_L(plan_k) and not _one_soft(plan_k)
+        for scale in (0.1, 1.0, 10.0):
+            z = scale * rng.standard_normal((s.m, pb.d))
+            w = scale * rng.standard_normal((s.r, pb.d - 1))
+            X, y, U, LKx, LHx = eval_S(plan, z, w)
+            y_old, LHx_old = _per_k_dual_tail(s, looped.BL_list, X, w,
+                                              LKx.copy())
+            np.testing.assert_array_equal(y, y_old)
+            np.testing.assert_array_equal(LHx, LHx_old)
+            for a, b in zip((X, y, U, LKx, LHx), eval_S(plan_k, z, w)):
                 np.testing.assert_array_equal(a, b)
 
     @staticmethod
@@ -1457,7 +1519,8 @@ class TestWholeArrayDualTail:
                 H[how[0], k] = how[1]
         s = s.replace(H=H)
         pb = _l1_difference_problem(rng, s, d)
-        assert solver_module.EvalPlan(s, pb).soft is not None
+        plan = solver_module.EvalPlan(s, pb)
+        assert _one_L(plan) and _one_soft(plan)
         z = BlockVector([rng.standard_normal(d) for _ in range(s.m)])
         w = BlockVector([rng.standard_normal(d - 1) for _ in range(s.r)])
         new = eval_Gamma(s, pb, z, w)
@@ -1526,9 +1589,13 @@ class TestWholeArrayDualTail:
                 blk = pb.BL_list[1]
                 pb.BL_list[1] = ComposedBlock(B=monotone_affine(rng, 6),
                                               L=blk.L)
-        # a zero column of H leaves the two facts standing: whole-array
-        whole = solver_module.EvalPlan(s, pb).soft is not None
-        assert whole == (case == "zero_H_column")
+        # each fact decides its own half of the tail; a zero column of H
+        # leaves both standing
+        plan = solver_module.EvalPlan(s, pb)
+        assert (_one_L(plan), _one_soft(plan)) == {
+            "distinct_maps": (False, True), "affine_B": (True, False),
+            "mixed_out_dims": (False, False),
+            "zero_H_column": (True, True)}[case]
         for _ in range(10):
             z = BlockVector([rng.standard_normal(pb.d) for _ in range(s.m)])
             w = BlockVector([rng.standard_normal(blk.L.out_dim)
@@ -1548,14 +1615,14 @@ class TestWholeArrayDualTail:
         w = rng.standard_normal((s.r, pb.d - 1))
         y_before = eval_S(EvalPlan(s, pb), z, w)[1]
         B.resolvent = lambda step, v: heavier(step, v)   # after construction
-        assert solver_module.EvalPlan(s, pb).soft is None
+        assert not _one_soft(solver_module.EvalPlan(s, pb))
         y = eval_S(EvalPlan(s, pb), z, w)[1]
         assert not np.array_equal(y[1], y_before[1])
         np.testing.assert_array_equal(np.delete(y, 1, 0),
                                       np.delete(y_before, 1, 0))
         pb.BL_list[1] = ComposedBlock(
             B=replace(B, resolvent=heavier.resolvent), L=L)
-        assert solver_module.EvalPlan(s, pb).soft is not None
+        assert _one_soft(solver_module.EvalPlan(s, pb))
         np.testing.assert_array_equal(eval_S(EvalPlan(s, pb), z, w)[1], y)
 
     @pytest.mark.parametrize("family", sorted(DIFF_FAMILIES))
@@ -1571,8 +1638,8 @@ class TestWholeArrayDualTail:
             if draw % 2:
                 s = _perturbed(s, rng)
             pb = _l1_difference_problem(rng, s, d)
-            kinds.add(solver_module.EvalPlan(s, pb).soft is not None
-                      or s.r == 0)
+            plan = solver_module.EvalPlan(s, pb)
+            kinds.add(_one_L(plan) and _one_soft(plan) or s.r == 0)
             z = BlockVector([rng.standard_normal(d) for _ in range(s.m)])
             w = BlockVector([rng.standard_normal(d - 1) for _ in range(s.r)])
             new = eval_Gamma(s, pb, z, w)
@@ -1615,8 +1682,15 @@ def _weighted_star(rng, n):
     return scheme_from_graph(g, gamma=0.6, eta=0.4)
 
 
-def _level_rows(plan):
-    return [[row[0] for row in lv.rows] for lv in plan.levels]
+def _level_rows(plan):   # the rows each level's resolvents write
+    rows = np.arange(plan.scheme.n)
+    return [[int(i) for index, *_ in lv.resolvents
+             for i in np.atleast_1d(rows[index])] for lv in plan.levels]
+
+
+def _stacked_gradients(lv):   # a level's one product of its gradients
+    return [call for _, call, _ in lv.images
+            if isinstance(call, _StackedLeastSquares)]
 
 
 # eval_S of a level whose gradients or sums are one product against one
@@ -1651,7 +1725,8 @@ class TestLevels:
         assert _level_rows(plan) == [[i] for i in range(s.n)]
         # a lone row: its own index, at most one C call, its own sums
         for i, lv in enumerate(plan.levels):
-            assert lv.at == i and lv.grads == [] and len(lv.new_C) <= 1
+            assert [index for index, *_ in lv.resolvents] == [i]
+            assert _stacked_gradients(lv) == [] and len(lv.images) <= 1
             assert all(coef is None or coef.ndim == 1
                        for _, combos, _ in lv.sums for *_, coef in combos)
 
@@ -1678,21 +1753,24 @@ class TestLevels:
         pb = _l1_star_problem(rng, s, 9)
         plan, rows = EvalPlan(s, pb), EvalPlan(s, _per_row(pb))
         lv = plan.levels[1]
-        assert lv.at == slice(1, n, 1) and lv.thresholds.shape == (n - 1, 1)
-        [(_, ks, ts, eta, args)] = lv.new_L   # one L call, one L^* call
-        assert len(args) == 1 and eta.shape == (n - 1, 1)
+        [(at, call, thresholds)] = lv.resolvents   # one soft-threshold
+        assert at == slice(1, n, 1) and thresholds.shape == (n - 1, 1)
+        assert call is solver_module._soft_threshold
+        [_] = lv.fills   # one L call, one L^* call
+        [(_, ks, ts, eta)] = lv.adjoints
+        assert eta.shape == (n - 1, 1)
         # one product for the gradients, at the one argument x_0
-        [(ts, arg, A3, B2)] = lv.grads
-        assert lv.new_C == [] and arg == (0, None)   # x_0, as it is
-        assert A3.shape == (n - 1, 11, 9) and B2.shape == (n - 1, 11)
+        [(ts, call, arg)] = lv.images
+        assert arg == (0, 0, None)   # x_0, as it is
+        assert call.A.shape == (n - 1, 11, 9) and call.b.shape == (n - 1, 11)
         # one product per stack: x_0 and the images, for all n - 1 rows
-        [(at, combos, mode)] = lv.sums
-        assert at == lv.at and mode is None
+        [(at_sums, combos, mode)] = lv.sums
+        assert at_sums == at and mode is None
         assert [(a, coef.shape[0]) for a, _, coef in combos] == [
             (0, n - 1), (1, n - 1)]
         lv = rows.levels[1]
-        assert lv.thresholds is None and len(lv.new_L) == n - 1
-        assert lv.grads == [] and len(lv.new_C) == n - 1
+        assert len(lv.resolvents) == len(lv.fills) == len(lv.adjoints) == n - 1
+        assert _stacked_gradients(lv) == [] and len(lv.images) == n - 1
         self._same_S(plan, rows, rng, s, pb.d, BATCHED_RTOL)
 
     def test_desk_star_solve_matches_per_row_path(self):
@@ -1701,7 +1779,7 @@ class TestLevels:
         s, _, lam_max = build_family_scheme("star", inst, 0.5, 0.1)
         rows = _per_row(pb)
         lv = EvalPlan(s, pb).levels[1]
-        assert lv.thresholds is not None and len(lv.grads) == 1
+        assert len(lv.resolvents) == 1 and len(_stacked_gradients(lv)) == 1
         self._same_S(EvalPlan(s, pb), EvalPlan(s, rows),
                      np.random.default_rng(3), s, pb.d, BATCHED_RTOL)
         _assert_same_solve(s, pb, rows, lam_max, BATCHED_RTOL)
@@ -1712,8 +1790,8 @@ class TestLevels:
         pb = _l1_star_problem(rng, s, 8)
         pb.A_list[2] = monotone_affine(rng, 8)   # among l1 resolvents
         plan = EvalPlan(s, pb)
-        assert plan.levels[1].thresholds is None
-        assert len(plan.levels[1].new_L) == 1
+        assert len(plan.levels[1].resolvents) == 4
+        assert len(plan.levels[1].adjoints) == 1
         self._same_S(plan, EvalPlan(s, _per_row(pb)), rng, s, pb.d,
                      BATCHED_RTOL)
 
@@ -1726,7 +1804,8 @@ class TestLevels:
             for blk in pb.BL_list])
         plan = EvalPlan(s, own)
         lv = plan.levels[1]
-        assert len(lv.new_L) == 4 and lv.thresholds is not None
+        assert len(lv.fills) == len(lv.adjoints) == 4
+        assert len(lv.resolvents) == 1
         self._same_S(plan, EvalPlan(s, pb), rng, s, pb.d)
         self._same_S(plan, EvalPlan(s, _per_row(pb)), rng, s, pb.d,
                      BATCHED_RTOL)
@@ -1741,10 +1820,11 @@ class TestLevels:
         s = s.replace(K=K)
         pb = _l1_star_problem(rng, s, 8)
         plan = EvalPlan(s, pb)
-        [(_, ks, _, _, args)] = plan.levels[1].new_L
-        assert ks[0] == slice(0, 4, 1) and len(args) == 2
-        np.testing.assert_array_equal(args[0][0][0], [0, 1, 3])
-        assert args[1][0][0] == 2
+        [(_, ks, _, _)] = plan.levels[1].adjoints
+        fills = plan.levels[1].fills
+        assert ks[0] == slice(0, 4, 1) and len(fills) == 2
+        np.testing.assert_array_equal(fills[0][2][0], [0, 1, 3])
+        assert fills[1][2][0] == 2
         self._same_S(plan, EvalPlan(s, _per_row(pb)), rng, s, pb.d,
                      BATCHED_RTOL)
 
@@ -1756,7 +1836,8 @@ class TestLevels:
         rows[-1] = 15   # fewer and more rows than d
         pb = _l1_star_problem(rng, s, 9, rows)
         plan = EvalPlan(s, pb)
-        [(_, _, A3, B2)] = plan.levels[1].grads
+        [call] = _stacked_gradients(plan.levels[1])
+        A3, B2 = call.A, call.b
         assert A3.shape == (n - 1, 15, 9) and B2.shape == (n - 1, 15)
         for a, b, m, C in zip(A3, B2, rows, pb.C_list):
             np.testing.assert_array_equal(a[:m], C.apply.A)
@@ -1775,7 +1856,7 @@ class TestLevels:
         s = s.replace(R=R)
         pb = _l1_star_problem(rng, s, 8, [3, 9, 5, 7])
         plan = EvalPlan(s, pb)
-        [(_, (cols, coef), _, _)] = plan.levels[1].grads
+        [(_, _, (_, cols, coef))] = plan.levels[1].images
         assert cols == slice(0, 1)   # (1, 1, 0.5, 1) times x_0
         np.testing.assert_array_equal(coef, [[1.0], [1.0], [0.5], [1.0]])
         self._same_S(plan, EvalPlan(s, _per_row(pb)), rng, s, pb.d,
@@ -1792,7 +1873,7 @@ class TestLevels:
                                       lipschitz=2.0, cocoercive=True)
         plan = EvalPlan(s, pb)
         lv = plan.levels[1]
-        assert lv.grads == [] and [j for _, j, _ in lv.new_C] == [0, 1, 2, 3]
+        assert [call for _, call, _ in lv.images] == pb.C_list   # in order
         self._same_S(plan, EvalPlan(s, _per_row(pb)), rng, s, pb.d)
 
     def test_lone_gradient_keeps_the_plain_call(self):
@@ -1803,7 +1884,7 @@ class TestLevels:
         plan = EvalPlan(s, pb)
         lv = plan.levels[1]
         assert _level_rows(plan) == [[0], [1]]
-        assert lv.grads == [] and [j for _, j, _ in lv.new_C] == [0]
+        assert [call for _, call, _ in lv.images] == pb.C_list
         self._same_S(plan, EvalPlan(s, _per_row(pb)), rng, s, pb.d)
 
     @settings(max_examples=40, deadline=None, derandomize=True,
@@ -1816,7 +1897,8 @@ class TestLevels:
         s = _weighted_star(rng, n)
         pb = _l1_star_problem(rng, s, d, rows[:s.p])
         plan, other = EvalPlan(s, pb), EvalPlan(s, _per_row(pb))
-        assert plan.levels[1].grads[0][2].shape == (n - 1, max(rows[:s.p]), d)
+        [call] = _stacked_gradients(plan.levels[1])
+        assert call.A.shape == (n - 1, max(rows[:s.p]), d)
         for scale in (0.1, 10.0):
             z = scale * rng.standard_normal((s.m, d))
             w = scale * rng.standard_normal((s.r, d - 1))
