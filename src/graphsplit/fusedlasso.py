@@ -9,7 +9,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import List
 
 import numpy as np
@@ -64,11 +64,24 @@ class DifferenceMap:
     __call__ = apply
     stacked_rows = True   # so an EvalPlan may apply it to stacked rows
 
+    def tape(self, x, out, scratch=None):
+        """The call that writes apply(x) into out, bound once."""
+        return [partial(np.subtract, x[..., 1:], x[..., :-1], out=out)]
+
     def adjoint(self, y):
         out = np.empty(y.shape[:-1] + (y.shape[-1] + 1,))
         np.subtract(y[..., :-1], y[..., 1:], out=out[..., 1:-1])
         out.T[0], out.T[-1] = -y.T[0], y.T[-1]   # cheaper than out[..., 0]
         return out
+
+    def adjoint_tape(self, y, out, scratch=None):
+        """The calls that write adjoint(y) into out, bound once."""
+        return [partial(np.subtract, y[..., :-1], y[..., 1:],
+                        out=out[..., 1:-1]),
+                # times -1, exact: numpy 2.4.6's negative misreads a
+                # strided column into a strided output
+                partial(np.multiply, y[..., 0], -1.0, out=out[..., 0]),
+                partial(np.copyto, out[..., -1], y[..., -1])]
 
     def norm(self):
         """The spectral norm, sqrt(2 - 2 cos((d-1) pi / d))."""

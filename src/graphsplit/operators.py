@@ -1,10 +1,16 @@
 """Operator bundles: resolvent-callable set-valued operators, single-valued
 operators with Lipschitz metadata, and the proximal toolbox used by the
-fused-lasso benchmark."""
+fused-lasso benchmark.
+
+An operator is called on views of buffers that an EvalPlan reuses on every
+evaluation: it must not keep a reference to its argument, nor return one
+that it keeps.  The built-in kinds also give their arithmetic as a ``tape``
+of numpy calls bound once to their argument and output (see EvalPlan)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List
 
 import numpy as np
@@ -125,6 +131,13 @@ def _soft_threshold(t, v):   # t first, as a resolvent takes its step
     return np.subtract(v, out, out=out)
 
 
+def _soft_threshold_tape(t, v, out):
+    """The calls that write _soft_threshold(t, v) into out, bound once."""
+    return [partial(np.minimum, v, t, out=out),
+            partial(np.maximum, out, -t, out=out),
+            partial(np.subtract, v, out, out=out)]
+
+
 class _L1Prox:
     """l1_resolvent's resolvent, computed from ``weight``.  An EvalPlan reads
     the weight to threshold a level's A_i, or the B_k, in one call."""
@@ -183,6 +196,14 @@ class _LeastSquares:
     def __call__(self, x):
         return self.A.T @ (self.A @ x - self.b)
 
+    def tape(self, x, out, scratch):
+        """The calls that write self(x) into out, bound once; the residual
+        A x - b goes to ``scratch(shape)``."""
+        r = scratch(self.b.shape)
+        return [partial(np.matmul, self.A, x, out=r),
+                partial(np.subtract, r, self.b, out=r),
+                partial(np.matmul, self.A.T, r, out=out)]
+
 
 class _StackedLeastSquares(_LeastSquares):
     """Several _LeastSquares maps as one, A and b zero-padded to (k, m, d)
@@ -191,6 +212,13 @@ class _StackedLeastSquares(_LeastSquares):
     def __call__(self, x):   # every A_j^T (A_j x - b_j) at once
         r = (self.A @ x[..., None])[..., 0] - self.b
         return (r[:, None] @ self.A)[:, 0]
+
+    def tape(self, x, out, scratch):
+        r = scratch(self.b.shape + (1,))   # the products as __call__ has them
+        return [partial(np.matmul, self.A, x[..., None], out=r),
+                partial(np.subtract, r[..., 0], self.b, out=r[..., 0]),
+                partial(np.matmul, r[..., 0][:, None], self.A,
+                        out=out[:, None])]
 
 
 def least_squares_gradient(A, b):

@@ -1,21 +1,29 @@
 """Relaxed fixed-point solver: the solution operator S, the displacement
 map Gamma, residual tracking in the scaled product norm, and solution
 certification.  The public functions take and return BlockVectors; inside,
-and in the kernel eval_S that they share, primal blocks are the rows of one
-array, and dual blocks the rows of another, each zero-padded to the longest."""
+primal blocks are the rows of one array, and dual blocks the rows of
+another, each zero-padded to the longest.
+
+An EvalPlan compiles one scheme on one problem, once, into a tape of numpy
+calls bound to buffers that the plan owns, and evaluates one point at a
+time.  The kernel eval_S runs the tape; eval_Gamma, certify_solution and
+solve share it.  A caller's (z, w) is copied into the plan's inputs and the
+outputs are copied out, so what a public function returns is the caller's
+own; solve keeps its iterate in the plan's inputs and updates it in place."""
 
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .linalg import BlockVector, kron_apply  # noqa: F401  (re-exported)
-from .operators import _L1Prox, _LeastSquares, _StackedLeastSquares, \
-    _soft_threshold
+from .operators import SingleValuedOp, _L1Prox, _LeastSquares, \
+    _StackedLeastSquares, _soft_threshold, _soft_threshold_tape
 from .scheme import _check_number, check_explicit, compute_UW, compute_tau, \
     step_bounds, validate_standing, write_csv, write_json
 
@@ -69,6 +77,14 @@ class IterateState:
     y: Optional[BlockVector] = None
 
 
+def _star_inner(gamma, E_diag, Z1, W1, Z2, W2):
+    """<Z1, Z2> + gamma <E^{-1} W1, W2> of stacked and padded rows."""
+    # a batch of one row product per dual block, then weighted by 1/eta
+    rows = W1[:, None] @ W2[:, :, None]
+    inv_eta = 1.0 / np.asarray(E_diag, dtype=float)
+    return float(np.vdot(Z1, Z2)) + gamma * float(rows.ravel() @ inv_eta)
+
+
 @dataclass
 class StarNormContext:
     """The scaled product norm ||(z, w)||^2 = ||z||^2 + gamma <E^{-1}w, w>.
@@ -91,11 +107,7 @@ class StarNormContext:
         if W1.shape != W2.shape or len(W1) != np.size(self.E_diag):
             raise ValueError(f"w1 and w2 have shapes {W1.shape} and {W2.shape}"
                              f", not one with a row per entry of E_diag")
-        # a batch of one row product per dual block, then weighted by 1/eta
-        rows = W1[:, None] @ W2[:, :, None]
-        inv_eta = 1.0 / np.asarray(self.E_diag, dtype=float)
-        return (float(np.vdot(Z1, Z2))
-                + self.gamma * float(rows.ravel() @ inv_eta))
+        return _star_inner(self.gamma, self.E_diag, Z1, W1, Z2, W2)
 
     def norm(self, z, w):
         return float(np.sqrt(max(self.inner(z, w, z, w), 0.0)))
@@ -236,7 +248,11 @@ class EvalPlan:
     (H^T x)_k (a pick of X, or the whole H^T product); ``fills`` (L, out,
     index, arg) for L_k (H^T x)_k, one for all k if ``_one_map``, and for
     the (K x)_k of the zero columns of H, which no row needed; and the B_k
-    ``resolvents``.  ``scheme`` and ``problem`` are what it compiled."""
+    ``resolvents``.  From these entries the plan compiles its ``tape``
+    (``_compile``) over buffers that it owns: the inputs ``z`` and ``w``;
+    ``U``, ``X``, ``LKx``, ``LHx`` and ``y``, which eval_S returns;
+    eval_Gamma's ``gz`` and ``gw``; and the images and scratch, which only
+    the tape reads.  ``scheme`` and ``problem`` are what it compiled."""
 
     def __init__(self, scheme, problem):
         s, gamma = scheme, scheme.gamma
@@ -297,7 +313,98 @@ class EvalPlan:
             (b.L, 1, sl, (1, sl[0], None)) for b, sl in zip(BL, self.slices)]
         self.resolvents = _resolvents([b.B for b in BL], 1.0 / s.E_diag, ...,
                                       self.slices)
+        self.tape = self._compile(s, problem.d)
         self.scheme, self.problem = scheme, problem
+
+    def _compile(self, s, d):
+        """The ``tape``: zero-argument calls that evaluate S at ``z`` and
+        ``w`` when run in order.  Each is a numpy call bound to the plan's
+        buffers, or the generic entry ``_put`` for an operator that gives
+        no ``tape`` of its own or a destination picked by an index array.
+        Every entry writes all of its destination, and the padding of the
+        dual rows is zeroed here once, so no buffer is cleared per call."""
+        shape = self.eta.shape
+        self.z, self.w = np.zeros((s.m, d)), np.zeros(shape)
+        self.U, self.X, self.gz = (np.empty((n, d)) for n in (s.n, s.n, s.m))
+        self.LKx, self.LHx, self.y, self.gw = (np.zeros(shape)
+                                               for _ in range(4))
+        X, W, LKx, y = self.X, self.w, self.LKx, self.y
+        S, T = np.empty((self.n_images, d)), np.empty(d)
+        tape, pool = [partial(np.matmul, self.Md, self.z, out=self.U)], {}
+
+        def scratch(shape, slot="arg"):   # shared by the entries of a slot,
+            # each of which spends it before the next one writes it
+            if (slot, shape) not in pool:
+                pool[slot, shape] = np.empty(shape)
+            return pool[slot, shape]
+
+        def read(a, index, slot="arg"):   # a[index], a view unless picked
+            rows, cols = index if isinstance(index, tuple) else (
+                index, slice(None))
+            if not isinstance(rows, np.ndarray):
+                return a[rows, cols]
+            out = scratch((len(rows),) + a.shape[1:], slot)
+            tape.append(partial(np.take, a, rows, axis=0, out=out))
+            return out[:, cols]
+
+        def combo(stacks, a, c, coef, slot="arg"):   # a _combo of stack a
+            if coef is None:
+                return read(stacks[a], c, slot)
+            out = scratch(coef.shape[:-1] + (d,), slot)
+            tape.append(partial(np.dot, coef, stacks[a][c], out=out))
+            return out
+
+        def apply(dst, index, f, arg, bound):   # dst[index] = f(arg)
+            rows = index[0] if isinstance(index, tuple) else index
+            if bound is None or isinstance(rows, np.ndarray):
+                tape.append(partial(_put, dst, index, f, arg))
+            else:
+                tape.extend(bound(arg, dst[index],
+                                  partial(scratch, slot="tmp")))
+
+        def resolve(dst, src, resolvents):   # dst[i] = call(step, src[i])
+            for i, call, step in resolvents:
+                if call is _soft_threshold:
+                    tape.extend(_soft_threshold_tape(step, src[i], dst[i]))
+                else:
+                    tape.append(partial(_put, dst, i, call, step, src[i]))
+
+        for images, fills, adjoints, sums, resolvents in self.levels:
+            for ts, call, arg in images:
+                f = call.apply if isinstance(call, SingleValuedOp) else call
+                apply(S, ts, call, combo((X, S), *arg),
+                      getattr(f, "tape", None))
+            for L, _, index, arg in fills:
+                apply(LKx, index, L, combo((X, S), *arg),
+                      getattr(L, "tape", None))
+            for L, ks, ts, eta in adjoints:   # eta LKx[ks] - w[ks]
+                lk, wk = read(LKx, ks, "lk"), read(W, ks, "wk")
+                arg = scratch(lk.shape)
+                tape += [partial(np.multiply, eta, lk, out=arg),
+                         partial(np.subtract, arg, wk, out=arg)]
+                apply(S, ts, L.adjoint, arg, getattr(L, "adjoint_tape", None))
+            for i, combos, mode in sums:   # all the rows at once, or a run
+                u = self.U[i] if mode is None else T
+                if mode == "start":
+                    tape.append(partial(T.fill, 0.0))
+                for arg in combos:
+                    tape.append(partial(np.add, u, combo((X, S), *arg), out=u))
+                if mode is not None:
+                    tape.append(partial(np.add, self.U[i], T, out=self.U[i]))
+            resolve(X, self.U, resolvents)
+
+        # the images are spent: the rows (H^T x)_k take their place
+        stacks = (X, combo((X, S), *self.Hx, slot="hx"))
+        for L, out, index, arg in self.fills:
+            apply((LKx, self.LHx)[out], index, L, combo(stacks, *arg),
+                  getattr(L, "tape", None))
+        # V holds the B arguments LKx - w / eta + LHx, y their resolvents
+        V = scratch(shape)
+        tape += [partial(np.multiply, W, self.inv_eta, out=V),
+                 partial(np.subtract, LKx, V, out=V),
+                 partial(np.add, V, self.LHx, out=V)]
+        resolve(y, V, self.resolvents)
+        return tape
 
     def _level(self, rows, by_row, coef, s, problem):
         """The ``_Level`` of rows [i, coefficients, step, mode] and the images
@@ -337,88 +444,71 @@ class EvalPlan:
         return [v[sl] for sl in self.slices]
 
 
+def _put(dst, index, call, *args):   # the tape's generic entry
+    dst[index] = call(*args)
+
+
+def _load(plan, z, w):
+    """Whether z and w are the plan's own inputs; any others are checked
+    (as stacked or padded rows, see eval_S) and copied into them."""
+    if z is plan.z and w is plan.w:
+        return True
+    np.copyto(plan.z, _stacked(z, plan.z.shape))
+    np.copyto(plan.w, _dual_rows(w, plan.dims, pad=plan.pad))
+    return False
+
+
 def eval_S(plan, z, w):
     """Evaluate the solution operator of ``plan.scheme`` on ``plan.problem``:
     forward substitution for the primal blocks x_1..x_n followed by the dual
     resolvents for y.  Row i solves x_i = J_{(gamma/delta_i) A_i}(u_i) with
         u_i = (1/delta_i) [ (Mz)_i + (Nx)_i - gamma (Phi x)_i
               - gamma (H L^*(E L K x - w))_i ]
-    where Phi = (P - Q) C(Rx) + Q C(P^T x); each stage runs the plan's
-    entries as they come.  z and w come as BlockVectors or stacked (z as
-    (m, d), w as one row per dual block, zero-padded; a nonzero in the
-    padding is refused).  Returns new arrays: X and U, the (n, d) arrays of
-    the x_i and u_i, and y, L_k (K x)_k and L_k (H^T x)_k as padded rows."""
-    s, d = plan.scheme, plan.problem.d
-    dot = np.dot   # on one-row products much cheaper than @
-    w = _dual_rows(w, plan.dims, pad=plan.pad)
-    # row i of U is (D^{-1} M z)_i; the sums add in
-    U = plan.Md @ _stacked(z, (s.m, d))
-    # every product below reads only rows and images already written
-    X, S = np.empty((s.n, d)), np.empty((plan.n_images, d))
-    LKx = np.zeros(w.shape)   # zero padded
-    stacks, outs = [X, S], [LKx, None]   # what an arg reads, a fill writes
-    T = np.empty(d)   # the running sum of the "run" rows
-
-    def combo(a, c, coef):   # a _combo of the rows of stack a
-        return stacks[a][c] if coef is None else dot(coef, stacks[a][c])
-
-    for images, fills, adjoints, sums, resolvents in plan.levels:
-        for ts, call, arg in images:
-            S[ts] = call(combo(*arg))
-        for L, out, index, arg in fills:
-            outs[out][index] = L(combo(*arg))
-        for L, ks, ts, eta in adjoints:
-            S[ts] = L.adjoint(eta * LKx[ks] - w[ks])
-        for i, combos, mode in sums:   # all the rows at once, unless running
-            u = U[i] if mode is None else T
-            if mode == "start":
-                T.fill(0.0)
-            for arg in combos:
-                u += combo(*arg)
-            if mode is not None:
-                U[i] += T
-        for i, call, step in resolvents:
-            X[i] = call(step, U[i])
-
-    stacks[1] = S = None   # the images are spent: free them before the tail
-    stacks[1] = combo(*plan.Hx)   # row k: (H^T x)_k
-    outs[1] = LHx = np.zeros(w.shape)
-    for L, out, index, arg in plan.fills:
-        outs[out][index] = L(combo(*arg))
-    # y holds the B arguments LKx - w / eta + LHx, then their resolvents
-    y = np.multiply(w, plan.inv_eta)
-    np.subtract(LKx, y, out=y)
-    y += LHx
-    for i, call, step in plan.resolvents:
-        y[i] = call(step, y[i])
-    return X, y, U, LKx, LHx
+    where Phi = (P - Q) C(Rx) + Q C(P^T x), by running ``plan.tape``.
+    z and w come as BlockVectors or stacked (z as (m, d), w as one row per
+    dual block, zero-padded; a nonzero in the padding is refused), and are
+    copied into the plan's inputs; the plan's own ``plan.z`` and ``plan.w``
+    are evaluated in place.  Returns X and U, the (n, d) arrays of the x_i
+    and u_i, and y, L_k (K x)_k and L_k (H^T x)_k as padded rows: new
+    arrays, or the plan's buffers when evaluated in place, which the next
+    evaluation overwrites."""
+    own = _load(plan, z, w)
+    for call in plan.tape:
+        call()
+    out = plan.X, plan.y, plan.U, plan.LKx, plan.LHx
+    return out if own else tuple(a.copy() for a in out)
 
 
 def eval_Gamma(scheme, problem, z, w, check=True, plan=None):
     """The displacement map: gz = M^T x and gw_k = eta_k (L_k (H^T x)_k - y_k),
     so that T(z, w) = (z, w) - (gz, gw).  BlockVectors in give BlockVectors
     out; a stacked z gives stacked gz and x and, as eval_S does, gw and y as
-    padded rows.  ``plan`` is compiled when omitted; one compiled for another
-    scheme or problem object is refused.  ``check`` selects nothing: the plan
+    padded rows: new arrays, or the plan's buffers for the plan's own z and
+    w.  ``plan`` is compiled when omitted; one compiled for another scheme
+    or problem object is refused.  ``check`` selects nothing: the plan
     refuses an implicit scheme either way."""
     plan = plan or EvalPlan(scheme, problem)
     if plan.scheme is not scheme or plan.problem is not problem:
         other = "scheme" if plan.scheme is not scheme else "problem"
         raise ValueError(f"plan was compiled for another {other}")
-    X, y, _, _, LHx = eval_S(plan, z, w)
-    gz = scheme.M.T @ X
-    gw = np.subtract(LHx, y, out=LHx)
+    own = _load(plan, z, w)
+    X, y, _, _, LHx = eval_S(plan, plan.z, plan.w)
+    gz = np.matmul(scheme.M.T, X, out=plan.gz)
+    gw = np.subtract(LHx, y, out=plan.gw)
     gw *= plan.eta
+    out = (gz, gw, X, y) if own else tuple(
+        a.copy() for a in (gz, gw, X, y))
     if isinstance(z, BlockVector):
+        gz, gw, X, y = out
         return tuple(map(BlockVector, (gz, plan.split(gw), X, plan.split(y))))
-    return gz, gw, X, y
+    return out
 
 
 def residual_star(scheme, gz, gw, lambda_t):
     """(1/lambda) ||(Id - T)(z, w)||_star^2 with (Id - T) = Gamma."""
     lambda_t = _check_lambda(lambda_t)
-    ctx = StarNormContext(gamma=scheme.gamma, E_diag=scheme.E_diag)
-    return ctx.inner(gz, gw, gz, gw) / lambda_t
+    Z, W = _stacked(gz, name="gz"), _dual_rows(gw, name="gw")
+    return _star_inner(scheme.gamma, scheme.E_diag, Z, W, Z, W) / lambda_t
 
 
 def step(scheme, problem, state, lambda_t, lambda_max=None):
@@ -486,10 +576,11 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     lam = _check_lambda(0.9 * lam_max if opts.lambda_schedule is None
                         else opts.lambda_schedule, lam_max, "lambda_schedule")
 
-    z = (np.array(_stacked(z0, (s.m, problem.d), "z0"), dtype=float)
-         if z0 is not None else np.zeros((s.m, problem.d)))
-    w = (np.array(_dual_rows(w0, plan.dims, "w0", plan.pad), dtype=float)
-         if w0 is not None else np.zeros(plan.eta.shape))
+    z, w = plan.z, plan.w   # the iterate lives in the plan's inputs
+    if z0 is not None:
+        z[...] = _stacked(z0, z.shape, "z0")
+    if w0 is not None:
+        w[...] = _dual_rows(w0, plan.dims, "w0", plan.pad)
     for name, a in (("z0", z), ("w0", w)):
         if not np.isfinite(a).all():
             raise ValueError(f"{name} has a NaN or infinite entry")
@@ -516,17 +607,15 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
             # lam <= lam_max + LAMBDA_SLACK <= 1 + 1e-12, gamma > 0, E > 0:
             # from a finite state, an update overflows only where |lam g| >=
             # 2^970, whose square made res infinite; so kept states are finite
-            z_next = np.multiply(gz, -lam, out=gz)   # z - lam * gz, in gz
-            z_next += z
-            w_next = np.multiply(gw, -lam, out=gw)
-            w_next += w
-            z, w = z_next, w_next
+            gz *= -lam   # z - lam * gz, in place
+            z += gz
+            gw *= -lam
+            w += gw
 
-        del gz, gw   # spent: the final evaluation holds no more than a step
-        S = eval_S(plan, z, w)[3]   # s_k = eta_k L_k (K x)_k - w_k, in place:
-        S *= plan.eta               # an (r, g) temporary here raised
-        S -= w                      # wide-d1e4's peak RSS
-        s_bar = BlockVector(plan.split(S)) if s.r > 0 else None
+        # s_k = eta_k L_k (K x)_k - w_k from the last evaluation, in its gw
+        s_bar = np.multiply(plan.LKx, plan.eta, out=plan.gw)
+        s_bar -= w
+        s_bar = BlockVector(plan.split(s_bar)) if s.r > 0 else None
     return SolveReport(
         iters_run=t, records=records,
         final=IterateState(BlockVector(z), BlockVector(plan.split(w)),
@@ -544,8 +633,8 @@ def certify_solution(scheme, problem, state, tol=1e-5):
     and (c) the norm of a_total + sum L_k^* s_k + sum C_j xbar."""
     _check_number("tol", tol, low=0)
     s, plan = scheme, EvalPlan(scheme, problem)
-    w = _dual_rows(state.w, plan.dims)
-    X, _, U, LKx, _ = eval_S(plan, state.z, w)
+    X, _, U, LKx, _ = eval_S(plan, state.z, state.w)
+    w = plan.w
     xbar = X.sum(axis=0) / s.n
     gap = consensus_gap(X)
 

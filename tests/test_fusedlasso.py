@@ -139,6 +139,30 @@ class TestDifferenceOperator:
         assert np.array_equal(L.adjoint(W),
                               np.array([L.adjoint(w) for w in W]))
 
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(d=st.integers(2, 60), k=st.integers(1, 6))
+    def test_tapes_into_strided_rows_are_the_calls(self, d, k):
+        # an EvalPlan binds the stencils to rows of its buffers that need not
+        # be consecutive (S[1::2]): input and output both strided.  numpy
+        # 2.4's negative read such a first column wrongly into such an output
+        L = difference_matrix(d)
+        rng = np.random.default_rng([d, k, 1])
+        X = rng.standard_normal((2 * k, d + 1))[::2, :d]
+        Y = rng.standard_normal((2 * k, d + 2))[::2, :d - 1]
+        Y[:, ::3], Y[::2, 1::4] = 0.0, -0.0
+        out = np.full((2 * k, d + 3), np.nan)
+        for call in L.tape(X, out[1::2, :d - 1]):
+            call()
+        assert np.array_equal(out[1::2, :d - 1], np.diff(X))
+        for call in L.adjoint_tape(Y, out[1::2, :d]):
+            call()
+        rows = np.array([L.adjoint(y.copy()) for y in Y])
+        assert np.array_equal(out[1::2, :d].view(np.int64),
+                              rows.view(np.int64))   # the signed zeros too
+        assert np.array_equal(rows, [accumulated_adjoint(y) for y in Y])
+        assert np.isnan(out[::2]).all()   # and nothing else written
+
     @pytest.mark.parametrize("d,k", [(2, 1), (5, 3), (40, 7)])
     def test_adjoint_identity_holds_row_wise(self, rng, d, k):
         L = difference_matrix(d)

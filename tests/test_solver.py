@@ -4,9 +4,11 @@ relaxed iteration."""
 import copy
 import csv
 import functools
+import gc
 import json
 import math
 import warnings
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -1911,6 +1913,183 @@ class TestLevels:
                                            BlockVector(list(w)))
             assert max(_rel(a.blocks, b.blocks)
                        for a, b in zip(new, old)) <= 1e-13
+
+
+def _user_resolvent(dim):
+    """A resolvent the plan knows nothing of: J of x -> x, at any step."""
+    return ResolventOp(dim, lambda step, v: v / (1.0 + step))
+
+
+def _user_gradient(rng, d):
+    """A gradient the plan knows nothing of: of 0.25 ||x||^2 + <c, x>."""
+    c = rng.standard_normal(d)
+    return SingleValuedOp(dim=d, apply=lambda x: 0.5 * x + c, lipschitz=0.5,
+                          cocoercive=True)
+
+
+def _drawn_problem(draw, rng, s, d):
+    """A problem for scheme s whose operators are each drawn from the kinds
+    the plan binds and from ones it does not: for the A_i l1, zero, affine
+    or user resolvents; for the C_j least-squares gradients of 1 to d + 2
+    rows or a user map; for the (L_k, B_k) one difference map, one each or
+    dense maps of unequal sizes, and l1, affine or user resolvents."""
+    def resolvent(kind, dim):
+        return {"l1": lambda: l1_resolvent(rng.uniform(0.1, 2.0), dim),
+                "zero": lambda: zero_resolvent(dim),
+                "affine": lambda: monotone_affine(rng, dim),
+                "user": lambda: _user_resolvent(dim)}[kind]()
+
+    kinds = st.sampled_from(["l1", "zero", "affine", "user"])
+    A = [resolvent(draw(kinds), d) for _ in range(s.n)]
+    C = [least_squares_gradient(rng.standard_normal((m, d)),
+                                rng.standard_normal(m))
+         if draw(st.booleans()) else _user_gradient(rng, d)
+         for m in rng.integers(1, d + 3, size=s.p)]
+    maps = draw(st.sampled_from(["one", "each", "dense"]))
+    one = difference_matrix(d)
+    L = [one if maps == "one" else difference_matrix(d) if maps == "each"
+         else LinearMap(rng.standard_normal((int(rng.integers(1, d + 2)), d)))
+         for _ in range(s.r)]
+    BL = [ComposedBlock(B=resolvent(draw(kinds.filter(lambda k: k != "zero")),
+                                    Lk.out_dim), L=Lk) for Lk in L]
+    return ProblemInstance(d=d, A_list=A, BL_list=BL, C_list=C)
+
+
+def _dropped(s, drop_H, drop_P):
+    """Scheme s with the columns ``drop_H`` of H zero, so their (K x)_k are
+    formed in the dual tail, and the columns ``drop_P`` of P and Q zero, so
+    no row reads their C_j: a level's images are then not evenly spaced."""
+    H, P, Q = s.H.copy(), s.P.copy(), s.Q.copy()
+    H[:, drop_H] = 0.0
+    P[:, drop_P], Q[:, drop_P] = 0.0, 0.0
+    return s.replace(H=H, P=P, Q=Q)
+
+
+def _index_arrays(plan):
+    """The tape's entries that pick rows by an index array: the np.take
+    reads and the generic entries that write through one."""
+    def picked(index):
+        rows = index[0] if isinstance(index, tuple) else index
+        return isinstance(rows, np.ndarray)
+    return [call for call in plan.tape
+            if call.func is np.take or call.func is solver_module._put
+            and picked(call.args[1])]
+
+
+class TestTape:
+    """EvalPlan's tape against the loop evaluator, and its two paths: a
+    caller's z and w copied in and the outputs copied out, or the plan's own
+    inputs evaluated in place."""
+
+    @staticmethod
+    def _check(s, pb, rng):
+        d, plan = pb.d, EvalPlan(s, pb)
+        z = rng.standard_normal((s.m, d))
+        w = rng.standard_normal(plan.eta.shape)
+        if plan.pad is not None:
+            w[plan.pad] = 0.0
+        eval_S(plan, 3.0 * z, -w)   # every buffer written at another point
+        got = eval_S(plan, z, w)
+        if plan.pad is not None:   # y, LKx and LHx zero past each block
+            assert not any(a[plan.pad].any() for a in got[1:2] + got[3:])
+        for a, b in zip(got, eval_S(EvalPlan(s, pb), z, w)):
+            np.testing.assert_array_equal(a, b)   # nothing stale was read
+        plan.z[...], plan.w[...] = z, w
+        own = eval_S(plan, plan.z, plan.w)
+        assert own[0] is plan.X and own[2] is plan.U
+        for a, b in zip(got, own):
+            np.testing.assert_array_equal(a, b)
+            assert not np.shares_memory(a, b)
+        copied = eval_Gamma(s, pb, z, w, plan=plan)
+        for a, b in zip(copied, eval_Gamma(s, pb, plan.z, plan.w,
+                                           plan=plan)):
+            np.testing.assert_array_equal(a, b)
+        # against the loop evaluator, each output measured on the size of
+        # what it sums (a resolvent is nonexpansive, so x and y on their
+        # arguments'); the level's batched products round differently
+        blocks = plan.split(w)
+        X, Y, U, LKx = solver_oracle.eval_S(
+            s, pb, BlockVector(list(z)), BlockVector(blocks), collect=True)
+        LHx = plan.split(got[4])
+        arg = [np.abs(a) + np.abs(b / e) + np.abs(c) for a, b, c, e in zip(
+            LKx, blocks, LHx, s.E_diag)]
+        for new, old, size in (
+                (got[0], X.blocks, U.blocks),
+                (got[2], U.blocks, U.blocks),
+                (plan.split(got[1]), Y.blocks, arg),
+                (plan.split(got[3]), LKx, LKx)):
+            for a, b, c in zip(new, old, size):
+                assert np.linalg.norm(a - b) <= 1e-13 * (
+                    np.linalg.norm(np.abs(c)) + 1.0)
+        return plan
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(), n=st.integers(3, 8), d=st.integers(2, 7),
+           family=st.sampled_from(["star", "random_explicit", "random_tree",
+                                   "subgraph"]))
+    def test_matches_loop_evaluator_and_in_place(self, data, n, d, family):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        s = (_weighted_star(rng, n) if family == "star" else
+             DIFF_FAMILIES[family](rng, n, rng.uniform(0.2, 1.5),
+                                   rng.uniform(0.2, 1.5)))
+        drop_H, drop_P = (data.draw(st.lists(st.booleans(), min_size=k,
+                                             max_size=k)) for k in (s.r, s.p))
+        s = _dropped(s, drop_H, drop_P)
+        self._check(s, _drawn_problem(data.draw, rng, s, d), rng)
+
+    @pytest.mark.parametrize("kinds", ["built_in", "user"])
+    def test_rows_not_evenly_spaced(self, kinds):
+        # a star without C_1 and without the H column of L_2: the level's
+        # gradients and its L images are at rows no slice picks, and so are
+        # the rows of LKx that its one L call fills
+        rng = np.random.default_rng(5)
+        s = _dropped(_weighted_star(rng, 7), [2], [1])
+        pb = _l1_star_problem(rng, s, 6)
+        if kinds == "user":   # the A_i, C_j and B_k taken one at a time
+            pb = replace(_per_row(pb), BL_list=[ComposedBlock(
+                B=_user_resolvent(blk.B.dim), L=blk.L) for blk in pb.BL_list])
+        plan = self._check(s, pb, rng)
+        picks = _index_arrays(plan)
+        assert {call.func for call in picks} == {np.take,
+                                                 solver_module._put}
+
+    def test_built_in_kinds_are_bound_and_others_generic(self):
+        # the desk star: one product for the gradients, one stencil each for
+        # L and L^*, one soft-threshold each for the A_i and the B_k, and
+        # the zero resolvent of A_0 as the one generic entry
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        s, _, _ = build_family_scheme("star", inst, 0.5, 0.1)
+        tape = EvalPlan(s, pb).tape
+        generic = [call for call in tape if call.func is solver_module._put]
+        assert [call.args[2] for call in generic] == pb.A_list[:1]
+        # wrapped, as a traced run wraps them, each A_i and C_j is one
+        traced = _per_row(pb)
+        generic = [call.args[2] for call in EvalPlan(s, traced).tape
+                   if call.func is solver_module._put]
+        assert sorted(map(id, generic)) == sorted(
+            map(id, traced.A_list + traced.C_list))
+
+    def test_a_plan_is_freed_without_the_collector(self):
+        # the tape holds the plan's buffers, never the plan: no cycle keeps
+        # an evaluated plan alive when its last reference goes
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        s, _, _ = build_family_scheme("star", inst, 0.5, 0.1)
+        gc.collect()
+        gc.disable()
+        try:
+            for problem in (pb, _per_row(pb)):
+                plan = EvalPlan(s, problem)
+                eval_S(plan, plan.z, plan.w)
+                eval_Gamma(s, problem, np.ones(plan.z.shape),
+                           np.ones(plan.w.shape), plan=plan)
+                ref = weakref.ref(plan)
+                del plan
+                assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestFreshArrays:
