@@ -62,10 +62,11 @@ class DifferenceMap:
         return x[..., 1:] - x[..., :-1]
 
     __call__ = apply
-    stacked_rows = True   # so an EvalPlan may apply it to stacked rows
 
-    def tape(self, x, out, scratch=None):
-        """The call that writes apply(x) into out, bound once."""
+    @staticmethod
+    def tape(maps, x, out, scratch):
+        """The call that writes apply(x) into out, bound once, for difference
+        maps ``maps`` of one d at their rows of x."""
         return [partial(np.subtract, x[..., 1:], x[..., :-1], out=out)]
 
     def adjoint(self, y):
@@ -74,8 +75,10 @@ class DifferenceMap:
         out.T[0], out.T[-1] = -y.T[0], y.T[-1]   # cheaper than out[..., 0]
         return out
 
-    def adjoint_tape(self, y, out, scratch=None):
-        """The calls that write adjoint(y) into out, bound once."""
+    @staticmethod
+    def adjoint_tape(maps, y, out, scratch):
+        """The calls that write adjoint(y) into out, bound once, for the
+        maps as ``tape``."""
         return [partial(np.subtract, y[..., :-1], y[..., 1:],
                         out=out[..., 1:-1]),
                 # times -1, exact: numpy 2.4.6's negative misreads a

@@ -4,8 +4,13 @@ fused-lasso benchmark.
 
 An operator is called on views of buffers that an EvalPlan reuses on every
 evaluation: it must not keep a reference to its argument, nor return one
-that it keeps.  The built-in kinds also give their arithmetic as a ``tape``
-of numpy calls bound once to their argument and output (see EvalPlan)."""
+that it keeps.  A user operator takes one block, once per row.  A built-in
+kind (the l1 resolvent, the least-squares map, fusedlasso's difference map)
+also gives a private group hook, the static method ``tape(fs, *args, out,
+scratch)`` (and ``adjoint_tape`` for a map): the numpy calls, bound once to
+the arguments and ``out``, that write the operators fs of its class at their
+rows of the arguments into those of out, with ``scratch(shape)`` lending a
+buffer.  The plan calls it on a group of exactly that class (solver._kind)."""
 
 from __future__ import annotations
 
@@ -131,16 +136,8 @@ def _soft_threshold(t, v):   # t first, as a resolvent takes its step
     return np.subtract(v, out, out=out)
 
 
-def _soft_threshold_tape(t, v, out):
-    """The calls that write _soft_threshold(t, v) into out, bound once."""
-    return [partial(np.minimum, v, t, out=out),
-            partial(np.maximum, out, -t, out=out),
-            partial(np.subtract, v, out, out=out)]
-
-
 class _L1Prox:
-    """l1_resolvent's resolvent, computed from ``weight``.  An EvalPlan reads
-    the weight to threshold a level's A_i, or the B_k, in one call."""
+    """l1_resolvent's resolvent, computed from ``weight``."""
 
     def __init__(self, weight):
         self.weight = weight
@@ -149,6 +146,16 @@ class _L1Prox:
         if not step >= 0:
             raise ValueError(f"step = {step!r} is not a number >= 0")
         return _soft_threshold(step * self.weight, np.asarray(v, dtype=float))
+
+    @staticmethod
+    def tape(fs, steps, v, out, scratch):
+        """The resolvents fs at steps ``steps`` of the rows v: one
+        soft-threshold by the column step * weight (a float for one row)."""
+        t = np.array([[step * f.weight] for step, f in zip(steps, fs)])
+        t = t.item() if t.size == 1 else t
+        return [partial(np.minimum, v, t, out=out),   # as _soft_threshold
+                partial(np.maximum, out, -t, out=out),
+                partial(np.subtract, v, out, out=out)]
 
 
 def l1_resolvent(weight, dim):
@@ -188,7 +195,7 @@ def resolvent_of_inverse(B, eta, u):
 
 
 class _LeastSquares:
-    """least_squares_gradient's map: an EvalPlan may stack its A and b."""
+    """least_squares_gradient's map A^T (A x - b)."""
 
     def __init__(self, A, b):
         self.A, self.b = A, b
@@ -196,29 +203,25 @@ class _LeastSquares:
     def __call__(self, x):
         return self.A.T @ (self.A @ x - self.b)
 
-    def tape(self, x, out, scratch):
-        """The calls that write self(x) into out, bound once; the residual
-        A x - b goes to ``scratch(shape)``."""
-        r = scratch(self.b.shape)
-        return [partial(np.matmul, self.A, x, out=r),
-                partial(np.subtract, r, self.b, out=r),
-                partial(np.matmul, self.A.T, r, out=out)]
-
-
-class _StackedLeastSquares(_LeastSquares):
-    """Several _LeastSquares maps as one, A and b zero-padded to (k, m, d)
-    and (k, m): row j of a call is map j at row j of x, or at x itself."""
-
-    def __call__(self, x):   # every A_j^T (A_j x - b_j) at once
-        r = (self.A @ x[..., None])[..., 0] - self.b
-        return (r[:, None] @ self.A)[:, 0]
-
-    def tape(self, x, out, scratch):
-        r = scratch(self.b.shape + (1,))   # the products as __call__ has them
-        return [partial(np.matmul, self.A, x[..., None], out=r),
-                partial(np.subtract, r[..., 0], self.b, out=r[..., 0]),
-                partial(np.matmul, r[..., 0][:, None], self.A,
-                        out=out[:, None])]
+    @staticmethod
+    def tape(fs, x, out, scratch):
+        """The maps fs at x, or each at its row of x: one map as __call__
+        has it, or several as one batched product, with their A and b
+        zero-padded to (k, m, d) and (k, m).  The residuals go to scratch."""
+        if len(fs) == 1:
+            (f,) = fs
+            r = scratch(f.b.shape)
+            return [partial(np.matmul, f.A, x, out=r),
+                    partial(np.subtract, r, f.b, out=r),
+                    partial(np.matmul, f.A.T, r, out=out)]
+        k, m = len(fs), max(f.b.size for f in fs)
+        A, b = np.zeros((k, m, fs[0].A.shape[1])), np.zeros((k, m))
+        for a, c, f in zip(A, b, fs):
+            a[:f.b.size], c[:f.b.size] = f.A, f.b
+        r = scratch((k, m, 1))   # A x as a batch of matrix-vector products
+        return [partial(np.matmul, A, x[..., None], out=r),
+                partial(np.subtract, r[..., 0], b, out=r[..., 0]),
+                partial(np.matmul, r[..., 0][:, None], A, out=out[:, None])]
 
 
 def least_squares_gradient(A, b):

@@ -17,13 +17,11 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .linalg import BlockVector, kron_apply  # noqa: F401  (re-exported)
-from .operators import SingleValuedOp, _L1Prox, _LeastSquares, \
-    _StackedLeastSquares, _soft_threshold, _soft_threshold_tape
 from .scheme import _check_number, check_explicit, compute_UW, compute_tau, \
     step_bounds, validate_standing, write_csv, write_json
 
@@ -175,32 +173,11 @@ def _index(ids):   # a lone row's own (1-D), an even slice (a view), or array
     return np.array(ids)
 
 
-def _one_map(maps):
-    """Whether ``maps`` are one map, and it takes stacked rows."""
-    L = maps[0] if maps else None
-    return getattr(L, "stacked_rows", False) and all(m is L for m in maps)
-
-
-def _resolvents(ops, steps, at, rows):
-    """(index, call, step) entries for resolvents ``ops`` of steps ``steps``
-    on rows ``rows``: one soft-threshold of the rows ``at`` by the column
-    step * weight (a float for one row) if all are l1, else one per row."""
-    if ops and all(isinstance(getattr(op, "resolvent", None), _L1Prox)
-                   for op in ops):
-        col = np.array([[t * op.resolvent.weight] for t, op in zip(steps, ops)])
-        return [(at, _soft_threshold, col.item() if col.size == 1 else col)]
-    return list(zip(rows, ops, steps))
-
-
-def _gradients(ops):
-    """Two or more least-squares gradients as one _StackedLeastSquares."""
-    maps = [getattr(op, "apply", None) for op in ops]
-    if len(maps) > 1 and all(isinstance(f, _LeastSquares) for f in maps):
-        k, m = len(maps), max(f.b.size for f in maps)
-        A3, B2 = np.zeros((k, m, maps[0].A.shape[1])), np.zeros((k, m))
-        for a, b, f in zip(A3, B2, maps):
-            a[:f.b.size], b[:f.b.size] = f.A, f.b
-        return _StackedLeastSquares(A3, B2)
+def _kind(fs, hook="tape"):
+    """The group hook ``hook`` of the operators fs if they are one kind: all
+    of exactly one class, which defines the hook itself; else None."""
+    kinds = {type(f) for f in fs}
+    return vars(kinds.pop()).get(hook) if len(kinds) == 1 else None
 
 
 def _dual_rows(w, dims=None, name="w", pad=None):
@@ -225,37 +202,35 @@ def _dual_rows(w, dims=None, name="w", pad=None):
     return W
 
 
-_Level = NamedTuple("_Level", [(name, Any) for name in (   # see _level
-    "images", "fills", "adjoints", "sums", "resolvents")])
-
-
 class EvalPlan:
     """The forward substitution of one scheme on one problem, compiled once,
     for an explicit scheme (``check_explicit``) whose n, r and p are the
     problem's numbers of A_i, L_k and C_j; any other is refused.  The C(Rx),
-    C(P^T x) and L^*(E L K x - w) images share one stack, in the order the
-    rows first need them; each reads its argument, R_j x, P_j^T x or
+    C(P^T x) and L^*(E L K x - w) images share one stack ``S``, in the order
+    the rows first need them; each reads its argument, R_j x, P_j^T x or
     (K x)_k, from its whole row.  Row i has its step gamma / delta_i, a
     mode, and coefficients: row i of N over the x blocks and -gamma times
     row i of P - Q, Q and H over the images, both divided by delta_i (as is
     M, in ``Md``); each argument and sum is a ``_combo``.  A row that
     repeats the previous row's coefficients wherever that row has a nonzero
     (the complete family, below each pivot) has mode "run": it sums only its
-    new coefficients, added to the running sum that the previous row
-    ("start" or "run") left.  A row joins the current ``_level`` if it reads
-    no x block of it, through N or its images' arguments (star: {0},
-    {1..n-1}).  The dual tail is compiled like a level: ``Hx``, the rows
-    (H^T x)_k (a pick of X, or the whole H^T product); ``fills`` (L, out,
-    index, arg) for L_k (H^T x)_k, one for all k if ``_one_map``, and for
-    the (K x)_k of the zero columns of H, which no row needed; and the B_k
-    ``resolvents``.  From these entries the plan compiles its ``tape``
-    (``_compile``) over buffers that it owns: the inputs ``z`` and ``w``;
-    ``U``, ``X``, ``LKx``, ``LHx`` and ``y``, which eval_S returns;
-    eval_Gamma's ``gz`` and ``gw``; and the images and scratch, which only
-    the tape reads.  ``scheme`` and ``problem`` are what it compiled."""
+    new coefficients, added to the running sum ``T`` that the previous row
+    ("start" or "run") left.  A row joins the current level if it reads no
+    x block of it, through N or its images' arguments (star: {0},
+    {1..n-1}); ``levels`` holds each level's rows.  The plan allocates its
+    buffers: the inputs ``z`` and ``w``; ``U``, ``X``, ``LKx``, ``LHx`` and
+    ``y``, which eval_S returns; eval_Gamma's ``gz`` and ``gw``; ``S``,
+    ``T`` and scratch, which only the tape reads.  Then, in one pass, each
+    ``_level`` and the dual ``_tail`` append to ``tape`` the numpy calls,
+    bound to those buffers, that evaluate S at ``z`` and ``w`` when run in
+    order.  The operators of a group (a level's C_j, L_k or A_i; the tail's
+    L_k or B_k) share one call if ``_kind`` finds them one kind, else each
+    takes one generic ``_put``.  Every entry writes all of its destination,
+    and the padding of the dual rows is zeroed here once, so no buffer is
+    cleared per call.  ``scheme`` and ``problem`` are what it compiled."""
 
     def __init__(self, scheme, problem):
-        s, gamma = scheme, scheme.gamma
+        s, gamma, d = scheme, scheme.gamma, problem.d
         for name, ops in (("n", "A_i"), ("r", "L_k"), ("p", "C_j")):
             have, want = getattr(s, name), getattr(problem, name)
             if have != want:
@@ -277,7 +252,6 @@ class EvalPlan:
         for t, (f, kind, j) in enumerate(images):   # by_row: by first row
             G[:, t] = -gamma * coefs[kind][:, j] / s.D_diag
             by_row[f].append((t, kind, j, (s.R, s.P.T, s.K)[kind][j]))
-        self.n_images = len(images)
         self.Md = s.M / s.D_diag[:, None]
         self.dims = [blk.L.out_dim for blk in problem.BL_list]
         self.slices = [(k, slice(0, g)) for k, g in enumerate(self.dims)]
@@ -286,6 +260,14 @@ class EvalPlan:
         # the padding of the shorter dual blocks; None when there is none
         self.pad = (np.arange(self.eta.shape[1]) >= np.c_[self.dims]
                     if len(set(self.dims)) > 1 else None)
+        shape = self.eta.shape
+        self.z, self.w = np.zeros((s.m, d)), np.zeros(shape)
+        self.U, self.X, self.gz = (np.empty((n, d)) for n in (s.n, s.n, s.m))
+        self.LKx, self.LHx, self.y, self.gw = (np.zeros(shape)
+                                               for _ in range(4))
+        self.S, self.T = np.empty((len(images), d)), np.empty(d)
+        self.tape, self._pool = [partial(np.matmul, self.Md, self.z,
+                                         out=self.U)], {}
         # row i's coefficients over the x blocks, then over the images
         coef = np.hstack([s.N / s.D_diag[:, None], G])
         prev = np.zeros(coef.shape[1])
@@ -301,143 +283,138 @@ class EvalPlan:
                 c = np.where(old, 0.0, c)
                 rows[-1][3] = rows[-1][3] or "start"
             rows.append([i, c, gamma / s.D_diag[i], "run" if run else None])
-        self.levels = [self._level(rows[a:b], by_row[a:b], coef, s, problem)
+        self.levels = [list(range(a, b))
                        for a, b in zip(starts, starts[1:] + [s.n])]
-        BL, (c, Ht) = problem.BL_list, _combo(s.H.T)
-        self.Hx = (0, c, None) if Ht is None else (   # bit for bit: the
-            0, slice(0, s.n), np.ascontiguousarray(s.H.T))   # whole H^T
-        self.fills = [(BL[k].L, 0, self.slices[k], (0, *_combo(s.K[k])))
-                      for k, f in enumerate(first_rows(s.H)) if f == s.n]
-        whole = [(b.L, 1, ..., (1, ..., None)) for b in BL[:1]]
-        self.fills += whole if _one_map([b.L for b in BL]) else [
-            (b.L, 1, sl, (1, sl[0], None)) for b, sl in zip(BL, self.slices)]
-        self.resolvents = _resolvents([b.B for b in BL], 1.0 / s.E_diag, ...,
-                                      self.slices)
-        self.tape = self._compile(s, problem.d)
+        for lv in self.levels:
+            self._level([rows[i] for i in lv], [im for i in lv
+                                                for im in by_row[i]],
+                        coef, s, problem)
+        self._tail(s, problem.BL_list)
         self.scheme, self.problem = scheme, problem
 
-    def _compile(self, s, d):
-        """The ``tape``: zero-argument calls that evaluate S at ``z`` and
-        ``w`` when run in order.  Each is a numpy call bound to the plan's
-        buffers, or the generic entry ``_put`` for an operator that gives
-        no ``tape`` of its own or a destination picked by an index array.
-        Every entry writes all of its destination, and the padding of the
-        dual rows is zeroed here once, so no buffer is cleared per call."""
-        shape = self.eta.shape
-        self.z, self.w = np.zeros((s.m, d)), np.zeros(shape)
-        self.U, self.X, self.gz = (np.empty((n, d)) for n in (s.n, s.n, s.m))
-        self.LKx, self.LHx, self.y, self.gw = (np.zeros(shape)
-                                               for _ in range(4))
-        X, W, LKx, y = self.X, self.w, self.LKx, self.y
-        S, T = np.empty((self.n_images, d)), np.empty(d)
-        tape, pool = [partial(np.matmul, self.Md, self.z, out=self.U)], {}
+    def _scratch(self, shape, slot="arg"):
+        """A buffer that the entries of a slot share, each spending it."""
+        return self._pool.setdefault((slot, shape), np.empty(shape))
 
-        def scratch(shape, slot="arg"):   # shared by the entries of a slot,
-            # each of which spends it before the next one writes it
-            if (slot, shape) not in pool:
-                pool[slot, shape] = np.empty(shape)
-            return pool[slot, shape]
+    def _read(self, a, index, slot="arg"):   # a[index], a view unless picked
+        rows, cols = index if isinstance(index, tuple) else (
+            index, slice(None))
+        if not isinstance(rows, np.ndarray):
+            return a[rows, cols]
+        out = self._scratch((len(rows),) + a.shape[1:], slot)
+        self.tape.append(partial(np.take, a, rows, axis=0, out=out))
+        return out[:, cols]
 
-        def read(a, index, slot="arg"):   # a[index], a view unless picked
-            rows, cols = index if isinstance(index, tuple) else (
-                index, slice(None))
-            if not isinstance(rows, np.ndarray):
-                return a[rows, cols]
-            out = scratch((len(rows),) + a.shape[1:], slot)
-            tape.append(partial(np.take, a, rows, axis=0, out=out))
-            return out[:, cols]
+    def _sum(self, a, c, coef, slot="arg"):   # the _combo (c, coef) of a
+        if coef is None:
+            return self._read(a, c, slot)
+        out = self._scratch(coef.shape[:-1] + a.shape[1:], slot)
+        self.tape.append(partial(np.dot, coef, a[c], out=out))
+        return out
 
-        def combo(stacks, a, c, coef, slot="arg"):   # a _combo of stack a
-            if coef is None:
-                return read(stacks[a], c, slot)
-            out = scratch(coef.shape[:-1] + (d,), slot)
-            tape.append(partial(np.dot, coef, stacks[a][c], out=out))
-            return out
+    def _apply(self, dst, index, hook, f, *args):
+        """Bind dst[index] = f(*args): the calls of the group hook
+        ``hook(f, *args, out, scratch)`` of the operators f, into scratch and
+        then by one dst.__setitem__ where an index array picks the rows; or,
+        with no hook, one generic ``_put`` of the call f."""
+        if hook is None:
+            return self.tape.append(partial(_put, dst, index, f, *args))
+        picked = isinstance(index[0] if isinstance(index, tuple) else index,
+                            np.ndarray)
+        out = self._scratch(dst[index].shape, "put") if picked else dst[index]
+        self.tape += hook(f, *args, out, partial(self._scratch, slot="tmp"))
+        if picked:
+            self.tape.append(partial(dst.__setitem__, index, out))
 
-        def apply(dst, index, f, arg, bound):   # dst[index] = f(arg)
-            rows = index[0] if isinstance(index, tuple) else index
-            if bound is None or isinstance(rows, np.ndarray):
-                tape.append(partial(_put, dst, index, f, arg))
-            else:
-                tape.extend(bound(arg, dst[index],
-                                  partial(scratch, slot="tmp")))
+    def _resolve(self, dst, src, at, rows, ops, steps):
+        """Bind dst[i] = op(step, src[i]) for the resolvents ``ops`` of steps
+        ``steps`` on ``rows``: one call on the rows ``at`` if they are one
+        kind, else one per row."""
+        fs = [getattr(op, "resolvent", None) for op in ops]
+        hook = _kind(fs)
+        for i, f, step in [(at, fs, steps)] if hook else zip(rows, ops, steps):
+            self._apply(dst, i, hook, f, step, src[i])
 
-        def resolve(dst, src, resolvents):   # dst[i] = call(step, src[i])
-            for i, call, step in resolvents:
-                if call is _soft_threshold:
-                    tape.extend(_soft_threshold_tape(step, src[i], dst[i]))
-                else:
-                    tape.append(partial(_put, dst, i, call, step, src[i]))
-
-        for images, fills, adjoints, sums, resolvents in self.levels:
-            for ts, call, arg in images:
-                f = call.apply if isinstance(call, SingleValuedOp) else call
-                apply(S, ts, call, combo((X, S), *arg),
-                      getattr(f, "tape", None))
-            for L, _, index, arg in fills:
-                apply(LKx, index, L, combo((X, S), *arg),
-                      getattr(L, "tape", None))
-            for L, ks, ts, eta in adjoints:   # eta LKx[ks] - w[ks]
-                lk, wk = read(LKx, ks, "lk"), read(W, ks, "wk")
-                arg = scratch(lk.shape)
-                tape += [partial(np.multiply, eta, lk, out=arg),
-                         partial(np.subtract, arg, wk, out=arg)]
-                apply(S, ts, L.adjoint, arg, getattr(L, "adjoint_tape", None))
-            for i, combos, mode in sums:   # all the rows at once, or a run
-                u = self.U[i] if mode is None else T
-                if mode == "start":
-                    tape.append(partial(T.fill, 0.0))
-                for arg in combos:
-                    tape.append(partial(np.add, u, combo((X, S), *arg), out=u))
-                if mode is not None:
-                    tape.append(partial(np.add, self.U[i], T, out=self.U[i]))
-            resolve(X, self.U, resolvents)
-
-        # the images are spent: the rows (H^T x)_k take their place
-        stacks = (X, combo((X, S), *self.Hx, slot="hx"))
-        for L, out, index, arg in self.fills:
-            apply((LKx, self.LHx)[out], index, L, combo(stacks, *arg),
-                  getattr(L, "tape", None))
-        # V holds the B arguments LKx - w / eta + LHx, y their resolvents
-        V = scratch(shape)
-        tape += [partial(np.multiply, W, self.inv_eta, out=V),
-                 partial(np.subtract, LKx, V, out=V),
-                 partial(np.add, V, self.LHx, out=V)]
-        resolve(y, V, self.resolvents)
-        return tape
-
-    def _level(self, rows, by_row, coef, s, problem):
-        """The ``_Level`` of rows [i, coefficients, step, mode] and the images
-        they first need: ``images`` (ts, call, arg), a C call per image or
-        one ``_gradients`` call; ``fills`` (L, 0, index, arg), an L call per
-        distinct argument, and ``adjoints`` S[ts] = L^*(eta LKx[ks] - w[ks])
-        (L, ks, ts, eta), one group if ``_one_map``; ``sums`` (i, combos,
-        mode), of the block ``coef[at]``, or per row if one runs; and the
-        A_i ``_resolvents``."""
-        BL, (ids, _, steps, _) = problem.BL_list, zip(*rows)
-        at, new = _index(ids), [im for images in by_row for im in images]
-        new_C = [(t, j, a) for t, kind, j, a in new if kind < 2]
-        grads = _gradients([problem.C_list[j] for _, j, _ in new_C])
-        R = np.array([a for *_, a in new_C])   # one argument if all are one
-        images = [(_index([t for t, *_ in new_C]), grads, (0, *_combo(
-            R[0] if (R == R[0]).all() else R)))] if grads else [
-            (t, problem.C_list[j], (0, *_combo(a))) for t, j, a in new_C]
-        new_L = [(t, j) for t, kind, j, _ in new if kind == 2]
-        fills, adjoints, one = [], [], _one_map([BL[k].L for _, k in new_L])
-        for group in [new_L] if one else [[im] for im in new_L]:
-            (ts, ks), L = zip(*group), BL[group[0][1]].L
-            cols, by_arg = slice(0, self.dims[ks[0]]), {}
-            for k in ks:   # one L call per distinct row of K
+    def _level(self, rows, new, coef, s, problem):
+        """Bind one level, of rows [i, coefficients, step, mode], and the
+        images ``new`` that they first need: the C images, one call at their
+        arguments (one, if all are one) if they are one kind, else one each;
+        L (K x)_k, one call per distinct argument, then S = L^*(eta LKx - w),
+        one call, if the L_k are one kind, else both per image; the sums, of
+        the block ``coef[at]``, or per row if one runs; and the A_i
+        resolvents."""
+        BL, X, S, T, U = problem.BL_list, self.X, self.S, self.T, self.U
+        ids, _, steps, _ = zip(*rows)
+        at = _index(ids)
+        new_C = [(t, problem.C_list[j], a) for t, kind, j, a in new
+                 if kind < 2]
+        fs = [getattr(op, "apply", None) for _, op, _ in new_C]
+        hook, R = _kind(fs), np.array([a for *_, a in new_C])
+        # one call at their arguments (one row, if all are one), or one each
+        for t, f, a in [(_index([t for t, *_ in new_C]), fs, R[0] if (
+                R == R[0]).all() else R)] if hook else new_C:
+            self._apply(S, t, hook, f, self._sum(X, *_combo(a)))
+        new_L = [(t, k) for t, kind, k, _ in new if kind == 2]
+        hook = _kind([BL[k].L for _, k in new_L])
+        groups = [new_L] if hook else [[im] for im in new_L]
+        for group in groups:
+            by_arg = {}
+            for _, k in group:   # one L call per distinct row of K
                 by_arg.setdefault(s.K[k].tobytes(), []).append(k)
-            fills += [(L, 0, (_index(kk), cols), (0, *_combo(s.K[kk[0]])))
-                      for kk in by_arg.values()]
-            adjoints.append((L, (_index(ks), cols), _index(ts),
-                             s.E_diag[_index(ks), None]))
-        sums = [(i, [(a, *_combo(b)) for a, b in enumerate(np.split(
-            c, [s.n], axis=-1)) if b.any()], mode) for i, c, *_, mode in (
-            rows if any(row[3] for row in rows) else [(at, coef[at], None)])]
-        return _Level(images, fills, adjoints, sums, _resolvents(
-            [problem.A_list[i] for i in ids], steps, at, ids))
+            for kk in by_arg.values():
+                maps = [BL[k].L for k in kk]
+                self._apply(self.LKx, (_index(kk), slice(
+                    0, self.dims[kk[0]])), hook, maps if hook else maps[0],
+                            self._sum(X, *_combo(s.K[kk[0]])))
+        for group in groups:   # S[ts] = L^*(eta LKx[ks] - w[ks])
+            ts, ks = zip(*group)
+            maps, index = [BL[k].L for k in ks], (_index(ks), slice(
+                0, self.dims[ks[0]]))
+            lk = self._read(self.LKx, index, "lk")
+            wk, arg = self._read(self.w, index, "wk"), self._scratch(lk.shape)
+            self.tape += [partial(np.multiply, s.E_diag[index[0], None], lk,
+                                  out=arg),
+                          partial(np.subtract, arg, wk, out=arg)]
+            self._apply(S, _index(ts), hook and _kind(maps, "adjoint_tape"),
+                        maps if hook else maps[0].adjoint, arg)
+        for i, c, mode in [(i, c, mode) for i, c, _, mode in rows] if any(
+                row[3] for row in rows) else [(at, coef[at], None)]:
+            u = U[i] if mode is None else T   # all the rows at once, or a run
+            if mode == "start":
+                self.tape.append(partial(T.fill, 0.0))
+            for a, b in zip((X, S), np.split(c, [s.n], axis=-1)):
+                if b.any():
+                    self.tape.append(partial(np.add, u, self._sum(
+                        a, *_combo(b)), out=u))
+            if mode is not None:
+                self.tape.append(partial(np.add, U[i], T, out=U[i]))
+        self._resolve(X, U, at, ids, [problem.A_list[i] for i in ids], steps)
+
+    def _tail(self, s, BL):
+        """Bind the dual tail, compiled like a level: the rows (H^T x)_k, a
+        pick of X or the whole H^T product, in place of the images, which
+        are spent; the (K x)_k of the zero columns of H, which no row
+        needed, and L_k (H^T x)_k, one call for all k if the L_k are one
+        kind; then the B_k resolvents of LKx - w / eta + LHx."""
+        X, maps, (c, Ht) = self.X, [b.L for b in BL], _combo(s.H.T)
+        # bit for bit: a pick of X, or the whole, contiguous H^T
+        Hx = self._sum(X, c, None, "hx") if Ht is None else self._sum(
+            X, slice(0, s.n), np.ascontiguousarray(s.H.T), "hx")
+        for k in np.flatnonzero(~s.H.any(axis=0)):
+            hook = _kind(maps[k:k + 1])
+            self._apply(self.LKx, self.slices[k], hook,
+                        maps[k:k + 1] if hook else maps[k],
+                        self._sum(X, *_combo(s.K[k])))
+        hook = _kind(maps)
+        for index, f, arg in [(..., maps, Hx)] if hook else zip(
+                self.slices, maps, Hx):
+            self._apply(self.LHx, index, hook, f, arg)
+        V = self._scratch(self.eta.shape)   # the B arguments
+        self.tape += [partial(np.multiply, self.w, self.inv_eta, out=V),
+                      partial(np.subtract, self.LKx, V, out=V),
+                      partial(np.add, V, self.LHx, out=V)]
+        self._resolve(self.y, V, ..., self.slices, [b.B for b in BL],
+                      1.0 / s.E_diag)
 
     def split(self, v):
         """The blocks of padded dual rows, as views."""

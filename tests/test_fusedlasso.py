@@ -152,10 +152,10 @@ class TestDifferenceOperator:
         Y = rng.standard_normal((2 * k, d + 2))[::2, :d - 1]
         Y[:, ::3], Y[::2, 1::4] = 0.0, -0.0
         out = np.full((2 * k, d + 3), np.nan)
-        for call in L.tape(X, out[1::2, :d - 1]):
+        for call in L.tape([L] * k, X, out[1::2, :d - 1], None):
             call()
         assert np.array_equal(out[1::2, :d - 1], np.diff(X))
-        for call in L.adjoint_tape(Y, out[1::2, :d]):
+        for call in L.adjoint_tape([L] * k, Y, out[1::2, :d], None):
             call()
         rows = np.array([L.adjoint(y.copy()) for y in Y])
         assert np.array_equal(out[1::2, :d].view(np.int64),

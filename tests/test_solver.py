@@ -23,14 +23,13 @@ from graphsplit import (BlockVector, ComposedBlock, IterateState, LinearMap, Pro
                         certify_solution, eval_Gamma, l1_resolvent,
                         prox_l1, residual_star, scheme_sequential,
                         scheme_star, solve, step, zero_resolvent)
-from graphsplit.fusedlasso import (build_family_scheme, desk_instance,
-                                   difference_matrix, gen_instance,
-                                   to_problem)
+from graphsplit.fusedlasso import (DifferenceMap, build_family_scheme,
+                                   desk_instance, difference_matrix,
+                                   gen_instance, to_problem)
 from graphsplit.graphs import (GraphSpec, complete_graph, path_graph,
                                scheme_complete, scheme_from_graph,
                                scheme_ring, star_graph)
 from graphsplit.operators import (ResolventOp, SingleValuedOp,
-                                  _StackedLeastSquares,
                                   least_squares_gradient)
 from graphsplit.scheme import (CoefficientScheme, check_explicit, compute_tau,
                                compute_UW, step_bounds, validate_psd)
@@ -1168,13 +1167,130 @@ class TestAgainstLoopEvaluator:
                                        c_old["memberships"], rtol=tol)
 
 
-def _assert_same_combo(got, want):
-    """Two _combo results alike: the same rows read, the same coefficients."""
-    assert str(got[0]) == str(want[0])
-    if want[1] is None:
-        assert got[1] is None
-    else:
-        np.testing.assert_array_equal(got[1], want[1])
+class _PlainDifferenceMap(DifferenceMap):
+    """A difference map with no group hook: the plan calls it per k."""
+    tape = adjoint_tape = None
+
+
+# the plan buffers that a tape entry may read or write
+_BUFFERS = ("S", "LKx", "LHx", "X", "U", "y", "z", "w")
+
+
+def _buffer(plan, a):   # the plan buffer that a is a view of, or None
+    return next((name for name in _BUFFERS
+                 if any(getattr(plan, name) is b for b in (a, a.base))),
+                None)
+
+
+def _rows(buf, view):   # the rows of the 2-D array buf that its view covers
+    off = np.array(view.__array_interface__["data"][0]
+                   - buf.__array_interface__["data"][0])
+    for n, step in zip(view.shape, view.strides):
+        off = np.add.outer(off, np.arange(n) * step)
+    return tuple(np.unique(off // buf.strides[0]).tolist())
+
+
+def _written(entry):
+    """The array a tape entry writes and the index it writes through: the
+    generic _put and dst.__setitem__ write dst at their index, T.fill T,
+    np.copyto its first argument and any other its ``out`` (index None)."""
+    if entry.func is solver_module._put:
+        return entry.args[0], entry.args[1]
+    if "out" in entry.keywords or entry.func is np.copyto:
+        return entry.keywords.get("out", entry.args[0]), None
+    return entry.func.__self__, (entry.args[0] if entry.args else None)
+
+
+def _calls(plan):
+    """The tape as calls: runs of consecutive entries that write the same
+    rows of one plan buffer, each (buffer, rows, entries), where buffer is a
+    name of _BUFFERS, or None for T and scratch (and rows None)."""
+    calls = []
+    for entry in plan.tape:
+        dst, index = _written(entry)
+        name, rows = _buffer(plan, dst), None
+        if name and index is None:
+            rows = _rows(getattr(plan, name), dst)
+        elif name:
+            rows = index[0] if isinstance(index, tuple) else index
+            rows = tuple(np.atleast_1d(np.arange(len(dst))[rows]).tolist())
+        if name and calls and calls[-1][:2] == (name, rows):
+            calls[-1][2].append(entry)
+        else:
+            calls.append((name, rows, [entry]))
+    return calls
+
+
+def _stages(plan):
+    """_calls split into the levels, each ending with the calls that write
+    X, and the dual tail, last."""
+    stages = [[]]
+    for call in _calls(plan):
+        if stages[-1] and stages[-1][-1][0] == "X" and call[0] != "X":
+            stages.append([])
+        stages[-1].append(call)
+    return stages
+
+
+def _sources(plan, i, a):
+    """What tape entry i reads as the array a, traced back through the
+    scratch that earlier entries wrote: a list of (buffer, rows, coef), the
+    rows of a plan buffer as they are (coef None) or combined by coef in
+    one np.dot.  A constant, which no entry wrote, gives none."""
+    name = _buffer(plan, a)
+    if name:
+        return [(name, _rows(getattr(plan, name), a), None)]
+    j = next((j for j in range(i - 1, -1, -1)
+              if np.shares_memory(_written(plan.tape[j])[0], a)), None)
+    entry = None if j is None else plan.tape[j]
+    if entry is None:
+        return []
+    if entry.func is np.take:
+        return [(_buffer(plan, entry.args[0]), tuple(entry.args[1].tolist()),
+                 None)]
+    if entry.func is np.dot and _buffer(plan, entry.args[1]):
+        [(name, rows, _)] = _sources(plan, j, entry.args[1])
+        return [(name, rows, entry.args[0])]
+    return [s for b in entry.args if isinstance(b, np.ndarray)
+            for s in _sources(plan, j, b)]
+
+
+def _reads(plan, call):
+    """The _sources of every array that the entries of a call read, but
+    for the one each entry writes."""
+    i = next(i for i, e in enumerate(plan.tape) if e is call[2][0])
+    return [s for k, e in enumerate(call[2], i)
+            for b in e.args[3 if e.func is solver_module._put else 0:]
+            if isinstance(b, np.ndarray) and b.dtype == float
+            and b is not _written(e)[0] for s in _sources(plan, k, b)]
+
+
+def _image_calls(plan, stage, kind):
+    """The calls of a stage that write images: "C", those that read only
+    x blocks, or "L*", those that read w."""
+    calls = [c for c in stage if c[0] == "S"]
+    reads = [{name for name, *_ in _reads(plan, c)} for c in calls]
+    return [c for c, r in zip(calls, reads)
+            if (r == {"X"} if kind == "C" else "w" in r)]
+
+
+def _stacked_gradients(plan, stage):
+    """The (A, b) of a stage's stacked least-squares products: A (k, m, d)
+    is read by the call's last product, b by the subtraction before it."""
+    return [(e.args[1], plan.tape[plan.tape.index(e) - 1].args[1])
+            for c in _image_calls(plan, stage, "C") for e in c[2]
+            if e.func is np.matmul and e.args[1].ndim == 3]
+
+
+def _dense(n, source):
+    """A (buffer, rows, coef) source as dense coefficient rows over n x
+    blocks, one per argument row."""
+    _, rows, coef = source
+    if coef is None:
+        return np.eye(n)[list(rows)]
+    out = np.zeros(np.atleast_2d(coef).shape[:-1] + (n,))
+    out[:, list(rows)] = np.atleast_2d(coef)
+    return out
 
 
 class TestArgumentTable:
@@ -1201,46 +1317,41 @@ class TestArgumentTable:
                     nz = np.flatnonzero(col)
                     first = int(nz[0]) if nz.size else n
                     firsts.append((kind, j, first))
-                    want[kind, j] = solver_module._combo(row[:first])
+                    want[kind, j] = np.r_[row[:first], np.zeros(n - first)]
             # the plan orders the images by first row, then kind and index;
-            # every image is computed once, and each reads its own row
+            # every image is written once, and a C call reads its images'
+            # own rows (one argument, or one row each)
             images = sorted((f, kind, j) for kind, j, f in firsts if f < n)
-            seen = []
-            for lv in plan.levels:
-                for ts, call, (a, *arg) in lv.images:
-                    assert a == 0, (draw, ts)
-                    ts = np.atleast_1d(np.arange(len(images))[ts])
-                    seen += ts.tolist()
-                    if isinstance(call, SingleValuedOp):
-                        _, kind, j = images[ts[0]]
-                        assert call is pb.C_list[j], (draw, ts)
-                        _assert_same_combo(arg, want[kind, j])
-                        continue
-                    # a product of gradients reads its images' rows as one
-                    rows = np.array([(s.R, s.P.T)[kind][j]
-                                     for _, kind, j in map(images.__getitem__,
-                                                           ts)])
-                    one = (rows == rows[0]).all()
-                    _assert_same_combo(arg, solver_module._combo(
-                        rows[0] if one else rows))
+            stages = _stages(plan)
+            assert sorted(t for stage in stages[:-1] for name, ts, _ in stage
+                          if name == "S" for t in ts) == list(
+                              range(len(images))), draw
+            for stage in stages[:-1]:
+                for call in _image_calls(plan, stage, "C"):
+                    [source] = _reads(plan, call)
+                    got = _dense(n, source)
+                    for q, t in enumerate(call[1]):
+                        _, kind, j = images[t]
+                        np.testing.assert_array_equal(
+                            got[q if len(got) > 1 else 0], want[kind, j])
+                        assert all(e.args[2] is pb.C_list[j] for e in call[2]
+                                   if e.func is solver_module._put), draw
                 # an argument that several L_k share is the first one's,
                 # and each of them has that argument
-                for _, out, (kk, _), (a, *arg) in lv.fills:
-                    assert (out, a) == (0, 0)
-                    for k in np.atleast_1d(np.arange(s.r)[kk]):
-                        _assert_same_combo(arg, want[2, k])
-                seen += [t for _, _, ts, _ in lv.adjoints
-                         for t in np.atleast_1d(np.arange(len(images))[ts])]
-            assert sorted(seen) == list(range(len(images))), draw
+                for call in [c for c in stage if c[0] == "LKx"]:
+                    [source] = _reads(plan, call)
+                    for k in call[1]:
+                        np.testing.assert_array_equal(
+                            _dense(n, source)[0], want[2, k])
             # the tail forms the (K x)_k of the zero columns of H, and only
             # those, from the whole row of K
-            lone = [(index[0], arg) for _, out, index, arg in plan.fills
-                    if out == 0]
-            assert [k for k, _ in lone] == [j for kind, j, f in firsts
-                                             if kind == 2 and f == n]
-            for k, (a, *arg) in lone:
-                assert a == 0
-                _assert_same_combo(arg, want[2, k])
+            lone = [c for c in stages[-1] if c[0] == "LKx"]
+            assert [k for c in lone for k in c[1]] == [
+                j for kind, j, f in firsts if kind == 2 and f == n]
+            for call in lone:
+                [source] = _reads(plan, call)
+                np.testing.assert_array_equal(_dense(n, source)[0],
+                                              want[2, call[1][0]])
 
 
 def _gamma_error(s, rng, d):
@@ -1256,11 +1367,19 @@ def _gamma_error(s, rng, d):
 
 
 def _modes(s, d=3):
+    """Each row's mode, read from the tape: "start" or "run" for a row whose
+    sums go to the running sum T (after a T.fill for "start"), else None;
+    and whether the tail reads (H^T x)_k from one H^T product."""
     plan = solver_module.EvalPlan(
         s, random_problem_for(np.random.default_rng(0), s, d))
-    # a level sums its rows as one block (mode None) unless one runs
-    return [mode for lv in plan.levels for i, _, mode in lv.sums
-            for _ in np.atleast_1d(np.arange(s.n)[i])], plan.Hx[2] is not None
+    modes, start = {}, False
+    for entry in plan.tape:
+        if getattr(entry.func, "__self__", None) is plan.T:   # T.fill
+            start = True
+        elif entry.func is np.add and entry.args[1] is plan.T:   # U_i += T
+            [i] = _rows(plan.U, entry.args[0])
+            modes[i], start = "start" if start else "run", False
+    return [modes.get(i) for i in range(s.n)], _one_HT(plan)
 
 
 class TestRunningSums:
@@ -1335,21 +1454,35 @@ def _per_k_dual_tail(s, BL, X, w, LKx):
 
 def _looped(pb):
     """pb with each B_k's resolvent replaced by the same function and each
-    L_k by a copy of its own, which keeps the dual tail a loop over k."""
+    L_k by a difference map with no group hook, which keeps the dual tail a
+    loop over k."""
     BL = [ComposedBlock(B=ResolventOp(blk.B.dim, blk.B.resolvent.__call__),
-                        L=copy.copy(blk.L)) for blk in pb.BL_list]
+                        L=_PlainDifferenceMap(blk.L.in_dim))
+          for blk in pb.BL_list]
     return replace(pb, BL_list=BL)
 
 
+def _tail_calls(plan, name):   # the tail's calls that write buffer name
+    return [c for c in _stages(plan)[-1] if c[0] == name]
+
+
+def _one_HT(plan):
+    """Whether the tail reads (H^T x)_k from one H^T product."""
+    [call] = _tail_calls(plan, "LHx")[:1]
+    return _reads(plan, call)[0][2] is not None
+
+
 def _one_L(plan):
-    """Whether the tail forms every L_k (H^T x)_k by one L call."""
-    return [index for _, out, index, _ in plan.fills if out == 1] == [...]
+    """Whether the tail forms every L_k (H^T x)_k by one bound L call."""
+    calls = _tail_calls(plan, "LHx")
+    return len(calls) == 1 and solver_module._put not in [
+        e.func for e in calls[0][2]]
 
 
 def _one_soft(plan):
     """Whether the tail takes every B_k resolvent by one soft-threshold."""
-    return [call for _, call, _ in plan.resolvents] == [
-        solver_module._soft_threshold]
+    return [[e.func for e in c[2]] for c in _tail_calls(plan, "y")] == [
+        [np.minimum, np.maximum, np.subtract]]
 
 
 def _l1_difference_problem(rng, s, d):
@@ -1448,7 +1581,7 @@ class TestWholeArrayDualTail:
         pb = _l1_difference_problem(rng, s, 9)
         looped = _looped(pb)
         plan, plan_k = EvalPlan(s, pb), EvalPlan(s, looped)
-        assert _one_L(plan) and _one_soft(plan) and plan.Hx[2] is not None
+        assert _one_L(plan) and _one_soft(plan) and _one_HT(plan)
         assert not _one_L(plan_k) and not _one_soft(plan_k)
         lone = ~s.H.any(axis=0)   # rows of LKx that the tail forms
         for scale in (0.01, 0.1, 1.0):
@@ -1469,20 +1602,21 @@ class TestWholeArrayDualTail:
                                       "distinct_maps_l1_B"])
     def test_L_and_B_batched_apart_match_the_loop_over_k(self, case):
         # one difference map with affine B_k: one L call, a B_k call per k;
-        # a difference map per k with l1 B_k: an L call per k, one
-        # soft-threshold
+        # a difference map per k with no group hook, with l1 B_k: an L call
+        # per k, one soft-threshold
         rng = np.random.default_rng(13)
         s = scheme_complete(5, gamma=0.6, eta=0.4)
         pb = _l1_difference_problem(rng, s, 9)
         one = case == "one_map_affine_B"
         pb = replace(pb, BL_list=[ComposedBlock(
             B=monotone_affine(rng, 8) if one else blk.B,
-            L=blk.L if one else difference_matrix(9)) for blk in pb.BL_list])
+            L=blk.L if one else _PlainDifferenceMap(9))
+            for blk in pb.BL_list])
         plan, looped = EvalPlan(s, pb), _looped(pb)
         plan_k = EvalPlan(s, looped)
         assert (_one_L(plan), _one_soft(plan)) == (one, not one)
-        assert (len(plan.fills), len(plan.resolvents)) == (
-            (1, s.r) if one else (s.r, 1))
+        assert [len(_tail_calls(plan, name)) for name in ("LHx", "y")] == (
+            [1, s.r] if one else [s.r, 1])
         assert not _one_L(plan_k) and not _one_soft(plan_k)
         for scale in (0.1, 1.0, 10.0):
             z = scale * rng.standard_normal((s.m, pb.d))
@@ -1585,7 +1719,7 @@ class TestWholeArrayDualTail:
             pb = _l1_difference_problem(rng, s, 7)
             if case == "distinct_maps":
                 pb = replace(pb, BL_list=[
-                    ComposedBlock(B=blk.B, L=difference_matrix(7))
+                    ComposedBlock(B=blk.B, L=_PlainDifferenceMap(7))
                     for blk in pb.BL_list])
             elif case == "affine_B":
                 blk = pb.BL_list[1]
@@ -1654,12 +1788,12 @@ class TestWholeArrayDualTail:
 
 def _per_row(pb):
     """pb with each A_i's resolvent and each C_j's map replaced by the same
-    function and each L_k by a difference map of its own, so that every
-    level runs its A_i, its C_j and its L_k one row at a time, and the dual
-    tail loops over k."""
+    function and each L_k by a difference map with no group hook, so that
+    every level runs its A_i, its C_j and its L_k one row at a time, and
+    the dual tail loops over k."""
     A = [ResolventOp(op.dim, op.resolvent.__call__) for op in pb.A_list]
     C = [replace(op, apply=op.apply.__call__) for op in pb.C_list]
-    BL = [ComposedBlock(B=blk.B, L=difference_matrix(pb.d))
+    BL = [ComposedBlock(B=blk.B, L=_PlainDifferenceMap(pb.d))
           for blk in pb.BL_list]
     return replace(pb, A_list=A, BL_list=BL, C_list=C)
 
@@ -1684,15 +1818,16 @@ def _weighted_star(rng, n):
     return scheme_from_graph(g, gamma=0.6, eta=0.4)
 
 
-def _level_rows(plan):   # the rows each level's resolvents write
-    rows = np.arange(plan.scheme.n)
-    return [[int(i) for index, *_ in lv.resolvents
-             for i in np.atleast_1d(rows[index])] for lv in plan.levels]
+def _level_rows(plan):
+    """The rows each level's resolvents write, which are plan.levels."""
+    rows = [[i for name, rows, _ in stage if name == "X" for i in rows]
+            for stage in _stages(plan)[:-1]]
+    assert rows == plan.levels
+    return rows
 
 
-def _stacked_gradients(lv):   # a level's one product of its gradients
-    return [call for _, call, _ in lv.images
-            if isinstance(call, _StackedLeastSquares)]
+def _written_by(stage, name):   # the calls of a stage that write buffer name
+    return [c for c in stage if c[0] == name]
 
 
 # eval_S of a level whose gradients or sums are one product against one
@@ -1726,11 +1861,14 @@ class TestLevels:
         plan = EvalPlan(s, random_problem_for(np.random.default_rng(n), s, 3))
         assert _level_rows(plan) == [[i] for i in range(s.n)]
         # a lone row: its own index, at most one C call, its own sums
-        for i, lv in enumerate(plan.levels):
-            assert [index for index, *_ in lv.resolvents] == [i]
-            assert _stacked_gradients(lv) == [] and len(lv.images) <= 1
-            assert all(coef is None or coef.ndim == 1
-                       for _, combos, _ in lv.sums for *_, coef in combos)
+        for i, stage in enumerate(_stages(plan)[:-1]):
+            assert [rows for name, rows, _ in stage if name == "X"] == [(i,)]
+            assert _stacked_gradients(plan, stage) == []
+            assert len(_image_calls(plan, stage, "C")) <= 1
+            sums = _written_by(stage[i == 0:], "U")   # after U = Md z
+            assert {rows for _, rows, _ in sums} <= {(i,)}
+            assert all(coef is None or coef.ndim == 1 for call in sums
+                       for *_, coef in _reads(plan, call))
 
     @staticmethod
     def _same_S(plan, other, rng, s, d, rtol=0.0):
@@ -1754,25 +1892,31 @@ class TestLevels:
         s = _weighted_star(rng, n)
         pb = _l1_star_problem(rng, s, 9)
         plan, rows = EvalPlan(s, pb), EvalPlan(s, _per_row(pb))
-        lv = plan.levels[1]
-        [(at, call, thresholds)] = lv.resolvents   # one soft-threshold
-        assert at == slice(1, n, 1) and thresholds.shape == (n - 1, 1)
-        assert call is solver_module._soft_threshold
-        [_] = lv.fills   # one L call, one L^* call
-        [(_, ks, ts, eta)] = lv.adjoints
-        assert eta.shape == (n - 1, 1)
-        # one product for the gradients, at the one argument x_0
-        [(ts, call, arg)] = lv.images
-        assert arg == (0, 0, None)   # x_0, as it is
-        assert call.A.shape == (n - 1, 11, 9) and call.b.shape == (n - 1, 11)
+        stage = _stages(plan)[1]
+        # one soft-threshold, by a column of thresholds
+        [(_, at, soft)] = _written_by(stage, "X")
+        assert at == tuple(range(1, n))
+        assert [e.func for e in soft] == [np.minimum, np.maximum, np.subtract]
+        assert soft[0].args[1].shape == (n - 1, 1)
+        # one L call, one L^* call
+        assert len(_written_by(stage, "LKx")) == 1
+        assert len(_image_calls(plan, stage, "L*")) == 1
+        # one product for the gradients, at the one argument x_0 as it is
+        [(A, b)] = _stacked_gradients(plan, stage)
+        assert A.shape == (n - 1, 11, 9) and b.shape == (n - 1, 11)
+        [call] = _image_calls(plan, stage, "C")
+        assert _reads(plan, call) == [("X", (0,), None)]
         # one product per stack: x_0 and the images, for all n - 1 rows
-        [(at_sums, combos, mode)] = lv.sums
-        assert at_sums == at and mode is None
-        assert [(a, coef.shape[0]) for a, _, coef in combos] == [
-            (0, n - 1), (1, n - 1)]
-        lv = rows.levels[1]
-        assert len(lv.resolvents) == len(lv.fills) == len(lv.adjoints) == n - 1
-        assert _stacked_gradients(lv) == [] and len(lv.images) == n - 1
+        sums = _written_by(stage, "U")
+        assert {rows for _, rows, _ in sums} == {at}
+        assert [(name, coef.shape[0]) for call in sums
+                for name, _, coef in _reads(plan, call)
+                if coef is not None] == [("X", n - 1), ("S", n - 1)]
+        stage = _stages(rows)[1]
+        assert [len(_written_by(stage, "X")), len(_written_by(stage, "LKx")),
+                len(_image_calls(rows, stage, "L*")),
+                len(_image_calls(rows, stage, "C"))] == [n - 1] * 4
+        assert _stacked_gradients(rows, stage) == []
         self._same_S(plan, rows, rng, s, pb.d, BATCHED_RTOL)
 
     def test_desk_star_solve_matches_per_row_path(self):
@@ -1780,8 +1924,10 @@ class TestLevels:
         pb = to_problem(inst)
         s, _, lam_max = build_family_scheme("star", inst, 0.5, 0.1)
         rows = _per_row(pb)
-        lv = EvalPlan(s, pb).levels[1]
-        assert len(lv.resolvents) == 1 and len(_stacked_gradients(lv)) == 1
+        plan = EvalPlan(s, pb)
+        stage = _stages(plan)[1]
+        assert len(_written_by(stage, "X")) == 1
+        assert len(_stacked_gradients(plan, stage)) == 1
         self._same_S(EvalPlan(s, pb), EvalPlan(s, rows),
                      np.random.default_rng(3), s, pb.d, BATCHED_RTOL)
         _assert_same_solve(s, pb, rows, lam_max, BATCHED_RTOL)
@@ -1792,22 +1938,25 @@ class TestLevels:
         pb = _l1_star_problem(rng, s, 8)
         pb.A_list[2] = monotone_affine(rng, 8)   # among l1 resolvents
         plan = EvalPlan(s, pb)
-        assert len(plan.levels[1].resolvents) == 4
-        assert len(plan.levels[1].adjoints) == 1
+        stage = _stages(plan)[1]
+        assert len(_written_by(stage, "X")) == 4
+        assert len(_image_calls(plan, stage, "L*")) == 1
         self._same_S(plan, EvalPlan(s, _per_row(pb)), rng, s, pb.d,
                      BATCHED_RTOL)
 
     def test_level_of_distinct_maps_runs_them_per_image(self):
+        # a map per k with no group hook: an L and an L^* call per image
         rng = np.random.default_rng(22)
         s = _weighted_star(rng, 5)
         pb = _l1_star_problem(rng, s, 8)
         own = replace(pb, BL_list=[
-            ComposedBlock(B=blk.B, L=difference_matrix(8))
+            ComposedBlock(B=blk.B, L=_PlainDifferenceMap(8))
             for blk in pb.BL_list])
         plan = EvalPlan(s, own)
-        lv = plan.levels[1]
-        assert len(lv.fills) == len(lv.adjoints) == 4
-        assert len(lv.resolvents) == 1
+        stage = _stages(plan)[1]
+        assert len(_written_by(stage, "LKx")) == 4
+        assert len(_image_calls(plan, stage, "L*")) == 4
+        assert len(_written_by(stage, "X")) == 1
         self._same_S(plan, EvalPlan(s, pb), rng, s, pb.d)
         self._same_S(plan, EvalPlan(s, _per_row(pb)), rng, s, pb.d,
                      BATCHED_RTOL)
@@ -1822,11 +1971,13 @@ class TestLevels:
         s = s.replace(K=K)
         pb = _l1_star_problem(rng, s, 8)
         plan = EvalPlan(s, pb)
-        [(_, ks, _, _)] = plan.levels[1].adjoints
-        fills = plan.levels[1].fills
-        assert ks[0] == slice(0, 4, 1) and len(fills) == 2
-        np.testing.assert_array_equal(fills[0][2][0], [0, 1, 3])
-        assert fills[1][2][0] == 2
+        stage = _stages(plan)[1]
+        [adjoint] = _image_calls(plan, stage, "L*")
+        assert {(name, rows) for name, rows, _ in _reads(plan, adjoint)} == {
+            ("LKx", (0, 1, 2, 3)), ("w", (0, 1, 2, 3))}
+        fills = _written_by(stage, "LKx")
+        assert [rows for _, rows, _ in fills] == [(0, 1, 3), (2,)]
+        assert fills[0][2][-1].func.__name__ == "__setitem__"   # picked
         self._same_S(plan, EvalPlan(s, _per_row(pb)), rng, s, pb.d,
                      BATCHED_RTOL)
 
@@ -1838,8 +1989,7 @@ class TestLevels:
         rows[-1] = 15   # fewer and more rows than d
         pb = _l1_star_problem(rng, s, 9, rows)
         plan = EvalPlan(s, pb)
-        [call] = _stacked_gradients(plan.levels[1])
-        A3, B2 = call.A, call.b
+        [(A3, B2)] = _stacked_gradients(plan, _stages(plan)[1])
         assert A3.shape == (n - 1, 15, 9) and B2.shape == (n - 1, 15)
         for a, b, m, C in zip(A3, B2, rows, pb.C_list):
             np.testing.assert_array_equal(a[:m], C.apply.A)
@@ -1858,8 +2008,9 @@ class TestLevels:
         s = s.replace(R=R)
         pb = _l1_star_problem(rng, s, 8, [3, 9, 5, 7])
         plan = EvalPlan(s, pb)
-        [(_, _, (_, cols, coef))] = plan.levels[1].images
-        assert cols == slice(0, 1)   # (1, 1, 0.5, 1) times x_0
+        [call] = _image_calls(plan, _stages(plan)[1], "C")
+        [(name, rows, coef)] = _reads(plan, call)
+        assert (name, rows) == ("X", (0,))   # (1, 1, 0.5, 1) times x_0
         np.testing.assert_array_equal(coef, [[1.0], [1.0], [0.5], [1.0]])
         self._same_S(plan, EvalPlan(s, _per_row(pb)), rng, s, pb.d,
                      BATCHED_RTOL)
@@ -1874,8 +2025,10 @@ class TestLevels:
         pb.C_list[1] = SingleValuedOp(dim=8, apply=lambda x: 2.0 * x,
                                       lipschitz=2.0, cocoercive=True)
         plan = EvalPlan(s, pb)
-        lv = plan.levels[1]
-        assert [call for _, call, _ in lv.images] == pb.C_list   # in order
+        calls = _image_calls(plan, _stages(plan)[1], "C")
+        assert [e.func for c in calls for e in c[2]] == [
+            solver_module._put] * len(pb.C_list)
+        assert [c[2][0].args[2] for c in calls] == pb.C_list   # in order
         self._same_S(plan, EvalPlan(s, _per_row(pb)), rng, s, pb.d)
 
     def test_lone_gradient_keeps_the_plain_call(self):
@@ -1884,9 +2037,11 @@ class TestLevels:
         s = _weighted_star(rng, 2)
         pb = _l1_star_problem(rng, s, 40)
         plan = EvalPlan(s, pb)
-        lv = plan.levels[1]
         assert _level_rows(plan) == [[0], [1]]
-        assert [call for _, call, _ in lv.images] == pb.C_list
+        [call] = _image_calls(plan, _stages(plan)[1], "C")
+        [product] = call[2]   # A^T r, after r = A x_0 - b into scratch
+        assert product.func is np.matmul
+        assert product.args[0].base is pb.C_list[0].apply.A
         self._same_S(plan, EvalPlan(s, _per_row(pb)), rng, s, pb.d)
 
     @settings(max_examples=40, deadline=None, derandomize=True,
@@ -1899,8 +2054,8 @@ class TestLevels:
         s = _weighted_star(rng, n)
         pb = _l1_star_problem(rng, s, d, rows[:s.p])
         plan, other = EvalPlan(s, pb), EvalPlan(s, _per_row(pb))
-        [call] = _stacked_gradients(plan.levels[1])
-        assert call.A.shape == (n - 1, max(rows[:s.p]), d)
+        [(A, _)] = _stacked_gradients(plan, _stages(plan)[1])
+        assert A.shape == (n - 1, max(rows[:s.p]), d)
         for scale in (0.1, 10.0):
             z = scale * rng.standard_normal((s.m, d))
             w = scale * rng.standard_normal((s.r, d - 1))
@@ -1913,6 +2068,64 @@ class TestLevels:
                                            BlockVector(list(w)))
             assert max(_rel(a.blocks, b.blocks)
                        for a, b in zip(new, old)) <= 1e-13
+
+
+def _summary(plan):   # each call of the tape: its buffer, rows and calls
+    return [(name, rows, [e.func for e in entries])
+            for name, rows, entries in _calls(plan)]
+
+
+class TestKindRule:
+    """One rule decides which operators share a call: a group whose
+    operators are all of exactly one class that defines a group hook.  So
+    distinct difference maps, one per k, share one call as one map does."""
+
+    def test_difference_map_per_k_shares_one_call(self):
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        s, _, lam_max = build_family_scheme("star", inst, 0.5, 0.1)
+        own = replace(pb, BL_list=[
+            ComposedBlock(B=blk.B, L=difference_matrix(pb.d))
+            for blk in pb.BL_list])
+        assert len({id(blk.L) for blk in own.BL_list}) == s.r
+        plan, one = EvalPlan(s, own), EvalPlan(s, pb)
+        # one L call and one L^* call for the star's leaves, one in the tail
+        stage = _stages(plan)[1]
+        assert len(_written_by(stage, "LKx")) == 1
+        assert len(_image_calls(plan, stage, "L*")) == 1
+        assert _one_L(plan)
+        assert _summary(plan) == _summary(one)
+        rng = np.random.default_rng(4)
+        for scale in (0.1, 1.0, 10.0):
+            z = scale * rng.standard_normal((s.m, pb.d))
+            w = scale * rng.standard_normal((s.r, pb.d - 1))
+            for a, b in zip(eval_S(plan, z, w), eval_S(one, z, w)):
+                np.testing.assert_array_equal(a, b)
+        _assert_same_solve(s, own, pb, lam_max)
+
+    # the lengths of the tapes of the bench's plans, at their shapes and at
+    # small d and m; a change that adds numpy calls per Gamma updates them
+    TAPE_LENGTHS = {"sequential": 85, "star": 25, "complete": 96,
+                    "complete_21": 351, "ring": 42}
+
+    @pytest.mark.parametrize("size", ["bench", "small"])
+    def test_tape_lengths(self, size):
+        bench = size == "bench"
+        lengths = {}
+        for n, m, d in ((5, 50, 200), (20, 400, 1000)) if bench else (
+                (5, 10, 3), (20, 20, 2)):
+            inst = gen_instance(1, n=n, m=m, d=d, mu=5.0, nu=2.0,
+                                k_nonzero=min(d, 10))
+            pb = to_problem(inst)
+            for family in ("sequential", "star", "complete"):
+                if n == 20 and family != "complete":
+                    continue
+                s, _, _ = build_family_scheme(family, inst, 0.5, 0.1)
+                name = family + ("_21" if n == 20 else "")
+                lengths[name] = len(EvalPlan(s, pb).tape)
+        s, pb, _ = _lipschitz_ring_instance(1000 if bench else 3, nodes=6)
+        lengths["ring"] = len(EvalPlan(s, pb).tape)
+        assert lengths == self.TAPE_LENGTHS
 
 
 def _user_resolvent(dim):
@@ -1967,13 +2180,13 @@ def _dropped(s, drop_H, drop_P):
 
 def _index_arrays(plan):
     """The tape's entries that pick rows by an index array: the np.take
-    reads and the generic entries that write through one."""
-    def picked(index):
+    reads, and the generic entries and the dst.__setitem__ that write
+    through one."""
+    def picked(entry):
+        index = _written(entry)[1]
         rows = index[0] if isinstance(index, tuple) else index
         return isinstance(rows, np.ndarray)
-    return [call for call in plan.tape
-            if call.func is np.take or call.func is solver_module._put
-            and picked(call.args[1])]
+    return [e for e in plan.tape if e.func is np.take or picked(e)]
 
 
 class TestTape:
@@ -2051,8 +2264,9 @@ class TestTape:
                 B=_user_resolvent(blk.B.dim), L=blk.L) for blk in pb.BL_list])
         plan = self._check(s, pb, rng)
         picks = _index_arrays(plan)
-        assert {call.func for call in picks} == {np.take,
-                                                 solver_module._put}
+        # a group hook writes picked rows into scratch, then sets them (the
+        # one L map in both); a call per row or per image writes one row
+        assert {e.func.__name__ for e in picks} == {"take", "__setitem__"}
 
     def test_built_in_kinds_are_bound_and_others_generic(self):
         # the desk star: one product for the gradients, one stencil each for
@@ -2065,7 +2279,7 @@ class TestTape:
         generic = [call for call in tape if call.func is solver_module._put]
         assert [call.args[2] for call in generic] == pb.A_list[:1]
         # wrapped, as a traced run wraps them, each A_i and C_j is one
-        traced = _per_row(pb)
+        traced = replace(_per_row(pb), BL_list=pb.BL_list)
         generic = [call.args[2] for call in EvalPlan(s, traced).tape
                    if call.func is solver_module._put]
         assert sorted(map(id, generic)) == sorted(
