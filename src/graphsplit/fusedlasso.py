@@ -83,7 +83,8 @@ class DifferenceMap:
                         out=out[..., 1:-1]),
                 # times -1, exact: numpy 2.4.6's negative misreads a
                 # strided column into a strided output
-                partial(np.multiply, y[..., 0], -1.0, out=out[..., 0]),
+                partial(np.multiply, y[..., 0], np.array(-1.0),
+                        out=out[..., 0]),
                 partial(np.copyto, out[..., -1], y[..., -1])]
 
     def norm(self):

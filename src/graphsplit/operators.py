@@ -150,11 +150,13 @@ class _L1Prox:
     @staticmethod
     def tape(fs, steps, v, out, scratch):
         """The resolvents fs at steps ``steps`` of the rows v: one
-        soft-threshold by the column step * weight (a float for one row)."""
+        soft-threshold by step * weight per row, at out's shape (0-d for
+        one row), so that no call broadcasts a column."""
         t = np.array([[step * f.weight] for step, f in zip(steps, fs)])
-        t = t.item() if t.size == 1 else t
+        t, neg = (np.array(a.item() if a.size == 1 else np.broadcast_to(
+            a, out.shape)) for a in (t, -t))
         return [partial(np.minimum, v, t, out=out),   # as _soft_threshold
-                partial(np.maximum, out, -t, out=out),
+                partial(np.maximum, out, neg, out=out),
                 partial(np.subtract, v, out, out=out)]
 
 

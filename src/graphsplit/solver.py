@@ -6,10 +6,15 @@ another, each zero-padded to the longest.
 
 An EvalPlan compiles one scheme on one problem, once, into a tape of numpy
 calls bound to buffers that the plan owns, and evaluates one point at a
-time.  The kernel eval_S runs the tape; eval_Gamma, certify_solution and
-solve share it.  A caller's (z, w) is copied into the plan's inputs and the
+time.  Every constant that an elementwise call binds has the shape of its
+out or is 0-d, so no call broadcasts a column or converts a float.  The
+kernel eval_S runs the tape; eval_Gamma, step, certify_solution and solve
+share it.  A caller's (z, w) is copied into the plan's inputs and the
 outputs are copied out, so what a public function returns is the caller's
-own; solve keeps its iterate in the plan's inputs and updates it in place."""
+own.  solve keeps its iterate in the plan's inputs, z and w, views of one
+flat vector, and gz and gw are views of another: its residual is three
+bound calls summed as residual_star sums them, and its update two bound
+calls over the flat vectors."""
 
 from __future__ import annotations
 
@@ -75,12 +80,28 @@ class IterateState:
     y: Optional[BlockVector] = None
 
 
+def _star_calls(inv_E, Z1, W1, Z2, W2):
+    """The three calls, bound once, whose results _star sums: <Z1, Z2> of
+    stacked rows, a batch of one row product per dual block of the padded
+    rows W1 and W2 into an (r, 1, 1) buffer, and those weighted by 1/E."""
+    rows = np.empty((len(W1), 1, 1))
+    return (partial(np.vdot, Z1, Z2),
+            partial(np.matmul, W1[:, None], W2[:, :, None], out=rows),
+            partial(np.matmul, rows.reshape(-1), inv_E))
+
+
+def _star(gamma, calls):
+    """<Z1, Z2> + gamma <E^{-1} W1, W2>, from the _star_calls run in order."""
+    vdot, rows, weigh = calls
+    zz = vdot()
+    rows()
+    return float(zz) + gamma * float(weigh())
+
+
 def _star_inner(gamma, E_diag, Z1, W1, Z2, W2):
     """<Z1, Z2> + gamma <E^{-1} W1, W2> of stacked and padded rows."""
-    # a batch of one row product per dual block, then weighted by 1/eta
-    rows = W1[:, None] @ W2[:, :, None]
-    inv_eta = 1.0 / np.asarray(E_diag, dtype=float)
-    return float(np.vdot(Z1, Z2)) + gamma * float(rows.ravel() @ inv_eta)
+    inv_E = 1.0 / np.asarray(E_diag, dtype=float)
+    return _star(gamma, _star_calls(inv_E, Z1, W1, Z2, W2))
 
 
 @dataclass
@@ -218,9 +239,11 @@ class EvalPlan:
     ("start" or "run") left.  A row joins the current level if it reads no
     x block of it, through N or its images' arguments (star: {0},
     {1..n-1}); ``levels`` holds each level's rows.  The plan allocates its
-    buffers: the inputs ``z`` and ``w``; ``U``, ``X``, ``LKx``, ``LHx`` and
-    ``y``, which eval_S returns; eval_Gamma's ``gz`` and ``gw``; ``S``,
-    ``T`` and scratch, which only the tape reads.  Then, in one pass, each
+    buffers: the inputs ``z`` and ``w``, views of one flat vector ``v``;
+    ``U``, ``X``, ``LKx``, ``LHx`` and ``y``, which eval_S returns;
+    eval_Gamma's ``gz`` and ``gw``, views of ``g``, with ``star``, the calls
+    of their residual (_star_calls); ``S``, ``T`` and scratch, which only
+    the tape reads.  Then, in one pass, each
     ``_level`` and the dual ``_tail`` append to ``tape`` the numpy calls,
     bound to those buffers, that evaluate S at ``z`` and ``w`` when run in
     order.  The operators of a group (a level's C_j, L_k or A_i; the tail's
@@ -260,11 +283,17 @@ class EvalPlan:
         # the padding of the shorter dual blocks; None when there is none
         self.pad = (np.arange(self.eta.shape[1]) >= np.c_[self.dims]
                     if len(set(self.dims)) > 1 else None)
-        shape = self.eta.shape
-        self.z, self.w = np.zeros((s.m, d)), np.zeros(shape)
-        self.U, self.X, self.gz = (np.empty((n, d)) for n in (s.n, s.n, s.m))
-        self.LKx, self.LHx, self.y, self.gw = (np.zeros(shape)
-                                               for _ in range(4))
+        shape, md = self.eta.shape, s.m * d
+        # (z, w) and (gz, gw) as views of one flat vector each, v and g
+        self.v, self.g = (np.zeros(md + self.eta.size) for _ in range(2))
+        (self.z, self.w), (self.gz, self.gw) = (
+            (a[:md].reshape(s.m, d), a[md:].reshape(shape))
+            for a in (self.v, self.g))
+        self.U, self.X = np.empty((s.n, d)), np.empty((s.n, d))
+        self.LKx, self.LHx, self.y = (np.zeros(shape) for _ in range(3))
+        # <gz, gz> + gamma <E^{-1} gw, gw>, as _star sums them
+        self.star = _star_calls(1.0 / np.asarray(s.E_diag, dtype=float),
+                                self.gz, self.gw, self.gz, self.gw)
         self.S, self.T = np.empty((len(images), d)), np.empty(d)
         self.tape, self._pool = [partial(np.matmul, self.Md, self.z,
                                          out=self.U)], {}
@@ -309,7 +338,8 @@ class EvalPlan:
         if coef is None:
             return self._read(a, c, slot)
         out = self._scratch(coef.shape[:-1] + a.shape[1:], slot)
-        self.tape.append(partial(np.dot, coef, a[c], out=out))
+        self.tape.append(partial(np.dot, np.ascontiguousarray(coef), a[c],
+                                 out=out))
         return out
 
     def _apply(self, dst, index, hook, f, *args):
@@ -372,8 +402,7 @@ class EvalPlan:
                 0, self.dims[ks[0]]))
             lk = self._read(self.LKx, index, "lk")
             wk, arg = self._read(self.w, index, "wk"), self._scratch(lk.shape)
-            self.tape += [partial(np.multiply, s.E_diag[index[0], None], lk,
-                                  out=arg),
+            self.tape += [partial(np.multiply, self.eta[index], lk, out=arg),
                           partial(np.subtract, arg, wk, out=arg)]
             self._apply(S, _index(ts), hook and _kind(maps, "adjoint_tape"),
                         maps if hook else maps[0].adjoint, arg)
@@ -488,11 +517,13 @@ def residual_star(scheme, gz, gw, lambda_t):
     return _star_inner(scheme.gamma, scheme.E_diag, Z, W, Z, W) / lambda_t
 
 
-def step(scheme, problem, state, lambda_t, lambda_max=None):
-    """One relaxed iteration (z, w) <- (z, w) - lambda_t * Gamma(z, w)."""
+def step(scheme, problem, state, lambda_t, lambda_max=None, plan=None):
+    """One relaxed iteration (z, w) <- (z, w) - lambda_t * Gamma(z, w).
+    ``plan`` is compiled when omitted, and refused when compiled for
+    another scheme or problem object, as by eval_Gamma."""
     lambda_t = _check_lambda(
         lambda_t, math.inf if lambda_max is None else lambda_max)
-    gz, gw, x, y = eval_Gamma(scheme, problem, state.z, state.w)
+    gz, gw, x, y = eval_Gamma(scheme, problem, state.z, state.w, plan=plan)
     return IterateState(z=state.z - lambda_t * gz,
                         w=state.w - lambda_t * gw, x=x, y=y)
 
@@ -554,6 +585,9 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
                         else opts.lambda_schedule, lam_max, "lambda_schedule")
 
     z, w = plan.z, plan.w   # the iterate lives in the plan's inputs
+    # (z, w) - lam (gz, gw), in place over the flat v and g
+    update = (partial(np.multiply, plan.g, np.array(-lam), out=plan.g),
+              partial(np.add, plan.v, plan.g, out=plan.v))
     if z0 is not None:
         z[...] = _stacked(z0, z.shape, "z0")
     if w0 is not None:
@@ -572,8 +606,8 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     # a diverging run overflows in res, the records and s_bar, silently
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(opts.max_iters + 1):
-            gz, gw, x, y = eval_Gamma(s, problem, z, w, plan=plan)
-            res = residual_star(s, gz, gw, lam)
+            _, _, x, y = eval_Gamma(s, problem, z, w, plan=plan)
+            res = _star(s.gamma, plan.star) / lam   # as residual_star
             stop = ("diverged" if not math.isfinite(res) else "converged"
                     if res <= opts.residual_tol else "max_iters"
                     if t == opts.max_iters else None)
@@ -584,10 +618,8 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
             # lam <= lam_max + LAMBDA_SLACK <= 1 + 1e-12, gamma > 0, E > 0:
             # from a finite state, an update overflows only where |lam g| >=
             # 2^970, whose square made res infinite; so kept states are finite
-            gz *= -lam   # z - lam * gz, in place
-            z += gz
-            gw *= -lam
-            w += gw
+            for call in update:
+                call()
 
         # s_k = eta_k L_k (K x)_k - w_k from the last evaluation, in its gw
         s_bar = np.multiply(plan.LKx, plan.eta, out=plan.gw)

@@ -11,6 +11,7 @@ import warnings
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -234,6 +235,41 @@ class TestStep:
             step(s, pb, state, 0.0)
         with pytest.raises(ValueError):
             step(s, pb, state, 0.9, lambda_max=0.5)
+
+    @pytest.mark.parametrize("family", ["sequential", "star"])
+    def test_steps_with_one_plan_are_solves_iterates(self, family):
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        s, _, lam_max = build_family_scheme(family, inst, 0.5, 0.1)
+        lam = 0.9 * lam_max
+        report = solve(s, pb, opts=SolveOptions(
+            max_iters=50, residual_tol=0.0, lambda_schedule=lam))
+        plan = EvalPlan(s, pb)
+        state = IterateState(
+            z=BlockVector.zeros([pb.d] * s.m),
+            w=BlockVector.zeros([blk.L.out_dim for blk in pb.BL_list]))
+        for _ in range(50):
+            state = step(s, pb, state, lam, plan=plan)
+        # solve's final x and y are S at its last iterate, as here
+        _, _, x, y = eval_Gamma(s, pb, state.z, state.w, plan=plan)
+        for got, want in ((state.z, report.final.z), (state.w, report.final.w),
+                          (x, report.final.x), (y, report.final.y)):
+            np.testing.assert_array_equal(np.concatenate(got.blocks),
+                                          np.concatenate(want.blocks))
+
+    def test_foreign_plan_refused(self):
+        inst = desk_instance(0)
+        pb = to_problem(inst)
+        s, _, lam_max = build_family_scheme("star", inst, 0.5, 0.1)
+        plan = EvalPlan(s, pb)
+        state = IterateState(
+            z=BlockVector.zeros([pb.d] * s.m),
+            w=BlockVector.zeros([blk.L.out_dim for blk in pb.BL_list]))
+        for other, name in ((s.replace(), "scheme"), (replace(pb), "problem")):
+            args = (other, pb) if name == "scheme" else (s, other)
+            with pytest.raises(ValueError,
+                               match=f"^plan was compiled for another {name}$"):
+                step(*args, state, 0.5 * lam_max, plan=plan)
 
 
 class TestRegime:
@@ -1177,9 +1213,11 @@ _BUFFERS = ("S", "LKx", "LHx", "X", "U", "y", "z", "w")
 
 
 def _buffer(plan, a):   # the plan buffer that a is a view of, or None
+    # z and w are views of one flat vector: a is in the one it overlaps;
+    # an empty view overlaps none, but the buffer may own its memory
     return next((name for name in _BUFFERS
-                 if any(getattr(plan, name) is b for b in (a, a.base))),
-                None)
+                 if any(getattr(plan, name) is b for b in (a, a.base))
+                 or np.may_share_memory(getattr(plan, name), a)), None)
 
 
 def _rows(buf, view):   # the rows of the 2-D array buf that its view covers
@@ -1893,11 +1931,13 @@ class TestLevels:
         pb = _l1_star_problem(rng, s, 9)
         plan, rows = EvalPlan(s, pb), EvalPlan(s, _per_row(pb))
         stage = _stages(plan)[1]
-        # one soft-threshold, by a column of thresholds
+        # one soft-threshold, by thresholds at the rows' full shape
         [(_, at, soft)] = _written_by(stage, "X")
         assert at == tuple(range(1, n))
         assert [e.func for e in soft] == [np.minimum, np.maximum, np.subtract]
-        assert soft[0].args[1].shape == (n - 1, 1)
+        t = soft[0].args[1]
+        assert t.shape == (n - 1, 9) and (t == t[:, :1]).all()
+        np.testing.assert_array_equal(soft[1].args[1], -t)
         # one L call, one L^* call
         assert len(_written_by(stage, "LKx")) == 1
         assert len(_image_calls(plan, stage, "L*")) == 1
@@ -2127,6 +2167,45 @@ class TestKindRule:
         lengths["ring"] = len(EvalPlan(s, pb).tape)
         assert lengths == self.TAPE_LENGTHS
 
+    @staticmethod
+    def _bench_plans():
+        """The plans of the bench's solves, at their shapes: desk
+        sequential, star and complete; 20 agents (n = 21) sequential, star
+        and complete; wide sequential; and the ring."""
+        for n, m, d, mu, nu, families in (
+                (5, 50, 200, 5.0, 2.0, ("sequential", "star", "complete")),
+                (20, 400, 1000, 15.0, 5.0, ("sequential", "star",
+                                            "complete")),
+                (5, 100, 10_000, 15.0, 5.0, ("sequential",))):
+            inst = gen_instance(1, n=n, m=m, d=d, mu=mu, nu=nu)
+            pb = to_problem(inst)
+            for family in families:
+                s, _, _ = build_family_scheme(family, inst, 0.5, 0.1)
+                yield family, EvalPlan(s, pb)
+        s, pb, _ = _lipschitz_ring_instance(1000, nodes=6)
+        yield "ring", EvalPlan(s, pb)
+
+    def test_constants_are_bound_at_full_shape_or_0d(self):
+        # an elementwise entry that broadcasts a constant column against
+        # its rows, or converts a Python float on every call, leaves
+        # numpy's contiguous fast path
+        plans = 0
+        for family, plan in self._bench_plans():
+            owned = [plan.v, plan.g, plan.U, plan.X, plan.LKx, plan.LHx,
+                     plan.y, plan.S, plan.T, *plan._pool.values()]
+            for entry in plan.tape:
+                if not (isinstance(entry.func, np.ufunc)
+                        and entry.func.signature is None):
+                    continue
+                shape = entry.keywords["out"].shape
+                for a in entry.args:
+                    assert isinstance(a, np.ndarray), (family, entry)
+                    assert a.ndim == 0 or a.shape == shape or any(
+                        np.may_share_memory(a, b) for b in owned), (
+                            family, entry.func, a.shape, shape)
+            plans += 1
+        assert plans == 8
+
 
 def _user_resolvent(dim):
     """A resolvent the plan knows nothing of: J of x -> x, at any step."""
@@ -2166,6 +2245,52 @@ def _drawn_problem(draw, rng, s, d):
     BL = [ComposedBlock(B=resolvent(draw(kinds.filter(lambda k: k != "zero")),
                                     Lk.out_dim), L=Lk) for Lk in L]
     return ProblemInstance(d=d, A_list=A, BL_list=BL, C_list=C)
+
+
+def _drawn_scheme(draw, rng, n, family):
+    """A star with random weights or a random scheme of the family, with
+    drawn columns of H and of P and Q zero (_dropped)."""
+    s = (_weighted_star(rng, n) if family == "star" else
+         DIFF_FAMILIES[family](rng, n, rng.uniform(0.2, 1.5),
+                               rng.uniform(0.2, 1.5)))
+    drop_H, drop_P = (draw(st.lists(st.booleans(), min_size=k, max_size=k))
+                      for k in (s.r, s.p))
+    return _dropped(s, drop_H, drop_P)
+
+
+def _plain_solve(s, pb, z, w, lam, opts):
+    """solve's records, time aside, and its final z, w, x and y, by a plain
+    loop over the public eval_Gamma, residual_star and consensus_gap on
+    stacked z and padded w."""
+    records = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(opts.max_iters + 1):
+            gz, gw, x, y = eval_Gamma(s, pb, z, w)
+            res = residual_star(s, gz, gw, lam)
+            stop = (not math.isfinite(res) or res <= opts.residual_tol
+                    or t == opts.max_iters)
+            if stop or t % opts.record_every == 0:
+                records.append((t, res, consensus_gap(x), None))
+            if stop:
+                return records, z, w, x, y
+            z, w = z - lam * gz, w - lam * gw
+
+
+def _assert_plain_loop(report, s, pb, z0, w0, opts):
+    """report is _plain_solve's run from z0 and w0, bit for bit."""
+    records, z, w, x, y = _plain_solve(s, pb, z0, w0, report.lambda_used,
+                                       opts)
+    assert report.iters_run == records[-1][0]
+    assert [r[0] for r in report.records] == [r[0] for r in records]
+    assert all(r[3] is None for r in report.records)
+    np.testing.assert_array_equal([r[1:3] for r in report.records],
+                                  [r[1:3] for r in records])
+    final = report.final
+    for got, want in ((final.z, z), (final.x, x), (final.w, w),
+                      (final.y, y)):
+        assert len(got) == len(want)
+        for b, row in zip(got.blocks, want):
+            np.testing.assert_array_equal(b, row[:b.size])
 
 
 def _dropped(s, drop_H, drop_P):
@@ -2243,13 +2368,56 @@ class TestTape:
                                    "subgraph"]))
     def test_matches_loop_evaluator_and_in_place(self, data, n, d, family):
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        s = (_weighted_star(rng, n) if family == "star" else
-             DIFF_FAMILIES[family](rng, n, rng.uniform(0.2, 1.5),
-                                   rng.uniform(0.2, 1.5)))
-        drop_H, drop_P = (data.draw(st.lists(st.booleans(), min_size=k,
-                                             max_size=k)) for k in (s.r, s.p))
-        s = _dropped(s, drop_H, drop_P)
+        s = _drawn_scheme(data.draw, rng, n, family)
         self._check(s, _drawn_problem(data.draw, rng, s, d), rng)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(), n=st.integers(3, 8), d=st.integers(2, 7),
+           family=st.sampled_from(["star", "random_explicit", "random_tree",
+                                   "subgraph"]),
+           record_every=st.sampled_from([1, 3]))
+    def test_solve_is_the_plain_loop(self, data, n, d, family, record_every):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        s = _drawn_scheme(data.draw, rng, n, family)
+        pb = _drawn_problem(data.draw, rng, s, d)
+        plan = EvalPlan(s, pb)
+        z0 = rng.standard_normal(plan.z.shape)
+        w0 = rng.standard_normal(plan.w.shape)
+        if plan.pad is not None:
+            w0[plan.pad] = 0.0
+        opts = SolveOptions(
+            max_iters=data.draw(st.integers(0, 12)),
+            residual_tol=data.draw(st.sampled_from([0.0, 1e-2])),
+            lambda_schedule=data.draw(st.sampled_from([0.5, 1.0])),
+            record_every=record_every)
+        # most drawn schemes fail solve's standing checks, which other tests
+        # cover; here they pass, with lambda_max 1, so that the loop runs
+        gate = ("cocoercive", SimpleNamespace(all_pass=True),
+                SimpleNamespace(lambda_max=lambda gamma: 1.0))
+        with mock.patch.object(solver_module, "check_scheme",
+                               lambda *args: gate):
+            report = solve(s, pb, z0, w0, opts=opts)
+        _assert_plain_loop(report, s, pb, z0, w0, opts)
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_diverging_solve_is_the_plain_loop(self, record_every):
+        # the residual overflows at iteration 25 (test_divergence_carries_
+        # partial_report)
+        s = scheme_sequential(2, gamma=1.0, eta=1e-3)
+        d = 2
+        steep = SingleValuedOp(dim=d, apply=lambda x: 1e6 * x,
+                               lipschitz=1e-6, cocoercive=True)
+        pb = ProblemInstance(
+            d=d, A_list=[zero_resolvent(d), zero_resolvent(d)],
+            BL_list=[ComposedBlock(B=zero_resolvent(d),
+                                   L=LinearMap(np.eye(d)))],
+            C_list=[steep])
+        z0, w0 = np.ones((s.m, d)), np.zeros((s.r, d))
+        opts = SolveOptions(max_iters=2000, record_every=record_every)
+        report = solve(s, pb, z0, w0, opts=opts)
+        assert report.stop_reason == "diverged" and report.iters_run == 25
+        _assert_plain_loop(report, s, pb, z0, w0, opts)
 
     @pytest.mark.parametrize("kinds", ["built_in", "user"])
     def test_rows_not_evenly_spaced(self, kinds):
