@@ -23,6 +23,9 @@ __all__ = [
 # Defaults shared across the package.
 PSD_TOL = 1e-10
 PINV_CUTOFF = 1e-12
+# the longest row (32 KiB of doubles) over which an elementwise call reads
+# a per-row constant at full shape; see row_constant
+ROW_MAX = 4096
 
 
 class BlockVector:
@@ -75,6 +78,20 @@ class BlockVector:
 
     def __repr__(self):
         return f"BlockVector(dims={self.dims})"
+
+
+def row_constant(col, width, full=None):
+    """The (k, 1) column col of one value per row, as an elementwise call
+    over k rows of ``width`` entries reads it fastest: 0-d for one value;
+    at full shape (``full`` when given, else a new array) for rows of up to
+    ROW_MAX entries, where broadcasting a column costs about twice the
+    call; the column itself over longer rows, where a full-shape copy costs
+    more in memory traffic than the broadcast does."""
+    if col.size == 1:
+        return np.array(col.item())
+    if width > ROW_MAX:
+        return col
+    return np.repeat(col, width, axis=1) if full is None else full
 
 
 def kron_apply(M, z):

@@ -20,7 +20,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from .linalg import LinearMap, spectral_norm
+from .linalg import LinearMap, row_constant, spectral_norm
 from .scheme import _check_constant, _check_number
 
 __all__ = [
@@ -150,11 +150,9 @@ class _L1Prox:
     @staticmethod
     def tape(fs, steps, v, out, scratch):
         """The resolvents fs at steps ``steps`` of the rows v: one
-        soft-threshold by step * weight per row, at out's shape (0-d for
-        one row), so that no call broadcasts a column."""
+        soft-threshold by step * weight per row, bound by row_constant."""
         t = np.array([[step * f.weight] for step, f in zip(steps, fs)])
-        t, neg = (np.array(a.item() if a.size == 1 else np.broadcast_to(
-            a, out.shape)) for a in (t, -t))
+        t, neg = (row_constant(a, out.shape[-1]) for a in (t, -t))
         return [partial(np.minimum, v, t, out=out),   # as _soft_threshold
                 partial(np.maximum, out, neg, out=out),
                 partial(np.subtract, v, out, out=out)]

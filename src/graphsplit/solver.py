@@ -6,15 +6,17 @@ another, each zero-padded to the longest.
 
 An EvalPlan compiles one scheme on one problem, once, into a tape of numpy
 calls bound to buffers that the plan owns, and evaluates one point at a
-time.  Every constant that an elementwise call binds has the shape of its
-out or is 0-d, so no call broadcasts a column or converts a float.  The
-kernel eval_S runs the tape; eval_Gamma, step, certify_solution and solve
-share it.  A caller's (z, w) is copied into the plan's inputs and the
-outputs are copied out, so what a public function returns is the caller's
-own.  solve keeps its iterate in the plan's inputs, z and w, views of one
-flat vector, and gz and gw are views of another: its residual is three
-bound calls summed as residual_star sums them, and its update two bound
-calls over the flat vectors."""
+time.  A constant per row that an elementwise call binds is 0-d for one
+row, at its out's shape over rows of up to ROW_MAX entries, and the column
+over longer ones (linalg.row_constant), so no call over short rows
+broadcasts a column or converts a float.  The kernel eval_S runs the tape;
+eval_Gamma, certify_solution and solve share it.  A caller's (z, w) is
+copied into the plan's inputs and the outputs are copied out, so what a
+public function returns is the caller's own.  solve keeps its iterate in
+the plan's inputs, z and w, views of one flat vector, and gz and gw are
+views of another: its residual is three calls bound once, summed as
+residual_star sums them, and its update two bound calls over the flat
+vectors."""
 
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .linalg import BlockVector, kron_apply  # noqa: F401  (re-exported)
+from .linalg import row_constant
 from .scheme import _check_number, check_explicit, compute_UW, compute_tau, \
     step_bounds, validate_standing, write_csv, write_json
 
@@ -80,28 +83,12 @@ class IterateState:
     y: Optional[BlockVector] = None
 
 
-def _star_calls(inv_E, Z1, W1, Z2, W2):
-    """The three calls, bound once, whose results _star sums: <Z1, Z2> of
-    stacked rows, a batch of one row product per dual block of the padded
-    rows W1 and W2 into an (r, 1, 1) buffer, and those weighted by 1/E."""
-    rows = np.empty((len(W1), 1, 1))
-    return (partial(np.vdot, Z1, Z2),
-            partial(np.matmul, W1[:, None], W2[:, :, None], out=rows),
-            partial(np.matmul, rows.reshape(-1), inv_E))
-
-
-def _star(gamma, calls):
-    """<Z1, Z2> + gamma <E^{-1} W1, W2>, from the _star_calls run in order."""
-    vdot, rows, weigh = calls
-    zz = vdot()
-    rows()
-    return float(zz) + gamma * float(weigh())
-
-
 def _star_inner(gamma, E_diag, Z1, W1, Z2, W2):
     """<Z1, Z2> + gamma <E^{-1} W1, W2> of stacked and padded rows."""
-    inv_E = 1.0 / np.asarray(E_diag, dtype=float)
-    return _star(gamma, _star_calls(inv_E, Z1, W1, Z2, W2))
+    # a batch of one row product per dual block, then weighted by 1/eta
+    rows = W1[:, None] @ W2[:, :, None]
+    inv_eta = 1.0 / np.asarray(E_diag, dtype=float)
+    return float(np.vdot(Z1, Z2)) + gamma * float(rows.ravel() @ inv_eta)
 
 
 @dataclass
@@ -242,8 +229,8 @@ class EvalPlan:
     buffers: the inputs ``z`` and ``w``, views of one flat vector ``v``;
     ``U``, ``X``, ``LKx``, ``LHx`` and ``y``, which eval_S returns;
     eval_Gamma's ``gz`` and ``gw``, views of ``g``, with ``star``, the calls
-    of their residual (_star_calls); ``S``, ``T`` and scratch, which only
-    the tape reads.  Then, in one pass, each
+    of solve's residual; ``S``, ``T`` and scratch, which only the tape
+    reads.  Then, in one pass, each
     ``_level`` and the dual ``_tail`` append to ``tape`` the numpy calls,
     bound to those buffers, that evaluate S at ``z`` and ``w`` when run in
     order.  The operators of a group (a level's C_j, L_k or A_i; the tail's
@@ -278,8 +265,10 @@ class EvalPlan:
         self.Md = s.M / s.D_diag[:, None]
         self.dims = [blk.L.out_dim for blk in problem.BL_list]
         self.slices = [(k, slice(0, g)) for k, g in enumerate(self.dims)]
-        self.eta = np.repeat(s.E_diag[:, None], max(self.dims, default=0), 1)
-        self.inv_eta = 1.0 / self.eta   # per element: faster than broadcast
+        width, self.inv_E = max(self.dims, default=0), 1.0 / s.E_diag
+        self.eta = np.repeat(s.E_diag[:, None], width, 1)
+        # per element: faster than broadcast
+        self.inv_eta = np.repeat(self.inv_E[:, None], width, 1)
         # the padding of the shorter dual blocks; None when there is none
         self.pad = (np.arange(self.eta.shape[1]) >= np.c_[self.dims]
                     if len(set(self.dims)) > 1 else None)
@@ -291,9 +280,13 @@ class EvalPlan:
             for a in (self.v, self.g))
         self.U, self.X = np.empty((s.n, d)), np.empty((s.n, d))
         self.LKx, self.LHx, self.y = (np.zeros(shape) for _ in range(3))
-        # <gz, gz> + gamma <E^{-1} gw, gw>, as _star sums them
-        self.star = _star_calls(1.0 / np.asarray(s.E_diag, dtype=float),
-                                self.gz, self.gw, self.gz, self.gw)
+        # <gz, gz>, then the row products of gw into an (r, 1, 1) buffer
+        # and their product with 1/E: the terms _star_inner sums
+        rows = np.empty((s.r, 1, 1))
+        self.star = (partial(np.vdot, self.gz, self.gz),
+                     partial(np.matmul, self.gw[:, None], self.gw[:, :, None],
+                             out=rows),
+                     partial(np.matmul, rows.reshape(-1), self.inv_E))
         self.S, self.T = np.empty((len(images), d)), np.empty(d)
         self.tape, self._pool = [partial(np.matmul, self.Md, self.z,
                                          out=self.U)], {}
@@ -402,7 +395,9 @@ class EvalPlan:
                 0, self.dims[ks[0]]))
             lk = self._read(self.LKx, index, "lk")
             wk, arg = self._read(self.w, index, "wk"), self._scratch(lk.shape)
-            self.tape += [partial(np.multiply, self.eta[index], lk, out=arg),
+            e = row_constant(s.E_diag[index[0], None], lk.shape[-1],
+                             self.eta[index])   # eta's rows at full shape
+            self.tape += [partial(np.multiply, e, lk, out=arg),
                           partial(np.subtract, arg, wk, out=arg)]
             self._apply(S, _index(ts), hook and _kind(maps, "adjoint_tape"),
                         maps if hook else maps[0].adjoint, arg)
@@ -443,7 +438,7 @@ class EvalPlan:
                       partial(np.subtract, self.LKx, V, out=V),
                       partial(np.add, V, self.LHx, out=V)]
         self._resolve(self.y, V, ..., self.slices, [b.B for b in BL],
-                      1.0 / s.E_diag)
+                      self.inv_E)
 
     def split(self, v):
         """The blocks of padded dual rows, as views."""
@@ -517,13 +512,11 @@ def residual_star(scheme, gz, gw, lambda_t):
     return _star_inner(scheme.gamma, scheme.E_diag, Z, W, Z, W) / lambda_t
 
 
-def step(scheme, problem, state, lambda_t, lambda_max=None, plan=None):
-    """One relaxed iteration (z, w) <- (z, w) - lambda_t * Gamma(z, w).
-    ``plan`` is compiled when omitted, and refused when compiled for
-    another scheme or problem object, as by eval_Gamma."""
+def step(scheme, problem, state, lambda_t, lambda_max=None):
+    """One relaxed iteration (z, w) <- (z, w) - lambda_t * Gamma(z, w)."""
     lambda_t = _check_lambda(
         lambda_t, math.inf if lambda_max is None else lambda_max)
-    gz, gw, x, y = eval_Gamma(scheme, problem, state.z, state.w, plan=plan)
+    gz, gw, x, y = eval_Gamma(scheme, problem, state.z, state.w)
     return IterateState(z=state.z - lambda_t * gz,
                         w=state.w - lambda_t * gw, x=x, y=y)
 
@@ -607,7 +600,8 @@ def solve(scheme, problem, z0=None, w0=None, opts=None, objective=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(opts.max_iters + 1):
             _, _, x, y = eval_Gamma(s, problem, z, w, plan=plan)
-            res = _star(s.gamma, plan.star) / lam   # as residual_star
+            zz, _, ww = (call() for call in plan.star)
+            res = (float(zz) + s.gamma * float(ww)) / lam   # residual_star
             stop = ("diverged" if not math.isfinite(res) else "converged"
                     if res <= opts.residual_tol else "max_iters"
                     if t == opts.max_iters else None)

@@ -35,6 +35,7 @@ from graphsplit.operators import (ResolventOp, SingleValuedOp,
 from graphsplit.scheme import (CoefficientScheme, check_explicit, compute_tau,
                                compute_UW, step_bounds, validate_psd)
 from graphsplit import solver as solver_module
+from graphsplit.linalg import ROW_MAX
 from graphsplit.solver import (LAMBDA_SLACK, EvalPlan, check_scheme,
                                consensus_gap, eval_S, export_report_csv,
                                export_state_json)
@@ -235,41 +236,6 @@ class TestStep:
             step(s, pb, state, 0.0)
         with pytest.raises(ValueError):
             step(s, pb, state, 0.9, lambda_max=0.5)
-
-    @pytest.mark.parametrize("family", ["sequential", "star"])
-    def test_steps_with_one_plan_are_solves_iterates(self, family):
-        inst = desk_instance(0)
-        pb = to_problem(inst)
-        s, _, lam_max = build_family_scheme(family, inst, 0.5, 0.1)
-        lam = 0.9 * lam_max
-        report = solve(s, pb, opts=SolveOptions(
-            max_iters=50, residual_tol=0.0, lambda_schedule=lam))
-        plan = EvalPlan(s, pb)
-        state = IterateState(
-            z=BlockVector.zeros([pb.d] * s.m),
-            w=BlockVector.zeros([blk.L.out_dim for blk in pb.BL_list]))
-        for _ in range(50):
-            state = step(s, pb, state, lam, plan=plan)
-        # solve's final x and y are S at its last iterate, as here
-        _, _, x, y = eval_Gamma(s, pb, state.z, state.w, plan=plan)
-        for got, want in ((state.z, report.final.z), (state.w, report.final.w),
-                          (x, report.final.x), (y, report.final.y)):
-            np.testing.assert_array_equal(np.concatenate(got.blocks),
-                                          np.concatenate(want.blocks))
-
-    def test_foreign_plan_refused(self):
-        inst = desk_instance(0)
-        pb = to_problem(inst)
-        s, _, lam_max = build_family_scheme("star", inst, 0.5, 0.1)
-        plan = EvalPlan(s, pb)
-        state = IterateState(
-            z=BlockVector.zeros([pb.d] * s.m),
-            w=BlockVector.zeros([blk.L.out_dim for blk in pb.BL_list]))
-        for other, name in ((s.replace(), "scheme"), (replace(pb), "problem")):
-            args = (other, pb) if name == "scheme" else (s, other)
-            with pytest.raises(ValueError,
-                               match=f"^plan was compiled for another {name}$"):
-                step(*args, state, 0.5 * lam_max, plan=plan)
 
 
 class TestRegime:
@@ -2185,14 +2151,13 @@ class TestKindRule:
         s, pb, _ = _lipschitz_ring_instance(1000, nodes=6)
         yield "ring", EvalPlan(s, pb)
 
-    def test_constants_are_bound_at_full_shape_or_0d(self):
+    def test_constants_are_bound_by_row_length(self):
         # an elementwise entry that broadcasts a constant column against
-        # its rows, or converts a Python float on every call, leaves
-        # numpy's contiguous fast path
-        plans = 0
+        # short rows, or converts a Python float on every call, leaves
+        # numpy's contiguous fast path; over rows longer than ROW_MAX a
+        # full-shape constant costs more memory traffic than the column
+        plans, columns, rows = 0, [], []
         for family, plan in self._bench_plans():
-            owned = [plan.v, plan.g, plan.U, plan.X, plan.LKx, plan.LHx,
-                     plan.y, plan.S, plan.T, *plan._pool.values()]
             for entry in plan.tape:
                 if not (isinstance(entry.func, np.ufunc)
                         and entry.func.signature is None):
@@ -2200,12 +2165,26 @@ class TestKindRule:
                 shape = entry.keywords["out"].shape
                 for a in entry.args:
                     assert isinstance(a, np.ndarray), (family, entry)
-                    assert a.ndim == 0 or a.shape == shape or any(
-                        np.may_share_memory(a, b) for b in owned), (
+                    if len(shape) == 2 and a.shape == (shape[0], 1) != shape:
+                        columns.append((family, shape))
+                        assert shape[-1] > ROW_MAX, (family, entry.func)
+                    elif len(shape) == 2 and a.shape == shape[1:]:
+                        # one row of x read by every L_k of a group, as
+                        # the star's leaves read its centre: a row down
+                        # out's rows, whose inner loop stays contiguous
+                        rows.append((family, entry.func, shape))
+                        assert np.may_share_memory(a, plan.X)
+                    else:
+                        assert a.ndim == 0 or a.shape == shape, (
                             family, entry.func, a.shape, shape)
             plans += 1
         assert plans == 8
-
+        # wide's tail: the thresholds of its five rows and their negation
+        assert columns == [("sequential", (5, 9999))] * 2
+        # the star's L call: x[1:] - x[:-1] of the centre's row, per leaf
+        assert rows == [("star", np.subtract, (leaves, d - 1))
+                        for leaves, d in ((5, 200), (20, 1000))
+                        for _ in range(2)]
 
 def _user_resolvent(dim):
     """A resolvent the plan knows nothing of: J of x -> x, at any step."""
